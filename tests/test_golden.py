@@ -1,0 +1,234 @@
+"""Golden outputs: the sha256 of every report file and of the stdout summary
+line, for every subcommand at small fixed configs.
+
+The hashes were recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11);
+other versions may legitimately change the last bits of a report. They hold
+at one and at two BLAS threads, except for the oscillator: its dense LAPACK
+solve gives thread-count-dependent bits, so only its exit code, its report
+file names and its JSON keys are pinned.
+
+To print the hashes of the current code (after an intended change of
+output), run ``python tests/test_golden.py`` from the repository root.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from varns.cli import main
+
+GRID_T = ("--time-nodes", "5", "--dt", "0.02")
+
+CASES = {
+    "oscillator": ("oscillator", "--osc-n", "65"),
+    "evaluate": ("evaluate", "--scenario", "random:3", "--n", "8",
+                 "--boundary", "wall,periodic", *GRID_T),
+    "residual": ("residual", "--scenario", "random:6", "--n", "8",
+                 "--boundary", "wall", *GRID_T),
+    "variation-check": ("variation-check", "--n", "8", "--seeds", "2",
+                        "--boundary", "periodic,wall", *GRID_T),
+    "energy": ("energy", "--scenario", "random:4", "--n", "8", "--boundary", "wall",
+               *GRID_T),
+    "steady-cert": ("steady-cert", "--scenario", "taylor-green", "--n", "12",
+                    "--nu", "0.5"),
+    "inequality-audit": ("inequality-audit", "--scenario", "random:5", "--n", "10",
+                         "--boundary", "wall,periodic"),
+    "extended": ("extended", "--scenario", "random:2", "--n", "8",
+                 "--boundary", "wall", "--extent", "1", *GRID_T),
+    "boundary-audit": ("boundary-audit", "--scenario", "random:2", "--n", "8",
+                       "--boundary", "wall,periodic", "--claimed-stationary",
+                       *GRID_T),
+    "solve-unsteady": ("solve-unsteady", "--scenario", "taylor-green", "--n", "12",
+                       "--nu", "0.2", *GRID_T),
+    "solve-steady-periodic": ("solve-steady", "--scenario", "taylor-green",
+                              "--n", "12", "--nu", "0.5", "--newton-tol", "1e-8"),
+    "solve-steady-wall": ("solve-steady", "--scenario", "random:1", "--n", "6",
+                          "--boundary", "wall", "--extent", "1", "--nu", "1",
+                          "--newton-tol", "1e-6"),
+    "newton-dual": ("newton-dual", "--n", "6", "--time-nodes", "4", "--dt", "0.02",
+                    "--nu", "0.5", "--perturb-w", "0.1"),
+    "taylor-green-verify": ("taylor-green-verify", "--n", "8", "--time-nodes", "3",
+                            "--dt", "0.05", "--refine", "2"),
+}
+
+GOLDEN = {
+    "boundary-audit": {
+        "exit": 0,
+        "stdout": "bf10f112c40f955ac132875c8c0dfd4bac340a44dcbce98f11784e2f08905304",
+        "files": {
+            "boundary_audit.csv": "a705310b3253bb37477cf4459b2f77d53995cda9422761614bb81b1b61073e79",
+        },
+    },
+    "energy": {
+        "exit": 0,
+        "stdout": "6b9e543e9edbf4296a5778feb71180011c8826cc3c3f9a0efb46b87e6112a2ca",
+        "files": {
+            "energy_series.csv": "ce3a02381d1e1fac2d07ba82a2a1864f115d1af6ae27c22f4c42d6a643342eb8",
+        },
+    },
+    "evaluate": {
+        "exit": 0,
+        "stdout": "18368aa92e4ce8056ddf692f23d48ce4813e6d7ab5c7a8b8b8b1c1f35d39839b",
+        "files": {
+            "lagrangian_report.json": "c4a279eb501d76b3c84fa0a0bac87051db857063ed75449463796eb8955f2f4b",
+        },
+    },
+    "extended": {
+        "exit": 0,
+        "stdout": "ed245a253592d86c0ea491cbceaee096dcdee6bf95dd4648356a6e2abf25fac0",
+        "files": {
+            "extended_report.json": "ad87b4f7c816f74db1f67a4bfea41df621573b3e1d21d00ac5bdf003e13bee18",
+        },
+    },
+    "inequality-audit": {
+        "exit": 0,
+        "stdout": "a365ded53e8547a73fe4d78c35314724c7705cce077f9eff8f200dc8363d625c",
+        "files": {
+            "inequality_audit.csv": "47a44fefaedc6388ec4556f6b31e79480c423222c7b23ecd64fd9d1f92cc3708",
+        },
+    },
+    "newton-dual": {
+        "exit": 0,
+        "stdout": "af38fe76fead80452f356de859356e309b06a5135173cb3b0664ad0016eb7198",
+        "files": {
+            "convergence.csv": "0e21dc728b4f33a8c85ef328d6db3a99350bb722e71a06d96dc25121e0f49c7b",
+            "p.csv": "6fe2c1a4441b998e10e007d6d801a59177777eb999ea750dbedcbea7372b29e0",
+            "r.csv": "01efefa8e6a0983514c6f49f7e206658d8d468276d38429b3ae796edeefda433",
+            "u_0.csv": "1e7b670c2f8f7b51de4d331e008576db3d73a5f54c5664fe95af248a8073c841",
+            "u_1.csv": "88c97cc4f0e0b6cde6915ebc352565f07bd306749751023a69a148ecf4ce422d",
+            "w_0.csv": "644d5ab13f7b4b22092d57e6a3bb2023bc7106ac8c8a98358492cb5a4d16bbf4",
+            "w_1.csv": "87fe0d10adac9d823d22916a036bc11f795599786df2e1b28c04c3cca9328a2d",
+        },
+    },
+    "oscillator": {
+        "exit": 0,
+        "stdout": "0536b4e1ea756e4526e7b13dceccc5753a45e5f589405ec88b56783f7c1522f9",
+        "files": {
+            "oscillator.csv": "f7582616158453e996a68cd448922c33a0311cca7b89c6ba45d2307694ef2783",
+            "oscillator_verdict.json": "a8536a60931a1fa0703a11d12d0de34fec388d687af99667a5f6e8db82252e30",
+        },
+    },
+    "residual": {
+        "exit": 0,
+        "stdout": "83b15ebc0720397124e08b9d1c4ef32bb1c4f635df52c3cd8cb5206dde695ee8",
+        "files": {
+            "res_div_u.csv": "815d6216825f0f7be811e4b29a74613817412a149e688f0c0359289632676e6e",
+            "res_div_w.csv": "24d6db1c05be96adf82078f69f22a65e073d012bff8af13efa150189ce36809c",
+            "res_u_0.csv": "5974a4d8d12a42caafe5a9221c4d91a958e0a6408f9248896fd6a1c4acb99d81",
+            "res_u_1.csv": "62eaf1be4e2a7c9ccdf62295c994a67fa79868fb1079e35ef6d33eccf7580c49",
+            "res_w_0.csv": "6cfaf67d363abd20842feffc4bb82356aacdf61e9ed64ad80c35d29feb87d663",
+            "res_w_1.csv": "c238677597a4f68a856af53b138df95c3d1a9d92dfa04769e0cd098940e9ba02",
+        },
+    },
+    "solve-steady-periodic": {
+        "exit": 0,
+        "stdout": "59fec7f6dd158236a30ab5ba656a00c17c1ef619b9f66986f8815aacc0115fbd",
+        "files": {
+            "certificate.json": "d5c9ece5065b1db2b02373fefe065ca93a6c4bad90f8793ee879f9421ab62a1b",
+            "p.csv": "5a29ed62ba3bcb0b1bdb50b25a5ba6df7b84fe579ddef816ce600bc92f19dd1c",
+            "r.csv": "5a29ed62ba3bcb0b1bdb50b25a5ba6df7b84fe579ddef816ce600bc92f19dd1c",
+            "u_0.csv": "c46672d1c0b419f38d28e550c71396445961bf7e90888bc1409c3b501084cdc3",
+            "u_1.csv": "24bd9109acd9912b97ed683173b90a9cd598afd215d8c08a52db0ca1cb883da7",
+            "w_0.csv": "c46672d1c0b419f38d28e550c71396445961bf7e90888bc1409c3b501084cdc3",
+            "w_1.csv": "24bd9109acd9912b97ed683173b90a9cd598afd215d8c08a52db0ca1cb883da7",
+        },
+    },
+    "solve-steady-wall": {
+        "exit": 0,
+        "stdout": "3a6a98c14556fb37d656e73f0b6ace4403646b83809ee45ae842d8b5a5fcfe67",
+        "files": {
+            "certificate.json": "435d0a9785704e9b730da87d7904b24d0f3a6041d668d2d9665f636c2530b28e",
+            "p.csv": "ffdd016b310da3db1b9a2c18a5d1b8a0024631b5df89b3f1d56ae8069417e2cc",
+            "r.csv": "ffdd016b310da3db1b9a2c18a5d1b8a0024631b5df89b3f1d56ae8069417e2cc",
+            "u_0.csv": "910efda42d2b82acb2e0a92601dc26215e6945419bd61cf76ed591449a062f5b",
+            "u_1.csv": "4b40405a3c4d9e471e265c120ffcb5a618ab569048a72dc0f07f0ee58ee5ec44",
+            "w_0.csv": "910efda42d2b82acb2e0a92601dc26215e6945419bd61cf76ed591449a062f5b",
+            "w_1.csv": "4b40405a3c4d9e471e265c120ffcb5a618ab569048a72dc0f07f0ee58ee5ec44",
+        },
+    },
+    "solve-unsteady": {
+        "exit": 0,
+        "stdout": "1fd26f93833b1e00cc553b31920141a714019057e2dacb1b141fa99c896934ce",
+        "files": {
+            "convergence.csv": "94f8396678af2ee54a86028950d4d246fb76a08ccd3244cb2e576ab6c85e3216",
+            "p.csv": "3a23db25f33583688a38db589d87dda2945a34d0dba6dd1b237f596181f120bd",
+            "r.csv": "3a23db25f33583688a38db589d87dda2945a34d0dba6dd1b237f596181f120bd",
+            "u_0.csv": "2eed46f021be1a0ee7a98b97b6d66d6537c1df73faae7188d8ead82ef73476f0",
+            "u_1.csv": "dc7228c5a4f778579762b270056ad5772be005d05eb86ad5a04d62bc63a8f1a8",
+            "w_0.csv": "2eed46f021be1a0ee7a98b97b6d66d6537c1df73faae7188d8ead82ef73476f0",
+            "w_1.csv": "dc7228c5a4f778579762b270056ad5772be005d05eb86ad5a04d62bc63a8f1a8",
+        },
+    },
+    "steady-cert": {
+        "exit": 2,
+        "stdout": "5bd653b57209529ef9fe061d7bd4f22467642c0998202b03c37c81db913dc5d9",
+        "files": {
+            "certificate.json": "5573b0807064ae6d1d1ed916bcca966e4153691ac7a2ade20fc73118deeb88b2",
+        },
+    },
+    "taylor-green-verify": {
+        "exit": 0,
+        "stdout": "16acd8dc9584b0e71d535e01338a29dfe94cac77d9d23296e72688bf2b2df2a2",
+        "files": {
+            "taylor_green_orders.csv": "1df189f880e2ce0e97d6ea9c05f96a61b648f8edbdd43211f2c2eaca49c33b52",
+        },
+    },
+    "variation-check": {
+        "exit": 0,
+        "stdout": "e52f547f02f8d61fabad78df1e4917c5ce5bc47d52e0604826b884f1df4ecd03",
+        "files": {
+            "variation_check.json": "b30659673ea25eac8374fc6f49fe15678e649520d6ca2153d833394957bec6d2",
+        },
+    },
+}
+
+OSCILLATOR_KEYS = {"J", "galerkin_residual", "max_err", "order_estimate"}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv, out: Path, capsys=None):
+    """Run one subcommand; return (exit code, stdout line, {file: sha256})."""
+    code = main([*argv, "--out", str(out)])
+    line = capsys.readouterr().out.strip() if capsys is not None else ""
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+    return code, line, files
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_reports(name, tmp_path, capsys):
+    code, line, files = run_case(CASES[name], tmp_path, capsys)
+    expected = GOLDEN[name]
+    assert code == expected["exit"]
+    if name == "oscillator":
+        assert set(json.loads(line)) == OSCILLATOR_KEYS
+        assert set(files) == set(expected["files"])
+        return
+    assert _sha(line.encode()) == expected["stdout"], line
+    assert files == expected["files"]
+
+
+def _record() -> dict:
+    import contextlib
+    import io
+    import tempfile
+
+    table = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code, _, files = run_case(CASES[name], Path(tmp))
+            line = buf.getvalue().strip()
+        table[name] = {"exit": code, "stdout": _sha(line.encode()), "files": files}
+    return table
+
+
+if __name__ == "__main__":
+    json.dump(_record(), sys.stdout, indent=4, sort_keys=True)
+    print()
