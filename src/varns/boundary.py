@@ -26,6 +26,7 @@ from .grids import (
     Grid,
     ScalarField,
     VectorField,
+    _face_index,
     boundary_integral,
     field_scale,
     gradient,
@@ -125,8 +126,7 @@ def _surface_density_arrays(state: FieldQuartet, surface: SurfaceData, nu: float
 
     wall_degenerate = 0
     for axis, side, _ in wall_faces(g):
-        idx = tuple(side if a == axis else slice(None) for a in range(d))
-        wall_degenerate += int(np.count_nonzero(degenerate[idx + (slice(None),)]))
+        wall_degenerate += int(np.count_nonzero(degenerate[_face_index(axis, side, d + 1)]))
     return out, wall_degenerate
 
 
@@ -218,8 +218,8 @@ def boundary_recovery_audit(state: FieldQuartet, surface: SurfaceData,
     rows = []
     max_a = max_b = max_c = max_d = 0.0
     for axis, side, sign in wall_faces(g):
-        idx = tuple(side if a == axis else slice(None) for a in range(d))
-        take = lambda arr: arr[idx + (slice(None),)]
+        idx = _face_index(axis, side, d + 1)
+        take = lambda arr: arr[idx]
         n_dot_du = sign * (take(uv[axis]) - take(us[axis]))
         n_dot_w = sign * take(wv[axis])
         w_mag = np.sqrt(sum(take(wv[i]) ** 2 for i in range(3)))

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,18 +137,12 @@ def load_config(args) -> dict:
         g["time_nodes"] = args.time_nodes
     if getattr(args, "dt", None) is not None:
         g["dt"] = args.dt
-    if getattr(args, "nu", None) is not None:
-        cfg["nu"] = args.nu
-    if getattr(args, "scenario", None) is not None:
-        cfg["scenario"] = args.scenario
-    if getattr(args, "seeds", None) is not None:
-        cfg["seeds"] = args.seeds
-    for key in ("newton_tol", "max_newton", "continuation_steps", "linear_tol"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["solver"][key] = val
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
+    for section, keys in ((cfg, ("nu", "scenario", "seeds", "out")),
+                          (cfg["solver"], ("newton_tol", "max_newton",
+                                           "continuation_steps", "linear_tol"))):
+        for key in keys:
+            if getattr(args, key, None) is not None:
+                section[key] = getattr(args, key)
     return cfg
 
 
@@ -193,24 +188,19 @@ def emit(payload: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_oscillator(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    try:
-        problem = OscillatorProblem(args.a, args.b, args.alpha, args.beta, args.osc_n)
-        sol = solve_oscillator_vp(problem)
-    except ResonanceError as exc:
-        emit({"error": "resonance", "m": exc.m})
-        return 2
+def cmd_oscillator(args, cfg, out, grid, state) -> int:
+    problem = OscillatorProblem(args.a, args.b, args.alpha, args.beta, args.osc_n)
+    sol = solve_oscillator_vp(problem)
     x = problem.x()
     analytic = problem.analytic_solution(x)
     max_err = float(np.max(np.abs(sol.y_mean - analytic)))
 
     errors = []
-    for n in (max(4, (problem.n - 1) // 4 + 1), (problem.n - 1) // 2 + 1, problem.n):
+    for n in (max(4, (problem.n - 1) // 4 + 1), (problem.n - 1) // 2 + 1):
         pr = OscillatorProblem(args.a, args.b, args.alpha, args.beta, n)
         sl = solve_oscillator_vp(pr)
         errors.append(float(np.max(np.abs(sl.y_mean - pr.analytic_solution(pr.x())))))
+    errors.append(max_err)
     ratios = [errors[i] / errors[i + 1] for i in range(2) if errors[i + 1] > 0]
     order = float(np.mean([math.log2(r) for r in ratios])) if ratios else float("nan")
 
@@ -228,11 +218,7 @@ def cmd_oscillator(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+def cmd_evaluate(args, cfg, out, grid, state) -> int:
     rep = evaluate_lagrangian(state, cfg["nu"])
     payload = {"J": rep.J, **rep.breakdown(), "scale": rep.scale}
     reports.write_json(os.path.join(out, "lagrangian_report.json"), payload)
@@ -240,11 +226,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_residual(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+def cmd_residual(args, cfg, out, grid, state) -> int:
     res = el_residuals(state, cfg["nu"])
     payload = {
         "div_u_max": float(np.max(np.abs(res.res_div_u.values))),
@@ -278,10 +260,7 @@ def _admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
     return FieldQuartet(mkv(du), ScalarField(grid, dp), mkv(dw), ScalarField(grid, dr))
 
 
-def cmd_variation_check(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
+def cmd_variation_check(args, cfg, out, grid, state) -> int:
     nu = cfg["nu"]
     worst = 0.0
     rows = []
@@ -315,11 +294,7 @@ def _shift_state(state: FieldQuartet, direction: FieldQuartet, eps: float) -> Fi
                         ScalarField(g, state.r.values + eps * direction.r.values))
 
 
-def cmd_energy(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+def cmd_energy(args, cfg, out, grid, state) -> int:
     series = energy_series(state, cfg["nu"])
     audit = gronwall_audit(series)
     reports.write_energy_csv(os.path.join(out, "energy_series.csv"), series)
@@ -331,11 +306,7 @@ def cmd_energy(args) -> int:
     return 0 if audit.pointwise_ok else 2
 
 
-def cmd_steady_cert(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg, steady=True)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+def cmd_steady_cert(args, cfg, out, grid, state) -> int:
     cert = uniqueness_certificate(state, cfg["nu"], grid)
     record = cert.to_record()
     reports.write_json(os.path.join(out, "certificate.json"), record)
@@ -343,11 +314,7 @@ def cmd_steady_cert(args) -> int:
     return 0 if cert.satisfied else 2
 
 
-def cmd_inequality_audit(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg, steady=True)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+def cmd_inequality_audit(args, cfg, out, grid, state) -> int:
     audit = inequality_chain_audit(state, cfg["nu"], grid)
     reports.write_inequality_csv(os.path.join(out, "inequality_audit.csv"), audit)
     emit({"asserted_ok": audit.asserted_ok,
@@ -355,16 +322,8 @@ def cmd_inequality_audit(args) -> int:
     return 0 if audit.asserted_ok else 2
 
 
-def _surface_from_state(state: FieldQuartet) -> SurfaceData:
-    return SurfaceData(state.u, state.w)
-
-
-def cmd_extended(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
-    surface = _surface_from_state(state)
+def cmd_extended(args, cfg, out, grid, state) -> int:
+    surface = SurfaceData(state.u, state.w)
     rep = extended_functional(state, surface, cfg["nu"])
     payload = {"J": rep.J, "surface_term": rep.surface_term, "I": rep.I,
                "degenerate_wall_nodes": rep.degenerate_wall_nodes}
@@ -373,37 +332,25 @@ def cmd_extended(args) -> int:
     return 0
 
 
-def cmd_boundary_audit(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
-    surface = _surface_from_state(state)
+def cmd_boundary_audit(args, cfg, out, grid, state) -> int:
+    surface = SurfaceData(state.u, state.w)
     audit = boundary_recovery_audit(state, surface, cfg["nu"])
     reports.write_boundary_audit_csv(os.path.join(out, "boundary_audit.csv"), audit)
     payload = {"max_normal_trace": audit.max_normal_trace,
                "max_stationarity": audit.max_stationarity,
                "max_normal_adjoint": audit.max_normal_adjoint,
                "max_adjoint": audit.max_adjoint}
+    ok = True
     if args.claimed_stationary:
-        ok = audit.passes(cfg["nu"])
-        payload["stationary_ok"] = ok
-        emit(payload)
-        return 0 if ok else 2
+        ok = payload["stationary_ok"] = audit.passes(cfg["nu"])
     emit(payload)
-    return 0
+    return 0 if ok else 2
 
 
-def cmd_solve_unsteady(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
-    state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+def cmd_solve_unsteady(args, cfg, out, grid, state) -> int:
     try:
         traj = march_reduced(state.u, solve_config(cfg), grid)
-    except (ConvergenceError, ValueError) as exc:
-        if isinstance(exc, ValueError):
-            raise
+    except ConvergenceError as exc:
         emit({"converged": False, "error": str(exc)})
         return 2
     reports.write_quartet_csv(out, traj.state)
@@ -414,10 +361,8 @@ def cmd_solve_unsteady(args) -> int:
     return 0
 
 
-def cmd_solve_steady(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg, steady=True)
+def cmd_solve_steady(args, cfg, out, grid, state) -> int:
+    # the solver configuration is validated before the scenario is built
     scfg = solve_config(cfg)
     all_periodic = all(b == PERIODIC for b in grid.boundaries)
     state = build_scenario(cfg["scenario"], grid, cfg["nu"])
@@ -436,12 +381,8 @@ def cmd_solve_steady(args) -> int:
     return 0 if cert.satisfied else 2
 
 
-def cmd_newton_dual(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    grid = grid_from_config(cfg)
+def cmd_newton_dual(args, cfg, out, grid, seed_state) -> int:
     nu = cfg["nu"]
-    seed_state = build_scenario(cfg["scenario"], grid, nu)
     if args.perturb_w:
         amp = args.perturb_w
         meshes = grid.meshes()
@@ -460,10 +401,7 @@ def cmd_newton_dual(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_taylor_green_verify(args) -> int:
-    cfg = load_config(args)
-    out = resolve_out(cfg)
-    base = grid_from_config(cfg)
+def cmd_taylor_green_verify(args, cfg, out, base, state) -> int:
     nu = cfg["nu"]
     norms = []
     lines = ["level,n,dt,residual_max"]
@@ -485,65 +423,77 @@ def cmd_taylor_green_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
+
+_COMMON_FLAGS = {
+    "--config": {"help": "JSON config document"},
+    "--out": {"help": "output directory"},
+    "--nu": {"type": float},
+    "--n": {"type": int, "help": "nodes per spatial axis"},
+    "--nodes": {"help": "comma list of nodes per axis"},
+    "--dim": {"type": int},
+    "--extent": {"help": "comma list of extents (or one value)"},
+    "--boundary": {"help": "comma list: periodic|wall"},
+    "--time-nodes": {"type": int},
+    "--dt": {"type": float},
+    "--scenario": {},
+    "--seeds": {"type": int},
+    "--newton-tol": {"type": float},
+    "--max-newton": {"type": int},
+    "--continuation-steps": {"type": int},
+    "--linear-tol": {"type": float},
+    "--print-config": {"action": "store_true"},
+}
+
+
+class _Command(NamedTuple):
+    """One subcommand: its handler, the preamble it needs and its own flags.
+
+    ``grid`` is "unsteady", "steady" or None (no grid); with ``scenario`` the
+    configured scenario is built on that grid before the handler runs.
+    """
+
+    handler: Callable
+    grid: str | None = "unsteady"
+    scenario: bool = True
+    flags: dict = {}
+
+
+_COMMANDS = {
+    "oscillator": _Command(cmd_oscillator, grid=None, scenario=False, flags={
+        "--a": {"type": float, "default": 1.0},
+        "--b": {"type": float, "default": 20.0},
+        "--alpha": {"type": float, "default": 0.0},
+        "--beta": {"type": float, "default": 1.0},
+        "--osc-n": {"type": int, "default": 257}}),
+    "evaluate": _Command(cmd_evaluate),
+    "residual": _Command(cmd_residual),
+    "variation-check": _Command(cmd_variation_check, scenario=False),
+    "energy": _Command(cmd_energy),
+    "steady-cert": _Command(cmd_steady_cert, grid="steady"),
+    "inequality-audit": _Command(cmd_inequality_audit, grid="steady"),
+    "extended": _Command(cmd_extended),
+    "boundary-audit": _Command(cmd_boundary_audit, flags={
+        "--claimed-stationary": {"action": "store_true"}}),
+    "solve-unsteady": _Command(cmd_solve_unsteady),
+    "solve-steady": _Command(cmd_solve_steady, grid="steady", scenario=False),
+    "newton-dual": _Command(cmd_newton_dual, flags={
+        "--perturb-w": {"type": float, "default": 0.0}}),
+    "taylor-green-verify": _Command(cmd_taylor_green_verify, scenario=False, flags={
+        "--refine": {"type": int, "default": 3}}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varns",
         description="dual-field variational laboratory for incompressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config document")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--nu", type=float)
-        p.add_argument("--n", type=int, help="nodes per spatial axis")
-        p.add_argument("--nodes", help="comma list of nodes per axis")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--extent", help="comma list of extents (or one value)")
-        p.add_argument("--boundary", help="comma list: periodic|wall")
-        p.add_argument("--time-nodes", dest="time_nodes", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--scenario")
-        p.add_argument("--seeds", type=int)
-        p.add_argument("--newton-tol", dest="newton_tol", type=float)
-        p.add_argument("--max-newton", dest="max_newton", type=int)
-        p.add_argument("--continuation-steps", dest="continuation_steps", type=int)
-        p.add_argument("--linear-tol", dest="linear_tol", type=float)
-        p.add_argument("--print-config", action="store_true")
-
-    specs = [
-        ("oscillator", cmd_oscillator),
-        ("evaluate", cmd_evaluate),
-        ("residual", cmd_residual),
-        ("variation-check", cmd_variation_check),
-        ("energy", cmd_energy),
-        ("steady-cert", cmd_steady_cert),
-        ("inequality-audit", cmd_inequality_audit),
-        ("extended", cmd_extended),
-        ("boundary-audit", cmd_boundary_audit),
-        ("solve-unsteady", cmd_solve_unsteady),
-        ("solve-steady", cmd_solve_steady),
-        ("newton-dual", cmd_newton_dual),
-        ("taylor-green-verify", cmd_taylor_green_verify),
-    ]
-    for name, fn in specs:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
-        if name == "oscillator":
-            p.add_argument("--a", type=float, default=1.0)
-            p.add_argument("--b", type=float, default=20.0)
-            p.add_argument("--alpha", type=float, default=0.0)
-            p.add_argument("--beta", type=float, default=1.0)
-            p.add_argument("--osc-n", dest="osc_n", type=int, default=257)
-        if name == "boundary-audit":
-            p.add_argument("--claimed-stationary", action="store_true")
-        if name == "newton-dual":
-            p.add_argument("--perturb-w", dest="perturb_w", type=float, default=0.0)
-        if name == "taylor-green-verify":
-            p.add_argument("--refine", type=int, default=3)
+        for flag, kwargs in (*_COMMON_FLAGS.items(), *command.flags.items()):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -551,11 +501,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "print_config", False):
-            cfg = load_config(args)
+        cfg = load_config(args)
+        if args.print_config:
             print(json.dumps(cfg, sort_keys=True, indent=2))
             return 0
-        return args.func(args)
+        # the preamble every handler shares, in its validation order:
+        # output directory, then grid, then scenario
+        command = _COMMANDS[args.command]
+        out = resolve_out(cfg)
+        grid = state = None
+        if command.grid is not None:
+            grid = grid_from_config(cfg, steady=command.grid == "steady")
+        if command.scenario:
+            state = build_scenario(cfg["scenario"], grid, cfg["nu"])
+        return command.handler(args, cfg, out, grid, state)
     except ConfigError as exc:
         print(reports.json_line({"error": "config", "detail": str(exc)}),
               file=sys.stderr)

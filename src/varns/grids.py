@@ -211,6 +211,13 @@ class FieldQuartet:
 # stencil kernels on raw arrays
 # ---------------------------------------------------------------------------
 
+def _face_index(axis: int, side, ndim: int) -> tuple:
+    """Index tuple selecting ``side`` (an index or a slice) along ``axis``."""
+    idx = [slice(None)] * ndim
+    idx[axis] = side
+    return tuple(idx)
+
+
 def _d1(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     """Second-order first derivative along one axis."""
     if arr.shape[axis] < 3:
@@ -218,7 +225,7 @@ def _d1(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     if periodic:
         return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
     out = np.empty_like(arr)
-    sl = lambda i: tuple(i if a == axis else slice(None) for a in range(arr.ndim))
+    sl = lambda i: _face_index(axis, i, arr.ndim)
     out[sl(slice(1, -1))] = (arr[sl(slice(2, None))] - arr[sl(slice(None, -2))]) / (2 * h)
     out[sl(0)] = (-3 * arr[sl(0)] + 4 * arr[sl(1)] - arr[sl(2)]) / (2 * h)
     out[sl(-1)] = (3 * arr[sl(-1)] - 4 * arr[sl(-2)] + arr[sl(-3)]) / (2 * h)
@@ -232,7 +239,7 @@ def _d2(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     if periodic:
         return (np.roll(arr, -1, axis) - 2 * arr + np.roll(arr, 1, axis)) / h**2
     out = np.empty_like(arr)
-    sl = lambda i: tuple(i if a == axis else slice(None) for a in range(arr.ndim))
+    sl = lambda i: _face_index(axis, i, arr.ndim)
     out[sl(slice(1, -1))] = (arr[sl(slice(2, None))] - 2 * arr[sl(slice(1, -1))]
                              + arr[sl(slice(None, -2))]) / h**2
     if arr.shape[axis] >= 4:
@@ -293,18 +300,15 @@ def integrate_space(f: ScalarField, time_index: int = 0) -> float:
     return float(np.sum(g.space_weights() * f.values[..., time_index]))
 
 
-def integrate_spacetime(f: ScalarField) -> float:
-    g = f.grid
-    slices = np.tensordot(g.space_weights(), f.values, axes=(tuple(range(g.dim)),
-                                                             tuple(range(g.dim))))
-    return float(np.dot(g.time_weights(), slices))
-
-
 def slice_integrals(f: ScalarField) -> np.ndarray:
     """Spatial integral of every time slice, as one array."""
     g = f.grid
     return np.tensordot(g.space_weights(), f.values,
                         axes=(tuple(range(g.dim)), tuple(range(g.dim))))
+
+
+def integrate_spacetime(f: ScalarField) -> float:
+    return float(np.dot(f.grid.time_weights(), slice_integrals(f)))
 
 
 def wall_faces(grid: Grid):
@@ -313,6 +317,14 @@ def wall_faces(grid: Grid):
         if grid.boundaries[a] == WALL:
             yield a, 0, -1.0
             yield a, -1, 1.0
+
+
+def _wall_boundary_mask(grid: Grid) -> np.ndarray:
+    """Boolean array of full field shape, true on every wall-face node."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for axis, side, _ in wall_faces(grid):
+        mask[_face_index(axis, side, grid.dim + 1)] = True
+    return mask
 
 
 def _face_weights(grid: Grid, axis: int) -> np.ndarray:

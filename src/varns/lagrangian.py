@@ -16,6 +16,7 @@ than to discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .grids import (
     Grid,
     ScalarField,
     VectorField,
+    _wall_boundary_mask,
     divergence,
     field_scale,
     gradient,
@@ -31,7 +33,6 @@ from .grids import (
     laplacian,
     slice_integrals,
     time_derivative,
-    wall_faces,
 )
 
 
@@ -102,36 +103,61 @@ def _grad_tensor(v: VectorField) -> list[list[np.ndarray]]:
     return [[gradient(v[i], j).values for j in range(d)] for i in range(d)]
 
 
-def _half_terms(u: VectorField, p: ScalarField, w: VectorField, r: ScalarField,
-                nu: float, include_time: bool):
+class _Derivatives(NamedTuple):
+    """Component arrays of a quartet and their derivatives, each computed
+    once: velocity gradient tensors, scalar gradients and (None on request)
+    velocity time derivatives. Both halves of the density read from it."""
+
+    u: list
+    w: list
+    Du: list
+    Dw: list
+    Dp: list
+    Dr: list
+    dtu: list | None
+    dtw: list | None
+
+    def swapped(self) -> "_Derivatives":
+        """The same arrays relabelled for the interchanged pairs."""
+        return _Derivatives(self.w, self.u, self.Dw, self.Du, self.Dr, self.Dp,
+                            self.dtw, self.dtu)
+
+
+def _derivatives(state: FieldQuartet, include_time: bool) -> _Derivatives:
+    d = state.grid.dim
+    grad = lambda f: [gradient(f, j).values for j in range(d)]
+    dt = lambda v: [time_derivative(c).values for c in v.components]
+    return _Derivatives([c.values for c in state.u.components],
+                        [c.values for c in state.w.components],
+                        _grad_tensor(state.u), _grad_tensor(state.w),
+                        grad(state.p), grad(state.r),
+                        dt(state.u) if include_time else None,
+                        dt(state.w) if include_time else None)
+
+
+def _half_terms(k: _Derivatives, nu: float):
     """The four positive-half density terms, as node arrays.
 
-    The negative half is this function applied to the swapped arguments.
+    The negative half is this function applied to ``k.swapped()``.
     """
-    g = u.grid
-    d = g.dim
-    Du = _grad_tensor(u)
-    Dw = _grad_tensor(w)
-    Dp = [gradient(p, j).values for j in range(d)]
-    uv = [c.values for c in u.components]
-    wv = [c.values for c in w.components]
-
-    viscous = (nu / 2) * sum(Du[i][j] ** 2 for i in range(d) for j in range(d))
-    advective = 0.5 * sum((wv[i] + uv[i]) * uv[j] * Dw[i][j]
+    d = len(k.u)
+    uv, wv = k.u, k.w
+    viscous = (nu / 2) * sum(k.Du[i][j] ** 2 for i in range(d) for j in range(d))
+    advective = 0.5 * sum((wv[i] + uv[i]) * uv[j] * k.Dw[i][j]
                           for i in range(d) for j in range(d))
-    pressure = sum(uv[i] * Dp[i] for i in range(d))
-    if include_time:
-        dtw = [time_derivative(w[i]).values for i in range(d)]
-        temporal = 0.5 * sum(uv[i] * dtw[i] for i in range(d))
+    pressure = sum(uv[i] * k.Dp[i] for i in range(d))
+    if k.dtw is None:
+        temporal = np.zeros(uv[0].shape)
     else:
-        temporal = np.zeros(g.shape)
+        temporal = 0.5 * sum(uv[i] * k.dtw[i] for i in range(d))
     return viscous, advective, pressure, temporal
 
 
 def lagrangian_terms(state: FieldQuartet, nu: float, include_time: bool = True):
     """Net per-term density arrays (positive half minus swapped half)."""
-    pos = _half_terms(state.u, state.p, state.w, state.r, nu, include_time)
-    neg = _half_terms(state.w, state.r, state.u, state.p, nu, include_time)
+    k = _derivatives(state, include_time)
+    pos = _half_terms(k, nu)
+    neg = _half_terms(k.swapped(), nu)
     return tuple(a - b for a, b in zip(pos, neg)), pos, neg
 
 
@@ -167,6 +193,17 @@ def swap_functional(state: FieldQuartet, nu: float) -> float:
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------
 
+def _momentum_rows(a: VectorField, k: _Derivatives, nu: float) -> list[np.ndarray]:
+    """nu Lap a_i - grad_i p - dt w_i - sym advection of w by (u + w), with
+    ``a`` the field that ``k.u`` holds; the w rows use ``k.swapped()``."""
+    d = len(k.u)
+    rows = []
+    for i in range(d):
+        adv = sum(0.5 * (k.u[j] + k.w[j]) * (k.Dw[i][j] + k.Dw[j][i]) for j in range(d))
+        rows.append(nu * laplacian(a[i]).values - k.Dp[i] - k.dtw[i] - adv)
+    return rows
+
+
 def el_residuals(state: FieldQuartet, nu: float) -> ELResiduals:
     """Node-wise residuals of the coupled stationarity system.
 
@@ -177,41 +214,19 @@ def el_residuals(state: FieldQuartet, nu: float) -> ELResiduals:
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
-    d = g.dim
-    uv = [c.values for c in state.u.components]
-    wv = [c.values for c in state.w.components]
-    Du = _grad_tensor(state.u)
-    Dw = _grad_tensor(state.w)
-    Dp = [gradient(state.p, j).values for j in range(d)]
-    Dr = [gradient(state.r, j).values for j in range(d)]
+    k = _derivatives(state, include_time=not g.steady)
     if g.steady:
-        dtu = dtw = [np.zeros(g.shape)] * d
-    else:
-        dtu = [time_derivative(state.u[i]).values for i in range(d)]
-        dtw = [time_derivative(state.w[i]).values for i in range(d)]
-
-    res_u, res_w = [], []
-    for i in range(d):
-        adv_u = sum(0.5 * (uv[j] + wv[j]) * (Dw[i][j] + Dw[j][i]) for j in range(d))
-        adv_w = sum(0.5 * (wv[j] + uv[j]) * (Du[i][j] + Du[j][i]) for j in range(d))
-        res_u.append(nu * laplacian(state.u[i]).values - Dp[i] - dtw[i] - adv_u)
-        res_w.append(nu * laplacian(state.w[i]).values - Dr[i] - dtu[i] - adv_w)
+        zeros = [np.zeros(g.shape)] * g.dim
+        k = k._replace(dtu=zeros, dtw=zeros)
     mk = lambda arrs: VectorField(g, tuple(ScalarField(g, a) for a in arrs))
     return ELResiduals(divergence(state.u), divergence(state.w),
-                       mk(res_u), mk(res_w))
+                       mk(_momentum_rows(state.u, k, nu)),
+                       mk(_momentum_rows(state.w, k.swapped(), nu)))
 
 
 # ---------------------------------------------------------------------------
 # first variation
 # ---------------------------------------------------------------------------
-
-def _wall_boundary_mask(grid: Grid) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis, side, _ in wall_faces(grid):
-        idx = tuple(side if a == axis else slice(None) for a in range(grid.dim))
-        mask[idx + (slice(None),)] = True
-    return mask
-
 
 def check_admissible_direction(direction: FieldQuartet) -> None:
     """Enforce the admissible-variation class for the unsteady functional.
@@ -244,29 +259,18 @@ def check_admissible_direction(direction: FieldQuartet) -> None:
                     f"(worst violation {gap:.3e})")
 
 
-def _half_linearized(u, p, w, r, du, dp, dw, dr, nu: float, include_time: bool):
-    """Exact linearization of the positive-half density in a direction."""
-    g = u.grid
-    d = g.dim
-    Du, Dw = _grad_tensor(u), _grad_tensor(w)
-    Ddu, Ddw = _grad_tensor(du), _grad_tensor(dw)
-    Dp = [gradient(p, j).values for j in range(d)]
-    Ddp = [gradient(dp, j).values for j in range(d)]
-    uv = [c.values for c in u.components]
-    wv = [c.values for c in w.components]
-    duv = [c.values for c in du.components]
-    dwv = [c.values for c in dw.components]
-
-    out = nu * sum(Du[i][j] * Ddu[i][j] for i in range(d) for j in range(d))
-    out = out + 0.5 * sum((dwv[i] + duv[i]) * uv[j] * Dw[i][j]
-                          + (wv[i] + uv[i]) * duv[j] * Dw[i][j]
-                          + (wv[i] + uv[i]) * uv[j] * Ddw[i][j]
+def _half_linearized(k: _Derivatives, dk: _Derivatives, nu: float):
+    """Exact linearization of the positive-half density in the direction
+    whose derivatives are ``dk``."""
+    d = len(k.u)
+    uv, wv, duv, dwv = k.u, k.w, dk.u, dk.w
+    out = nu * sum(k.Du[i][j] * dk.Du[i][j] for i in range(d) for j in range(d))
+    out = out + 0.5 * sum((dwv[i] + duv[i]) * uv[j] * k.Dw[i][j]
+                          + (wv[i] + uv[i]) * duv[j] * k.Dw[i][j]
+                          + (wv[i] + uv[i]) * uv[j] * dk.Dw[i][j]
                           for i in range(d) for j in range(d))
-    out = out + sum(duv[i] * Dp[i] + uv[i] * Ddp[i] for i in range(d))
-    if include_time:
-        dtw = [time_derivative(w[i]).values for i in range(d)]
-        dtdw = [time_derivative(dw[i]).values for i in range(d)]
-        out = out + 0.5 * sum(duv[i] * dtw[i] + uv[i] * dtdw[i] for i in range(d))
+    out = out + sum(duv[i] * k.Dp[i] + uv[i] * dk.Dp[i] for i in range(d))
+    out = out + 0.5 * sum(duv[i] * k.dtw[i] + uv[i] * dk.dtw[i] for i in range(d))
     return out
 
 
@@ -286,11 +290,10 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
     if direction.grid != g:
         raise ValueError("state and direction must share the grid")
     check_admissible_direction(direction)
-    s, dirn = state, direction
-    pos = _half_linearized(s.u, s.p, s.w, s.r, dirn.u, dirn.p, dirn.w, dirn.r,
-                           nu, include_time=True)
-    neg = _half_linearized(s.w, s.r, s.u, s.p, dirn.w, dirn.r, dirn.u, dirn.p,
-                           nu, include_time=True)
+    k = _derivatives(state, include_time=True)
+    dk = _derivatives(direction, include_time=True)
+    pos = _half_linearized(k, dk, nu)
+    neg = _half_linearized(k.swapped(), dk.swapped(), nu)
     return integrate_spacetime(ScalarField(g, pos - neg))
 
 
@@ -305,6 +308,28 @@ def difference_fields(state: FieldQuartet) -> DifferencePair:
         for cu, cw in zip(state.u.components, state.w.components)))
     qbar = ScalarField(g, (state.p.values - state.r.values) / 2)
     return DifferencePair(vbar, qbar)
+
+
+def _combined_field(state: FieldQuartet) -> VectorField:
+    """The combined velocity u + w."""
+    g = state.grid
+    return VectorField(g, tuple(
+        ScalarField(g, cu.values + cw.values)
+        for cu, cw in zip(state.u.components, state.w.components)))
+
+
+def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray], grid: Grid):
+    """Raise unless the difference field ``vb`` vanishes on every wall node."""
+    mask = _wall_boundary_mask(grid)
+    if not mask.any():
+        return
+    worst = max(float(np.max(np.abs(c[mask]))) for c in vb)
+    if worst > 1e-12 * field_scale(state.u, state.w):
+        flat = int(np.argmax(sum(np.abs(c) * mask for c in vb)))
+        where = np.unravel_index(flat, grid.shape)
+        raise ValueError(
+            "difference field must vanish on wall boundaries; worst node "
+            f"{where} with |vbar| = {worst:.3e}")
 
 
 def _sym_eig_max(D: list[list[np.ndarray]], dim: int) -> float:
@@ -355,20 +380,9 @@ def energy_series(state: FieldQuartet, nu: float) -> EnergySeries:
     pair = difference_fields(state)
     vb = [c.values for c in pair.v_bar.components]
 
-    mask = _wall_boundary_mask(g)
-    if mask.any():
-        worst = max(float(np.max(np.abs(c[mask]))) for c in vb)
-        tol = 1e-12 * field_scale(state.u, state.w)
-        if worst > tol:
-            flat = int(np.argmax(sum(np.abs(c) * mask for c in vb)))
-            where = np.unravel_index(flat, g.shape)
-            raise ValueError(
-                "difference field must vanish on wall boundaries; worst node "
-                f"{where} with |vbar| = {worst:.3e}")
+    _require_wall_vanishing(state, vb, g)
 
-    forcing = VectorField(g, tuple(
-        ScalarField(g, cu.values + cw.values)
-        for cu, cw in zip(state.u.components, state.w.components)))
+    forcing = _combined_field(state)
     Dv = _grad_tensor(pair.v_bar)
     Dg = _grad_tensor(forcing)
 

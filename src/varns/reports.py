@@ -56,17 +56,11 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     return ScalarField(grid, values)
 
 
-_QUARTET_FILES = {
-    "u": lambda q: q.u, "w": lambda q: q.w,
-    "p": lambda q: q.p, "r": lambda q: q.r,
-}
-
-
 def write_quartet_csv(outdir, quartet: FieldQuartet):
     g = quartet.grid
     os.makedirs(outdir, exist_ok=True)
-    for name, get in _QUARTET_FILES.items():
-        fld = get(quartet)
+    for name in ("u", "w", "p", "r"):
+        fld = getattr(quartet, name)
         if isinstance(fld, VectorField):
             for i in range(g.dim):
                 write_field_csv(os.path.join(outdir, f"{name}_{i}.csv"), fld[i])

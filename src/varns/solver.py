@@ -32,12 +32,21 @@ from .grids import (
     Grid,
     ScalarField,
     VectorField,
+    _d1,
+    _d2,
+    _wall_boundary_mask,
     integrate_spacetime,
     slice_integrals,
 )
 from .lagrangian import evaluate_lagrangian
 
 TWO_PI = 2 * np.pi
+
+#: largest space-time Newton system (S (6T - 3) unknowns) whose direct sparse
+#: LU stays at desk scale. One Jacobian plus splu with single-thread BLAS on a
+#: 2-vCPU Xeon: 14^2 x 8 (8,820 unknowns) 9 s and 0.5 GB, 16^2 x 8 (11,520)
+#: 21 s and 0.7 GB
+_MAX_NEWTON_UNKNOWNS = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -86,6 +95,14 @@ def _require_periodic_2d(grid: Grid, unsteady: bool):
         raise ValueError("this solver needs a 2D all-periodic grid")
     if unsteady and grid.steady:
         raise ValueError("this solver needs an unsteady grid")
+
+
+def _require_divergence_free(v0, v1, grid: Grid, what: str):
+    h0, h1 = grid.spacing(0), grid.spacing(1)
+    div0 = np.abs(_d1(v0, 0, h0, periodic=True) + _d1(v1, 1, h1, periodic=True)).max()
+    if div0 > 1e-8:
+        raise ValueError(
+            f"initial {what} is not discretely divergence-free (|div| = {div0:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +155,27 @@ class _Spectral2D:
         """Solve (I - coef * Lap_stencil) x = rhs."""
         return np.real(np.fft.ifft2(np.fft.fft2(rhs) / (1 - coef * self.lap)))
 
+    def _potential(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of the solution of DivGrad phi = Div (f0, f1)
+        (both given as coefficients), null modes pinned to zero."""
+        div = 1j * (self.s0 * f0 + self.s1 * f1)
+        return np.where(self.null, 0.0, div / np.where(self.null, 1.0, self.div_grad))
+
     def project(self, v0: np.ndarray, v1: np.ndarray):
         """Remove the stencil-gradient part so the central divergence is zero."""
         f0, f1 = np.fft.fft2(v0), np.fft.fft2(v1)
-        div = 1j * (self.s0 * f0 + self.s1 * f1)
-        phi = np.where(self.null, 0.0, div / np.where(self.null, 1.0, self.div_grad))
+        phi = self._potential(f0, f1)
         return (np.real(np.fft.ifft2(f0 - 1j * self.s0 * phi)),
                 np.real(np.fft.ifft2(f1 - 1j * self.s1 * phi)))
 
     def poisson_div(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         """Solve DivGrad p = Div (r0, r1) with the null modes pinned to zero."""
-        f0, f1 = np.fft.fft2(r0), np.fft.fft2(r1)
-        div = 1j * (self.s0 * f0 + self.s1 * f1)
-        ph = np.where(self.null, 0.0, div / np.where(self.null, 1.0, self.div_grad))
-        return np.real(np.fft.ifft2(ph))
-
-
-def _d1p(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
+        return np.real(np.fft.ifft2(self._potential(np.fft.fft2(r0), np.fft.fft2(r1))))
 
 
 def _advect(v0, v1, h0, h1):
-    a0 = v0 * _d1p(v0, 0, h0) + v1 * _d1p(v0, 1, h1)
-    a1 = v0 * _d1p(v1, 0, h0) + v1 * _d1p(v1, 1, h1)
+    a0 = v0 * _d1(v0, 0, h0, periodic=True) + v1 * _d1(v0, 1, h1, periodic=True)
+    a1 = v0 * _d1(v1, 0, h0, periodic=True) + v1 * _d1(v1, 1, h1, periodic=True)
     return a0, a1
 
 
@@ -207,11 +222,8 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
         raise ValueError("initial field resolution does not match the grid")
     v0 = np.array(initial[0].values[..., 0])
     v1 = np.array(initial[1].values[..., 0])
+    _require_divergence_free(v0, v1, grid, "field")
     h0, h1 = grid.spacing(0), grid.spacing(1)
-    div0 = np.abs(_d1p(v0, 0, h0) + _d1p(v1, 1, h1)).max()
-    if div0 > 1e-8:
-        raise ValueError(
-            f"initial field is not discretely divergence-free (|div| = {div0:.3e})")
     spec = _Spectral2D(grid)
     vmax = max(1.0, np.max(np.abs(v0)), np.max(np.abs(v1)))
     tol = max(config.linear_tol, 1e-14) * vmax
@@ -219,16 +231,14 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
     T = grid.time_nodes
     shape = (*grid.nodes, T)
     U0, U1, Q = np.empty(shape), np.empty(shape), np.empty(shape)
-    U0[..., 0], U1[..., 0] = v0, v1
-    P = _recover_pressure(v0, v1, spec, h0, h1)
-    Q[..., 0] = P - 0.5 * (v0 ** 2 + v1 ** 2)
     increments = np.zeros(T)
-    for k in range(1, T):
-        v0, v1, inc = _cn_step(v0, v1, spec, grid.dt, config.nu, h0, h1, tol)
+    for k in range(T):
+        if k > 0:
+            v0, v1, increments[k] = _cn_step(v0, v1, spec, grid.dt, config.nu,
+                                             h0, h1, tol)
         U0[..., k], U1[..., k] = v0, v1
         P = _recover_pressure(v0, v1, spec, h0, h1)
         Q[..., k] = P - 0.5 * (v0 ** 2 + v1 ** 2)
-        increments[k] = inc
 
     vel = VectorField(grid, (ScalarField(grid, U0), ScalarField(grid, U1)))
     scal = ScalarField(grid, Q)
@@ -328,16 +338,15 @@ class _DualNewtonSystem:
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
         z = np.zeros(self.n_dof)
+        u, w, p, r = self.unpack(z)         # views into z
         for i in range(self.d):
             for k in range(self.T):
-                z[self.off_u(i, k):self.off_u(i, k) + self.S] = \
-                    quartet.u[i].values[..., k].ravel()
-                z[self.off_w(i, k):self.off_w(i, k) + self.S] = \
-                    quartet.w[i].values[..., k].ravel()
+                u[i][k][:] = quartet.u[i].values[..., k].ravel()
+                w[i][k][:] = quartet.w[i].values[..., k].ravel()
         for k in range(1, self.T):
-            z[self.off_p(k):self.off_p(k) + self.S] = quartet.p.values[..., k].ravel()
+            p[k][:] = quartet.p.values[..., k].ravel()
         for k in range(1, self.T - 1):
-            z[self.off_r(k):self.off_r(k) + self.S] = quartet.r.values[..., k].ravel()
+            r[k][:] = quartet.r.values[..., k].ravel()
         return z
 
     def unpack(self, z: np.ndarray):
@@ -363,31 +372,30 @@ class _DualNewtonSystem:
             out = out - self.DX[i] @ scal
         return out
 
+    def _continuity(self, vel, scal, k):
+        """Divergence row of ``vel`` at slice k, gauge rows pinning ``scal``."""
+        row = sum(self.DX[i] @ vel[i][k] for i in range(self.d))
+        for e, s in zip(self.null_modes, self.gauge_nodes):
+            row[s] = e @ scal[k]
+        return row
+
     def residual(self, z: np.ndarray) -> np.ndarray:
         u, w, p, r = self.unpack(z)
-        S, T = self.S, self.T
+        T = self.T
         F = np.zeros(self.n_dof)
+        Fu, Fw, Fp, Fr = self.unpack(F)     # row blocks share the unknowns' layout
         for i in range(self.d):
-            F[self.off_u(i, 0):self.off_u(i, 0) + S] = u[i][0] - self.g[i]
-            F[self.off_w(i, 0):self.off_w(i, 0) + S] = w[i][0] - self.g[i]
+            Fu[i][0][:] = u[i][0] - self.g[i]
+            Fw[i][0][:] = w[i][0] - self.g[i]
             for k in range(1, T):
-                F[self.off_u(i, k):self.off_u(i, k) + S] = \
-                    self._momentum(u, w, p[k], i, k)
+                Fu[i][k][:] = self._momentum(u, w, p[k], i, k)
             for k in range(1, T - 1):
-                F[self.off_w(i, k):self.off_w(i, k) + S] = \
-                    self._momentum(w, u, r[k], i, k)
-            F[self.off_w(i, T - 1):self.off_w(i, T - 1) + S] = \
-                u[i][T - 1] - w[i][T - 1]
+                Fw[i][k][:] = self._momentum(w, u, r[k], i, k)
+            Fw[i][T - 1][:] = u[i][T - 1] - w[i][T - 1]
         for k in range(1, T):
-            row = sum(self.DX[i] @ u[i][k] for i in range(self.d))
-            for e, s in zip(self.null_modes, self.gauge_nodes):
-                row[s] = e @ p[k]
-            F[self.off_p(k):self.off_p(k) + S] = row
+            Fp[k][:] = self._continuity(u, p, k)
         for k in range(1, T - 1):
-            row = sum(self.DX[i] @ w[i][k] for i in range(self.d))
-            for e, s in zip(self.null_modes, self.gauge_nodes):
-                row[s] = e @ r[k]
-            F[self.off_r(k):self.off_r(k) + S] = row
+            Fr[k][:] = self._continuity(w, r, k)
         return F
 
     # -- Jacobian ----------------------------------------------------------
@@ -459,15 +467,8 @@ class _DualNewtonSystem:
     def _fill_scalar(self, a, b, k):
         """Recover the scalar of an (a, b) momentum row at slice k by a
         divergence-of-momentum solve, null modes pinned to zero."""
-        shape = self.grid.nodes
-        rhs = []
-        for i in range(self.d):
-            adv = 0.0
-            for j in range(self.d):
-                sym = self.DX[j] @ b[i][k] + self.DX[i] @ b[j][k]
-                adv = adv + 0.5 * (a[j][k] + b[j][k]) * sym
-            tderiv = sum(c * b[i][kk] for kk, c in self.trows[k])
-            rhs.append((self.nu * (self.LAP @ a[i][k]) - tderiv - adv).reshape(shape))
+        rhs = [self._momentum(a, b, None, i, k).reshape(self.grid.nodes)
+               for i in range(self.d)]
         return self.spec.poisson_div(rhs[0], rhs[1]).ravel()
 
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
@@ -515,45 +516,31 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     _require_periodic_2d(grid, unsteady=True)
     if seed.grid != grid:
         raise ValueError("seed quartet grid does not match")
-    n_dof = 2 * 2 * grid.time_nodes * grid.nodes[0] * grid.nodes[1]
-    if n_dof > 2 * 10 ** 5:
-        raise ValueError(f"space-time system too large ({n_dof} velocity dofs); "
-                         "this solver is meant for coarse grids")
-    if data is None:
-        d0 = seed.u[0].values[..., 0]
-        d1 = seed.u[1].values[..., 0]
-    else:
-        d0 = data[0].values[..., 0]
-        d1 = data[1].values[..., 0]
-    h0, h1 = grid.spacing(0), grid.spacing(1)
-    div0 = np.abs(_d1p(d0, 0, h0) + _d1p(d1, 1, h1)).max()
-    if div0 > 1e-8:
-        raise ValueError(
-            f"initial data is not discretely divergence-free (|div| = {div0:.3e})")
+    unknowns = grid.nodes[0] * grid.nodes[1] * (6 * grid.time_nodes - 3)
+    if unknowns > _MAX_NEWTON_UNKNOWNS:
+        raise ValueError(f"space-time system too large ({unknowns} unknowns, limit "
+                         f"{_MAX_NEWTON_UNKNOWNS}); this solver is meant for coarse grids")
+    source = seed.u if data is None else data
+    d0, d1 = source[0].values[..., 0], source[1].values[..., 0]
+    _require_divergence_free(d0, d1, grid, "data")
 
     ladder = [config.nu * 10.0 * 0.5 ** j for j in range(config.continuation_steps)]
     ladder = [nu for nu in ladder if nu > config.nu] + [config.nu]
 
     z = None
-    seed_q = seed
-    record = ([], [], [])
     for stage, nu in enumerate(ladder):
         system = _DualNewtonSystem(grid, nu, d0, d1)
         if z is None:
-            z = system.pack(seed_q)
+            z = system.pack(seed)
         final_stage = stage == len(ladder) - 1
         tol_here = config.newton_tol if final_stage else max(config.newton_tol, 1e-6)
         record = ([], [], [])          # history of the stage that finishes last
         z, ok = _newton_loop(system, z, config, tol_here, record)
         if not ok:
-            state = system.to_quartet(z)
-            return Trajectory(state, np.array(record[0]), np.array(record[1]),
-                              np.array(record[2]), False,
-                              f"Newton did not converge at viscosity {nu}")
-    system = _DualNewtonSystem(grid, config.nu, d0, d1)
-    state = system.to_quartet(z)
-    return Trajectory(state, np.array(record[0]), np.array(record[1]),
-                      np.array(record[2]), True, "converged")
+            break
+    # the last system built is the one at the target viscosity unless a stage failed
+    message = "converged" if ok else f"Newton did not converge at viscosity {nu}"
+    return Trajectory(system.to_quartet(z), *(np.array(h) for h in record), ok, message)
 
 
 def _newton_loop(system: _DualNewtonSystem, z: np.ndarray, config: SolveConfig,
@@ -661,8 +648,6 @@ def _steady_periodic(config, grid, initial, max_steps):
 
 
 def _steady_walls(boundary_data, config, grid, initial, max_steps):
-    from .grids import _d1 as d1, _d2 as d2, wall_faces
-
     if boundary_data.grid.nodes != grid.nodes:
         raise ValueError("boundary data resolution does not match the grid")
     d = grid.dim
@@ -670,10 +655,7 @@ def _steady_walls(boundary_data, config, grid, initial, max_steps):
     periodic = [b == PERIODIC for b in grid.boundaries]
     bvals = [np.array(boundary_data[i].values[..., 0]) for i in range(d)]
 
-    interior = np.ones(grid.nodes, dtype=bool)
-    for axis, side, _ in wall_faces(grid):
-        idx = tuple(side if a == axis else slice(None) for a in range(d))
-        interior[idx] = False
+    interior = ~_wall_boundary_mask(grid)[..., 0]
 
     if initial is None:
         v = [np.where(interior, 0.0, bvals[i]) for i in range(d)]
@@ -694,11 +676,11 @@ def _steady_walls(boundary_data, config, grid, initial, max_steps):
     def residual_fields():
         res = []
         for i in range(d):
-            lap = sum(d2(v[i], a, hs[a], periodic[a]) for a in range(d))
-            adv = sum(v[j] * d1(v[i], j, hs[j], periodic[j]) for j in range(d))
-            gp = d1(P, i, hs[i], periodic[i])
+            lap = sum(_d2(v[i], a, hs[a], periodic[a]) for a in range(d))
+            adv = sum(v[j] * _d1(v[i], j, hs[j], periodic[j]) for j in range(d))
+            gp = _d1(P, i, hs[i], periodic[i])
             res.append(nu * lap - adv - gp)
-        div = sum(d1(v[i], i, hs[i], periodic[i]) for i in range(d))
+        div = sum(_d1(v[i], i, hs[i], periodic[i]) for i in range(d))
         return res, div
 
     history = []

@@ -16,7 +16,7 @@ steps use continuum constants and are reported as diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,15 @@ from .grids import (
     ScalarField,
     VectorField,
     boundary_integral,
-    field_scale,
     integrate_space,
     wall_faces,
 )
 from .lagrangian import (
+    _combined_field,
     _grad_tensor,
-    _half_terms,
-    _wall_boundary_mask,
+    _require_wall_vanishing,
     difference_fields,
+    lagrangian_terms,
 )
 
 #: exact value of the certificate threshold R^{1/2} (20/R^2)^{1/4} 3^{3/4}
@@ -55,8 +55,7 @@ def steady_functional(state: FieldQuartet, nu: float) -> float:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
     _require_steady(g)
-    pos = _half_terms(state.u, state.p, state.w, state.r, nu, include_time=False)
-    neg = _half_terms(state.w, state.r, state.u, state.p, nu, include_time=False)
+    _, pos, neg = lagrangian_terms(state, nu, include_time=False)
     density = sum(pos) - sum(neg)
     return integrate_space(ScalarField(g, density), 0)
 
@@ -65,8 +64,7 @@ def steady_functional_scale(state: FieldQuartet, nu: float) -> float:
     """Magnitude proxy: integral of absolute term values, both halves."""
     g = state.grid
     _require_steady(g)
-    pos = _half_terms(state.u, state.p, state.w, state.r, nu, include_time=False)
-    neg = _half_terms(state.w, state.r, state.u, state.p, nu, include_time=False)
+    _, pos, neg = lagrangian_terms(state, nu, include_time=False)
     total = sum(integrate_space(ScalarField(g, np.abs(t)), 0) for t in (*pos, *neg))
     return max(total, 1e-300)
 
@@ -74,6 +72,11 @@ def steady_functional_scale(state: FieldQuartet, nu: float) -> float:
 def enclosing_radius(grid: Grid) -> float:
     """Radius of the smallest sphere enclosing the box: half its diagonal."""
     return 0.5 * math.sqrt(sum(e * e for e in grid.extents))
+
+
+def _pinned_lambda(grid: Grid) -> float:
+    """The eigenvalue lambda, pinned to 20 / R^2 with R the enclosing radius."""
+    return 20.0 / enclosing_radius(grid) ** 2
 
 
 @dataclass(frozen=True)
@@ -93,13 +96,6 @@ class UniquenessCertificate:
                 "threshold_quoted_approx": self.threshold_quoted_approx}
 
 
-def _combined_field(state: FieldQuartet) -> VectorField:
-    g = state.grid
-    return VectorField(g, tuple(
-        ScalarField(g, cu.values + cw.values)
-        for cu, cw in zip(state.u.components, state.w.components)))
-
-
 def uniqueness_certificate(state: FieldQuartet, nu: float,
                            grid: Grid | None = None) -> UniquenessCertificate:
     """Evaluate both sides of the steady uniqueness condition.
@@ -112,7 +108,7 @@ def uniqueness_certificate(state: FieldQuartet, nu: float,
     grid = grid or state.grid
     _require_steady(grid)
     R = enclosing_radius(grid)
-    lam = 20.0 / R ** 2
+    lam = _pinned_lambda(grid)
     G = _grad_tensor(_combined_field(state))
     d = grid.dim
     dir_sum = 0.25 * integrate_space(
@@ -164,13 +160,7 @@ def inequality_chain_audit(state: FieldQuartet, nu: float,
     d = grid.dim
     pair = difference_fields(state)
     vb = [c.values for c in pair.v_bar.components]
-
-    mask = _wall_boundary_mask(grid)
-    if mask.any():
-        worst = max(float(np.max(np.abs(c[mask]))) for c in vb)
-        if worst > 1e-12 * field_scale(state.u, state.w):
-            raise ValueError(
-                f"difference field must vanish on wall boundaries (worst {worst:.3e})")
+    _require_wall_vanishing(state, vb, grid)
 
     g_field = _combined_field(state)
     Dg = _grad_tensor(g_field)
@@ -183,8 +173,7 @@ def inequality_chain_audit(state: FieldQuartet, nu: float,
     T4 = sq(sum((vb[i] * vb[j]) ** 2 for i in range(d) for j in range(d)))
     E2 = sq(sum(c ** 2 for c in vb))
 
-    R = enclosing_radius(grid)
-    lam = 20.0 / R ** 2
+    lam = _pinned_lambda(grid)
     c34 = 3.0 ** -0.75
 
     rows = (
@@ -241,8 +230,7 @@ def steady_boundary_estimate(state: FieldQuartet, nu: float,
     volume = 0.25 * sq(sum(gv[i] * gv[j] * Dg[j][i]
                            for i in range(d) for j in range(d)))
 
-    R = enclosing_radius(grid)
-    lam = 20.0 / R ** 2
+    lam = _pinned_lambda(grid)
     braced = nu - 3.0 ** -0.75 / (4 * lam ** 0.25) * Dg2
     closing_lhs = 0.25 * math.sqrt(braced) * Dg2 if braced >= 0 else math.nan
     return SteadyBoundaryReport(dirichlet, bterm, volume,

@@ -220,3 +220,11 @@ def test_solve_steady_cli_periodic_decay(tmp_path, capsys):
     payload = last_json(out)
     assert payload["converged"] is True
     assert payload["satisfied"] is True
+
+
+def test_newton_dual_cli_rejects_default_grid(tmp_path, capsys):
+    # the default 32x32x9 grid has 52,224 unknowns: a clean usage error
+    code, out, err = run_cli(capsys, "newton-dual", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "too large" in json.loads(err)["detail"]

@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varns.grids import PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField
-from varns.lagrangian import _wall_boundary_mask, evaluate_lagrangian, first_variation
+from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
+                         _wall_boundary_mask)
+from varns.lagrangian import evaluate_lagrangian, first_variation
 from varns.steady import steady_functional
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,

@@ -201,8 +201,11 @@ def test_newton_continuation_ladder_runs():
     assert u_w_gap(traj.state) <= 1e-8
 
 
-def test_newton_rejects_oversized_problem():
-    g = periodic_square(64, time_nodes=17, dt=0.01)
+# S (6T - 3) unknowns: 13,056 at 16x16x9 and 52,224 at 32x32x9 (the CLI
+# default grid) both exceed the cap; the guard must fire before any assembly
+@pytest.mark.parametrize("n, time_nodes", [(64, 17), (16, 9), (32, 9)])
+def test_newton_rejects_oversized_problem(n, time_nodes):
+    g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
     with pytest.raises(ValueError, match="too large"):
         newton_dual(FieldQuartet.zeros(g), None, SolveConfig(nu=0.5), g)
 
