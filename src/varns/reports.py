@@ -7,8 +7,10 @@ round-trip formatting, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -19,53 +21,87 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _coord_prefixes(g: Grid) -> list[str]:
+    """``"x0,x1[,x2],"`` for every spatial node, in C (axis0-major) order."""
+    prefixes = [""]
+    for a in range(g.dim):
+        coords = [_fmt(c) + "," for c in g.axis_coords(a).tolist()]
+        prefixes = [p + c for p in prefixes for c in coords]
+    return prefixes
+
+
 def write_field_csv(path, f: ScalarField):
     g = f.grid
-    axes = [g.axis_coords(a) for a in range(g.dim)]
-    times = g.time_coords()
+    prefixes = _coord_prefixes(g)
     header = ",".join(f"axis{a}" for a in range(g.dim)) + ",t,value"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for k in range(g.time_nodes):
-            slab = f.values[..., k]
-            for idx in np.ndindex(*g.nodes):
-                coords = [_fmt(axes[a][idx[a]]) for a in range(g.dim)]
-                fh.write(",".join(coords + [_fmt(times[k]), _fmt(slab[idx])]) + "\n")
+        # one time slab per write keeps memory flat; repr of a Python float
+        # is exactly _fmt of the numpy scalar
+        for k, t in enumerate(map(_fmt, g.time_coords().tolist())):
+            fh.write("".join([f"{p}{t},{v!r}\n" for p, v in
+                              zip(prefixes, f.values[..., k].ravel().tolist())]))
+
+
+def _parse_slab(path, rows: list[str], first_line: int) -> list[float]:
+    """The value column of ``rows``, which start at 1-based file line ``first_line``."""
+    try:
+        return [float(row.rsplit(",", 1)[1]) for row in rows]
+    except (IndexError, ValueError):
+        for n, row in enumerate(rows, first_line):
+            try:
+                float(row.rsplit(",", 1)[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"snapshot {path} line {n} is malformed: "
+                                 f"{row.rstrip()!r}") from None
+        raise
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"snapshot {path} cannot be read: {exc.strerror}") from None
+    per_slab = int(np.prod(grid.nodes))
     values = np.empty(grid.shape)
-    expected = int(np.prod(grid.nodes)) * grid.time_nodes
-    with open(path) as fh:
+    slabs = values.reshape(per_slab, grid.time_nodes)
+    with fh:
         header = fh.readline().strip().split(",")
         if len(header) != grid.dim + 2:
             raise ValueError(f"snapshot {path} has {len(header)} columns, "
                              f"expected {grid.dim + 2}")
-        count = 0
         for k in range(grid.time_nodes):
-            for idx in np.ndindex(*grid.nodes):
-                line = fh.readline()
-                if not line:
-                    raise ValueError(f"snapshot {path} is truncated")
-                values[idx + (k,)] = float(line.rsplit(",", 1)[1])
-                count += 1
+            rows = list(itertools.islice(fh, per_slab))
+            if len(rows) < per_slab:
+                raise ValueError(f"snapshot {path} is truncated")
+            # line 1 is the header
+            slabs[:, k] = _parse_slab(path, rows, 2 + k * per_slab)
         if fh.readline():
             raise ValueError(f"snapshot {path} has extra rows")
-    if count != expected:
-        raise ValueError(f"snapshot {path} has {count} rows, expected {expected}")
     return ScalarField(grid, values)
 
 
 def write_quartet_csv(outdir, quartet: FieldQuartet):
     g = quartet.grid
     os.makedirs(outdir, exist_ok=True)
+    # the solvers return w is u and r is p: a values array already written in
+    # this call is copied byte for byte instead of being formatted again.
+    # The quartet keeps every array alive, so their ids are stable keys.
+    written = {}
     for name in ("u", "w", "p", "r"):
         fld = getattr(quartet, name)
         if isinstance(fld, VectorField):
-            for i in range(g.dim):
-                write_field_csv(os.path.join(outdir, f"{name}_{i}.csv"), fld[i])
+            parts = [(f"{name}_{i}.csv", fld[i]) for i in range(g.dim)]
         else:
-            write_field_csv(os.path.join(outdir, f"{name}.csv"), fld)
+            parts = [(f"{name}.csv", fld)]
+        for fname, comp in parts:
+            path = os.path.join(outdir, fname)
+            source = written.get(id(comp.values))
+            if source is None:
+                write_field_csv(path, comp)
+                written[id(comp.values)] = path
+            else:
+                shutil.copyfile(source, path)
 
 
 def read_quartet_csv(indir, grid: Grid) -> FieldQuartet:

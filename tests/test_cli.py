@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from varns.cli import main
 
 
@@ -151,6 +153,45 @@ def test_file_scenario_roundtrip(tmp_path, capsys):
     assert code == 0
     # marched state has the stationary structure, so J is near zero
     assert abs(last_json(out)["J"]) < 1e-10
+
+
+def _corrupt_missing(dump):
+    return dump / "absent", dump / "absent" / "u_0.csv"
+
+
+def _corrupt_row(dump):
+    path = dump / "p.csv"
+    lines = path.read_text().splitlines()
+    lines[30] = "0.0;0.0;0.0;0.0"
+    path.write_text("\n".join(lines) + "\n")
+    return dump, path
+
+
+def _corrupt_value(dump):
+    path = dump / "r.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",not-a-number"
+    path.write_text("\n".join(lines) + "\n")
+    return dump, path
+
+
+@pytest.mark.parametrize("corrupt, where", [(_corrupt_missing, "cannot be read"),
+                                            (_corrupt_row, "line 31"),
+                                            (_corrupt_value, "line 6")])
+def test_bad_file_scenario_exits_1_naming_the_file(tmp_path, capsys, corrupt, where):
+    dump = tmp_path / "dump"
+    grid = ("--n", "8", "--time-nodes", "3", "--dt", "0.02", "--nu", "0.2")
+    code, _, _ = run_cli(capsys, "solve-unsteady", "--scenario", "taylor-green",
+                         *grid, "--out", str(dump))
+    assert code == 0
+    scenario_dir, bad_file = corrupt(dump)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": f"file:{scenario_dir}"}))
+    code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg), *grid,
+                           "--out", str(tmp_path / "eval"))
+    assert code == 1
+    detail = json.loads(err)["detail"]
+    assert str(bad_file) in detail and where in detail
 
 
 def test_energy_cli(tmp_path, capsys):

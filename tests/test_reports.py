@@ -1,7 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from varns.grids import Grid, ScalarField, periodic_square
+from varns import reports
+from varns.grids import PERIODIC, WALL, FieldQuartet, Grid, ScalarField, periodic_square
 from varns.reports import (
     read_field_csv,
     read_quartet_csv,
@@ -65,3 +71,123 @@ def test_truncated_snapshot_rejected(tmp_path):
     path.write_text("\n".join(text[:-3]) + "\n")
     with pytest.raises(ValueError, match="truncated"):
         read_field_csv(path, g)
+
+
+def test_extra_rows_rejected(tmp_path):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(g))
+    with open(path, "a") as fh:
+        fh.write("0.0,0.0,0.4,1.0\n")
+    with pytest.raises(ValueError, match="extra rows"):
+        read_field_csv(path, g)
+
+
+def test_wrong_column_count_rejected(tmp_path):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(g))
+    lines = path.read_text().splitlines()
+    lines[0] = "axis0,t,value"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="has 3 columns, expected 4"):
+        read_field_csv(path, g)
+
+
+@pytest.mark.parametrize("row, line", [("garbage", 40), ("", 20), ("0.0,0.0,0.0,abc", 2)])
+def test_malformed_row_names_file_and_line(tmp_path, row, line):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(g))
+    lines = path.read_text().splitlines()
+    lines[line - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {line} is malformed") as err:
+        read_field_csv(path, g)
+    assert str(path) in str(err.value)
+
+
+def test_quartet_copy_path_matches_fresh_writes(tmp_path, monkeypatch):
+    """A quartet whose w is u and r is p (as the solvers return it) writes the
+    same six files as one with four distinct field arrays, and formats only
+    the three distinct fields."""
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    q = random_quartet(g, 4)
+    aliased = FieldQuartet(q.u, q.p, q.u, q.p)
+    distinct = FieldQuartet(copy.deepcopy(q.u), copy.deepcopy(q.p),
+                            copy.deepcopy(q.u), copy.deepcopy(q.p))
+    assert distinct.w[0].values is not distinct.u[0].values
+    calls = []
+    real = reports.write_field_csv
+    monkeypatch.setattr(reports, "write_field_csv",
+                        lambda path, f: calls.append(path) or real(path, f))
+    write_quartet_csv(tmp_path / "aliased", aliased)
+    assert len(calls) == 3
+    write_quartet_csv(tmp_path / "distinct", distinct)
+    assert len(calls) == 3 + 6
+    for name in ("u_0.csv", "u_1.csv", "p.csv", "w_0.csv", "w_1.csv", "r.csv"):
+        assert ((tmp_path / "aliased" / name).read_bytes()
+                == (tmp_path / "distinct" / name).read_bytes())
+    assert (tmp_path / "aliased" / "w_1.csv").read_bytes() == \
+        (tmp_path / "aliased" / "u_1.csv").read_bytes()
+
+
+# --- byte format against the per-node reference writer -----------------------
+
+def _reference_write_field_csv(path, f):
+    """The original per-node writer: the byte-format oracle."""
+    fmt = lambda x: repr(float(x))
+    g = f.grid
+    axes = [g.axis_coords(a) for a in range(g.dim)]
+    times = g.time_coords()
+    header = ",".join(f"axis{a}" for a in range(g.dim)) + ",t,value"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(g.time_nodes):
+            slab = f.values[..., k]
+            for idx in np.ndindex(*g.nodes):
+                coords = [fmt(axes[a][idx[a]]) for a in range(g.dim)]
+                fh.write(",".join(coords + [fmt(times[k]), fmt(slab[idx])]) + "\n")
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                  -1e300, 1e-300, -1e-300, 1e16, 1e-5, 0.1, 1 / 3, -2.5,
+                  np.inf, -np.inf, np.nan)
+
+IO_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def snapshot_fields(draw, finite=False):
+    dim = draw(st.integers(1, 3))
+    top = 5 if dim < 3 else 4
+    nodes = tuple(draw(st.integers(3, top)) for _ in range(dim))
+    kinds = tuple(draw(st.sampled_from((PERIODIC, WALL))) for _ in range(dim))
+    extents = tuple(draw(st.sampled_from((1.0, 2.5, 2 * np.pi))) for _ in range(dim))
+    time_nodes = draw(st.sampled_from((1, 3, 4)))
+    dt = draw(st.sampled_from((0.1, 0.03))) if time_nodes > 1 else 0.0
+    g = Grid(extents, nodes, kinds, time_nodes, dt)
+    specials = [v for v in SPECIAL_VALUES if not finite or np.isfinite(v)]
+    elements = st.one_of(st.sampled_from(specials),
+                         st.floats(allow_nan=not finite, allow_infinity=not finite))
+    return ScalarField(g, draw(arrays(np.float64, g.shape, elements=elements)))
+
+
+@IO_SETTINGS
+@given(f=snapshot_fields())
+def test_writer_bytes_match_reference(tmp_path, f):
+    write_field_csv(tmp_path / "new.csv", f)
+    _reference_write_field_csv(tmp_path / "ref.csv", f)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@IO_SETTINGS
+@given(f=snapshot_fields(finite=True))
+def test_read_of_write_is_bit_exact(tmp_path, f):
+    path = tmp_path / "f.csv"
+    write_field_csv(path, f)
+    back = read_field_csv(path, f.grid).values
+    # comparing the raw bits also checks that -0.0 keeps its sign
+    assert np.array_equal(back.view(np.int64), f.values.view(np.int64))
+    assert back.flags.c_contiguous
