@@ -50,6 +50,10 @@ CASES = {
                           "--newton-tol", "1e-6"),
     "newton-dual": ("newton-dual", "--n", "6", "--time-nodes", "4", "--dt", "0.02",
                     "--nu", "0.5", "--perturb-w", "0.1"),
+    "newton-dual-n7": ("newton-dual", "--n", "7", "--time-nodes", "4", "--dt", "0.02",
+                       "--nu", "0.5", "--perturb-w", "0.1"),
+    "newton-dual-n8": ("newton-dual", "--n", "8", "--time-nodes", "6", "--dt", "0.02",
+                       "--nu", "0.5", "--perturb-w", "0.1"),
     "taylor-green-verify": ("taylor-green-verify", "--n", "8", "--time-nodes", "3",
                             "--dt", "0.05", "--refine", "2"),
 }
@@ -101,6 +105,32 @@ GOLDEN = {
             "u_1.csv": "88c97cc4f0e0b6cde6915ebc352565f07bd306749751023a69a148ecf4ce422d",
             "w_0.csv": "644d5ab13f7b4b22092d57e6a3bb2023bc7106ac8c8a98358492cb5a4d16bbf4",
             "w_1.csv": "87fe0d10adac9d823d22916a036bc11f795599786df2e1b28c04c3cca9328a2d",
+        },
+    },
+    "newton-dual-n7": {
+        "exit": 0,
+        "stdout": "17ffdbabfd8b48ada46567876f01bc50035e01ec78313bd887c1d7f6318eed65",
+        "files": {
+            "convergence.csv": "a0321aa1645b707631131d8c25b26d1f70430ae8f182f173665a19c8fc7f3e0b",
+            "p.csv": "5d5de1e404e08860e5e0081fd0896a1de49fe459eb01b5e64f47cdfe1cc92422",
+            "r.csv": "c28c4bbe5add524db2e0c66d6c445d3a2607e18d23e106d1f29bfb4ccea88860",
+            "u_0.csv": "358d613e3fb8a2c48089e696f659e685fb65873203710c046be182c76aa50721",
+            "u_1.csv": "87aa2b0008736353474e3e86edd8799f66abcb5b4026fcad1a015720f7b2b407",
+            "w_0.csv": "6db8bbe7fc47a7cc1550aaab9a751c8f7128f12bd22af714ce2a1da1ff1da091",
+            "w_1.csv": "9adb9a6c1334c1bb9937b217b79e4e2e6613df2690628c662db2db9faffccfd8",
+        },
+    },
+    "newton-dual-n8": {
+        "exit": 0,
+        "stdout": "6b5d2c5bdf544eccea0ed3341fa0bd73fb6ab6d4999e019a057dbf67fcb4f7e5",
+        "files": {
+            "convergence.csv": "266a027388a1a8fedae95bfb9b608972d2ecaa7e222febf183eec9d3e1478b81",
+            "p.csv": "5cfb90affab313dbf217f6b337bb46c0f9356c6b08ff23b3a364b2f3ef48b559",
+            "r.csv": "3e3869c2b0388017e50aae2130a1175c04c73706455181757c266bf0d1b22b53",
+            "u_0.csv": "53fd5b649d728266ff39c87f34604fb5f2ae373ae02dd91f55bdedd6159bc341",
+            "u_1.csv": "919793f3f28a8aec24030af1bea54494740358df79200a828860c3a4d8538605",
+            "w_0.csv": "341ca6bab32c9bda733e8cef8cb65dbc6a456bc5baf8d4f198283647800e3be6",
+            "w_1.csv": "ec57c34d387680e92711447e62db5c93142e71bbc13f761e6baabc690220dad8",
         },
     },
     "oscillator": {
