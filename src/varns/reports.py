@@ -30,12 +30,15 @@ def _coord_prefixes(g: Grid) -> list[str]:
     return prefixes
 
 
+def _header(dim: int) -> str:
+    return ",".join(f"axis{a}" for a in range(dim)) + ",t,value"
+
+
 def write_field_csv(path, f: ScalarField):
     g = f.grid
     prefixes = _coord_prefixes(g)
-    header = ",".join(f"axis{a}" for a in range(g.dim)) + ",t,value"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(_header(g.dim) + "\n")
         # one time slab per write keeps memory flat; repr of a Python float
         # is exactly _fmt of the numpy scalar
         for k, t in enumerate(map(_fmt, g.time_coords().tolist())):
@@ -57,27 +60,45 @@ def _parse_slab(path, rows: list[str], first_line: int) -> list[float]:
         raise
 
 
+def _check_node(path, row: str, line: int, node: list[float]):
+    """Raise unless ``row`` (1-based file line ``line``) is at ``node`` to a relative
+    1e-9: other writers may round the coordinates differently in the last bits."""
+    try:
+        got = [float(c) for c in row.split(",")[:-1]]
+    except ValueError:
+        got = []
+    if len(got) != len(node) or not np.allclose(got, node, rtol=1e-9, atol=1e-12):
+        raise ValueError(f"snapshot {path} line {line} is not at grid node "
+                         f"{','.join(map(_fmt, node))}; it was written on another grid")
+
+
 def read_field_csv(path, grid: Grid) -> ScalarField:
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"snapshot {path} cannot be read: {exc.strerror}") from None
     per_slab = int(np.prod(grid.nodes))
     values = np.empty(grid.shape)
     slabs = values.reshape(per_slab, grid.time_nodes)
+    axes = [grid.axis_coords(a) for a in range(grid.dim)]
     with fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != grid.dim + 2:
-            raise ValueError(f"snapshot {path} has {len(header)} columns, "
-                             f"expected {grid.dim + 2}")
-        for k in range(grid.time_nodes):
-            rows = list(itertools.islice(fh, per_slab))
-            if len(rows) < per_slab:
-                raise ValueError(f"snapshot {path} is truncated")
-            # line 1 is the header
-            slabs[:, k] = _parse_slab(path, rows, 2 + k * per_slab)
-        if fh.readline():
-            raise ValueError(f"snapshot {path} has extra rows")
+        try:
+            header = fh.readline().strip()
+            if header != _header(grid.dim):
+                raise ValueError(f"snapshot {path} has {header.count(',') + 1} columns, "
+                                 f"expected {grid.dim + 2} named {_header(grid.dim)!r}")
+            for k, t in enumerate(grid.time_coords()):
+                rows = list(itertools.islice(fh, per_slab))
+                if len(rows) < per_slab:
+                    raise ValueError(f"snapshot {path} is truncated")
+                first = 2 + k * per_slab        # line 1 is the header
+                slabs[:, k] = _parse_slab(path, rows, first)
+                _check_node(path, rows[0], first, [*(x[0] for x in axes), t])
+                _check_node(path, rows[-1], first + per_slab - 1, [*(x[-1] for x in axes), t])
+            if fh.readline():
+                raise ValueError(f"snapshot {path} has extra rows")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"snapshot {path} is not UTF-8 text ({exc.reason})") from None
     return ScalarField(grid, values)
 
 

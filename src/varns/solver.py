@@ -260,44 +260,16 @@ def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
 # monolithic space-time Newton solve of the stationarity system
 # ---------------------------------------------------------------------------
 
-def _d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx])
-    cols = np.concatenate([(idx + 1) % n, (idx - 1) % n])
-    vals = np.concatenate([np.full(n, 1 / (2 * h)), np.full(n, -1 / (2 * h))])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _lap_matrix(n: int, h: float) -> sp.csr_matrix:
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    vals = np.concatenate([np.full(n, -2 / h ** 2), np.full(n, 1 / h ** 2),
-                           np.full(n, 1 / h ** 2)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _time_rows(T: int, dt: float):
-    """Second-order time-derivative coefficients per slice: {k: [(kk, c)]}."""
-    rows = {}
-    for k in range(T):
-        if k == 0:
-            rows[k] = [(0, -1.5 / dt), (1, 2.0 / dt), (2, -0.5 / dt)]
-        elif k == T - 1:
-            rows[k] = [(T - 3, 0.5 / dt), (T - 2, -2.0 / dt), (T - 1, 1.5 / dt)]
-        else:
-            rows[k] = [(k - 1, -0.5 / dt), (k + 1, 0.5 / dt)]
-    return rows
-
-
 class _DualNewtonSystem:
-    """Index bookkeeping, residual and Jacobian of the discrete system.
+    """Residual and Jacobian of the discrete system in space-time Kronecker form.
 
-    Unknowns: u and w at every slice; p at slices 1..T-1; r at slices 1..T-2.
-    Rows: data constraints at t=0, the matching constraint u=w at t=tau in
-    the final w-slot, momentum rows elsewhere, divergence rows per pressure
-    slice with the null pressure modes (constant plus checkerboards) pinned
-    by gauge rows.
+    Unknowns, time-major per field: u and w at every slice, p at slices
+    1..T-1, r at slices 1..T-2. Rows share that layout: data constraints at
+    t=0, the matching constraint u=w at t=tau in the final w-slot, momentum
+    rows elsewhere, divergence rows per pressure slice with the null pressure
+    modes (constant plus checkerboards) pinned by gauge rows. A stencil A acts
+    on all slices as I_T (x) A, the time derivative as D_t (x) I_S; the
+    Jacobian is a constant part plus the advection linearization.
     """
 
     def __init__(self, grid: Grid, nu: float, data0, data1):
@@ -305,186 +277,155 @@ class _DualNewtonSystem:
         self.grid = grid
         self.nu = nu
         n0, n1 = grid.nodes
-        self.S = n0 * n1
-        self.T = grid.time_nodes
-        self.d = 2
+        S, T = n0 * n1, grid.time_nodes
+        self.S, self.T = S, T
         h0, h1 = grid.spacing(0), grid.spacing(1)
-        self.DX = [sp.kron(_d1_matrix(n0, h0), sp.identity(n1), format="csr"),
-                   sp.kron(sp.identity(n0), _d1_matrix(n1, h1), format="csr")]
-        self.LAP = (sp.kron(_lap_matrix(n0, h0), sp.identity(n1))
-                    + sp.kron(sp.identity(n0), _lap_matrix(n1, h1))).tocsr()
-        self.trows = _time_rows(self.T, grid.dt)
-        self.g = [np.asarray(data0, dtype=float).ravel(),
-                  np.asarray(data1, dtype=float).ravel()]
+        stencil = lambda op, n, h: sp.csr_matrix(op(np.eye(n), 0, h, periodic=True))
+        I0, I1, I_S, I_T = (sp.identity(m) for m in (n0, n1, S, T))
+        DX = [sp.kron(stencil(_d1, n0, h0), I1, format="csr"),
+              sp.kron(I0, stencil(_d1, n1, h1), format="csr")]
+        LAP = (sp.kron(stencil(_d2, n0, h0), I1) + sp.kron(I0, stencil(_d2, n1, h1))).tocsr()
+        DT = sp.csr_matrix(_d1(np.eye(T), 0, grid.dt, periodic=False))
+        self.DX = [sp.kron(I_T, d, format="csr") for d in DX]
+        self.LAP = sp.kron(I_T, LAP, format="csr")
+        self.DT = sp.kron(DT, I_S, format="csr")
+        self.g = np.array([data0, data1], dtype=float).reshape(2, S)
 
         # pressure null modes of the composite central-difference operator
-        modes = [np.ones(n0)]
-        if n0 % 2 == 0:
-            modes.append((-1.0) ** np.arange(n0))
-        modes1 = [np.ones(n1)]
-        if n1 % 2 == 0:
-            modes1.append((-1.0) ** np.arange(n1))
-        self.null_modes = [np.outer(a, b).ravel() for a in modes for b in modes1]
+        modes = lambda n: [np.ones(n)] + ([(-1.0) ** np.arange(n)] if n % 2 == 0 else [])
+        self.null_modes = [np.outer(a, b).ravel() for a in modes(n0) for b in modes(n1)]
         self.gauge_nodes = [0, 1, n1, n1 + 1][:len(self.null_modes)]
-
-        S, T, d = self.S, self.T, self.d
-        self.off_u = lambda i, k: (i * T + k) * S
-        self.off_w = lambda i, k: d * T * S + (i * T + k) * S
-        self.off_p = lambda k: 2 * d * T * S + (k - 1) * S
-        self.off_r = lambda k: 2 * d * T * S + (T - 1) * S + (k - 1) * S
-        self.n_dof = 2 * d * T * S + (T - 1) * S + (T - 2) * S
+        self.n_dof = (6 * T - 3) * S
         self.spec = _Spectral2D(grid)
+
+        # slice selectors: data (0), matching (T-1), momentum rows of u (1..T-1)
+        # and of w (1..T-2); lift_p/lift_r place the p/r slices among all T
+        first, last = np.eye(T)[[0, -1]]
+        mom_u, mom_w = 1 - first, 1 - first - last
+        self.momentum_mask = (np.repeat(mom_u, S), np.repeat(mom_w, S))
+        E0, ET, MU, MW = (sp.diags(v) for v in (first, last, mom_u, mom_w))
+        lift_p, lift_r = sp.eye(T, T - 1, k=-1), sp.eye(T, T - 2, k=-1)
+        keep = np.ones(S)
+        keep[self.gauge_nodes] = 0.0
+        div = [sp.diags(keep) @ d for d in DX]
+        gauge = sp.csr_matrix((np.concatenate(self.null_modes),
+                               (np.repeat(self.gauge_nodes, S),
+                                np.tile(np.arange(S), len(self.gauge_nodes)))), shape=(S, S))
+        kr = sp.kron
+        own_u = kr(E0, I_S) + kr(MU, nu * LAP)
+        own_w = kr(E0, I_S) + kr(MW, nu * LAP) - kr(ET, I_S)
+        time_u = -kr(MU @ DT, I_S)
+        time_w = kr(ET, I_S) - kr(MW @ DT, I_S)
+        self.L = sp.bmat([
+            [own_u, None, time_u, None, -kr(lift_p, DX[0]), None],
+            [None, own_u, None, time_u, -kr(lift_p, DX[1]), None],
+            [time_w, None, own_w, None, None, -kr(lift_r, DX[0])],
+            [None, time_w, None, own_w, None, -kr(lift_r, DX[1])],
+            [kr(lift_p.T, div[0]), kr(lift_p.T, div[1]), None, None,
+             kr(sp.identity(T - 1), gauge), None],
+            [None, None, kr(lift_r.T, div[0]), kr(lift_r.T, div[1]), None,
+             kr(sp.identity(T - 2), gauge)]], format="csr")
 
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
         z = np.zeros(self.n_dof)
         u, w, p, r = self.unpack(z)         # views into z
-        for i in range(self.d):
-            for k in range(self.T):
-                u[i][k][:] = quartet.u[i].values[..., k].ravel()
-                w[i][k][:] = quartet.w[i].values[..., k].ravel()
-        for k in range(1, self.T):
-            p[k][:] = quartet.p.values[..., k].ravel()
-        for k in range(1, self.T - 1):
-            r[k][:] = quartet.r.values[..., k].ravel()
+        slabs = lambda f: np.moveaxis(f.values, -1, 0).reshape(self.T, self.S)
+        u[:] = [slabs(c).ravel() for c in quartet.u.components]
+        w[:] = [slabs(c).ravel() for c in quartet.w.components]
+        p[:] = slabs(quartet.p)[1:]
+        r[:] = slabs(quartet.r)[1:-1]
         return z
 
     def unpack(self, z: np.ndarray):
-        S, T = self.S, self.T
-        u = [[z[self.off_u(i, k):self.off_u(i, k) + S] for k in range(T)]
-             for i in range(self.d)]
-        w = [[z[self.off_w(i, k):self.off_w(i, k) + S] for k in range(T)]
-             for i in range(self.d)]
-        p = [None] + [z[self.off_p(k):self.off_p(k) + S] for k in range(1, T)]
-        r = [None] + [z[self.off_r(k):self.off_r(k) + S] for k in range(1, T - 1)] + [None]
-        return u, w, p, r
+        """Views (u, w, p, r) of shapes (2, T S), (2, T S), (T-1, S), (T-2, S)."""
+        S, TS = self.S, self.T * self.S
+        return (z[:2 * TS].reshape(2, TS), z[2 * TS:4 * TS].reshape(2, TS),
+                z[4 * TS:5 * TS - S].reshape(-1, S), z[5 * TS - S:].reshape(-1, S))
 
     # -- residual ----------------------------------------------------------
-    def _momentum(self, a, b, scal, i, k):
-        """nu Lap a_i - grad_i scal - dt b_i - sym advection of b by (a+b)."""
-        adv = 0.0
-        for j in range(self.d):
-            sym = self.DX[j] @ b[i][k] + self.DX[i] @ b[j][k]
-            adv = adv + 0.5 * (a[j][k] + b[j][k]) * sym
-        tderiv = sum(c * b[i][kk] for kk, c in self.trows[k])
-        out = self.nu * (self.LAP @ a[i][k]) - tderiv - adv
-        if scal is not None:
-            out = out - self.DX[i] @ scal
-        return out
+    def _momentum(self, a, b, scal=None):
+        """nu Lap a_i - dt b_i - sym advection of b by (a+b) [- grad_i scal]
+        on every slice, as a (2, T S) array."""
+        out = []
+        for i in range(2):
+            adv = 0.0
+            for j in range(2):
+                sym = self.DX[j] @ b[i] + self.DX[i] @ b[j]
+                adv = adv + 0.5 * (a[j] + b[j]) * sym
+            row = self.nu * (self.LAP @ a[i]) - self.DT @ b[i] - adv
+            if scal is not None:
+                row = row - self.DX[i] @ scal
+            out.append(row)
+        return np.array(out)
 
-    def _continuity(self, vel, scal, k):
-        """Divergence row of ``vel`` at slice k, gauge rows pinning ``scal``."""
-        row = sum(self.DX[i] @ vel[i][k] for i in range(self.d))
+    def _continuity(self, vel, scal):
+        """Divergence rows of ``vel`` on the slices of ``scal``, gauge rows pinning it."""
+        rows = sum(self.DX[i] @ vel[i] for i in range(2)).reshape(self.T, self.S)
+        rows = rows[1:1 + len(scal)]
         for e, s in zip(self.null_modes, self.gauge_nodes):
-            row[s] = e @ scal[k]
-        return row
+            rows[:, s] = [e @ sk for sk in scal]
+        return rows
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         u, w, p, r = self.unpack(z)
-        T = self.T
+        S = self.S
         F = np.zeros(self.n_dof)
         Fu, Fw, Fp, Fr = self.unpack(F)     # row blocks share the unknowns' layout
-        for i in range(self.d):
-            Fu[i][0][:] = u[i][0] - self.g[i]
-            Fw[i][0][:] = w[i][0] - self.g[i]
-            for k in range(1, T):
-                Fu[i][k][:] = self._momentum(u, w, p[k], i, k)
-            for k in range(1, T - 1):
-                Fw[i][k][:] = self._momentum(w, u, r[k], i, k)
-            Fw[i][T - 1][:] = u[i][T - 1] - w[i][T - 1]
-        for k in range(1, T):
-            Fp[k][:] = self._continuity(u, p, k)
-        for k in range(1, T - 1):
-            Fr[k][:] = self._continuity(w, r, k)
+        # p and r are zero-padded to all T slices; the rows there are overwritten
+        Fu[:] = self._momentum(u, w, np.pad(p, ((1, 0), (0, 0))).ravel())
+        Fw[:] = self._momentum(w, u, np.pad(r, ((1, 1), (0, 0))).ravel())
+        Fu[:, :S] = u[:, :S] - self.g
+        Fw[:, :S] = w[:, :S] - self.g
+        Fw[:, -S:] = u[:, -S:] - w[:, -S:]
+        Fp[:] = self._continuity(u, p)
+        Fr[:] = self._continuity(w, r)
         return F
 
     # -- Jacobian ----------------------------------------------------------
-    def _momentum_blocks(self, a, b, i, k, off_a, off_b, off_scal, blocks):
-        """Jacobian blocks of one momentum row block (a-row at slice k)."""
-        S = self.S
-        row = off_a(i, k)
-        blocks.append((row, off_a(i, k), self.nu * self.LAP))
-        for j in range(self.d):
-            sym = self.DX[j] @ b[i][k] + self.DX[i] @ b[j][k]
-            dia = sp.diags(-0.5 * sym)
-            blocks.append((row, off_a(j, k), dia))
-            blocks.append((row, off_b(j, k), dia))
-            sj = sp.diags(-0.5 * (a[j][k] + b[j][k]))
-            blocks.append((row, off_b(i, k), sj @ self.DX[j]))
-            blocks.append((row, off_b(j, k), sj @ self.DX[i]))
-        for kk, c in self.trows[k]:
-            blocks.append((row, off_b(i, kk), sp.identity(S) * (-c)))
-        if off_scal is not None:
-            blocks.append((row, off_scal(k), -self.DX[i]))
+    def _advection(self, a, b, m):
+        """Advection linearization of the momentum rows of ``a`` (masked by
+        ``m``): per component row, blocks on the a_0, a_1, b_0, b_1 columns."""
+        DX = self.DX
+        s = [sp.diags(m * (-0.5 * (a[j] + b[j]))) for j in range(2)]
+        both = s[0] @ DX[0] + s[1] @ DX[1]
+        rows = []
+        for i in range(2):
+            dia = [sp.diags(m * (-0.5 * (DX[j] @ b[i] + DX[i] @ b[j]))) for j in range(2)]
+            partner = [dia[j] + s[j] @ DX[i] for j in range(2)]
+            partner[i] = partner[i] + both
+            rows.append(dia + partner)
+        return rows
 
     def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
-        u, w, p, r = self.unpack(z)
-        S, T = self.S, self.T
-        eye = sp.identity(S, format="csr")
-        blocks: list[tuple[int, int, sp.spmatrix]] = []
-        for i in range(self.d):
-            blocks.append((self.off_u(i, 0), self.off_u(i, 0), eye))
-            blocks.append((self.off_w(i, 0), self.off_w(i, 0), eye))
-            for k in range(1, T):
-                self._momentum_blocks(u, w, i, k, self.off_u, self.off_w,
-                                      self.off_p, blocks)
-            for k in range(1, T - 1):
-                self._momentum_blocks(w, u, i, k, self.off_w, self.off_u,
-                                      self.off_r, blocks)
-            blocks.append((self.off_w(i, T - 1), self.off_u(i, T - 1), eye))
-            blocks.append((self.off_w(i, T - 1), self.off_w(i, T - 1), -eye))
-
-        def continuity(off_scal, off_vel, k):
-            base = off_scal(k)
-            keep = np.ones(S)
-            keep[self.gauge_nodes] = 0.0
-            mask = sp.diags(keep)
-            for i in range(self.d):
-                blocks.append((base, off_vel(i, k), mask @ self.DX[i]))
-            rows = np.repeat(self.gauge_nodes, S)
-            cols = np.tile(np.arange(S), len(self.gauge_nodes))
-            vals = np.concatenate(self.null_modes)
-            blocks.append((base, off_scal(k),
-                           sp.csr_matrix((vals, (rows, cols)), shape=(S, S))))
-
-        for k in range(1, T):
-            continuity(self.off_p, self.off_u, k)
-        for k in range(1, T - 1):
-            continuity(self.off_r, self.off_w, k)
-
-        rows, cols, vals = [], [], []
-        for roff, coff, blk in blocks:
-            blk = blk.tocoo()
-            rows.append(blk.row + roff)
-            cols.append(blk.col + coff)
-            vals.append(blk.data)
-        J = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(self.n_dof, self.n_dof))
+        u, w, _, _ = self.unpack(z)
+        rows_u = self._advection(u, w, self.momentum_mask[0])
+        rows_w = self._advection(w, u, self.momentum_mask[1])
+        N = sp.bmat(rows_u + [row[2:] + row[:2] for row in rows_w], format="csr")
+        N.resize(self.L.shape)
+        # each entry sums at most two terms, so its bits are order-free; splu
+        # orders columns by the stored pattern, so no exact zero may be stored
+        J = self.L + N
+        J.eliminate_zeros()
+        J.sort_indices()
         return J
 
     # -- pressure fill for the excluded slices ------------------------------
-    def _fill_scalar(self, a, b, k):
-        """Recover the scalar of an (a, b) momentum row at slice k by a
-        divergence-of-momentum solve, null modes pinned to zero."""
-        rhs = [self._momentum(a, b, None, i, k).reshape(self.grid.nodes)
-               for i in range(self.d)]
-        return self.spec.poisson_div(rhs[0], rhs[1]).ravel()
-
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
+        """Quartet of ``z``; p at slice 0 and r at slices 0 and T-1 solve the
+        divergence of their momentum rows, null modes pinned to zero."""
         u, w, p, r = self.unpack(z)
-        T = self.T
-        mk = lambda cols: np.stack([c.reshape(self.grid.nodes) for c in cols], axis=-1)
-        p0 = self._fill_scalar(u, w, 0)
-        r0 = self._fill_scalar(w, u, 0)
-        rT = self._fill_scalar(w, u, T - 1)
-        U = [mk([u[i][k] for k in range(T)]) for i in range(self.d)]
-        W = [mk([w[i][k] for k in range(T)]) for i in range(self.d)]
-        Pv = mk([p0] + [p[k] for k in range(1, T)])
-        Rv = mk([r0] + [r[k] for k in range(1, T - 1)] + [rT])
-        g = self.grid
-        vec = lambda comps: VectorField(g, tuple(ScalarField(g, c) for c in comps))
-        return FieldQuartet(vec(U), ScalarField(g, Pv), vec(W), ScalarField(g, Rv))
+        g, T, S = self.grid, self.T, self.S
+        mom_u = self._momentum(u, w).reshape(2, T, S)
+        mom_w = self._momentum(w, u).reshape(2, T, S)
+        fill = lambda rows: self.spec.poisson_div(
+            *(row.reshape(g.nodes) for row in rows)).ravel()
+        field = lambda slabs: ScalarField(
+            g, np.moveaxis(slabs.reshape(T, *g.nodes), 0, -1).copy())
+        vec = lambda comps: VectorField(g, tuple(field(c) for c in comps))
+        P = np.vstack([fill(mom_u[:, 0]), p])
+        R = np.vstack([fill(mom_w[:, 0]), r, fill(mom_w[:, -1])])
+        return FieldQuartet(vec(u), field(P), vec(w), field(R))
 
 
 def _space_time_l2(grid: Grid, vec: VectorField) -> float:

@@ -194,6 +194,25 @@ def test_bad_file_scenario_exits_1_naming_the_file(tmp_path, capsys, corrupt, wh
     assert str(bad_file) in detail and where in detail
 
 
+@pytest.mark.parametrize("flag, value", [("--extent", "1"), ("--dt", "0.05")])
+def test_file_scenario_from_another_grid_exits_1(tmp_path, capsys, flag, value):
+    """Same node counts, other extent or dt: the snapshot's coordinates do
+    not match the grid."""
+    dump = tmp_path / "dump"
+    grid = {"--n": "8", "--time-nodes": "3", "--dt": "0.02", "--nu": "0.2"}
+    flags = lambda d: [x for kv in d.items() for x in kv]
+    code, _, _ = run_cli(capsys, "solve-unsteady", "--scenario", "taylor-green",
+                         *flags(grid), "--out", str(dump))
+    assert code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": f"file:{dump}"}))
+    code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                           *flags({**grid, flag: value}), "--out", str(tmp_path / "eval"))
+    assert code == 1
+    detail = json.loads(err)["detail"]
+    assert str(dump / "u_0.csv") in detail and "another grid" in detail
+
+
 def test_energy_cli(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "energy", "--scenario", "random:3",
                            "--n", "10", "--time-nodes", "5", "--dt", "0.02",

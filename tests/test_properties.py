@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
                          _wall_boundary_mask)
 from varns.lagrangian import evaluate_lagrangian, first_variation
+from varns.solver import _DualNewtonSystem
 from varns.steady import steady_functional
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -89,3 +90,20 @@ def test_swap_negates_first_variation_exactly(grid, seed, nu):
 def test_steady_functional_swap_sums_to_zero(grid, seed, nu):
     s = random_state(grid, seed)
     assert steady_functional(s, nu) + steady_functional(s.swapped(), nu) == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(n0=st.integers(5, 9), n1=st.integers(5, 9), time_nodes=st.sampled_from((4, 5, 6)),
+       seed=seeds)
+def test_newton_jacobian_is_the_exact_derivative_of_the_residual(n0, n1, time_nodes, seed):
+    """The stationarity residual is quadratic in the unknowns, so the central
+    difference has no truncation error and equals J(z) v up to roundoff."""
+    grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
+    rng = np.random.default_rng(seed)
+    system = _DualNewtonSystem(grid, 0.3, rng.normal(size=(n0, n1)),
+                               rng.normal(size=(n0, n1)))
+    z, v = rng.normal(size=(2, system.n_dof))
+    eps = 0.5
+    fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
+    jv = system.jacobian(z) @ v
+    assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)

@@ -94,6 +94,60 @@ def test_wrong_column_count_rejected(tmp_path):
         read_field_csv(path, g)
 
 
+def test_wrong_header_names_rejected(tmp_path):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(g))
+    lines = path.read_text().splitlines()
+    lines[0] = "x,y,t,value"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="expected 4 named 'axis0,axis1,t,value'"):
+        read_field_csv(path, g)
+
+
+@pytest.mark.parametrize("other", [
+    Grid((2 * np.pi, 2 * np.pi), (5, 5), (WALL, WALL), 3, 0.2),
+    Grid((1.0, 1.0), (5, 5), (PERIODIC, PERIODIC), 3, 0.2),
+    Grid((2 * np.pi, 2 * np.pi), (5, 5), (PERIODIC, PERIODIC), 3, 0.5),
+], ids=["walls", "extent", "dt"])
+def test_snapshot_from_another_grid_rejected(tmp_path, other):
+    """Same node counts, other coordinates: the reader names the file and line."""
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(periodic_square(5, time_nodes=3, dt=0.2)))
+    with pytest.raises(ValueError, match="written on another grid") as err:
+        read_field_csv(path, other)
+    assert str(path) in str(err.value)
+
+
+def test_coordinates_rounded_otherwise_accepted(tmp_path):
+    """A writer that rounds the coordinates differently in the last bits is
+    read; a relative 1e-6 shift is not."""
+    g = Grid((1.0, 1.0), (7, 7), (WALL, WALL), 3, 0.1)
+    f = ScalarField(g, np.random.default_rng(2).normal(size=g.shape))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, f)
+    lines = path.read_text().splitlines()
+    for shift, ok in ((1e-12, True), (1e-6, False)):
+        rows = [",".join([*(repr(float(c) * (1 + shift)) for c in row.split(",")[:-1]),
+                          row.rsplit(",", 1)[1]]) for row in lines[1:]]
+        path.write_text("\n".join([lines[0], *rows]) + "\n")
+        if ok:
+            assert np.array_equal(read_field_csv(path, g).values, f.values)
+        else:
+            with pytest.raises(ValueError, match="another grid"):
+                read_field_csv(path, g)
+
+
+def test_non_utf8_snapshot_names_the_file(tmp_path):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(g))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
+    with pytest.raises(ValueError, match="is not UTF-8 text") as err:
+        read_field_csv(path, g)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("row, line", [("garbage", 40), ("", 20), ("0.0,0.0,0.0,abc", 2)])
 def test_malformed_row_names_file_and_line(tmp_path, row, line):
     g = periodic_square(5, time_nodes=3, dt=0.2)
