@@ -89,14 +89,30 @@ class ConfigError(Exception):
     pass
 
 
+#: JSON types a config value may take, and their name, by the type of its default
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
+
+
 def _reject_unknown(loaded: dict, template: dict, path: str = ""):
+    """Reject unknown keys and values whose JSON type is not their default's;
+    a list default (grid extent, nodes, boundary) takes one element or a list."""
     for key, val in loaded.items():
         if key not in template:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(template[key], dict):
+        default = template[key]
+        if isinstance(default, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {path + key!r} must be an object")
-            _reject_unknown(val, template[key], path + key + ".")
+            _reject_unknown(val, default, path + key + ".")
+            continue
+        listed = isinstance(default, list)
+        types, what = _KINDS[type(default[0] if listed else default)]
+        # true/false load as bool, an int subclass, and no key takes them
+        if not all(isinstance(v, types) and not isinstance(v, bool)
+                   for v in (val if listed and isinstance(val, list) else [val])):
+            raise ConfigError(f"config key {path + key!r} must be {what}"
+                              f"{' or a list of them' if listed else ''}, got {json.dumps(val)}")
 
 
 def load_config(args) -> dict:
@@ -121,40 +137,29 @@ def load_config(args) -> dict:
                 cfg[key] = val
 
     g = cfg["grid"]
-    if getattr(args, "dim", None) is not None:
-        g["dim"] = args.dim
-    if getattr(args, "n", None) is not None:
-        g["nodes"] = [args.n] * g["dim"]
-    if getattr(args, "nodes", None) is not None:
-        g["nodes"] = [int(v) for v in args.nodes.split(",")]
-    if getattr(args, "extent", None) is not None:
-        vals = [float(v) for v in args.extent.split(",")]
-        g["extent"] = vals * g["dim"] if len(vals) == 1 else vals
-    if getattr(args, "boundary", None) is not None:
-        kinds = args.boundary.split(",")
-        g["boundary"] = kinds * g["dim"] if len(kinds) == 1 else kinds
-    if getattr(args, "time_nodes", None) is not None:
-        g["time_nodes"] = args.time_nodes
-    if getattr(args, "dt", None) is not None:
-        g["dt"] = args.dt
-    for section, keys in ((cfg, ("nu", "scenario", "seeds", "out")),
+    for section, keys in ((g, ("dim", "time_nodes", "dt")),
+                          (cfg, ("nu", "scenario", "seeds", "out")),
                           (cfg["solver"], ("newton_tol", "max_newton",
                                            "continuation_steps", "linear_tol"))):
         for key in keys:
             if getattr(args, key, None) is not None:
                 section[key] = getattr(args, key)
+    if getattr(args, "n", None) is not None:
+        g["nodes"] = [args.n] * g["dim"]
+    if getattr(args, "nodes", None) is not None:
+        g["nodes"] = [int(v) for v in args.nodes.split(",")]
+    for key, conv in (("extent", float), ("boundary", str)):
+        if getattr(args, key, None) is not None:
+            vals = [conv(v) for v in getattr(args, key).split(",")]
+            g[key] = vals * g["dim"] if len(vals) == 1 else vals
     return cfg
 
 
 def grid_from_config(cfg: dict, steady: bool = False) -> Grid:
     g = cfg["grid"]
-    dim = int(g["dim"])
-    ext = g["extent"]
-    ext = [float(ext)] * dim if isinstance(ext, (int, float)) else [float(v) for v in ext]
-    nodes = g["nodes"]
-    nodes = [int(nodes)] * dim if isinstance(nodes, int) else [int(v) for v in nodes]
-    bnd = g["boundary"]
-    bnd = [bnd] * dim if isinstance(bnd, str) else list(bnd)
+    dim = g["dim"]
+    each = lambda key: g[key] if isinstance(g[key], list) else [g[key]] * dim
+    ext, nodes, bnd = [float(v) for v in each("extent")], each("nodes"), each("boundary")
     if len(ext) != dim or len(nodes) != dim or len(bnd) != dim:
         raise ConfigError("grid extent/nodes/boundary lengths must match dim")
     try:

@@ -80,10 +80,6 @@ class Grid:
         n, e = self.nodes[axis], self.extents[axis]
         return e / n if self.boundaries[axis] == PERIODIC else e / (n - 1)
 
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(self.spacing(a) for a in range(self.dim))
-
     def axis_coords(self, axis: int) -> np.ndarray:
         h = self.spacing(axis)
         return np.arange(self.nodes[axis]) * h

@@ -1,6 +1,6 @@
 """Solvers that produce fields at or near the stationary configuration.
 
-Three routes to the stationary point:
+Four routes to the stationary point:
 
 * an exact decaying-vortex oracle (closed-form solution of the reduced
   system, stored with the variational pressure scalar),
@@ -8,7 +8,12 @@ Three routes to the stationary point:
   on periodic grids (the w=u, r=p trajectory),
 * a monolithic Newton solve of the full discrete stationarity system over
   space-time, the direct computational test that the stationary point has
-  u = w and functional value zero.
+  u = w and functional value zero,
+* a Newton solve of the steady discrete Navier-Stokes system on periodic and
+  wall-bounded boxes (w = u, r = p); both Newton solves share one damped
+  loop and the stencil matrices of ``grids._d1``/``_d2``. Their linear
+  systems are solved by sparse LU, except the steady ones on all-periodic
+  grids: GMRES preconditioned by the Fourier inverse of the linear part.
 
 Periodic stencil systems (viscous solve, projection, pressure recovery) are
 solved exactly in Fourier space: the FFT diagonalizes every circulant
@@ -20,11 +25,13 @@ mean-zero gauge extended to the checkerboard modes of the collocated layout).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .grids import (
     PERIODIC,
@@ -59,7 +66,7 @@ class ConvergenceError(RuntimeError):
 
 
 class StagnationError(ConvergenceError):
-    """Pseudo-time residual stopped improving."""
+    """The steady Newton solve ran out of steps or met mass-incompatible wall data."""
 
 
 @dataclass(frozen=True)
@@ -136,19 +143,17 @@ def taylor_green(nu: float, grid: Grid) -> FieldQuartet:
 # periodic stencil solves in Fourier space
 # ---------------------------------------------------------------------------
 
-class _Spectral2D:
-    """Exact Fourier solves for the periodic central-difference stencils."""
+class _Spectral:
+    """Fourier symbols of the periodic central-difference stencils (the central
+    gradient is i s_a per axis) and exact 2D solves with them."""
 
     def __init__(self, grid: Grid):
-        n0, n1 = grid.nodes
-        h0, h1 = grid.spacing(0), grid.spacing(1)
-        th0 = TWO_PI * np.fft.fftfreq(n0)
-        th1 = TWO_PI * np.fft.fftfreq(n1)
-        self.s0 = (np.sin(th0) / h0)[:, None]
-        self.s1 = (np.sin(th1) / h1)[None, :]
-        self.lap = ((2 * np.cos(th0) - 2) / h0 ** 2)[:, None] \
-            + ((2 * np.cos(th1) - 2) / h1 ** 2)[None, :]
-        self.div_grad = -(self.s0 ** 2 + self.s1 ** 2)
+        along = lambda a, x: x.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+        theta = [TWO_PI * np.fft.fftfreq(n) for n in grid.nodes]
+        self.s = [along(a, np.sin(t) / grid.spacing(a)) for a, t in enumerate(theta)]
+        self.lap = sum(along(a, (2 * np.cos(t) - 2) / grid.spacing(a) ** 2)
+                       for a, t in enumerate(theta))
+        self.div_grad = -sum(s ** 2 for s in self.s)
         self.null = np.abs(self.div_grad) < 1e-14
 
     def helmholtz(self, rhs: np.ndarray, coef: float) -> np.ndarray:
@@ -158,15 +163,15 @@ class _Spectral2D:
     def _potential(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
         """Fourier coefficients of the solution of DivGrad phi = Div (f0, f1)
         (both given as coefficients), null modes pinned to zero."""
-        div = 1j * (self.s0 * f0 + self.s1 * f1)
+        div = 1j * (self.s[0] * f0 + self.s[1] * f1)
         return np.where(self.null, 0.0, div / np.where(self.null, 1.0, self.div_grad))
 
     def project(self, v0: np.ndarray, v1: np.ndarray):
         """Remove the stencil-gradient part so the central divergence is zero."""
         f0, f1 = np.fft.fft2(v0), np.fft.fft2(v1)
         phi = self._potential(f0, f1)
-        return (np.real(np.fft.ifft2(f0 - 1j * self.s0 * phi)),
-                np.real(np.fft.ifft2(f1 - 1j * self.s1 * phi)))
+        return (np.real(np.fft.ifft2(f0 - 1j * self.s[0] * phi)),
+                np.real(np.fft.ifft2(f1 - 1j * self.s[1] * phi)))
 
     def poisson_div(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         """Solve DivGrad p = Div (r0, r1) with the null modes pinned to zero."""
@@ -224,7 +229,7 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
     v1 = np.array(initial[1].values[..., 0])
     _require_divergence_free(v0, v1, grid, "field")
     h0, h1 = grid.spacing(0), grid.spacing(1)
-    spec = _Spectral2D(grid)
+    spec = _Spectral(grid)
     vmax = max(1.0, np.max(np.abs(v0)), np.max(np.abs(v1)))
     tol = max(config.linear_tol, 1e-14) * vmax
 
@@ -260,6 +265,18 @@ def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
 # monolithic space-time Newton solve of the stationarity system
 # ---------------------------------------------------------------------------
 
+def _stencil_matrices(grid: Grid):
+    """Sparse first-derivative matrices (one per axis) and Laplacian on a slice:
+    ``grids._d1``/``_d2`` of identity matrices lifted with ``sp.kron``."""
+    def lift(op, axis):
+        factors = [sp.identity(n) for n in grid.nodes]
+        factors[axis] = sp.csr_matrix(op(np.eye(grid.nodes[axis]), 0, grid.spacing(axis),
+                                         grid.boundaries[axis] == PERIODIC))
+        return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+    axes = range(grid.dim)
+    return [lift(_d1, a) for a in axes], sum(lift(_d2, a) for a in axes)
+
+
 class _DualNewtonSystem:
     """Residual and Jacobian of the discrete system in space-time Kronecker form.
 
@@ -279,12 +296,8 @@ class _DualNewtonSystem:
         n0, n1 = grid.nodes
         S, T = n0 * n1, grid.time_nodes
         self.S, self.T = S, T
-        h0, h1 = grid.spacing(0), grid.spacing(1)
-        stencil = lambda op, n, h: sp.csr_matrix(op(np.eye(n), 0, h, periodic=True))
-        I0, I1, I_S, I_T = (sp.identity(m) for m in (n0, n1, S, T))
-        DX = [sp.kron(stencil(_d1, n0, h0), I1, format="csr"),
-              sp.kron(I0, stencil(_d1, n1, h1), format="csr")]
-        LAP = (sp.kron(stencil(_d2, n0, h0), I1) + sp.kron(I0, stencil(_d2, n1, h1))).tocsr()
+        I_S, I_T = sp.identity(S), sp.identity(T)
+        DX, LAP = _stencil_matrices(grid)
         DT = sp.csr_matrix(_d1(np.eye(T), 0, grid.dt, periodic=False))
         self.DX = [sp.kron(I_T, d, format="csr") for d in DX]
         self.LAP = sp.kron(I_T, LAP, format="csr")
@@ -296,7 +309,7 @@ class _DualNewtonSystem:
         self.null_modes = [np.outer(a, b).ravel() for a in modes(n0) for b in modes(n1)]
         self.gauge_nodes = [0, 1, n1, n1 + 1][:len(self.null_modes)]
         self.n_dof = (6 * T - 3) * S
-        self.spec = _Spectral2D(grid)
+        self.spec = _Spectral(grid)
 
         # slice selectors: data (0), matching (T-1), momentum rows of u (1..T-1)
         # and of w (1..T-2); lift_p/lift_r place the p/r slices among all T
@@ -410,6 +423,9 @@ class _DualNewtonSystem:
         J.sort_indices()
         return J
 
+    def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
+        return _lu_step(self.jacobian(z), F)
+
     # -- pressure fill for the excluded slices ------------------------------
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
         """Quartet of ``z``; p at slice 0 and r at slices 0 and T-1 solve the
@@ -476,7 +492,18 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         final_stage = stage == len(ladder) - 1
         tol_here = config.newton_tol if final_stage else max(config.newton_tol, 1e-6)
         record = ([], [], [])          # history of the stage that finishes last
-        z, ok = _newton_loop(system, z, config, tol_here, record)
+
+        def log(zz, norm, system=system, record=record):
+            q = system.to_quartet(zz)
+            for h, x in zip(record, (norm, u_w_gap(q), evaluate_lagrangian(q, system.nu).J)):
+                h.append(x)
+
+        try:
+            z, ok = _newton_loop(system, z, config, tol_here, log)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "singular stationarity Jacobian; increase continuation_steps "
+                f"to approach the target viscosity gradually ({exc})") from exc
         if not ok:
             break
     # the last system built is the one at the target viscosity unless a stage failed
@@ -484,36 +511,24 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     return Trajectory(system.to_quartet(z), *(np.array(h) for h in record), ok, message)
 
 
-def _newton_loop(system: _DualNewtonSystem, z: np.ndarray, config: SolveConfig,
-                 tol: float, record):
+def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
+                 measure=np.linalg.norm):
+    """At most ``config.max_newton`` Newton steps ``system.newton_step`` on ``system``,
+    each halved until the residual norm (``measure``) drops, to norm <= tol * max(1,
+    initial norm); ``log`` sees every iterate. Returns (z, converged)."""
     F = system.residual(z)
-    norm = np.linalg.norm(F)
+    norm = measure(F)
     tol_eff = tol * max(1.0, norm)
-
-    def log(zz, nn):
-        residuals, gaps, js = record
-        q = system.to_quartet(zz)
-        residuals.append(nn)
-        gaps.append(u_w_gap(q))
-        js.append(evaluate_lagrangian(q, system.nu).J)
-
     log(z, norm)
     for _ in range(config.max_newton):
         if norm <= tol_eff:
             return z, True
-        J = system.jacobian(z)
-        try:
-            lu = spla.splu(J.tocsc())
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(
-                "singular stationarity Jacobian; increase continuation_steps "
-                f"to approach the target viscosity gradually ({exc})") from exc
-        step = lu.solve(-F)
+        step = system.newton_step(z, F)
         alpha = 1.0
         while alpha >= 2 ** -30:
             z_try = z + alpha * step
             F_try = system.residual(z_try)
-            n_try = np.linalg.norm(F_try)
+            n_try = measure(F_try)
             if n_try < norm:
                 break
             alpha /= 2
@@ -524,124 +539,196 @@ def _newton_loop(system: _DualNewtonSystem, z: np.ndarray, config: SolveConfig,
     return z, norm <= tol_eff
 
 
+def _lu_step(J: sp.spmatrix, F: np.ndarray) -> np.ndarray:
+    """-J^{-1} F by sparse LU; the factor dies on return, so two are never alive
+    at once. A singular J raises ``LinAlgError`` carrying the SuperLU message."""
+    try:
+        return spla.splu(J.tocsc()).solve(-F)
+    except RuntimeError as exc:
+        raise np.linalg.LinAlgError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
-# steady pseudo-time solve
+# steady Newton solve
 # ---------------------------------------------------------------------------
 
-def _steady_from_arrays(grid: Grid, v, P) -> FieldQuartet:
-    q = P - 0.5 * sum(c ** 2 for c in v)
-    vel = VectorField(grid, tuple(ScalarField(grid, c[..., None]) for c in v))
-    scal = ScalarField(grid, q[..., None])
-    return FieldQuartet(vel, scal, vel, scal)
+#: largest steady system with a wall axis ((dim + 1) S unknowns) in 2D and in 3D,
+#: so that its sparse LU keeps the process under about 0.6 GB resident. Peak RSS
+#: of a whole lid-cavity solve, single-thread BLAS on a 2-vCPU Xeon: 160^2 0.56 GB
+#: (13 s), 15^3 0.41 GB; one LU at 16^3 alone took 0.75 GB
+_MAX_STEADY_LU_UNKNOWNS = (80_000, 14_000)
+
+#: first pseudo-time step of the steady Newton solve. From random:2 on a 32^2
+#: periodic grid, Newton without pseudo-time steps exits 2 after 25 steps at
+#: nu 0.05 and 0.02; with 1 it takes 10 and 22 steps. The price: Taylor-Green
+#: takes 7 steps instead of 2, the lid cavities at most one more. 0.3 and 0.1
+#: take up to three times as many steps.
+_DTAU0 = 1.0
+
+
+class _SteadyNewtonSystem:
+    """Steady discrete Navier-Stokes system; its residual is L z - b less advection.
+
+    Unknowns: velocity v, physical pressure P, a multiplier c_k per pressure null
+    component (of the graph linking P(x + e_a) to P(x - e_a) at each interior
+    node x; N is their indicator) and, all-periodic, a body force per axis.
+    Rows: interior momentum nu Lap v - (v . grad) v - grad P (- force), v = data
+    on walls, div v - N c at every node, P = 0 at one node per component and,
+    all-periodic, the initial mean velocity.
+    """
+
+    def __init__(self, grid: Grid, nu: float, data: np.ndarray, start: np.ndarray):
+        d, S = grid.dim, int(np.prod(grid.nodes))
+        self.grid, self.nu, self.d, self.S = grid, nu, d, S
+        self.DX, LAP = _stencil_matrices(grid)
+        self.interior = m = ~_wall_boundary_mask(grid)[..., 0].ravel()
+        self.periodic = m.all()
+        stencils = sp.vstack([abs(D[m]) for D in self.DX])   # interior central rows
+        K, self.labels = connected_components(stencils.T @ stencils, directed=False)
+        self.first = np.unique(self.labels, return_index=True)[1]
+        self.counts = np.bincount(self.labels)
+        N = sp.csr_matrix((np.ones(S), (np.arange(S), self.labels)), shape=(S, K))
+        # a dense N^T P = 0 row would multiply the LU fill: pin P, shift it afterwards
+        pin = sp.identity(S, format="csr")[self.first]
+        # a multiplier on a component with an interior node is a mass defect
+        self.watched = N.T @ m > 0
+        # all-periodic: force columns and initial-mean-velocity rows
+        E = sp.kron(sp.identity(d), np.ones((S, 1)), format="csr")[:, :d if self.periodic else 0]
+        M = sp.diags(m * 1.0)
+        self.L = sp.bmat([[sp.kron(sp.identity(d), M @ (nu * LAP) + sp.identity(S) - M),
+                           -sp.vstack([M @ D for D in self.DX]), None, -E],
+                          [sp.hstack(self.DX), None, -N, None],
+                          [None, pin, None, None],
+                          [E.T / S, None, None, None]], format="csr")
+        v0 = np.where(m, start, data)
+        self.b = np.concatenate([np.where(m, 0.0, data).ravel(), np.zeros(S + K),
+                                 v0.mean(axis=1)[:E.shape[1]]])
+        self.z0 = np.concatenate([v0.ravel(), np.zeros(self.L.shape[0] - v0.size)])
+        self.V = sp.diags(np.concatenate([np.tile(m, d), np.zeros(self.L.shape[0] - d * S)]))
+        self.norm0 = None                   # residual of the first step
+
+    def unpack(self, z: np.ndarray):
+        """Views (v, P, c) of shapes (d, S), (S,), (K,)."""
+        v, P, c, _ = np.split(z, np.cumsum([self.d * self.S, self.S, len(self.watched)]))
+        return v.reshape(self.d, self.S), P, c
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        v = self.unpack(z)[0]
+        adv = [sum(v[j] * (self.DX[j] @ vi) for j in range(self.d)) for vi in v]
+        F = self.L @ z - self.b
+        F[:v.size] -= (self.interior * np.array(adv)).ravel()
+        return F
+
+    def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
+        v, m = self.unpack(z)[0], self.interior
+        conv = sum(sp.diags(m * v[j]) @ self.DX[j] for j in range(self.d))
+        rows = [[sp.diags(m * (D @ vi)) for D in self.DX] for vi in v]
+        for i in range(self.d):
+            rows[i][i] = rows[i][i] + conv
+        A = sp.bmat(rows, format="csr")
+        A.resize(self.L.shape)
+        return self.L - A
+
+    def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """-(J - V / dtau)^{-1} F with V the identity on the interior momentum rows:
+        a backward-Euler pseudo-time step whose dtau grows as dtau0 |F_0| / |F|
+        (switched evolution relaxation), so that the steps become Newton's as the
+        residual falls. Sparse LU on grids with a wall axis; on all-periodic grids,
+        whose LU fills in far more, GMRES preconditioned by the exact inverse of
+        the linear part (the line search absorbs a step GMRES leaves inexact)."""
+        norm = np.abs(F).max()
+        if self.norm0 is None:
+            self.norm0 = norm
+        shift = norm / (_DTAU0 * self.norm0)
+        J = self.jacobian(z) - shift * self.V
+        if not self.periodic:
+            return _lu_step(J, F)
+        M = spla.LinearOperator(J.shape, lambda r: self._solve_linear_part(r, shift))
+        return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
+
+    @functools.cached_property
+    def _spectral(self) -> _Spectral:
+        return _Spectral(self.grid)
+
+    def _solve_linear_part(self, r: np.ndarray, shift: float) -> np.ndarray:
+        """(L - shift V)^{-1} r on an all-periodic grid, mode by mode in Fourier
+        space: every stencil is circulant; the null modes of the central gradient
+        (the span of N) carry c and the pins, the constant mode the mean rows and
+        the force."""
+        g, d, S, spec = self.grid, self.d, self.S, self._spectral
+        rv, rc, rp, rm = np.split(r, np.cumsum([d * S, S, len(self.first)]))
+        lap = self.nu * spec.lap - shift
+        lap.flat[0] = 1.0                                    # the constant mode
+        c = -np.bincount(self.labels, rc) / self.counts      # divergence rows: rc + N c
+        div = np.fft.fftn((rc + c[self.labels]).reshape(g.nodes))
+        R = [np.fft.fftn(ri.reshape(g.nodes)) for ri in rv.reshape(d, S)]
+        P = np.where(spec.null, 0.0, (lap * div - 1j * sum(s * Ri for s, Ri in zip(spec.s, R)))
+                     / np.where(spec.null, 1.0, spec.div_grad))
+        V = [(Ri + 1j * s * P) / lap for s, Ri in zip(spec.s, R)]
+        for Vi, mean in zip(V, rm):
+            Vi.flat[0] = mean * S
+        v = np.array([np.fft.ifftn(Vi).real.ravel() for Vi in V])
+        P = np.fft.ifftn(P).real.ravel()
+        P += (rp - P[self.first])[self.labels]               # pins, through N
+        force = -rv.reshape(d, S).mean(axis=1) - shift * rm
+        return np.concatenate([v.ravel(), P, c, force])
+
+    def to_quartet(self, z: np.ndarray) -> FieldQuartet:
+        """Quartet with w = u and r = p = P - |v|^2 / 2, P in the gauge N^T P = 0."""
+        g, (v, P, _) = self.grid, self.unpack(z)
+        P = P - (np.bincount(self.labels, P) / self.counts)[self.labels]
+        vel = VectorField(g, tuple(ScalarField(g, c.reshape(*g.nodes, 1)) for c in v))
+        scal = ScalarField(g, (P - 0.5 * (v ** 2).sum(axis=0)).reshape(*g.nodes, 1))
+        return FieldQuartet(vel, scal, vel, scal)
 
 
 def steady_solve(boundary_data: VectorField | None, config: SolveConfig,
-                 grid: Grid, initial: VectorField | None = None,
-                 max_steps: int = 200_000) -> FieldQuartet:
-    """Pseudo-time continuation to a steady stationary-structured quartet.
+                 grid: Grid, initial: VectorField | None = None) -> FieldQuartet:
+    """Damped Newton solve of :class:`_SteadyNewtonSystem` to a quartet with w = u, r = p;
+    its first steps are pseudo-time steps that grow into Newton steps.
 
-    All-periodic grids march the reduced system until the time increment
-    stalls below tolerance; wall grids run an artificial-compressibility
-    relaxation with the prescribed wall velocities imposed every step.
-    Raises :class:`StagnationError` when the residual plateaus.
-    """
+    ``boundary_data`` holds the wall velocities (None on all-periodic grids),
+    ``initial`` the starting interior velocity (zero when None). The solve stops
+    when the largest residual entry is at most ``newton_tol`` times the data scale
+    max(1, |data|, |initial|). Raises :class:`StagnationError` when
+    ``config.max_newton`` steps do not get there or the wall data is not
+    discretely mass-compatible (a multiplier c_k above that tolerance), and
+    :class:`ConvergenceError` on a singular Jacobian."""
     if not grid.steady:
         raise ValueError("steady_solve needs a steady grid (time_nodes == 1)")
-    if all(b == PERIODIC for b in grid.boundaries):
-        if boundary_data is not None:
-            raise ValueError("boundary data is meaningless on an all-periodic grid")
-        return _steady_periodic(config, grid, initial, max_steps)
-    if boundary_data is None:
-        raise ValueError("wall grids need boundary velocity data")
-    return _steady_walls(boundary_data, config, grid, initial, max_steps)
-
-
-def _steady_periodic(config, grid, initial, max_steps):
-    if grid.dim != 2:
-        raise ValueError("periodic steady solve supports 2D grids")
-    h0, h1 = grid.spacing(0), grid.spacing(1)
-    spec = _Spectral2D(grid)
-    if initial is None:
-        v0 = np.zeros(grid.nodes)
-        v1 = np.zeros(grid.nodes)
-    else:
-        v0 = np.array(initial[0].values[..., 0])
-        v1 = np.array(initial[1].values[..., 0])
-        v0, v1 = spec.project(v0, v1)
-    vmax = max(1.0, np.max(np.abs(v0)), np.max(np.abs(v1)))
-    dt = 0.25 * min(h0, h1) / vmax
-    tol = max(config.linear_tol, 1e-14)
-    steps = 0
-    history = []
-    while steps < max_steps:
-        n0, n1, _ = _cn_step(v0, v1, spec, dt, config.nu, h0, h1, tol)
-        res = max(np.max(np.abs(n0 - v0)), np.max(np.abs(n1 - v1))) / dt
-        history.append(res)
-        v0, v1 = n0, n1
-        steps += 1
-        if res <= config.newton_tol * max(1.0, np.max(np.abs(v0)), np.max(np.abs(v1))):
-            P = _recover_pressure(v0, v1, spec, h0, h1)
-            return _steady_from_arrays(grid, [v0, v1], P)
-        if len(history) > 200 and history[-1] > 0.995 * history[-101]:
-            raise StagnationError(
-                f"pseudo-time residual plateaued at {res:.3e}", history=history)
-    raise StagnationError("pseudo-time step budget exhausted", history=history)
-
-
-def _steady_walls(boundary_data, config, grid, initial, max_steps):
-    if boundary_data.grid.nodes != grid.nodes:
+    walls = any(b != PERIODIC for b in grid.boundaries)
+    if walls != (boundary_data is not None):
+        raise ValueError("wall grids need boundary velocity data, all-periodic grids none")
+    if walls and boundary_data.grid.nodes != grid.nodes:
         raise ValueError("boundary data resolution does not match the grid")
-    d = grid.dim
-    hs = [grid.spacing(a) for a in range(d)]
-    periodic = [b == PERIODIC for b in grid.boundaries]
-    bvals = [np.array(boundary_data[i].values[..., 0]) for i in range(d)]
-
-    interior = ~_wall_boundary_mask(grid)[..., 0]
-
-    if initial is None:
-        v = [np.where(interior, 0.0, bvals[i]) for i in range(d)]
-    else:
-        v = [np.array(initial[i].values[..., 0]) for i in range(d)]
-        for i in range(d):
-            v[i] = np.where(interior, v[i], bvals[i])
-    P = np.zeros(grid.nodes)
-
-    vmax = max(1.0, *(np.max(np.abs(b)) for b in bvals))
-    hmin = min(hs)
-    dt = min(0.8 * hmin ** 2 / (4 * config.nu), 0.4 * hmin / vmax)
-    # forward-Euler acoustics are damped only by viscosity: keep c^2 dt < nu,
-    # and keep the wave CFL comfortable
-    c2 = max(4.0 * vmax ** 2, min(0.35 * config.nu / dt, (0.5 * hmin / dt) ** 2))
-    nu = config.nu
-
-    def residual_fields():
-        res = []
-        for i in range(d):
-            lap = sum(_d2(v[i], a, hs[a], periodic[a]) for a in range(d))
-            adv = sum(v[j] * _d1(v[i], j, hs[j], periodic[j]) for j in range(d))
-            gp = _d1(P, i, hs[i], periodic[i])
-            res.append(nu * lap - adv - gp)
-        div = sum(_d1(v[i], i, hs[i], periodic[i]) for i in range(d))
-        return res, div
-
+    S = int(np.prod(grid.nodes))
+    unknowns, limit = (grid.dim + 1) * S, _MAX_STEADY_LU_UNKNOWNS[grid.dim > 2]
+    if walls and unknowns > limit:
+        raise ValueError(f"steady system too large for a direct solve ({unknowns} "
+                         f"unknowns, limit {limit} with a wall axis)")
+    flat = lambda vec: (np.zeros((grid.dim, S)) if vec is None
+                        else np.array([c.values[..., 0].ravel() for c in vec.components]))
+    data = flat(boundary_data)
+    system = _SteadyNewtonSystem(grid, config.nu, data, flat(initial))
+    # the largest residual entry must reach newton_tol times the data scale;
+    # _newton_loop scales its tolerance by the initial norm, which is undone here
+    tol = config.newton_tol * max(1.0, np.abs(system.z0).max())
+    largest = lambda F: np.abs(F).max()
     history = []
-    best = np.inf
-    best_step = 0
-    for step in range(max_steps):
-        res, div = residual_fields()
-        rnorm = max(max(np.max(np.abs(r[interior])) for r in res),
-                    np.max(np.abs(div[interior])))
-        history.append(rnorm)
-        if rnorm <= config.newton_tol * max(1.0, vmax):
-            return _steady_from_arrays(grid, v, P - P.mean())
-        if rnorm < 0.995 * best:
-            best, best_step = rnorm, step
-        elif step - best_step > 2000:
-            raise StagnationError(
-                f"artificial-compressibility residual plateaued at {rnorm:.3e}",
-                history=history)
-        for i in range(d):
-            v[i] = np.where(interior, v[i] + dt * res[i], bvals[i])
-        P = P - dt * c2 * div
-        P -= P.mean()
-    raise StagnationError("pseudo-time step budget exhausted", history=history)
+    try:
+        z, ok = _newton_loop(system, system.z0, config,
+                             tol / max(1.0, largest(system.residual(system.z0))),
+                             lambda z, norm: history.append(norm), largest)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular steady Newton Jacobian ({exc})",
+                               history=history) from exc
+    if not ok:
+        raise StagnationError(
+            f"steady Newton stopped at residual {history[-1]:.3e} (tolerance {tol:.3e}) "
+            f"after {len(history) - 1} of at most {config.max_newton} steps",
+            history=history)
+    defect = np.abs(system.unpack(z)[2][system.watched]).max()
+    if defect > tol:
+        raise StagnationError("wall data is not discretely mass-compatible (divergence "
+                              f"multiplier {defect:.3e})", history=history)
+    return system.to_quartet(z)

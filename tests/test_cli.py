@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from varns.cli import main
+from varns.grids import FieldQuartet, Grid, ScalarField, VectorField
+from varns.reports import write_quartet_csv
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +106,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                            "--out", str(tmp_path))
     assert code == 1
     assert "viscosity" in err
+
+
+@pytest.mark.parametrize("command, document, key", [
+    ("evaluate", {"nu": {"a": 1}}, "nu"),
+    ("evaluate", {"nu": "abc"}, "nu"),
+    ("evaluate", {"scenario": 5}, "scenario"),
+    ("evaluate", {"grid": {"dim": "two"}}, "grid.dim"),
+    ("evaluate", {"grid": {"nodes": [[8, 8]]}}, "grid.nodes"),
+    ("evaluate", {"grid": {"extent": "wide"}}, "grid.extent"),
+    ("evaluate", {"grid": {"boundary": 3}}, "grid.boundary"),
+    ("evaluate", {"out": 7}, "out"),
+    ("evaluate", {"solver": {"max_newton": 2.5}}, "solver.max_newton"),
+    ("variation-check", {"seeds": "x"}, "seeds"),
+])
+def test_mistyped_config_value_exits_1_naming_the_key(tmp_path, capsys, command,
+                                                      document, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg),
+                             "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert repr(key) in payload["detail"]
 
 
 def test_malformed_json_line_column(tmp_path, capsys):
@@ -280,6 +308,32 @@ def test_solve_steady_cli_periodic_decay(tmp_path, capsys):
     payload = last_json(out)
     assert payload["converged"] is True
     assert payload["satisfied"] is True
+
+
+def _wall_scenario(path, top=0.0, left=0.0):
+    """12x12 unit-box quartet whose u_0 is ``top`` on the top wall and ``left``
+    on the interior nodes of the left wall, every other value zero."""
+    g = Grid((1.0, 1.0), (12, 12), ("wall", "wall"))
+    u0 = np.zeros(g.shape)
+    u0[:, -1] = top
+    u0[0, 1:-1] = left
+    vel = VectorField(g, (ScalarField(g, u0), ScalarField.zeros(g)))
+    write_quartet_csv(str(path), FieldQuartet(vel, ScalarField.zeros(g), vel,
+                                              ScalarField.zeros(g)))
+    return ("--scenario", f"file:{path}", "--n", "12", "--boundary", "wall",
+            "--extent", "1", "--nu", "1")
+
+
+@pytest.mark.parametrize("scenario, budget", [
+    ({"left": 1.0}, ()),                      # inflow with no outflow
+    ({"top": 1.0}, ("--max-newton", "1")),    # the cavity needs three steps
+], ids=["mass-incompatible", "newton-budget"])
+def test_solve_steady_failure_exits_2(tmp_path, capsys, scenario, budget):
+    flags = _wall_scenario(tmp_path / "data", **scenario)
+    code, out, _ = run_cli(capsys, "solve-steady", *flags, *budget,
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert last_json(out)["converged"] is False
 
 
 def test_newton_dual_cli_rejects_default_grid(tmp_path, capsys):

@@ -155,28 +155,28 @@ GOLDEN = {
     },
     "solve-steady-periodic": {
         "exit": 0,
-        "stdout": "59fec7f6dd158236a30ab5ba656a00c17c1ef619b9f66986f8815aacc0115fbd",
+        "stdout": "a7c9327a35bd73fc551c6e07741479aa6088356770a0cad36ad079c59e9e7c6c",
         "files": {
-            "certificate.json": "d5c9ece5065b1db2b02373fefe065ca93a6c4bad90f8793ee879f9421ab62a1b",
-            "p.csv": "5a29ed62ba3bcb0b1bdb50b25a5ba6df7b84fe579ddef816ce600bc92f19dd1c",
-            "r.csv": "5a29ed62ba3bcb0b1bdb50b25a5ba6df7b84fe579ddef816ce600bc92f19dd1c",
-            "u_0.csv": "c46672d1c0b419f38d28e550c71396445961bf7e90888bc1409c3b501084cdc3",
-            "u_1.csv": "24bd9109acd9912b97ed683173b90a9cd598afd215d8c08a52db0ca1cb883da7",
-            "w_0.csv": "c46672d1c0b419f38d28e550c71396445961bf7e90888bc1409c3b501084cdc3",
-            "w_1.csv": "24bd9109acd9912b97ed683173b90a9cd598afd215d8c08a52db0ca1cb883da7",
+            "certificate.json": "422b257678713a7c5b429ff73648d1ef9e1ed6b011b82ad1cb3b5e0dcbdbf5cd",
+            "p.csv": "103c70749072e43178f6d21a7b29c001786cf30d6a6c7b029eb49f9bbad7a115",
+            "r.csv": "103c70749072e43178f6d21a7b29c001786cf30d6a6c7b029eb49f9bbad7a115",
+            "u_0.csv": "740286f926cac1bbd5c8fadd953a82add88f821ea8afac718be35c8ae410eb0a",
+            "u_1.csv": "80dccd931092c8c9854787138d0b0a884e69f447b415b3a0d54d1e72e77b09f8",
+            "w_0.csv": "740286f926cac1bbd5c8fadd953a82add88f821ea8afac718be35c8ae410eb0a",
+            "w_1.csv": "80dccd931092c8c9854787138d0b0a884e69f447b415b3a0d54d1e72e77b09f8",
         },
     },
     "solve-steady-wall": {
         "exit": 0,
-        "stdout": "3a6a98c14556fb37d656e73f0b6ace4403646b83809ee45ae842d8b5a5fcfe67",
+        "stdout": "69c6e883ab7adf5fe313d9c06fbbd50119c4662abc0a67254c4d1b6deaa54d3d",
         "files": {
-            "certificate.json": "435d0a9785704e9b730da87d7904b24d0f3a6041d668d2d9665f636c2530b28e",
-            "p.csv": "ffdd016b310da3db1b9a2c18a5d1b8a0024631b5df89b3f1d56ae8069417e2cc",
-            "r.csv": "ffdd016b310da3db1b9a2c18a5d1b8a0024631b5df89b3f1d56ae8069417e2cc",
-            "u_0.csv": "910efda42d2b82acb2e0a92601dc26215e6945419bd61cf76ed591449a062f5b",
-            "u_1.csv": "4b40405a3c4d9e471e265c120ffcb5a618ab569048a72dc0f07f0ee58ee5ec44",
-            "w_0.csv": "910efda42d2b82acb2e0a92601dc26215e6945419bd61cf76ed591449a062f5b",
-            "w_1.csv": "4b40405a3c4d9e471e265c120ffcb5a618ab569048a72dc0f07f0ee58ee5ec44",
+            "certificate.json": "97cc8f3763d0f4a2b6d392a90c01ace71b20f2e552b8e1ff22a1eec07be8b6c1",
+            "p.csv": "8136f7c8e181b1ba29a3bd930f63f86ce8a3880d0f266ec63113d68bfc827b72",
+            "r.csv": "8136f7c8e181b1ba29a3bd930f63f86ce8a3880d0f266ec63113d68bfc827b72",
+            "u_0.csv": "a9c100cb0c6e1fc54986d298a3ae3d0a5bfc3731c3721d384756e3e180a46d17",
+            "u_1.csv": "f403c5fc8ec4b3faab2bd55a0ef77cd4f8c97fb0b0d15dcbf619fcaed3bb91a4",
+            "w_0.csv": "a9c100cb0c6e1fc54986d298a3ae3d0a5bfc3731c3721d384756e3e180a46d17",
+            "w_1.csv": "f403c5fc8ec4b3faab2bd55a0ef77cd4f8c97fb0b0d15dcbf619fcaed3bb91a4",
         },
     },
     "solve-unsteady": {

@@ -7,10 +7,15 @@ from varns.grids import (
     ScalarField,
     VectorField,
     divergence,
+    gradient,
+    laplacian,
     periodic_square,
 )
 from varns.lagrangian import el_residuals, evaluate_lagrangian
+from varns.scenarios import random_quartet
+from varns import solver
 from varns.solver import (
+    ConvergenceError,
     SolveConfig,
     StagnationError,
     kinetic_energy_series,
@@ -211,8 +216,30 @@ def test_newton_rejects_oversized_problem(n, time_nodes):
 
 
 # ---------------------------------------------------------------------------
-# steady pseudo-time solve
+# steady Newton solve
 # ---------------------------------------------------------------------------
+
+def steady_residuals(q, data, nu):
+    """Independent recomputation of the steady discrete residual of ``q`` with
+    the ``grids`` operators, P = q + |u|^2 / 2: the largest interior momentum
+    residual, the largest divergence over every node that some interior
+    central stencil reaches (all but the nodes on two or more wall faces) and
+    the largest departure from ``data`` on wall nodes."""
+    g, u = q.grid, q.u
+    P = ScalarField(g, q.p.values + 0.5 * sum(c.values ** 2 for c in u.components))
+    faces = np.zeros(g.shape, dtype=int)
+    for a, (n, kind) in enumerate(zip(g.nodes, g.boundaries)):
+        if kind == "wall":
+            on_face = np.isin(np.arange(n), (0, n - 1))
+            faces += on_face.reshape([n if b == a else 1 for b in range(g.dim + 1)])
+    mom = max(np.abs(nu * laplacian(u[i]).values
+                     - sum(u[j].values * gradient(u[i], j).values for j in range(g.dim))
+                     - gradient(P, i).values)[faces == 0].max() for i in range(g.dim))
+    div = np.abs(divergence(u).values)[faces <= 1].max()
+    wall = max(np.abs(u[i].values - data[i].values)[faces > 0].max(initial=0.0)
+               for i in range(g.dim))
+    return mom, div, wall
+
 
 def test_steady_zero_data_zero_solution():
     g = Grid((1.0, 1.0), (12, 12), ("wall", "wall"))
@@ -246,12 +273,101 @@ def test_steady_cavity_low_reynolds_certificate():
 
 
 def test_steady_stagnation_reported():
+    # the cavity needs three Newton steps; a budget of one is exhausted
     g = Grid((1.0, 1.0), (12, 12), ("wall", "wall"))
     X, Y, _ = g.meshes()
     lid = np.where(Y >= 1.0 - 1e-12, 1.0, 0.0)
     bdata = mkv(g, [lid, 0 * lid])
     with pytest.raises(StagnationError):
-        steady_solve(bdata, SolveConfig(nu=1.0), g, max_steps=40)
+        steady_solve(bdata, SolveConfig(nu=1.0, max_newton=1), g)
+
+
+def test_steady_mass_incompatible_data_reported():
+    # inflow through the left wall and no outflow: no discretely
+    # divergence-free field takes these wall values
+    g = Grid((1.0, 1.0), (12, 12), ("wall", "wall"))
+    inflow = np.zeros(g.shape)
+    inflow[0, 1:-1] = 1.0
+    bdata = mkv(g, [inflow, 0 * inflow])
+    with pytest.raises(StagnationError, match="mass-compatible") as info:
+        steady_solve(bdata, SolveConfig(nu=1.0), g)
+    assert len(info.value.history) >= 2
+
+
+@pytest.mark.parametrize("grid", [
+    Grid((1.0, 1.0), (16, 16), ("wall", "wall")),
+    Grid((2 * np.pi, 1.0), (8, 9), ("periodic", "wall")),
+    Grid((1.0, 1.0, 1.0), (6, 6, 6), ("wall", "wall", "wall")),
+], ids=["cavity-16x16", "couette-8x9", "box-6x6x6"])
+def test_steady_solution_satisfies_the_discrete_system(grid):
+    # lid data on the top wall of the last axis: a cavity, a Couette channel
+    # (periodic along the wall) and a 3D box
+    meshes = grid.meshes()
+    top = np.where(meshes[grid.dim - 1] >= 1.0 - 1e-12, 1.0, 0.0)
+    data = mkv(grid, [top] + [0 * top] * (grid.dim - 1))
+    q = steady_solve(data, SolveConfig(nu=1.0, newton_tol=1e-12), grid)
+    assert max(steady_residuals(q, data, 1.0)) <= 1e-8
+    if grid.boundaries[0] == "periodic":
+        # Couette flow: the exact discrete solution is the linear profile
+        assert np.abs(q.u[0].values - meshes[1]).max() <= 1e-12
+        assert np.abs(q.u[1].values).max() <= 1e-12
+
+
+def test_steady_fine_cavity_meets_an_absolute_residual_bound():
+    # the stopping rule is absolute: at 96^2 the lid jump makes the initial
+    # residual large, and a rule relative to it would stop short of newton_tol
+    g = Grid((1.0, 1.0), (96, 96), ("wall", "wall"))
+    X, Y, _ = g.meshes()
+    lid = np.where(Y >= 1.0 - 1e-12, 1.0, 0.0)
+    data = mkv(g, [lid, 0 * lid])
+    q = steady_solve(data, SolveConfig(nu=1.0, newton_tol=1e-8), g)
+    assert max(steady_residuals(q, data, 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_steady_periodic_grids_beyond_a_direct_factorization(n):
+    # all-periodic grids take no sparse LU, so they have no size limit
+    g = Grid((2 * np.pi, 2 * np.pi), (n, n), ("periodic", "periodic"))
+    X, Y, _ = g.meshes()
+    init = mkv(g, [-np.cos(X) * np.sin(Y), np.sin(X) * np.cos(Y)])
+    q = steady_solve(None, SolveConfig(nu=0.2), g, initial=init)
+    assert max(np.abs(c.values).max() for c in q.u.components) <= 1e-10
+    assert max(steady_residuals(q, VectorField.zeros(g), 0.2)) <= 1e-10
+
+
+def test_steady_pseudo_time_reaches_the_rest_state_newton_misses():
+    # at nu = 0.05 plain Newton from this field wanders for 25 steps; the
+    # pseudo-time steps lead it to the state a time march decays to: the
+    # uniform flow at the initial mean velocity
+    g = Grid((2 * np.pi, 2 * np.pi), (32, 32), ("periodic", "periodic"))
+    init = random_quartet(g, 2).u
+    q = steady_solve(None, SolveConfig(nu=0.05), g, initial=init)
+    for c, c0 in zip(q.u.components, init.components):
+        assert np.abs(c.values - c0.values.mean()).max() <= 1e-8
+    assert max(steady_residuals(q, VectorField.zeros(g), 0.05)) <= 1e-9
+
+
+@pytest.mark.parametrize("nodes", [(164, 164), (16, 16, 16)])
+def test_steady_wall_grid_above_the_direct_solve_limit_rejected(nodes):
+    g = Grid((1.0,) * len(nodes), nodes, ("wall",) * len(nodes))
+    with pytest.raises(ValueError, match="too large"):
+        steady_solve(VectorField.zeros(g), SolveConfig(nu=1.0), g)
+
+
+def test_singular_newton_jacobian_reported(monkeypatch):
+    def singular(_):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(solver.spla, "splu", singular)
+    g = Grid((1.0, 1.0), (8, 8), ("wall", "wall"))
+    X, Y, _ = g.meshes()
+    lid = np.where(Y >= 1.0 - 1e-12, 1.0, 0.0)
+    # a solver breakdown of the steady solve, not a usage error
+    with pytest.raises(ConvergenceError, match="singular steady Newton Jacobian"):
+        steady_solve(mkv(g, [lid, 0 * lid]), SolveConfig(nu=1.0), g)
+    # newton-dual keeps its own advice
+    gu = periodic_square(6, time_nodes=4, dt=0.02)
+    with pytest.raises(np.linalg.LinAlgError, match="continuation_steps"):
+        newton_dual(FieldQuartet.zeros(gu), taylor_green(0.5, gu).u, SolveConfig(nu=0.5), gu)
 
 
 def test_steady_argument_validation():
