@@ -6,7 +6,9 @@ under the output directory (``--out``, then the config, then ``$VARNS_OUT``,
 then ``./varns-out``) and prints a one-line JSON summary to stdout.
 
 Exit codes: 0 success / checks passed, 2 checks failed (resonance, unmet
-certificate, non-convergence, order band violation), 1 usage or config error.
+certificate, non-convergence, order band violation), 1 usage or config error
+(an unknown subcommand, flag or key, a malformed, mistyped or non-finite
+value): the parser checks every flag, ``_reject_unknown`` every config value.
 """
 
 from __future__ import annotations
@@ -90,13 +92,14 @@ class ConfigError(Exception):
 
 
 #: JSON types a config value may take, and their name, by the type of its default
-_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
           str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
 
 
 def _reject_unknown(loaded: dict, template: dict, path: str = ""):
-    """Reject unknown keys and values whose JSON type is not their default's;
-    a list default (grid extent, nodes, boundary) takes one element or a list."""
+    """Reject unknown keys and values whose JSON type is not their default's, and
+    non-finite numbers (NaN, Infinity, overflow); a list default (grid extent,
+    nodes, boundary) takes one element or a list."""
     for key, val in loaded.items():
         if key not in template:
             raise ConfigError(f"unknown config key {path + key!r}")
@@ -110,6 +113,7 @@ def _reject_unknown(loaded: dict, template: dict, path: str = ""):
         types, what = _KINDS[type(default[0] if listed else default)]
         # true/false load as bool, an int subclass, and no key takes them
         if not all(isinstance(v, types) and not isinstance(v, bool)
+                   and not (isinstance(v, float) and not math.isfinite(v))
                    for v in (val if listed and isinstance(val, list) else [val])):
             raise ConfigError(f"config key {path + key!r} must be {what}"
                               f"{' or a list of them' if listed else ''}, got {json.dumps(val)}")
@@ -147,10 +151,10 @@ def load_config(args) -> dict:
     if getattr(args, "n", None) is not None:
         g["nodes"] = [args.n] * g["dim"]
     if getattr(args, "nodes", None) is not None:
-        g["nodes"] = [int(v) for v in args.nodes.split(",")]
-    for key, conv in (("extent", float), ("boundary", str)):
-        if getattr(args, key, None) is not None:
-            vals = [conv(v) for v in getattr(args, key).split(",")]
+        g["nodes"] = args.nodes
+    for key in ("extent", "boundary"):
+        vals = getattr(args, key, None)
+        if vals is not None:
             g[key] = vals * g["dim"] if len(vals) == 1 else vals
     return cfg
 
@@ -431,23 +435,41 @@ def cmd_taylor_green_verify(args, cfg, out, base, state) -> int:
 # command table and parser
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """Flag type of a number; nan, inf and overflow are rejected as malformed."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _comma_list(convert):
+    """Flag type of a comma list of ``convert`` values."""
+    def comma_list(text: str) -> list:
+        return [convert(v) for v in text.split(",")]
+    return comma_list
+
+
 _COMMON_FLAGS = {
     "--config": {"help": "JSON config document"},
     "--out": {"help": "output directory"},
-    "--nu": {"type": float},
+    "--nu": {"type": _finite},
     "--n": {"type": int, "help": "nodes per spatial axis"},
-    "--nodes": {"help": "comma list of nodes per axis"},
+    "--nodes": {"type": _comma_list(int), "help": "comma list of nodes per axis"},
     "--dim": {"type": int},
-    "--extent": {"help": "comma list of extents (or one value)"},
-    "--boundary": {"help": "comma list: periodic|wall"},
+    "--extent": {"type": _comma_list(_finite), "help": "comma list of extents (or one value)"},
+    "--boundary": {"type": _comma_list(str), "help": "comma list: periodic|wall"},
     "--time-nodes": {"type": int},
-    "--dt": {"type": float},
+    "--dt": {"type": _finite},
     "--scenario": {},
     "--seeds": {"type": int},
-    "--newton-tol": {"type": float},
+    "--newton-tol": {"type": _finite},
     "--max-newton": {"type": int},
     "--continuation-steps": {"type": int},
-    "--linear-tol": {"type": float},
+    "--linear-tol": {"type": _finite},
     "--print-config": {"action": "store_true"},
 }
 
@@ -467,10 +489,10 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "oscillator": _Command(cmd_oscillator, grid=None, scenario=False, flags={
-        "--a": {"type": float, "default": 1.0},
-        "--b": {"type": float, "default": 20.0},
-        "--alpha": {"type": float, "default": 0.0},
-        "--beta": {"type": float, "default": 1.0},
+        "--a": {"type": _finite, "default": 1.0},
+        "--b": {"type": _finite, "default": 20.0},
+        "--alpha": {"type": _finite, "default": 0.0},
+        "--beta": {"type": _finite, "default": 1.0},
         "--osc-n": {"type": int, "default": 257}}),
     "evaluate": _Command(cmd_evaluate),
     "residual": _Command(cmd_residual),
@@ -484,14 +506,23 @@ _COMMANDS = {
     "solve-unsteady": _Command(cmd_solve_unsteady),
     "solve-steady": _Command(cmd_solve_steady, grid="steady", scenario=False),
     "newton-dual": _Command(cmd_newton_dual, flags={
-        "--perturb-w": {"type": float, "default": 0.0}}),
+        "--perturb-w": {"type": _finite, "default": 0.0}}),
     "taylor-green-verify": _Command(cmd_taylor_green_verify, scenario=False, flags={
         "--refine": {"type": int, "default": 3}}),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line (unknown subcommand or flag, malformed value) is a
+    usage error with exit code 1; argparse itself would exit with 2, the code
+    of a failed check."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varns",
         description="dual-field variational laboratory for incompressible flow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,9 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
         if args.print_config:
             print(json.dumps(cfg, sort_keys=True, indent=2))

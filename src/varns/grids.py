@@ -4,7 +4,8 @@ Everything downstream (functional evaluation, residuals, solvers) is built
 from the operators in this module: second-order central differences with
 one-sided closures at wall boundaries, trapezoid/rectangle quadrature, and
 surface quadrature over wall faces. All operators are pure functions of
-immutable inputs.
+immutable inputs. Every sparse stencil matrix is built here, as the kernels
+``_d1``/``_d2`` applied to an identity (``_stencil_matrix(es)``).
 
 Field values are stored as float64 arrays of shape ``(*space_nodes,
 time_nodes)``; the time axis is always last. A grid with ``time_nodes == 1``
@@ -13,10 +14,12 @@ encodes a steady problem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 PERIODIC = "periodic"
 WALL = "wall"
@@ -246,6 +249,23 @@ def _d2(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
         out[sl(0)] = (arr[sl(0)] - 2 * arr[sl(1)] + arr[sl(2)]) / h**2
         out[sl(-1)] = out[sl(0)]
     return out
+
+
+def _stencil_matrix(op: Callable, n: int, h: float, periodic: bool) -> sp.csr_matrix:
+    """The kernel ``op`` (``_d1``/``_d2``) on ``n`` nodes: ``op`` of the identity."""
+    return sp.csr_matrix(op(np.eye(n), 0, h, periodic))
+
+
+def _stencil_matrices(grid: Grid):
+    """Sparse first-derivative matrices (one per axis) and Laplacian on a slice:
+    the 1D stencil matrices lifted with ``sp.kron``."""
+    def lift(op, axis):
+        factors = [sp.identity(n) for n in grid.nodes]
+        factors[axis] = _stencil_matrix(op, grid.nodes[axis], grid.spacing(axis),
+                                        grid.boundaries[axis] == PERIODIC)
+        return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+    axes = range(grid.dim)
+    return [lift(_d1, a) for a in axes], sum(lift(_d2, a) for a in axes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ Four routes to the stationary point:
   u = w and functional value zero,
 * a Newton solve of the steady discrete Navier-Stokes system on periodic and
   wall-bounded boxes (w = u, r = p); both Newton solves share one damped
-  loop and the stencil matrices of ``grids._d1``/``_d2``. Their linear
-  systems are solved by sparse LU, except the steady ones on all-periodic
-  grids: GMRES preconditioned by the Fourier inverse of the linear part.
+  loop, one viscosity-continuation ladder and the stencil matrices that
+  ``grids._stencil_matrices`` builds. Their linear systems are solved by
+  sparse LU, except the steady ones on all-periodic grids: GMRES
+  preconditioned by the Fourier inverse of the linear part.
 
 Periodic stencil systems (viscous solve, projection, pressure recovery) are
 solved exactly in Fourier space: the FFT diagonalizes every circulant
@@ -40,7 +41,8 @@ from .grids import (
     ScalarField,
     VectorField,
     _d1,
-    _d2,
+    _stencil_matrices,
+    _stencil_matrix,
     _wall_boundary_mask,
     integrate_spacetime,
     slice_integrals,
@@ -265,18 +267,6 @@ def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
 # monolithic space-time Newton solve of the stationarity system
 # ---------------------------------------------------------------------------
 
-def _stencil_matrices(grid: Grid):
-    """Sparse first-derivative matrices (one per axis) and Laplacian on a slice:
-    ``grids._d1``/``_d2`` of identity matrices lifted with ``sp.kron``."""
-    def lift(op, axis):
-        factors = [sp.identity(n) for n in grid.nodes]
-        factors[axis] = sp.csr_matrix(op(np.eye(grid.nodes[axis]), 0, grid.spacing(axis),
-                                         grid.boundaries[axis] == PERIODIC))
-        return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-    axes = range(grid.dim)
-    return [lift(_d1, a) for a in axes], sum(lift(_d2, a) for a in axes)
-
-
 class _DualNewtonSystem:
     """Residual and Jacobian of the discrete system in space-time Kronecker form.
 
@@ -298,7 +288,7 @@ class _DualNewtonSystem:
         self.S, self.T = S, T
         I_S, I_T = sp.identity(S), sp.identity(T)
         DX, LAP = _stencil_matrices(grid)
-        DT = sp.csr_matrix(_d1(np.eye(T), 0, grid.dt, periodic=False))
+        DT = _stencil_matrix(_d1, T, grid.dt, periodic=False)
         self.DX = [sp.kron(I_T, d, format="csr") for d in DX]
         self.LAP = sp.kron(I_T, LAP, format="csr")
         self.DT = sp.kron(DT, I_S, format="csr")
@@ -465,10 +455,8 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     """Damped Newton iteration on the monolithic discrete stationarity system.
 
     ``data`` supplies the shared initial velocity (its t=0 slice); when None
-    the seed's own u at t=0 is used. A viscosity-continuation ladder is run
-    first when ``continuation_steps`` > 0: the solve starts at ten times the
-    target viscosity and halves toward it, reusing each result as the next
-    seed.
+    the seed's own u at t=0 is used. With ``continuation_steps`` > 0 the
+    solve runs the viscosity ladder of :func:`_viscosity_ladder`.
     """
     _require_periodic_2d(grid, unsteady=True)
     if seed.grid != grid:
@@ -481,16 +469,11 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     d0, d1 = source[0].values[..., 0], source[1].values[..., 0]
     _require_divergence_free(d0, d1, grid, "data")
 
-    ladder = [config.nu * 10.0 * 0.5 ** j for j in range(config.continuation_steps)]
-    ladder = [nu for nu in ladder if nu > config.nu] + [config.nu]
-
     z = None
-    for stage, nu in enumerate(ladder):
+    for nu, tol in _viscosity_ladder(config):
         system = _DualNewtonSystem(grid, nu, d0, d1)
         if z is None:
             z = system.pack(seed)
-        final_stage = stage == len(ladder) - 1
-        tol_here = config.newton_tol if final_stage else max(config.newton_tol, 1e-6)
         record = ([], [], [])          # history of the stage that finishes last
 
         def log(zz, norm, system=system, record=record):
@@ -499,7 +482,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
                 h.append(x)
 
         try:
-            z, ok = _newton_loop(system, z, config, tol_here, log)
+            z, ok = _newton_loop(system, z, config, tol, log)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "singular stationarity Jacobian; increase continuation_steps "
@@ -509,6 +492,17 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     # the last system built is the one at the target viscosity unless a stage failed
     message = "converged" if ok else f"Newton did not converge at viscosity {nu}"
     return Trajectory(system.to_quartet(z), *(np.array(h) for h in record), ok, message)
+
+
+def _viscosity_ladder(config: SolveConfig) -> list[tuple[float, float]]:
+    """(viscosity, tolerance) of each rung of the continuation both Newton solves
+    run. With ``continuation_steps`` > 0 the solve starts at ten times the target
+    viscosity and halves toward it, each rung to a tolerance of at least 1e-6 and
+    seeded with the last rung's result; the last rung is the target at
+    ``newton_tol``."""
+    rungs = [config.nu * 10.0 * 0.5 ** j for j in range(config.continuation_steps)]
+    loose = max(config.newton_tol, 1e-6)
+    return [(nu, loose) for nu in rungs if nu > config.nu] + [(config.nu, config.newton_tol)]
 
 
 def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
@@ -690,10 +684,11 @@ def steady_solve(boundary_data: VectorField | None, config: SolveConfig,
     ``boundary_data`` holds the wall velocities (None on all-periodic grids),
     ``initial`` the starting interior velocity (zero when None). The solve stops
     when the largest residual entry is at most ``newton_tol`` times the data scale
-    max(1, |data|, |initial|). Raises :class:`StagnationError` when
-    ``config.max_newton`` steps do not get there or the wall data is not
-    discretely mass-compatible (a multiplier c_k above that tolerance), and
-    :class:`ConvergenceError` on a singular Jacobian."""
+    max(1, |data|, |initial|); with ``continuation_steps`` > 0 it first runs the
+    rungs of :func:`_viscosity_ladder`, each to its tolerance times that scale.
+    Raises :class:`StagnationError` when ``config.max_newton`` steps do not get
+    there or the wall data is not discretely mass-compatible (a multiplier c_k
+    above that tolerance), and :class:`ConvergenceError` on a singular Jacobian."""
     if not grid.steady:
         raise ValueError("steady_solve needs a steady grid (time_nodes == 1)")
     walls = any(b != PERIODIC for b in grid.boundaries)
@@ -708,25 +703,28 @@ def steady_solve(boundary_data: VectorField | None, config: SolveConfig,
                          f"unknowns, limit {limit} with a wall axis)")
     flat = lambda vec: (np.zeros((grid.dim, S)) if vec is None
                         else np.array([c.values[..., 0].ravel() for c in vec.components]))
-    data = flat(boundary_data)
-    system = _SteadyNewtonSystem(grid, config.nu, data, flat(initial))
-    # the largest residual entry must reach newton_tol times the data scale;
-    # _newton_loop scales its tolerance by the initial norm, which is undone here
-    tol = config.newton_tol * max(1.0, np.abs(system.z0).max())
+    data, start = flat(boundary_data), flat(initial)
     largest = lambda F: np.abs(F).max()
-    history = []
-    try:
-        z, ok = _newton_loop(system, system.z0, config,
-                             tol / max(1.0, largest(system.residual(system.z0))),
-                             lambda z, norm: history.append(norm), largest)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular steady Newton Jacobian ({exc})",
-                               history=history) from exc
-    if not ok:
-        raise StagnationError(
-            f"steady Newton stopped at residual {history[-1]:.3e} (tolerance {tol:.3e}) "
-            f"after {len(history) - 1} of at most {config.max_newton} steps",
-            history=history)
+    z = None
+    for nu, tol in _viscosity_ladder(config):
+        system = _SteadyNewtonSystem(grid, nu, data, start)
+        if z is None:
+            z = system.z0
+        # the largest residual entry must reach tol times the data scale;
+        # _newton_loop scales its tolerance by the initial norm, which is undone here
+        tol = tol * max(1.0, np.abs(system.z0).max())
+        history = []
+        try:
+            z, ok = _newton_loop(system, z, config, tol / max(1.0, largest(system.residual(z))),
+                                 lambda z, norm: history.append(norm), largest)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular steady Newton Jacobian ({exc})",
+                                   history=history) from exc
+        if not ok:
+            raise StagnationError(
+                f"steady Newton stopped at residual {history[-1]:.3e} (tolerance {tol:.3e}) "
+                f"after {len(history) - 1} of at most {config.max_newton} steps "
+                f"at viscosity {nu}", history=history)
     defect = np.abs(system.unpack(z)[2][system.watched]).max()
     if defect > tol:
         raise StagnationError("wall data is not discretely mass-compatible (divergence "

@@ -133,6 +133,43 @@ def test_mistyped_config_value_exits_1_naming_the_key(tmp_path, capsys, command,
     assert repr(key) in payload["detail"]
 
 
+@pytest.mark.parametrize("argv, document, name", [
+    (("evaluate", "--n", "abc"), None, "--n"),
+    (("evaluate", "--bogus", "1"), None, "--bogus"),
+    (("frobnicate",), None, "frobnicate"),
+    (("oscillator", "--b", "inf"), None, "--b"),
+    (("oscillator", "--alpha", "nan"), None, "--alpha"),
+    (("evaluate", "--nu", "nan"), None, "--nu"),
+    (("evaluate", "--dt", "nan"), None, "--dt"),
+    (("evaluate", "--extent", "inf"), None, "--extent"),
+    (("evaluate",), '{"nu": NaN}', "'nu'"),
+    (("evaluate",), '{"grid": {"dt": Infinity}}', "'grid.dt'"),
+    (("evaluate",), '{"grid": {"extent": [1, -Infinity]}}', "'grid.extent'"),
+    (("evaluate",), '{"solver": {"newton_tol": 1e999}}', "'solver.newton_tol'"),
+], ids=["bad-int", "unknown-flag", "unknown-subcommand", "flag-inf", "flag-nan",
+        "nu-nan", "dt-nan", "extent-inf", "config-nan", "config-inf",
+        "config-list-inf", "config-overflow"])
+def test_usage_error_exits_1_naming_the_flag_or_key(tmp_path, capsys, argv, document,
+                                                    name):
+    if document is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(document)
+        argv = (*argv, "--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert set(payload) == {"error", "detail"}
+    assert name in payload["detail"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    assert "--nu" in capsys.readouterr().out
+
+
 def test_malformed_json_line_column(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{\n  "nu": 0.1,\n  oops\n}')
@@ -334,6 +371,15 @@ def test_solve_steady_failure_exits_2(tmp_path, capsys, scenario, budget):
                            "--out", str(tmp_path / "out"))
     assert code == 2
     assert last_json(out)["converged"] is False
+
+
+def test_solve_steady_honours_continuation_steps(tmp_path, capsys):
+    # without the ladder this solve runs out of Newton steps and exits 2
+    code, out, _ = run_cli(capsys, "solve-steady", "--scenario", "random:2",
+                           "--nu", "0.01", "--continuation-steps", "3",
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert last_json(out)["converged"] is True
 
 
 def test_newton_dual_cli_rejects_default_grid(tmp_path, capsys):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from varns import oscillator
+from varns.grids import _d1, _d2
 from varns.oscillator import (
     OscillatorProblem,
     ResonanceError,
@@ -113,6 +117,45 @@ def test_well_posed_flag():
     assert not OscillatorProblem(0.0, np.pi ** 2, 0.0, 1.0, 10).well_posed
     # b = a^2 (double root) is uniquely solvable, not a resonance
     assert OscillatorProblem(2.0, 4.0, 0.0, 1.0, 10).well_posed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(-3.0, 3.0), b=st.floats(-20.0, 120.0), n=st.integers(8, 300),
+       alpha=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0))
+def test_solution_satisfies_the_interior_rows(a, b, n, alpha, beta):
+    # away from resonance: sqrt(b - a^2) / pi at least 0.05 from every m >= 1
+    if b > a * a:
+        ratio = np.sqrt(b - a * a) / np.pi
+        assume(round(ratio) < 1 or abs(ratio - round(ratio)) >= 0.05)
+    pr = OscillatorProblem(a, b, alpha, beta, n)
+    sol = solve_oscillator_vp(pr)
+    y1, y2, h = sol.y1, sol.y2, pr.h
+    # the Euler-Lagrange rows, evaluated with the array stencils
+    rows = [_d2(y, 0, h, periodic=False) + 2 * a * _d1(z, 0, h, periodic=False) + b * y
+            for y, z in ((y1, y2), (y2, y1))]
+    scale = max(np.abs(y1).max(), np.abs(y2).max()) * (4 / h ** 2 + 2 * abs(a) / h + abs(b))
+    assert max(np.abs(r[1:-1]).max() for r in rows) <= 1e-10 * scale
+    assert y1[0] == y2[0] == alpha and y1[-1] == y2[-1] == beta
+
+
+def test_condition_estimate_is_deterministic_and_draws_no_random_numbers():
+    pr = OscillatorProblem(1.0, 20.0, 0.0, 1.0, 257)
+    np.random.seed(7)
+    before = np.random.get_state()
+    first = solve_oscillator_vp(pr).condition_estimate
+    second = solve_oscillator_vp(pr).condition_estimate
+    after = np.random.get_state()
+    assert first == second
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
+def test_singular_factor_reported(monkeypatch):
+    def singular(_):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(oscillator.spla, "splu", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="singular discrete system"):
+        solve_oscillator_vp(OscillatorProblem(1.0, 20.0, 0.0, 1.0, 16))
 
 
 def test_near_resonance_condition_estimate_blows_up():

@@ -347,6 +347,40 @@ def test_steady_pseudo_time_reaches_the_rest_state_newton_misses():
     assert max(steady_residuals(q, VectorField.zeros(g), 0.05)) <= 1e-9
 
 
+@pytest.mark.parametrize("dim, n, nu", [(2, 32, 0.01), (3, 8, 0.1)],
+                         ids=["32x32-nu0.01", "8x8x8-nu0.1"])
+def test_steady_continuation_converges_where_a_direct_solve_stalls(dim, n, nu):
+    # from random:2 a direct solve runs out of its 25 steps on both grids
+    # (residual 2.5 on 32^2, 0.33 on 8^3); the viscosity ladder converges
+    g = Grid((2 * np.pi,) * dim, (n,) * dim, ("periodic",) * dim)
+    init = random_quartet(g, 2).u
+    q = steady_solve(None, SolveConfig(nu=nu, continuation_steps=3), g, initial=init)
+    assert max(steady_residuals(q, VectorField.zeros(g), nu)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["periodic-32x32-nu0.05", "cavity-16x16-nu0.01"])
+def test_steady_continuation_matches_the_direct_solve(case):
+    if case.startswith("periodic"):
+        g = Grid((2 * np.pi, 2 * np.pi), (32, 32), ("periodic", "periodic"))
+        data, init, nu = None, random_quartet(g, 2).u, 0.05
+    else:
+        g = Grid((1.0, 1.0), (16, 16), ("wall", "wall"))
+        lid = np.where(g.meshes()[1] >= 1.0 - 1e-12, 1.0, 0.0)
+        data, init, nu = mkv(g, [lid, 0 * lid]), None, 0.01
+    direct = steady_solve(data, SolveConfig(nu=nu), g, initial=init)
+    ladder = steady_solve(data, SolveConfig(nu=nu, continuation_steps=3), g, initial=init)
+    for a, b in zip(direct.u.components, ladder.u.components):
+        assert np.abs(a.values - b.values).max() <= 1e-9
+
+
+def test_viscosity_ladder_rungs():
+    rungs = solver._viscosity_ladder(SolveConfig(nu=0.1, newton_tol=1e-10,
+                                                 continuation_steps=5))
+    # 10 nu halved: 1.0, 0.5, 0.25, 0.125; 0.0625 is below the target
+    assert rungs == [(1.0, 1e-6), (0.5, 1e-6), (0.25, 1e-6), (0.125, 1e-6), (0.1, 1e-10)]
+    assert solver._viscosity_ladder(SolveConfig(nu=0.1)) == [(0.1, 1e-10)]
+
+
 @pytest.mark.parametrize("nodes", [(164, 164), (16, 16, 16)])
 def test_steady_wall_grid_above_the_direct_solve_limit_rejected(nodes):
     g = Grid((1.0,) * len(nodes), nodes, ("wall",) * len(nodes))
