@@ -24,6 +24,10 @@ import scipy.sparse as sp
 PERIODIC = "periodic"
 WALL = "wall"
 
+#: identity columns a stencil matrix is built from at a time, so that building
+#: it takes memory linear in the node count
+_STENCIL_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -252,8 +256,12 @@ def _d2(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
 
 
 def _stencil_matrix(op: Callable, n: int, h: float, periodic: bool) -> sp.csr_matrix:
-    """The kernel ``op`` (``_d1``/``_d2``) on ``n`` nodes: ``op`` of the identity."""
-    return sp.csr_matrix(op(np.eye(n), 0, h, periodic))
+    """The kernel ``op`` (``_d1``/``_d2``) on ``n`` nodes: ``op`` of the identity,
+    applied to ``_STENCIL_BLOCK`` of its columns at a time (it acts on each
+    column alone, so every bit is the same)."""
+    return sp.hstack([sp.csr_matrix(op(np.eye(n, min(_STENCIL_BLOCK, n - j), -j), 0, h,
+                                       periodic))
+                      for j in range(0, n, _STENCIL_BLOCK)], format="csr")
 
 
 def _stencil_matrices(grid: Grid):

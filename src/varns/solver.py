@@ -8,11 +8,13 @@ Four routes to the stationary point:
   on periodic grids (the w=u, r=p trajectory),
 * a monolithic Newton solve of the full discrete stationarity system over
   space-time, the direct computational test that the stationary point has
-  u = w and functional value zero,
+  u = w and functional value zero; its residual is ``el_residuals``,
 * a Newton solve of the steady discrete Navier-Stokes system on periodic and
   wall-bounded boxes (w = u, r = p); both Newton solves share one damped
-  loop, one viscosity-continuation ladder and the stencil matrices that
-  ``grids._stencil_matrices`` builds. Their linear systems are solved by
+  loop, one viscosity-continuation ladder, the stencil matrices that
+  ``grids._stencil_matrices`` builds and one pressure gauge (``_Components``):
+  a pin at one node of each component of the central-gradient graph, and a
+  reported pressure of zero mean on each. Their linear systems are solved by
   sparse LU, except the steady ones on all-periodic grids: GMRES
   preconditioned by the Fourier inverse of the linear part.
 
@@ -47,14 +49,14 @@ from .grids import (
     integrate_spacetime,
     slice_integrals,
 )
-from .lagrangian import evaluate_lagrangian
+from .lagrangian import el_residuals, evaluate_lagrangian
 
 TWO_PI = 2 * np.pi
 
 #: largest space-time Newton system (S (6T - 3) unknowns) whose direct sparse
 #: LU stays at desk scale. One Jacobian plus splu with single-thread BLAS on a
-#: 2-vCPU Xeon: 14^2 x 8 (8,820 unknowns) 9 s and 0.5 GB, 16^2 x 8 (11,520)
-#: 21 s and 0.7 GB
+#: 2-vCPU Xeon: 14^2 x 8 (8,820 unknowns) 3.4 s and 0.28 GB, 16^2 x 8 (11,520)
+#: 7.1 s and 0.42 GB
 _MAX_NEWTON_UNKNOWNS = 10_000
 
 
@@ -77,7 +79,6 @@ class SolveConfig:
     newton_tol: float = 1e-10
     max_newton: int = 25
     continuation_steps: int = 0
-    time_scheme: str = "crank-nicolson"
     linear_tol: float = 1e-11
 
     def __post_init__(self):
@@ -85,8 +86,6 @@ class SolveConfig:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
         if self.newton_tol <= 0 or self.max_newton < 1:
             raise ValueError("newton_tol must be positive and max_newton >= 1")
-        if self.time_scheme != "crank-nicolson":
-            raise ValueError("only the crank-nicolson scheme is supported")
 
 
 @dataclass(frozen=True)
@@ -267,16 +266,34 @@ def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
 # monolithic space-time Newton solve of the stationarity system
 # ---------------------------------------------------------------------------
 
+class _Components:
+    """Components of the graph linking P(x + e_a) to P(x - e_a) at each interior
+    node x: the central gradient's null space is the pressures constant on each.
+    Both Newton systems pin P at the ``first`` node of each component and report
+    it ``centred``, with zero mean on each component."""
+
+    def __init__(self, DX, interior: np.ndarray):
+        stencils = sp.vstack([abs(D[interior]) for D in DX])   # interior central rows
+        _, self.labels = connected_components(stencils.T @ stencils, directed=False)
+        self.first = np.unique(self.labels, return_index=True)[1]
+        self.counts = np.bincount(self.labels)
+
+    def centred(self, P: np.ndarray) -> np.ndarray:
+        return P - (np.bincount(self.labels, P) / self.counts)[self.labels]
+
+
 class _DualNewtonSystem:
     """Residual and Jacobian of the discrete system in space-time Kronecker form.
 
     Unknowns, time-major per field: u and w at every slice, p at slices
     1..T-1, r at slices 1..T-2. Rows share that layout: data constraints at
     t=0, the matching constraint u=w at t=tau in the final w-slot, momentum
-    rows elsewhere, divergence rows per pressure slice with the null pressure
-    modes (constant plus checkerboards) pinned by gauge rows. A stencil A acts
-    on all slices as I_T (x) A, the time derivative as D_t (x) I_S; the
-    Jacobian is a constant part plus the advection linearization.
+    and divergence rows elsewhere, as :func:`el_residuals` evaluates them. On
+    each pressure slice the divergence row at the first node of each pressure
+    component (:class:`_Components`) is implied by the others and pins p there
+    instead. A stencil A acts on all slices as I_T (x) A, the time derivative
+    as D_t (x) I_S; the Jacobian is a constant part plus the advection
+    linearization.
     """
 
     def __init__(self, grid: Grid, nu: float, data0, data1):
@@ -290,14 +307,8 @@ class _DualNewtonSystem:
         DX, LAP = _stencil_matrices(grid)
         DT = _stencil_matrix(_d1, T, grid.dt, periodic=False)
         self.DX = [sp.kron(I_T, d, format="csr") for d in DX]
-        self.LAP = sp.kron(I_T, LAP, format="csr")
-        self.DT = sp.kron(DT, I_S, format="csr")
         self.g = np.array([data0, data1], dtype=float).reshape(2, S)
-
-        # pressure null modes of the composite central-difference operator
-        modes = lambda n: [np.ones(n)] + ([(-1.0) ** np.arange(n)] if n % 2 == 0 else [])
-        self.null_modes = [np.outer(a, b).ravel() for a in modes(n0) for b in modes(n1)]
-        self.gauge_nodes = [0, 1, n1, n1 + 1][:len(self.null_modes)]
+        self.gauge = _Components(DX, np.ones(S, dtype=bool))
         self.n_dof = (6 * T - 3) * S
         self.spec = _Spectral(grid)
 
@@ -308,12 +319,8 @@ class _DualNewtonSystem:
         self.momentum_mask = (np.repeat(mom_u, S), np.repeat(mom_w, S))
         E0, ET, MU, MW = (sp.diags(v) for v in (first, last, mom_u, mom_w))
         lift_p, lift_r = sp.eye(T, T - 1, k=-1), sp.eye(T, T - 2, k=-1)
-        keep = np.ones(S)
-        keep[self.gauge_nodes] = 0.0
-        div = [sp.diags(keep) @ d for d in DX]
-        gauge = sp.csr_matrix((np.concatenate(self.null_modes),
-                               (np.repeat(self.gauge_nodes, S),
-                                np.tile(np.arange(S), len(self.gauge_nodes)))), shape=(S, S))
+        pin = sp.diags(np.isin(np.arange(S), self.gauge.first) * 1.0)
+        div = [(I_S - pin) @ d for d in DX]
         kr = sp.kron
         own_u = kr(E0, I_S) + kr(MU, nu * LAP)
         own_w = kr(E0, I_S) + kr(MW, nu * LAP) - kr(ET, I_S)
@@ -325,9 +332,9 @@ class _DualNewtonSystem:
             [time_w, None, own_w, None, None, -kr(lift_r, DX[0])],
             [None, time_w, None, own_w, None, -kr(lift_r, DX[1])],
             [kr(lift_p.T, div[0]), kr(lift_p.T, div[1]), None, None,
-             kr(sp.identity(T - 1), gauge), None],
+             kr(sp.identity(T - 1), pin), None],
             [None, None, kr(lift_r.T, div[0]), kr(lift_r.T, div[1]), None,
-             kr(sp.identity(T - 2), gauge)]], format="csr")
+             kr(sp.identity(T - 2), pin)]], format="csr")
 
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
@@ -346,43 +353,33 @@ class _DualNewtonSystem:
         return (z[:2 * TS].reshape(2, TS), z[2 * TS:4 * TS].reshape(2, TS),
                 z[4 * TS:5 * TS - S].reshape(-1, S), z[5 * TS - S:].reshape(-1, S))
 
+    def _quartet(self, z: np.ndarray, P: np.ndarray, R: np.ndarray) -> FieldQuartet:
+        """Quartet of the velocities of ``z`` and the (T, S) pressure slabs P, R."""
+        g, T = self.grid, self.T
+        u, w, _, _ = self.unpack(z)
+        field = lambda slabs: ScalarField(
+            g, np.moveaxis(slabs.reshape(T, *g.nodes), 0, -1).copy())
+        vec = lambda comps: VectorField(g, tuple(field(c) for c in comps))
+        return FieldQuartet(vec(u), field(P), vec(w), field(R))
+
+    def _el_residuals(self, z: np.ndarray):
+        """:func:`el_residuals` of ``z`` with p_0, r_0 and r_{T-1} zero."""
+        _, _, p, r = self.unpack(z)
+        return el_residuals(self._quartet(z, np.pad(p, ((1, 0), (0, 0))),
+                                          np.pad(r, ((1, 1), (0, 0)))), self.nu)
+
     # -- residual ----------------------------------------------------------
-    def _momentum(self, a, b, scal=None):
-        """nu Lap a_i - dt b_i - sym advection of b by (a+b) [- grad_i scal]
-        on every slice, as a (2, T S) array."""
-        out = []
-        for i in range(2):
-            adv = 0.0
-            for j in range(2):
-                sym = self.DX[j] @ b[i] + self.DX[i] @ b[j]
-                adv = adv + 0.5 * (a[j] + b[j]) * sym
-            row = self.nu * (self.LAP @ a[i]) - self.DT @ b[i] - adv
-            if scal is not None:
-                row = row - self.DX[i] @ scal
-            out.append(row)
-        return np.array(out)
-
-    def _continuity(self, vel, scal):
-        """Divergence rows of ``vel`` on the slices of ``scal``, gauge rows pinning it."""
-        rows = sum(self.DX[i] @ vel[i] for i in range(2)).reshape(self.T, self.S)
-        rows = rows[1:1 + len(scal)]
-        for e, s in zip(self.null_modes, self.gauge_nodes):
-            rows[:, s] = [e @ sk for sk in scal]
-        return rows
-
     def residual(self, z: np.ndarray) -> np.ndarray:
+        res = self._el_residuals(z)
+        F = self.pack(FieldQuartet(res.res_u, res.res_div_u, res.res_w, res.res_div_w))
         u, w, p, r = self.unpack(z)
-        S = self.S
-        F = np.zeros(self.n_dof)
         Fu, Fw, Fp, Fr = self.unpack(F)     # row blocks share the unknowns' layout
-        # p and r are zero-padded to all T slices; the rows there are overwritten
-        Fu[:] = self._momentum(u, w, np.pad(p, ((1, 0), (0, 0))).ravel())
-        Fw[:] = self._momentum(w, u, np.pad(r, ((1, 1), (0, 0))).ravel())
+        S, first = self.S, self.gauge.first
         Fu[:, :S] = u[:, :S] - self.g
         Fw[:, :S] = w[:, :S] - self.g
         Fw[:, -S:] = u[:, -S:] - w[:, -S:]
-        Fp[:] = self._continuity(u, p)
-        Fr[:] = self._continuity(w, r)
+        Fp[:, first] = p[:, first]
+        Fr[:, first] = r[:, first]
         return F
 
     # -- Jacobian ----------------------------------------------------------
@@ -419,19 +416,15 @@ class _DualNewtonSystem:
     # -- pressure fill for the excluded slices ------------------------------
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
         """Quartet of ``z``; p at slice 0 and r at slices 0 and T-1 solve the
-        divergence of their momentum rows, null modes pinned to zero."""
-        u, w, p, r = self.unpack(z)
-        g, T, S = self.grid, self.T, self.S
-        mom_u = self._momentum(u, w).reshape(2, T, S)
-        mom_w = self._momentum(w, u).reshape(2, T, S)
-        fill = lambda rows: self.spec.poisson_div(
-            *(row.reshape(g.nodes) for row in rows)).ravel()
-        field = lambda slabs: ScalarField(
-            g, np.moveaxis(slabs.reshape(T, *g.nodes), 0, -1).copy())
-        vec = lambda comps: VectorField(g, tuple(field(c) for c in comps))
-        P = np.vstack([fill(mom_u[:, 0]), p])
-        R = np.vstack([fill(mom_w[:, 0]), r, fill(mom_w[:, -1])])
-        return FieldQuartet(vec(u), field(P), vec(w), field(R))
+        divergence of their momentum rows, and every pressure slice is centred
+        on each pressure component."""
+        _, _, p, r = self.unpack(z)
+        res = self._el_residuals(z)
+        fill = lambda vec, k: self.spec.poisson_div(
+            *(c.values[..., k] for c in vec.components)).ravel()
+        centred = lambda slabs: np.array([self.gauge.centred(s) for s in slabs])
+        return self._quartet(z, centred([fill(res.res_u, 0), *p]),
+                             centred([fill(res.res_w, 0), *r, fill(res.res_w, -1)]))
 
 
 def _space_time_l2(grid: Grid, vec: VectorField) -> float:
@@ -563,9 +556,9 @@ _DTAU0 = 1.0
 class _SteadyNewtonSystem:
     """Steady discrete Navier-Stokes system; its residual is L z - b less advection.
 
-    Unknowns: velocity v, physical pressure P, a multiplier c_k per pressure null
-    component (of the graph linking P(x + e_a) to P(x - e_a) at each interior
-    node x; N is their indicator) and, all-periodic, a body force per axis.
+    Unknowns: velocity v, physical pressure P, a multiplier c_k per pressure
+    component (:class:`_Components`; N is their indicator) and, all-periodic, a
+    body force per axis.
     Rows: interior momentum nu Lap v - (v . grad) v - grad P (- force), v = data
     on walls, div v - N c at every node, P = 0 at one node per component and,
     all-periodic, the initial mean velocity.
@@ -577,13 +570,11 @@ class _SteadyNewtonSystem:
         self.DX, LAP = _stencil_matrices(grid)
         self.interior = m = ~_wall_boundary_mask(grid)[..., 0].ravel()
         self.periodic = m.all()
-        stencils = sp.vstack([abs(D[m]) for D in self.DX])   # interior central rows
-        K, self.labels = connected_components(stencils.T @ stencils, directed=False)
-        self.first = np.unique(self.labels, return_index=True)[1]
-        self.counts = np.bincount(self.labels)
-        N = sp.csr_matrix((np.ones(S), (np.arange(S), self.labels)), shape=(S, K))
+        self.gauge = gauge = _Components(self.DX, m)
+        K = len(gauge.first)
+        N = sp.csr_matrix((np.ones(S), (np.arange(S), gauge.labels)), shape=(S, K))
         # a dense N^T P = 0 row would multiply the LU fill: pin P, shift it afterwards
-        pin = sp.identity(S, format="csr")[self.first]
+        pin = sp.identity(S, format="csr")[gauge.first]
         # a multiplier on a component with an interior node is a mass defect
         self.watched = N.T @ m > 0
         # all-periodic: force columns and initial-mean-velocity rows
@@ -649,12 +640,12 @@ class _SteadyNewtonSystem:
         space: every stencil is circulant; the null modes of the central gradient
         (the span of N) carry c and the pins, the constant mode the mean rows and
         the force."""
-        g, d, S, spec = self.grid, self.d, self.S, self._spectral
-        rv, rc, rp, rm = np.split(r, np.cumsum([d * S, S, len(self.first)]))
+        g, d, S, spec, gauge = self.grid, self.d, self.S, self._spectral, self.gauge
+        rv, rc, rp, rm = np.split(r, np.cumsum([d * S, S, len(gauge.first)]))
         lap = self.nu * spec.lap - shift
         lap.flat[0] = 1.0                                    # the constant mode
-        c = -np.bincount(self.labels, rc) / self.counts      # divergence rows: rc + N c
-        div = np.fft.fftn((rc + c[self.labels]).reshape(g.nodes))
+        c = -np.bincount(gauge.labels, rc) / gauge.counts    # divergence rows: rc + N c
+        div = np.fft.fftn((rc + c[gauge.labels]).reshape(g.nodes))
         R = [np.fft.fftn(ri.reshape(g.nodes)) for ri in rv.reshape(d, S)]
         P = np.where(spec.null, 0.0, (lap * div - 1j * sum(s * Ri for s, Ri in zip(spec.s, R)))
                      / np.where(spec.null, 1.0, spec.div_grad))
@@ -663,14 +654,14 @@ class _SteadyNewtonSystem:
             Vi.flat[0] = mean * S
         v = np.array([np.fft.ifftn(Vi).real.ravel() for Vi in V])
         P = np.fft.ifftn(P).real.ravel()
-        P += (rp - P[self.first])[self.labels]               # pins, through N
+        P += (rp - P[gauge.first])[gauge.labels]             # pins, through N
         force = -rv.reshape(d, S).mean(axis=1) - shift * rm
         return np.concatenate([v.ravel(), P, c, force])
 
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
         """Quartet with w = u and r = p = P - |v|^2 / 2, P in the gauge N^T P = 0."""
         g, (v, P, _) = self.grid, self.unpack(z)
-        P = P - (np.bincount(self.labels, P) / self.counts)[self.labels]
+        P = self.gauge.centred(P)
         vel = VectorField(g, tuple(ScalarField(g, c.reshape(*g.nodes, 1)) for c in v))
         scal = ScalarField(g, (P - 0.5 * (v ** 2).sum(axis=0)).reshape(*g.nodes, 1))
         return FieldQuartet(vel, scal, vel, scal)

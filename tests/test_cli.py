@@ -27,6 +27,34 @@ def test_oscillator_resonance_exit_2(tmp_path, capsys):
     assert payload["m"] == 1
 
 
+def test_oscillator_node_exact_solution_has_no_order(tmp_path, capsys):
+    # y = alpha + (beta - alpha) x solves y'' = 0 exactly at the nodes: every
+    # error is 0, so there is no order to estimate, and NaN is not JSON
+    code, out, _ = run_cli(capsys, "oscillator", "--a", "0", "--b", "0",
+                           "--osc-n", "9", "--out", str(tmp_path))
+    assert code == 0
+    reject = lambda name: pytest.fail(f"{name} in the JSON output")
+    verdict = json.loads(out, parse_constant=reject)
+    assert verdict["order_estimate"] is None
+    assert verdict["max_err"] == 0.0
+    saved = (tmp_path / "oscillator_verdict.json").read_text()
+    assert json.loads(saved, parse_constant=reject) == verdict
+
+
+@pytest.mark.parametrize("flag, value", [("--a", "1e200"), ("--a", "-1e200"),
+                                         ("--b", "-1e308")])
+def test_oscillator_rejects_coefficients_without_a_finite_solution(tmp_path, capsys,
+                                                                   flag, value):
+    code, out, err = run_cli(capsys, "oscillator", f"{flag}={value}", "--osc-n", "9",
+                             "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    assert flag in payload["detail"] and "not finite" in payload["detail"]
+    assert not (tmp_path / "oscillator.csv").exists()
+
+
 def test_oscillator_healthy_run(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oscillator", "--a", "1", "--b", "20",
                            "--alpha", "0", "--beta", "1", "--out", str(tmp_path))
@@ -187,8 +215,7 @@ def test_print_config_lists_all_defaults(tmp_path, capsys):
     cfg = json.loads(out)
     assert set(cfg) == {"grid", "nu", "solver", "scenario", "out", "seeds"}
     assert set(cfg["solver"]) == {"newton_tol", "max_newton",
-                                  "continuation_steps", "time_scheme",
-                                  "linear_tol"}
+                                  "continuation_steps", "linear_tol"}
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

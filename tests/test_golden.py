@@ -96,41 +96,41 @@ GOLDEN = {
     },
     "newton-dual": {
         "exit": 0,
-        "stdout": "af38fe76fead80452f356de859356e309b06a5135173cb3b0664ad0016eb7198",
+        "stdout": "c8d938794a7d5b2369d8e1f2ee58a5fdd1d3cd517df3f7bdfc8eed8609b21eb5",
         "files": {
-            "convergence.csv": "0e21dc728b4f33a8c85ef328d6db3a99350bb722e71a06d96dc25121e0f49c7b",
-            "p.csv": "6fe2c1a4441b998e10e007d6d801a59177777eb999ea750dbedcbea7372b29e0",
-            "r.csv": "01efefa8e6a0983514c6f49f7e206658d8d468276d38429b3ae796edeefda433",
-            "u_0.csv": "1e7b670c2f8f7b51de4d331e008576db3d73a5f54c5664fe95af248a8073c841",
-            "u_1.csv": "88c97cc4f0e0b6cde6915ebc352565f07bd306749751023a69a148ecf4ce422d",
-            "w_0.csv": "644d5ab13f7b4b22092d57e6a3bb2023bc7106ac8c8a98358492cb5a4d16bbf4",
-            "w_1.csv": "87fe0d10adac9d823d22916a036bc11f795599786df2e1b28c04c3cca9328a2d",
+            "convergence.csv": "f90f5f70655916e15d67377fb2730641ae07eadc4fe4503150646533a8faa498",
+            "p.csv": "97e8d7ff3929eed233f43a32f528f06eeead69e2a2956af24783d6fe2aea997a",
+            "r.csv": "11e29bff76e3b62f8f6a11ed5ed62f8673463a798bfa109c447fc654594cbf9d",
+            "u_0.csv": "430a70c13c6ec9377798ba6a23aec980683dfeef1f8d79ce5ea4192cf68250b3",
+            "u_1.csv": "776fce49c15dd75b4ac3b7e2680c9a0fcedd2938f977355cec2a08e4be9e2c1a",
+            "w_0.csv": "3d22a33b7c74559cab2b9b0ea543252d97a1116587cddb8c9d0c62c4967b8531",
+            "w_1.csv": "b647ad3850261348f0dbb0dea83e0e4783027eded226f74322dd9ecdc86cc279",
         },
     },
     "newton-dual-n7": {
         "exit": 0,
-        "stdout": "17ffdbabfd8b48ada46567876f01bc50035e01ec78313bd887c1d7f6318eed65",
+        "stdout": "8e3ea0d407aafa75468cc3e0296714ab1b2f250f4b27d1b993063f8077e30a4c",
         "files": {
-            "convergence.csv": "a0321aa1645b707631131d8c25b26d1f70430ae8f182f173665a19c8fc7f3e0b",
-            "p.csv": "5d5de1e404e08860e5e0081fd0896a1de49fe459eb01b5e64f47cdfe1cc92422",
-            "r.csv": "c28c4bbe5add524db2e0c66d6c445d3a2607e18d23e106d1f29bfb4ccea88860",
-            "u_0.csv": "358d613e3fb8a2c48089e696f659e685fb65873203710c046be182c76aa50721",
-            "u_1.csv": "87aa2b0008736353474e3e86edd8799f66abcb5b4026fcad1a015720f7b2b407",
-            "w_0.csv": "6db8bbe7fc47a7cc1550aaab9a751c8f7128f12bd22af714ce2a1da1ff1da091",
-            "w_1.csv": "9adb9a6c1334c1bb9937b217b79e4e2e6613df2690628c662db2db9faffccfd8",
+            "convergence.csv": "3689e4253f6441c85a3216a227dec93bf545eb4c93a4d6b265a217c0f3b70bbb",
+            "p.csv": "11fde7d48b07a9c75923952b98f916eec581ecbfc15910ddff61a05b770be798",
+            "r.csv": "f913f6dcca69e4fd3a394f7a63ed67fb43381b906409d31ef0202b5084afb8f5",
+            "u_0.csv": "dafc2a1def90ef36f50e9a99247c4b3e8f9a337778dd63727480ff5eb95634de",
+            "u_1.csv": "84b86fadccf7f23b5d89d54f0341f6a5f12e7ae6f9057579582ea721acd38233",
+            "w_0.csv": "289ecb2aab334354e6e31d5d7729082618a59a8aa8cebd11478e14704bbedbc2",
+            "w_1.csv": "ecf04d04e17cca2f5b5fce8457fc81ab62b6be779b9a70ce81ffa2139cbd3084",
         },
     },
     "newton-dual-n8": {
         "exit": 0,
-        "stdout": "6b5d2c5bdf544eccea0ed3341fa0bd73fb6ab6d4999e019a057dbf67fcb4f7e5",
+        "stdout": "ce7ad19f9abe307baf324a6eaf8748a14937ce50803c62c7fa795d1c062331fa",
         "files": {
-            "convergence.csv": "266a027388a1a8fedae95bfb9b608972d2ecaa7e222febf183eec9d3e1478b81",
-            "p.csv": "5cfb90affab313dbf217f6b337bb46c0f9356c6b08ff23b3a364b2f3ef48b559",
-            "r.csv": "3e3869c2b0388017e50aae2130a1175c04c73706455181757c266bf0d1b22b53",
-            "u_0.csv": "53fd5b649d728266ff39c87f34604fb5f2ae373ae02dd91f55bdedd6159bc341",
-            "u_1.csv": "919793f3f28a8aec24030af1bea54494740358df79200a828860c3a4d8538605",
-            "w_0.csv": "341ca6bab32c9bda733e8cef8cb65dbc6a456bc5baf8d4f198283647800e3be6",
-            "w_1.csv": "ec57c34d387680e92711447e62db5c93142e71bbc13f761e6baabc690220dad8",
+            "convergence.csv": "1e22c6dda288cec5c16e586420ef633734bd4a5425074c77f411be427bc26b17",
+            "p.csv": "4194b0c28e46a9191705d73bea2c3e19bc494c6d5c5b53f3a9f7a55cfc81956d",
+            "r.csv": "59c1ba2bc5fad4fb5afdd6a3b810e4888a6ef70428b50f04e4bd6a923b16e37a",
+            "u_0.csv": "ce6be3defa71aed7b8ceeeaa8f5e1c87c71eef5d4372df3380aa160222b70eef",
+            "u_1.csv": "e6fb78ec267726fcf0f0432043b8c62afac6f8c140a1ff28de1ec3c3d109c285",
+            "w_0.csv": "43dbe9993c4c5c8ad7d0ab9707508abd1a0dcc176cdc55415f59e38b0eed9229",
+            "w_1.csv": "24c202b84e303df2f09d1b59477a1b61100083a43352f3de08508213bce775fb",
         },
     },
     "oscillator": {
@@ -219,6 +219,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, which JSON does not have."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_case(argv, out: Path, capsys=None):
     """Run one subcommand; return (exit code, stdout line, {file: sha256})."""
     code = main([*argv, "--out", str(out)])
@@ -234,6 +241,9 @@ def test_golden_reports(name, tmp_path, capsys):
     assert code == expected["exit"]
     assert _sha(line.encode()) == expected["stdout"], line
     assert files == expected["files"]
+    strict_json(line)
+    for report in tmp_path.glob("*.json"):
+        strict_json(report.read_text())
 
 
 def _record() -> dict:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from varns import grids
 from varns.grids import (
     FieldQuartet,
     Grid,
@@ -303,3 +305,18 @@ def test_operators_are_linear(rng):
     lhs = integrate_spacetime(combo)
     rhs = a * integrate_spacetime(f1) + b * integrate_spacetime(f2)
     assert abs(lhs - rhs) < 1e-12 * (abs(rhs) + 1.0)
+
+
+BLOCK = grids._STENCIL_BLOCK
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 88])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("op", [grids._d1, grids._d2])
+def test_stencil_matrix_equals_the_kernel_on_the_whole_identity(op, periodic, n):
+    # the matrix is built from blocks of identity columns; n runs across the
+    # block boundaries, and the bits must be those of one dense build
+    got = grids._stencil_matrix(op, n, 0.3, periodic)
+    want = sp.csr_matrix(op(np.eye(n), 0, 0.3, periodic))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))

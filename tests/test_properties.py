@@ -8,6 +8,8 @@ exactly and the u = w, p = r configuration gives exactly zero.
 """
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +109,15 @@ def test_newton_jacobian_is_the_exact_derivative_of_the_residual(n0, n1, time_no
     fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
     jv = system.jacobian(z) @ v
     assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)
+
+
+@pytest.mark.parametrize("time_nodes", [4, 6])
+@pytest.mark.parametrize("n0, n1", [(a, b) for a in range(5, 9) for b in range(5, 9)])
+def test_newton_linear_part_is_nonsingular(n0, n1, time_nodes):
+    """Every pressure component is pinned on every slice, so the constant part
+    of the Jacobian has no null vector; with one component left ungauged (even
+    n0, odd n1) it had one per pressure slice."""
+    grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
+    zero = np.zeros((n0, n1))
+    sigma = scipy.linalg.svdvals(_DualNewtonSystem(grid, 0.5, zero, zero).L.toarray())
+    assert sigma.min() > 1e-8 * sigma.max()

@@ -421,13 +421,11 @@ def test_solve_config_validation():
         SolveConfig(nu=0.0)
     with pytest.raises(ValueError):
         SolveConfig(nu=1.0, max_newton=0)
-    with pytest.raises(ValueError):
-        SolveConfig(nu=1.0, time_scheme="explicit-euler")
 
 
 def test_newton_odd_resolution_single_gauge_mode():
-    # odd spatial resolution: the composite pressure operator has only the
-    # constant null mode, exercising the one-gauge-row branch
+    # odd spatial resolution: the central gradient links every node, so each
+    # pressure slice has a single component and a single pin
     g = Grid((2 * np.pi, 2 * np.pi), (7, 7), ("periodic", "periodic"),
              time_nodes=4, dt=0.02)
     nu = 0.5
@@ -435,3 +433,49 @@ def test_newton_odd_resolution_single_gauge_mode():
     traj = newton_dual(tg, tg.u, SolveConfig(nu=nu), g)
     assert traj.converged
     assert u_w_gap(traj.state) <= 1e-8
+
+
+def projected_taylor_green(grid, nu):
+    """The decaying vortex projected to discretely divergence-free on every slice
+    (on a non-square grid the sampled vortex is not)."""
+    tg = taylor_green(nu, grid)
+    spec = solver._Spectral(grid)
+    vel = [np.empty(grid.shape), np.empty(grid.shape)]
+    for k in range(grid.time_nodes):
+        vel[0][..., k], vel[1][..., k] = spec.project(
+            *(c.values[..., k] for c in tg.u.components))
+    vel = mkv(grid, vel)
+    return FieldQuartet(vel, tg.p, vel, tg.r)
+
+
+@pytest.mark.parametrize("nodes", [(8, 7), (7, 8)])
+def test_newton_gauges_every_pressure_component(nodes):
+    # with an even and an odd axis the pressure has two components; both need
+    # a pin, or the Jacobian is singular and the solve stalls far from u = w
+    g = Grid((2 * np.pi, 2 * np.pi), nodes, ("periodic", "periodic"),
+             time_nodes=6, dt=0.02)
+    nu = 0.5
+    seed = projected_taylor_green(g, nu)
+    traj = newton_dual(seed, seed.u, SolveConfig(nu=nu), g)
+    rep = evaluate_lagrangian(traj.state, nu)
+    assert traj.converged
+    assert u_w_gap(traj.state) <= 1e-8
+    assert abs(rep.J) <= 1e-10 * rep.scale
+
+
+@pytest.mark.parametrize("nodes", [(8, 8), (8, 7), (7, 8), (7, 7)])
+def test_newton_pressures_have_zero_mean_on_each_component(nodes):
+    # the central gradient links x - e_a to x + e_a, so along an even axis the
+    # node parity splits the pressure into components; along an odd one it does not
+    g = Grid((2 * np.pi, 2 * np.pi), nodes, ("periodic", "periodic"),
+             time_nodes=5, dt=0.02)
+    rng = np.random.default_rng(3)
+    system = solver._DualNewtonSystem(g, 0.5, *rng.normal(size=(2, *nodes)))
+    q = system.to_quartet(rng.normal(size=system.n_dof))
+    i, j = np.indices(nodes)
+    even = [n % 2 == 0 for n in nodes]
+    component = (2 * even[0] * (i % 2) + even[1] * (j % 2)).ravel()
+    for scal in (q.p, q.r):
+        for k in range(g.time_nodes):
+            sums = np.bincount(component, scal.values[..., k].ravel())
+            assert np.abs(sums).max() <= 1e-12 * np.abs(scal.values).sum()
