@@ -15,8 +15,9 @@ Four routes to the stationary point:
   ``grids._stencil_matrices`` builds and one pressure gauge (``_Components``):
   a pin at one node of each component of the central-gradient graph, and a
   reported pressure of zero mean on each. Their linear systems are solved by
-  sparse LU, except the steady ones on all-periodic grids: GMRES
-  preconditioned by the Fourier inverse of the linear part.
+  GMRES preconditioned by the Fourier inverse of the linear part (one dense
+  block per spatial mode in space-time), except the steady ones on grids
+  with a wall axis: sparse LU.
 
 Periodic stencil systems (viscous solve, projection, pressure recovery) are
 solved exactly in Fourier space: the FFT diagonalizes every circulant
@@ -53,11 +54,19 @@ from .lagrangian import el_residuals, evaluate_lagrangian
 
 TWO_PI = 2 * np.pi
 
-#: largest space-time Newton system (S (6T - 3) unknowns) whose direct sparse
-#: LU stays at desk scale. One Jacobian plus splu with single-thread BLAS on a
-#: 2-vCPU Xeon: 14^2 x 8 (8,820 unknowns) 3.4 s and 0.28 GB, 16^2 x 8 (11,520)
-#: 7.1 s and 0.42 GB
-_MAX_NEWTON_UNKNOWNS = 10_000
+#: spatial modes whose time blocks are inverted at once, so that the inversion
+#: needs little memory beside the stored inverses
+_BLOCK_CHUNK = 256
+
+#: memory budget of one space-time Newton solve, estimated in :func:`newton_dual`,
+#: in line with the steady solve's LU cap
+_MAX_NEWTON_BYTES = 600e6
+
+#: memory per space-time unknown beside the preconditioner's blocks: the GMRES
+#: basis (488 B), the Jacobian and its assembly. Peak RSS growth of whole
+#: newton-dual runs, single-thread BLAS on a 2-vCPU Xeon, less the blocks: 0.98
+#: to 1.3 kB per unknown at 16^2 x 9 to 32^2 x 17, 2.0 kB at 16^2 x 17
+_BYTES_PER_UNKNOWN = 2000
 
 
 class ConvergenceError(RuntimeError):
@@ -286,14 +295,17 @@ class _DualNewtonSystem:
     """Residual and Jacobian of the discrete system in space-time Kronecker form.
 
     Unknowns, time-major per field: u and w at every slice, p at slices
-    1..T-1, r at slices 1..T-2. Rows share that layout: data constraints at
+    1..T-1, r at slices 1..T-2, so that unknown j S + x is time-field index j
+    (of m = 6T - 3) at node x. Rows share that layout: data constraints at
     t=0, the matching constraint u=w at t=tau in the final w-slot, momentum
     and divergence rows elsewhere, as :func:`el_residuals` evaluates them. On
     each pressure slice the divergence row at the first node of each pressure
     component (:class:`_Components`) is implied by the others and pins p there
-    instead. A stencil A acts on all slices as I_T (x) A, the time derivative
-    as D_t (x) I_S; the Jacobian is a constant part plus the advection
-    linearization.
+    instead. The constant part of the Jacobian is L = sum_k A_k (x) B_k over the
+    space stencils B = (I, Lap, D_0, D_1) and m x m time matrices A_k, with the
+    pin rows swapped in; the Jacobian adds the advection linearization. Newton
+    steps are solved by GMRES preconditioned with the exact inverse of L, which
+    the FFT over space splits into one m x m block per spatial mode.
     """
 
     def __init__(self, grid: Grid, nu: float, data0, data1):
@@ -303,10 +315,9 @@ class _DualNewtonSystem:
         n0, n1 = grid.nodes
         S, T = n0 * n1, grid.time_nodes
         self.S, self.T = S, T
-        I_S, I_T = sp.identity(S), sp.identity(T)
         DX, LAP = _stencil_matrices(grid)
-        DT = _stencil_matrix(_d1, T, grid.dt, periodic=False)
-        self.DX = [sp.kron(I_T, d, format="csr") for d in DX]
+        DT = _stencil_matrix(_d1, T, grid.dt, periodic=False).toarray()
+        self.DX = [sp.kron(sp.identity(T), d, format="csr") for d in DX]
         self.g = np.array([data0, data1], dtype=float).reshape(2, S)
         self.gauge = _Components(DX, np.ones(S, dtype=bool))
         self.n_dof = (6 * T - 3) * S
@@ -317,24 +328,25 @@ class _DualNewtonSystem:
         first, last = np.eye(T)[[0, -1]]
         mom_u, mom_w = 1 - first, 1 - first - last
         self.momentum_mask = (np.repeat(mom_u, S), np.repeat(mom_w, S))
-        E0, ET, MU, MW = (sp.diags(v) for v in (first, last, mom_u, mom_w))
-        lift_p, lift_r = sp.eye(T, T - 1, k=-1), sp.eye(T, T - 2, k=-1)
-        pin = sp.diags(np.isin(np.arange(S), self.gauge.first) * 1.0)
-        div = [(I_S - pin) @ d for d in DX]
-        kr = sp.kron
-        own_u = kr(E0, I_S) + kr(MU, nu * LAP)
-        own_w = kr(E0, I_S) + kr(MW, nu * LAP) - kr(ET, I_S)
-        time_u = -kr(MU @ DT, I_S)
-        time_w = kr(ET, I_S) - kr(MW @ DT, I_S)
-        self.L = sp.bmat([
-            [own_u, None, time_u, None, -kr(lift_p, DX[0]), None],
-            [None, own_u, None, time_u, -kr(lift_p, DX[1]), None],
-            [time_w, None, own_w, None, None, -kr(lift_r, DX[0])],
-            [None, time_w, None, own_w, None, -kr(lift_r, DX[1])],
-            [kr(lift_p.T, div[0]), kr(lift_p.T, div[1]), None, None,
-             kr(sp.identity(T - 1), pin), None],
-            [None, None, kr(lift_r.T, div[0]), kr(lift_r.T, div[1]), None,
-             kr(sp.identity(T - 2), pin)]], format="csr")
+        E0, ET, MU, MW = map(np.diag, (first, last, mom_u, mom_w))
+        lift_p, lift_r = np.eye(T, T - 1, -1), np.eye(T, T - 2, -1)
+        # time matrices of I, Lap, D_0, D_1 on the fields u0, u1, w0, w1, p, r
+        fields = np.split(np.arange(6 * T - 3), np.cumsum([T, T, T, T, T - 1]))
+        self.A = A = np.zeros((4, 6 * T - 3, 6 * T - 3))
+        P, R = 4, 5
+        for i in range(2):
+            u, w, d = i, 2 + i, 2 + i
+            for k, row, col, block in (
+                    (0, u, u, E0), (1, u, u, nu * MU), (0, u, w, -MU @ DT), (d, u, P, -lift_p),
+                    (0, w, u, ET - MW @ DT), (0, w, w, E0 - ET), (1, w, w, nu * MW),
+                    (d, w, R, -lift_r), (d, P, u, lift_p.T), (d, R, w, lift_r.T)):
+                A[k][np.ix_(fields[row], fields[col])] = block
+        self.velocities = 4 * T         # time-field indices of u and w come first
+        L0 = sum(sp.kron(a, b, format="csr") for a, b in zip(A, (sp.identity(S), LAP, *DX)))
+        pinned = np.zeros((6 * T - 3, S))
+        pinned[self.velocities:, self.gauge.first] = 1.0
+        self.L = (sp.diags(1.0 - pinned.ravel()) @ L0 + sp.diags(pinned.ravel())).tocsr()
+        self.L.eliminate_zeros()
 
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
@@ -403,15 +415,48 @@ class _DualNewtonSystem:
         rows_w = self._advection(w, u, self.momentum_mask[1])
         N = sp.bmat(rows_u + [row[2:] + row[:2] for row in rows_w], format="csr")
         N.resize(self.L.shape)
-        # each entry sums at most two terms, so its bits are order-free; splu
-        # orders columns by the stored pattern, so no exact zero may be stored
-        J = self.L + N
-        J.eliminate_zeros()
-        J.sort_indices()
-        return J
+        return self.L + N
 
     def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return _lu_step(self.jacobian(z), F)
+        return _krylov_step(self.jacobian(z), F, self._solve_linear_part)
+
+    @functools.cached_property
+    def _block_inverses(self) -> np.ndarray:
+        """(S, m, m) inverse of each spatial-mode block of L without its pin rows,
+        A_0 + lap A_1 + i s_0 A_2 + i s_1 A_3 with the Fourier symbols of the
+        stencils. On the null modes of the central gradient the pressures drop
+        out, so only the velocity block is inverted there, in the least-squares
+        sense: at odd T the zero mode's is singular (the leapfrog mode of the
+        central time difference). A singular block elsewhere raises LinAlgError."""
+        spec, v, S = self.spec, self.velocities, self.S
+        symbols = [np.ones(spec.lap.shape), spec.lap, 1j * spec.s[0], 1j * spec.s[1]]
+        symbols = np.stack(np.broadcast_arrays(*symbols), -1).reshape(S, 4)
+        inverses = np.tensordot(symbols, self.A, axes=1)    # the blocks, inverted in place
+        null = np.flatnonzero(spec.null)
+        velocity = np.linalg.pinv(inverses[null, :v, :v], rtol=1e-10)
+        inverses[null] = np.eye(len(self.A[0]))              # stand-ins, replaced below
+        for start in range(0, S, _BLOCK_CHUNK):
+            inverses[start:start + _BLOCK_CHUNK] = np.linalg.inv(
+                inverses[start:start + _BLOCK_CHUNK])
+        inverses[null] = 0.0
+        inverses[null, :v, :v] = velocity
+        return inverses
+
+    def _solve_linear_part(self, b: np.ndarray) -> np.ndarray:
+        """L^{-1} b mode by mode in Fourier space. The divergence rows of a
+        component sum to zero, so the row each pin replaces is set to minus the
+        sum of the rest of its component; the pressures, free by N (the
+        component indicator) without the pins, are then shifted onto them."""
+        v, labels, first = self.velocities, self.gauge.labels, self.gauge.first
+        B = b.reshape(-1, self.S).copy()
+        pins = B[v:, first].copy()
+        B[v:, first] = 0.0
+        B[v:, first] = -np.array([np.bincount(labels, row, len(first)) for row in B[v:]])
+        modes = np.fft.fft2(B.reshape(-1, *self.grid.nodes)).reshape(-1, self.S).T
+        X = np.fft.ifft2((self._block_inverses @ modes[..., None])[..., 0].T.reshape(
+            -1, *self.grid.nodes)).real.reshape(-1, self.S)
+        X[v:] += (pins - X[v:, first])[:, labels]
+        return X.ravel()
 
     # -- pressure fill for the excluded slices ------------------------------
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
@@ -454,10 +499,14 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     _require_periodic_2d(grid, unsteady=True)
     if seed.grid != grid:
         raise ValueError("seed quartet grid does not match")
-    unknowns = grid.nodes[0] * grid.nodes[1] * (6 * grid.time_nodes - 3)
-    if unknowns > _MAX_NEWTON_UNKNOWNS:
-        raise ValueError(f"space-time system too large ({unknowns} unknowns, limit "
-                         f"{_MAX_NEWTON_UNKNOWNS}); this solver is meant for coarse grids")
+    # estimated peak memory beside the interpreter's: the inverted mode blocks of
+    # the preconditioner (S m^2 complex numbers) and _BYTES_PER_UNKNOWN per unknown
+    S, m = grid.nodes[0] * grid.nodes[1], 6 * grid.time_nodes - 3
+    need = S * m * (16 * m + _BYTES_PER_UNKNOWN)
+    if need > _MAX_NEWTON_BYTES:
+        raise ValueError(f"space-time system too large (about {need / 1e6:.0f} MB, limit "
+                         f"{_MAX_NEWTON_BYTES / 1e6:.0f} MB); this solver is meant for "
+                         "desk-scale grids")
     source = seed.u if data is None else data
     d0, d1 = source[0].values[..., 0], source[1].values[..., 0]
     _require_divergence_free(d0, d1, grid, "data")
@@ -511,6 +560,8 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
         if norm <= tol_eff:
             return z, True
         step = system.newton_step(z, F)
+        if not np.isfinite(step).all():
+            raise ConvergenceError(f"non-finite Newton step at residual {norm:.3e}")
         alpha = 1.0
         while alpha >= 2 ** -30:
             z_try = z + alpha * step
@@ -524,6 +575,14 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
         z, F, norm = z_try, F_try, n_try
         log(z, norm)
     return z, norm <= tol_eff
+
+
+def _krylov_step(J: sp.spmatrix, F: np.ndarray, precondition) -> np.ndarray:
+    """-J^{-1} F by GMRES preconditioned with ``precondition`` (an approximate
+    inverse of J applied to a vector); the line search absorbs a step GMRES
+    leaves inexact."""
+    M = spla.LinearOperator(J.shape, precondition, dtype=float)
+    return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
 
 
 def _lu_step(J: sp.spmatrix, F: np.ndarray) -> np.ndarray:
@@ -628,8 +687,7 @@ class _SteadyNewtonSystem:
         J = self.jacobian(z) - shift * self.V
         if not self.periodic:
             return _lu_step(J, F)
-        M = spla.LinearOperator(J.shape, lambda r: self._solve_linear_part(r, shift))
-        return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
+        return _krylov_step(J, F, lambda r: self._solve_linear_part(r, shift))
 
     @functools.cached_property
     def _spectral(self) -> _Spectral:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from varns import solver
 from varns.cli import main
 from varns.grids import FieldQuartet, Grid, ScalarField, VectorField
 from varns.reports import write_quartet_csv
@@ -409,9 +410,30 @@ def test_solve_steady_honours_continuation_steps(tmp_path, capsys):
     assert last_json(out)["converged"] is True
 
 
-def test_newton_dual_cli_rejects_default_grid(tmp_path, capsys):
-    # the default 32x32x9 grid has 52,224 unknowns: a clean usage error
-    code, out, err = run_cli(capsys, "newton-dual", "--out", str(tmp_path))
+def test_newton_dual_cli_accepts_default_grid(tmp_path, capsys, monkeypatch):
+    # the default 32x32x9 grid passes the memory guard and reaches the solve
+    # (replaced here, so that no 52,224-unknown system is solved); 64x64x17
+    # is a clean usage error
+    def reached(*args):
+        raise solver.ConvergenceError("reached the space-time solve")
+    monkeypatch.setattr(solver, "_DualNewtonSystem", reached)
+    code, out, err = run_cli(capsys, "newton-dual", "--out", str(tmp_path / "default"))
+    assert code == 2
+    assert err == ""
+    assert last_json(out)["detail"] == "reached the space-time solve"
+    code, out, err = run_cli(capsys, "newton-dual", "--n", "64", "--time-nodes", "17",
+                             "--out", str(tmp_path / "large"))
     assert code == 1
     assert out == ""
     assert "too large" in json.loads(err)["detail"]
+
+
+def test_newton_dual_cli_non_finite_step_exits_2(tmp_path, capsys, monkeypatch):
+    # a GMRES step with NaN entries ends the solve as non-convergence, not a traceback
+    monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.full(len(b), np.nan), 0))
+    code, out, _ = run_cli(capsys, "newton-dual", "--n", "6", "--time-nodes", "4",
+                           "--dt", "0.02", "--nu", "0.5", "--perturb-w", "0.1",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert last_json(out)["error"] == "non-convergence"
+    assert "non-finite Newton step" in last_json(out)["detail"]

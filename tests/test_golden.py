@@ -3,9 +3,9 @@ line, for every subcommand at small fixed configs.
 
 The hashes were recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11);
 other versions may legitimately change the last bits of a report. Every
-hash holds at one and at two BLAS threads: no subcommand calls a dense
-LAPACK solve, and the sparse LU (SuperLU) gives the same bits at any thread
-count.
+hash holds at one and at two BLAS threads, and CI checks both: the sparse
+LU (SuperLU) gives the same bits at any thread count, and so, as recorded,
+do the dense block inverses and products of the ``newton-dual`` preconditioner.
 
 To print the hashes of the current code (after an intended change of
 output), run ``python tests/test_golden.py`` from the repository root.
@@ -96,41 +96,41 @@ GOLDEN = {
     },
     "newton-dual": {
         "exit": 0,
-        "stdout": "c8d938794a7d5b2369d8e1f2ee58a5fdd1d3cd517df3f7bdfc8eed8609b21eb5",
+        "stdout": "265e89a3aedaa3b38372ff65bf18c3e23ea53007f6248c05258c4cab927ddd02",
         "files": {
-            "convergence.csv": "f90f5f70655916e15d67377fb2730641ae07eadc4fe4503150646533a8faa498",
-            "p.csv": "97e8d7ff3929eed233f43a32f528f06eeead69e2a2956af24783d6fe2aea997a",
-            "r.csv": "11e29bff76e3b62f8f6a11ed5ed62f8673463a798bfa109c447fc654594cbf9d",
-            "u_0.csv": "430a70c13c6ec9377798ba6a23aec980683dfeef1f8d79ce5ea4192cf68250b3",
-            "u_1.csv": "776fce49c15dd75b4ac3b7e2680c9a0fcedd2938f977355cec2a08e4be9e2c1a",
-            "w_0.csv": "3d22a33b7c74559cab2b9b0ea543252d97a1116587cddb8c9d0c62c4967b8531",
-            "w_1.csv": "b647ad3850261348f0dbb0dea83e0e4783027eded226f74322dd9ecdc86cc279",
+            "convergence.csv": "685e25d35da89a4591b44f2e83d2b1a65e09fde5899eab359649e84ad8a27a5f",
+            "p.csv": "606ae6764f55a3bd98ade3f96890680313e2eca9d9cf9d34caa85b744aa1f43a",
+            "r.csv": "2d191dc02e46ce138433da8ef1150e922d121e7188e6a4c21e346278b0a90001",
+            "u_0.csv": "9d2b5966b54aedffb81adaa99400fc22d7d173fed644578de2870af2fa1c76e0",
+            "u_1.csv": "6ae6303c1fffe97b289af673694ed9ed918c180c874da16d4631477543337b5b",
+            "w_0.csv": "0e7207f3615b95fcdb18ac188ba348c7ed975610f8d6bab07c1869d5e371483e",
+            "w_1.csv": "5eaadef85a92e2e693dfc27ea0e49176a6c3b994b0e9bf0c32d8864d31939bfe",
         },
     },
     "newton-dual-n7": {
         "exit": 0,
-        "stdout": "8e3ea0d407aafa75468cc3e0296714ab1b2f250f4b27d1b993063f8077e30a4c",
+        "stdout": "6d2b4b9c61f41f9e43d86f4a371bef29350a88b3d16e837c314fa14c4b9ea7b8",
         "files": {
-            "convergence.csv": "3689e4253f6441c85a3216a227dec93bf545eb4c93a4d6b265a217c0f3b70bbb",
-            "p.csv": "11fde7d48b07a9c75923952b98f916eec581ecbfc15910ddff61a05b770be798",
-            "r.csv": "f913f6dcca69e4fd3a394f7a63ed67fb43381b906409d31ef0202b5084afb8f5",
-            "u_0.csv": "dafc2a1def90ef36f50e9a99247c4b3e8f9a337778dd63727480ff5eb95634de",
-            "u_1.csv": "84b86fadccf7f23b5d89d54f0341f6a5f12e7ae6f9057579582ea721acd38233",
-            "w_0.csv": "289ecb2aab334354e6e31d5d7729082618a59a8aa8cebd11478e14704bbedbc2",
-            "w_1.csv": "ecf04d04e17cca2f5b5fce8457fc81ab62b6be779b9a70ce81ffa2139cbd3084",
+            "convergence.csv": "052ce426de7190c2321ee0422fdfeca43ff6ab65d089575a331dc7d9ba904ba8",
+            "p.csv": "57ecacbd3611edc18f953169e725f7b41cfe5e5e7a03311332943d97cd52ca6e",
+            "r.csv": "596235185a7f80749285cb8ed82d278a76348569730bfe9cc6b0f1a2c0e129a4",
+            "u_0.csv": "0c5d4969c6d13a6c86df6544888353945143d940e3de21db7568e995f1c889a3",
+            "u_1.csv": "67b018978ed94a9851ec7d311fb109bc588b3e22378bdcc0bacc75eb15323966",
+            "w_0.csv": "dec6d5a14e9ae9059498bda67d1725f5199c35251028c16dee04008ba35aee60",
+            "w_1.csv": "6fd1e106fc4e6c6e9896463027be7f3343d2e498b2810d8cbbf3301854011c62",
         },
     },
     "newton-dual-n8": {
         "exit": 0,
-        "stdout": "ce7ad19f9abe307baf324a6eaf8748a14937ce50803c62c7fa795d1c062331fa",
+        "stdout": "2b2509c194501b8c0b60276c5c8018adba4a13a029bd9b0e527f9a7d73330df6",
         "files": {
-            "convergence.csv": "1e22c6dda288cec5c16e586420ef633734bd4a5425074c77f411be427bc26b17",
-            "p.csv": "4194b0c28e46a9191705d73bea2c3e19bc494c6d5c5b53f3a9f7a55cfc81956d",
-            "r.csv": "59c1ba2bc5fad4fb5afdd6a3b810e4888a6ef70428b50f04e4bd6a923b16e37a",
-            "u_0.csv": "ce6be3defa71aed7b8ceeeaa8f5e1c87c71eef5d4372df3380aa160222b70eef",
-            "u_1.csv": "e6fb78ec267726fcf0f0432043b8c62afac6f8c140a1ff28de1ec3c3d109c285",
-            "w_0.csv": "43dbe9993c4c5c8ad7d0ab9707508abd1a0dcc176cdc55415f59e38b0eed9229",
-            "w_1.csv": "24c202b84e303df2f09d1b59477a1b61100083a43352f3de08508213bce775fb",
+            "convergence.csv": "74293bd1d199b2dccc0ea57f027408301fc7d904bbbaaab4b6d205a31dfc68f6",
+            "p.csv": "8d58e8e11f7cb9fa8db39407334a56f55b03ed772bbb1a3ebf8337f3c1f6b2ca",
+            "r.csv": "c1dda5962f517044d74c05d3a60f83ebf6b843192554c5c3c097094504206b69",
+            "u_0.csv": "f4a261f908c4b3bdaf5ab3ce6a103983ff283fb10164a39028f0c21ee450c897",
+            "u_1.csv": "2e25f7978f2b05aea2c58d96d136205ef314eda9294de16f97d9c73872f5ff43",
+            "w_0.csv": "c25fbbb15f1a9e8f80ccf54e584734f637d84124944272a0ee81a03461331759",
+            "w_1.csv": "f6bbee88464db60d798ec80eddba1aae376b9fc3d473f6661b1f13ce5bea29a4",
         },
     },
     "oscillator": {

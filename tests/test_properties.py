@@ -121,3 +121,17 @@ def test_newton_linear_part_is_nonsingular(n0, n1, time_nodes):
     zero = np.zeros((n0, n1))
     sigma = scipy.linalg.svdvals(_DualNewtonSystem(grid, 0.5, zero, zero).L.toarray())
     assert sigma.min() > 1e-8 * sigma.max()
+
+
+@pytest.mark.parametrize("time_nodes", [4, 6])
+@pytest.mark.parametrize("n0, n1", [(a, b) for a in range(5, 10) for b in range(5, 10)])
+def test_newton_preconditioner_inverts_the_linear_part(n0, n1, time_nodes):
+    """The Fourier-block preconditioner of the Newton steps is the exact inverse
+    of the constant part, pins included: odd and even axes give 1, 2 and 4
+    pressure components per slice."""
+    grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
+    rng = np.random.default_rng(10 * n0 + n1)
+    system = _DualNewtonSystem(grid, 0.5, *rng.normal(size=(2, n0, n1)))
+    x = rng.normal(size=system.n_dof)
+    y = system._solve_linear_part(system.L @ x)
+    assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)

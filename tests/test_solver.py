@@ -206,13 +206,67 @@ def test_newton_continuation_ladder_runs():
     assert u_w_gap(traj.state) <= 1e-8
 
 
-# S (6T - 3) unknowns: 13,056 at 16x16x9 and 52,224 at 32x32x9 (the CLI
-# default grid) both exceed the cap; the guard must fire before any assembly
-@pytest.mark.parametrize("n, time_nodes", [(64, 17), (16, 9), (32, 9)])
+# the memory estimate: 64^2 x 17 needs 0.64 GB for the preconditioner's blocks
+# alone, 128^2 x 9 0.68 GB; the guard must fire before any assembly
+@pytest.mark.parametrize("n, time_nodes", [(64, 17), (128, 9)])
 def test_newton_rejects_oversized_problem(n, time_nodes):
     g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
     with pytest.raises(ValueError, match="too large"):
         newton_dual(FieldQuartet.zeros(g), None, SolveConfig(nu=0.5), g)
+
+
+class _Assembled(Exception):
+    pass
+
+
+# 16^2 x 9 (about 43 MB) and the CLI default 32^2 x 9 (about 0.15 GB) pass the
+# guard; the assembly is replaced, so no system is built or solved
+@pytest.mark.parametrize("n, time_nodes", [(16, 9), (32, 9)])
+def test_newton_guard_accepts_desk_scale_grids(n, time_nodes, monkeypatch):
+    def assembled(*args):
+        raise _Assembled
+    monkeypatch.setattr(solver, "_DualNewtonSystem", assembled)
+    g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
+    with pytest.raises(_Assembled):
+        newton_dual(FieldQuartet.zeros(g), None, SolveConfig(nu=0.5), g)
+
+
+def perturbed_taylor_green(grid, nu, amp=0.1):
+    """The decaying vortex with w scaled by 1 + amp cos x cos y, the seed of
+    ``newton-dual --perturb-w``."""
+    tg = taylor_green(nu, grid)
+    X, Y, _ = grid.meshes()
+    w = mkv(grid, [c.values * (1 + amp * np.cos(X) * np.cos(Y)) for c in tg.u.components])
+    return FieldQuartet(tg.u, tg.p, w, tg.r)
+
+
+@pytest.mark.parametrize("n, time_nodes", [(8, 6), (10, 8)])
+def test_newton_krylov_step_matches_the_direct_solve(n, time_nodes):
+    # sparse LU of the whole Jacobian is the oracle of the preconditioned GMRES step
+    g = periodic_square(n, time_nodes=time_nodes, dt=0.02)
+    seed = perturbed_taylor_green(g, 0.5)
+    system = solver._DualNewtonSystem(g, 0.5, *(c.values[..., 0] for c in seed.u.components))
+    z = system.pack(seed)
+    for _ in range(2):
+        F = system.residual(z)
+        direct = solver._lu_step(system.jacobian(z), F)
+        step = system.newton_step(z, F)
+        assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
+        z = z + step
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_newton_converges_at_odd_time_nodes(n):
+    # at odd T the constant part is singular (the leapfrog mode of the central
+    # time difference); the least-squares zero-mode block still reaches u = w
+    g = periodic_square(n, time_nodes=5, dt=0.02)
+    nu = 0.5
+    seed = perturbed_taylor_green(g, nu)
+    traj = newton_dual(seed, seed.u, SolveConfig(nu=nu), g)
+    rep = evaluate_lagrangian(traj.state, nu)
+    assert traj.converged
+    assert u_w_gap(traj.state) <= 1e-8
+    assert abs(rep.J) <= 1e-10 * rep.scale
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +452,10 @@ def test_singular_newton_jacobian_reported(monkeypatch):
     # a solver breakdown of the steady solve, not a usage error
     with pytest.raises(ConvergenceError, match="singular steady Newton Jacobian"):
         steady_solve(mkv(g, [lid, 0 * lid]), SolveConfig(nu=1.0), g)
-    # newton-dual keeps its own advice
+    # newton-dual keeps its own advice when a block of its preconditioner is singular
+    def singular_block(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "inv", singular_block)
     gu = periodic_square(6, time_nodes=4, dt=0.02)
     with pytest.raises(np.linalg.LinAlgError, match="continuation_steps"):
         newton_dual(FieldQuartet.zeros(gu), taylor_green(0.5, gu).u, SolveConfig(nu=0.5), gu)
