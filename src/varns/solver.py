@@ -335,11 +335,12 @@ class _DualNewtonSystem:
         self.A = A = np.zeros((4, 6 * T - 3, 6 * T - 3))
         P, R = 4, 5
         for i in range(2):
-            u, w, d = i, 2 + i, 2 + i
+            u, w, grad = i, 2 + i, 2 + i
             for k, row, col, block in (
-                    (0, u, u, E0), (1, u, u, nu * MU), (0, u, w, -MU @ DT), (d, u, P, -lift_p),
+                    (0, u, u, E0), (1, u, u, nu * MU), (0, u, w, -MU @ DT),
                     (0, w, u, ET - MW @ DT), (0, w, w, E0 - ET), (1, w, w, nu * MW),
-                    (d, w, R, -lift_r), (d, P, u, lift_p.T), (d, R, w, lift_r.T)):
+                    (grad, u, P, -lift_p), (grad, w, R, -lift_r),
+                    (grad, P, u, lift_p.T), (grad, R, w, lift_r.T)):
                 A[k][np.ix_(fields[row], fields[col])] = block
         self.velocities = 4 * T         # time-field indices of u and w come first
         L0 = sum(sp.kron(a, b, format="csr") for a, b in zip(A, (sp.identity(S), LAP, *DX)))
