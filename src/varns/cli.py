@@ -247,11 +247,10 @@ def cmd_residual(args, cfg, out, grid, state) -> int:
         "mom_w_max": float(max(np.max(np.abs(c.values)) for c in res.res_w.components)),
     }
     payload["max"] = max(payload.values())
-    reports.write_field_csv(os.path.join(out, "res_div_u.csv"), res.res_div_u)
-    reports.write_field_csv(os.path.join(out, "res_div_w.csv"), res.res_div_w)
+    fields = [("res_div_u.csv", res.res_div_u), ("res_div_w.csv", res.res_div_w)]
     for i in range(grid.dim):
-        reports.write_field_csv(os.path.join(out, f"res_u_{i}.csv"), res.res_u[i])
-        reports.write_field_csv(os.path.join(out, f"res_w_{i}.csv"), res.res_w[i])
+        fields += [(f"res_u_{i}.csv", res.res_u[i]), (f"res_w_{i}.csv", res.res_w[i])]
+    reports.write_fields_csv(out, fields)
     emit(payload)
     return 0
 

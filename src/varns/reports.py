@@ -3,6 +3,15 @@
 Snapshot format: one row per node with header ``axis0,axis1[,axis2],t,value``
 in time-major, then axis0-major order. Floats are written with shortest
 round-trip formatting, so identical inputs produce byte-identical files.
+
+At a solution of the dual system w = u and r = p, so snapshots and residuals
+come in bit-identical pairs. ``write_fields_csv`` formats each distinct field
+of one call once and copies the file for a field whose float64 bits equal one
+already written; ``read_quartet_csv`` parses each distinct file once and
+hands back a copy of the array for a file whose bytes equal one already
+parsed. Equal bytes parse to equal values and fail with equal errors, so the
+output and every reader check are the same as formatting and parsing each
+field on its own.
 """
 
 from __future__ import annotations
@@ -46,6 +55,27 @@ def write_field_csv(path, f: ScalarField):
                               zip(prefixes, f.values[..., k].ravel().tolist())]))
 
 
+def write_fields_csv(outdir, fields):
+    """Write each ``(file_name, ScalarField)`` of ``fields`` into ``outdir``.
+
+    A field whose grid and float64 bits equal those of a field already written
+    in this call is copied from that file instead of being formatted again.
+    Bits, not values: -0.0 and 0.0 format differently.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    written = []
+    for name, f in fields:
+        path = os.path.join(outdir, name)
+        bits = f.values.view(np.int64)
+        source = next((p for p, grid, seen in written
+                       if grid == f.grid and np.array_equal(seen, bits)), None)
+        if source is None:
+            write_field_csv(path, f)
+            written.append((path, f.grid, bits))
+        else:
+            shutil.copyfile(source, path)
+
+
 def _parse_slab(path, rows: list[str], first_line: int) -> list[float]:
     """The value column of ``rows``, which start at 1-based file line ``first_line``."""
     try:
@@ -72,6 +102,26 @@ def _check_node(path, row: str, line: int, node: list[float]):
                          f"{','.join(map(_fmt, node))}; it was written on another grid")
 
 
+def _check_finite(path, rows: list[str], first_line: int, column: np.ndarray):
+    """Raise unless every value of ``column``, parsed from ``rows``, is finite."""
+    finite = np.isfinite(column)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ValueError(f"snapshot {path} line {first_line + n} has a non-finite value: "
+                         f"{rows[n].rstrip()!r}")
+
+
+def _checked_nodes(grid: Grid) -> list[tuple[int, list[float]]]:
+    """``(row, coordinates)`` of the rows checked in every time slab: the first,
+    the last and the one at each axis stride. The stride rows catch a slab
+    written in another axis order, whose first and last rows are the same."""
+    axes = [grid.axis_coords(a) for a in range(grid.dim)]
+    per_slab = int(np.prod(grid.nodes))
+    strides = (int(np.prod(grid.nodes[a + 1:])) for a in range(grid.dim))
+    return [(row, [x[i] for x, i in zip(axes, np.unravel_index(row, grid.nodes))])
+            for row in sorted({0, per_slab - 1, *strides})]
+
+
 def read_field_csv(path, grid: Grid) -> ScalarField:
     try:
         fh = open(path, encoding="utf-8")
@@ -80,7 +130,7 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     per_slab = int(np.prod(grid.nodes))
     values = np.empty(grid.shape)
     slabs = values.reshape(per_slab, grid.time_nodes)
-    axes = [grid.axis_coords(a) for a in range(grid.dim)]
+    checked = _checked_nodes(grid)
     with fh:
         try:
             header = fh.readline().strip()
@@ -93,8 +143,9 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
                     raise ValueError(f"snapshot {path} is truncated")
                 first = 2 + k * per_slab        # line 1 is the header
                 slabs[:, k] = _parse_slab(path, rows, first)
-                _check_node(path, rows[0], first, [*(x[0] for x in axes), t])
-                _check_node(path, rows[-1], first + per_slab - 1, [*(x[-1] for x in axes), t])
+                _check_finite(path, rows, first, slabs[:, k])
+                for row, node in checked:
+                    _check_node(path, rows[row], first + row, [*node, t])
             if fh.readline():
                 raise ValueError(f"snapshot {path} has extra rows")
         except UnicodeDecodeError as exc:
@@ -103,36 +154,52 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
 
 
 def write_quartet_csv(outdir, quartet: FieldQuartet):
-    g = quartet.grid
-    os.makedirs(outdir, exist_ok=True)
-    # the solvers return w is u and r is p: a values array already written in
-    # this call is copied byte for byte instead of being formatted again.
-    # The quartet keeps every array alive, so their ids are stable keys.
-    written = {}
+    fields = []
     for name in ("u", "w", "p", "r"):
         fld = getattr(quartet, name)
         if isinstance(fld, VectorField):
-            parts = [(f"{name}_{i}.csv", fld[i]) for i in range(g.dim)]
+            fields += [(f"{name}_{i}.csv", comp) for i, comp in enumerate(fld.components)]
         else:
-            parts = [(f"{name}.csv", fld)]
-        for fname, comp in parts:
-            path = os.path.join(outdir, fname)
-            source = written.get(id(comp.values))
-            if source is None:
-                write_field_csv(path, comp)
-                written[id(comp.values)] = path
-            else:
-                shutil.copyfile(source, path)
+            fields.append((f"{name}.csv", fld))
+    write_fields_csv(outdir, fields)
+
+
+_COMPARE_CHUNK = 1 << 16
+
+
+def _same_bytes(path_a, path_b) -> bool:
+    """Whether two files hold the same bytes: sizes first, then chunk by chunk,
+    so memory stays flat. A file that cannot be read compares unequal."""
+    try:
+        if os.path.getsize(path_a) != os.path.getsize(path_b):
+            return False
+        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+            while True:
+                chunk = fa.read(_COMPARE_CHUNK)
+                if chunk != fb.read(_COMPARE_CHUNK):
+                    return False
+                if not chunk:
+                    return True
+    except OSError:
+        return False
 
 
 def read_quartet_csv(indir, grid: Grid) -> FieldQuartet:
-    vec = lambda name: VectorField(grid, tuple(
-        read_field_csv(os.path.join(indir, f"{name}_{i}.csv"), grid)
-        for i in range(grid.dim)))
-    return FieldQuartet(vec("u"),
-                        read_field_csv(os.path.join(indir, "p.csv"), grid),
-                        vec("w"),
-                        read_field_csv(os.path.join(indir, "r.csv"), grid))
+    parsed = []
+
+    def read(name):
+        # a file with the bytes of one parsed before parses to the same values
+        path = os.path.join(indir, name)
+        for seen, values in parsed:
+            if _same_bytes(seen, path):
+                return ScalarField(grid, values.copy())
+        f = read_field_csv(path, grid)
+        parsed.append((path, f.values))
+        return f
+
+    vec = lambda name: VectorField(grid, tuple(read(f"{name}_{i}.csv")
+                                               for i in range(grid.dim)))
+    return FieldQuartet(vec("u"), read("p.csv"), vec("w"), read("r.csv"))
 
 
 def write_energy_csv(path, series):

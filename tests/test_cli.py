@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from varns import solver
+from varns import reports, solver
 from varns.cli import main
-from varns.grids import FieldQuartet, Grid, ScalarField, VectorField
-from varns.reports import write_quartet_csv
+from varns.grids import FieldQuartet, Grid, ScalarField, VectorField, periodic_square
+from varns.lagrangian import el_residuals
+from varns.reports import write_field_csv, write_quartet_csv
+from varns.scenarios import build_scenario
 
 
 def run_cli(capsys, *argv):
@@ -304,6 +306,49 @@ def test_file_scenario_from_another_grid_exits_1(tmp_path, capsys, flag, value):
     assert code == 1
     detail = json.loads(err)["detail"]
     assert str(dump / "u_0.csv") in detail and "another grid" in detail
+
+
+@pytest.mark.parametrize("name, value, line", [("u_0.csv", "nan", 10), ("w_1.csv", "inf", 70),
+                                               ("r.csv", "-nan", 192)])
+@pytest.mark.parametrize("command", ["evaluate", "residual"])
+def test_non_finite_file_scenario_exits_1_naming_file_and_line(tmp_path, capsys, command,
+                                                               name, value, line):
+    """NaN is not JSON: a non-finite snapshot value must not reach the report."""
+    dump = tmp_path / "dump"
+    grid = ("--n", "8", "--time-nodes", "3", "--dt", "0.02", "--nu", "0.2")
+    code, _, _ = run_cli(capsys, "solve-unsteady", "--scenario", "taylor-green",
+                         *grid, "--out", str(dump))
+    assert code == 0
+    lines = (dump / name).read_text().splitlines()
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + value
+    (dump / name).write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, command, "--scenario", f"file:{dump}", *grid,
+                             "--out", str(tmp_path / "report"))
+    assert code == 1 and out == ""
+    detail = json.loads(err)["detail"]
+    assert str(dump / name) in detail and f"line {line} has a non-finite value" in detail
+
+
+def test_residual_formats_each_distinct_field_once(tmp_path, capsys, monkeypatch):
+    """Taylor-Green has w = u, so the w residuals are bit-equal to the u ones:
+    three of the six files are copies, with the bytes of independent writes."""
+    calls, real = [], reports.write_field_csv
+    monkeypatch.setattr(reports, "write_field_csv",
+                        lambda path, f: calls.append(path) or real(path, f))
+    code, _, _ = run_cli(capsys, "residual", "--scenario", "taylor-green", "--n", "8",
+                         "--time-nodes", "3", "--dt", "0.02", "--nu", "0.2",
+                         "--out", str(tmp_path / "cli"))
+    assert code == 0
+    assert len(calls) == 3
+    g = periodic_square(8, time_nodes=3, dt=0.02)
+    res = el_residuals(build_scenario("taylor-green", g, 0.2), 0.2)
+    fields = {"res_div_u.csv": res.res_div_u, "res_div_w.csv": res.res_div_w,
+              **{f"res_u_{i}.csv": res.res_u[i] for i in range(2)},
+              **{f"res_w_{i}.csv": res.res_w[i] for i in range(2)}}
+    (tmp_path / "ref").mkdir()
+    for name, f in fields.items():
+        write_field_csv(tmp_path / "ref" / name, f)
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_energy_cli(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import copy
+import itertools
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from varns.reports import (
     read_field_csv,
     read_quartet_csv,
     write_field_csv,
+    write_fields_csv,
     write_quartet_csv,
 )
 
@@ -163,8 +166,8 @@ def test_malformed_row_names_file_and_line(tmp_path, row, line):
 
 def test_quartet_copy_path_matches_fresh_writes(tmp_path, monkeypatch):
     """A quartet whose w is u and r is p (as the solvers return it) writes the
-    same six files as one with four distinct field arrays, and formats only
-    the three distinct fields."""
+    same six files as one with four distinct but bit-equal field arrays, and
+    both format only the three distinct fields."""
     g = periodic_square(5, time_nodes=3, dt=0.2)
     q = random_quartet(g, 4)
     aliased = FieldQuartet(q.u, q.p, q.u, q.p)
@@ -178,12 +181,109 @@ def test_quartet_copy_path_matches_fresh_writes(tmp_path, monkeypatch):
     write_quartet_csv(tmp_path / "aliased", aliased)
     assert len(calls) == 3
     write_quartet_csv(tmp_path / "distinct", distinct)
-    assert len(calls) == 3 + 6
+    assert len(calls) == 3 + 3
     for name in ("u_0.csv", "u_1.csv", "p.csv", "w_0.csv", "w_1.csv", "r.csv"):
         assert ((tmp_path / "aliased" / name).read_bytes()
                 == (tmp_path / "distinct" / name).read_bytes())
     assert (tmp_path / "aliased" / "w_1.csv").read_bytes() == \
         (tmp_path / "aliased" / "u_1.csv").read_bytes()
+
+
+def _counting(monkeypatch, name):
+    """Replace ``reports.<name>`` by a wrapper that records each path it gets."""
+    calls, real = [], getattr(reports, name)
+    monkeypatch.setattr(reports, name, lambda path, *a: calls.append(path) or real(path, *a))
+    return calls
+
+
+def test_quartet_reader_parses_each_distinct_file_once(tmp_path, monkeypatch):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    q = random_quartet(g, 4)
+    write_quartet_csv(tmp_path, FieldQuartet(q.u, q.p, q.u, q.p))
+    calls = _counting(monkeypatch, "read_field_csv")
+    back = read_quartet_csv(tmp_path, g)
+    assert [os.path.basename(c) for c in calls] == ["u_0.csv", "u_1.csv", "p.csv"]
+    arrays = [c.values for c in (*back.u.components, back.p, *back.w.components, back.r)]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+    for i in range(2):
+        assert np.array_equal(back.w[i].values, q.u[i].values)
+    assert np.array_equal(back.r.values, q.p.values)
+
+
+def test_quartet_reader_parses_a_file_one_byte_off(tmp_path, monkeypatch):
+    """w_0.csv differs from u_0.csv in one byte of one value: it is parsed on
+    its own, so a valid change shows in w and an invalid one names w_0.csv."""
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    q = random_quartet(g, 4)
+    write_quartet_csv(tmp_path, FieldQuartet(q.u, q.p, q.u, q.p))
+    text = (tmp_path / "u_0.csv").read_bytes()
+    row = text.index(b"\n", len(text) // 2)         # the end of a row in the middle
+    at = text.rindex(b",", 0, row) + 1               # its value's first character
+    at += text[at:at + 1] == b"-"
+    digit = b"2" if text[at:at + 1] == b"1" else b"1"
+    for byte, valid in ((digit, True), (b"x", False)):
+        (tmp_path / "w_0.csv").write_bytes(text[:at] + byte + text[at + 1:])
+        calls = _counting(monkeypatch, "read_field_csv")
+        if valid:
+            back = read_quartet_csv(tmp_path, g)
+            assert np.sum(back.w[0].values != back.u[0].values) == 1
+        else:
+            with pytest.raises(ValueError, match="is malformed") as err:
+                read_quartet_csv(tmp_path, g)
+            assert str(tmp_path / "w_0.csv") in str(err.value)
+        assert os.path.basename(calls[-1]) == "w_0.csv"
+
+
+def _write_in_axis_order(path, f, order):
+    """``f`` with every row at its true node, but the spatial axes of each time
+    slab swept in ``order`` (slowest first) instead of axis0-major."""
+    g = f.grid
+    axes = [g.axis_coords(a) for a in range(g.dim)]
+    with open(path, "w") as fh:
+        fh.write(",".join(f"axis{a}" for a in range(g.dim)) + ",t,value\n")
+        for k, t in enumerate(g.time_coords()):
+            for swept in itertools.product(*(range(g.nodes[a]) for a in order)):
+                node = [0] * g.dim
+                for a, i in zip(order, swept):
+                    node[a] = i
+                fh.write(",".join([*(repr(float(axes[a][node[a]])) for a in range(g.dim)),
+                                   repr(float(t)), repr(float(f.values[(*node, k)]))]) + "\n")
+
+
+@pytest.mark.parametrize("nodes, order", [
+    ((4, 4), (0, 1)), ((4, 4), (1, 0)), ((3, 5), (1, 0)),
+    ((4, 4, 4), (0, 1, 2)), ((4, 4, 4), (0, 2, 1)), ((4, 4, 4), (1, 0, 2)),
+    ((3, 4, 5), (2, 1, 0)), ((3, 4, 5), (1, 2, 0)), ((3, 4, 5), (2, 0, 1)),
+])
+def test_axis_permuted_snapshot_rejected(tmp_path, nodes, order):
+    """The first and last row of every slab are the same in any axis order;
+    the row at each axis stride is not."""
+    g = Grid((1.0,) * len(nodes), nodes, (WALL,) * len(nodes), 3, 0.1)
+    f = ScalarField(g, np.random.default_rng(3).normal(size=g.shape))
+    path = tmp_path / "f.csv"
+    _write_in_axis_order(path, f, order)
+    if order == tuple(range(g.dim)):
+        write_field_csv(tmp_path / "ref.csv", f)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert np.array_equal(read_field_csv(path, g).values, f.values)
+    else:
+        with pytest.raises(ValueError, match="written on another grid") as err:
+            read_field_csv(path, g)
+        assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_snapshot_value_names_file_and_line(tmp_path, value):
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, ScalarField.zeros(g))
+    lines = path.read_text().splitlines()
+    lines[40] = lines[40].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 41 has a non-finite value") as err:
+        read_field_csv(path, g)
+    assert str(path) in str(err.value)
 
 
 # --- byte format against the per-node reference writer -----------------------
@@ -245,3 +345,31 @@ def test_read_of_write_is_bit_exact(tmp_path, f):
     # comparing the raw bits also checks that -0.0 keeps its sign
     assert np.array_equal(back.view(np.int64), f.values.view(np.int64))
     assert back.flags.c_contiguous
+
+
+def _twin(values, kind, index):
+    """A copy of ``values`` equal in value, and in bits unless ``kind`` flips
+    the sign of a zero or the payload of a NaN at ``index``."""
+    a, b = values.copy(), values.copy()
+    if kind == "signed zero":
+        a.flat[index], b.flat[index] = 0.0, -0.0
+    elif kind == "nan payload":
+        a.flat[index] = np.nan
+        b.view(np.int64).flat[index] = a.view(np.int64).flat[index] | 1
+    return a, b
+
+
+@IO_SETTINGS
+@given(f=snapshot_fields(), kind=st.sampled_from(("same bits", "signed zero", "nan payload")),
+       index=st.integers(0, 10 ** 6))
+def test_set_writer_copies_only_bit_equal_fields(tmp_path, monkeypatch, f, kind, index):
+    a, b = _twin(f.values, kind, index % f.values.size)
+    fields = [("a.csv", ScalarField(f.grid, a)), ("b.csv", ScalarField(f.grid, b))]
+    calls, real = [], write_field_csv
+    monkeypatch.setattr(reports, "write_field_csv",
+                        lambda path, fld: calls.append(path) or real(path, fld))
+    write_fields_csv(tmp_path / "set", fields)
+    assert len(calls) == (1 if kind == "same bits" else 2)
+    for name, fld in fields:
+        _reference_write_field_csv(tmp_path / "ref.csv", fld)
+        assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
