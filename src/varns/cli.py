@@ -1,14 +1,16 @@
 """Command-line runner: one subcommand per laboratory operation.
 
 Configuration comes from an optional JSON document plus flag overrides
-(flags win); unknown keys are rejected. Every subcommand writes its reports
-under the output directory (``--out``, then the config, then ``$VARNS_OUT``,
-then ``./varns-out``) and prints a one-line JSON summary to stdout.
+(flags win); unknown keys are rejected. ``DEFAULT_CONFIG`` is the one list of
+options: every key has a flag of its name. A subcommand handler returns its
+one-line JSON summary, its reports and whether its checks passed; ``main``
+writes the reports under the output directory (``--out``, then the config,
+then ``$VARNS_OUT``, then ``./varns-out``) and prints the summary to stdout.
 
 Exit codes: 0 success / checks passed, 2 checks failed (resonance, unmet
 certificate, non-convergence, order band violation), 1 usage or config error
 (an unknown subcommand, flag or key, a malformed, mistyped or non-finite
-value): the parser checks every flag, ``_reject_unknown`` every config value.
+value): the parser checks every flag, ``_merge`` every config value.
 """
 
 from __future__ import annotations
@@ -90,85 +92,105 @@ class ConfigError(Exception):
     pass
 
 
-#: JSON types a config value may take, and their name, by the type of its default
-_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
-          str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
+def _finite(text: str) -> float:
+    """Flag type of a number; nan, inf and overflow are rejected as malformed."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _reject_unknown(loaded: dict, template: dict, path: str = ""):
-    """Reject unknown keys and values whose JSON type is not their default's, and
-    non-finite numbers (NaN, Infinity, overflow); a list default (grid extent,
-    nodes, boundary) takes one element or a list."""
+def _comma_list(convert):
+    """Flag type of a comma list of ``convert`` values."""
+    def comma_list(text: str) -> list:
+        return [convert(v) for v in text.split(",")]
+    return comma_list
+
+
+#: by the type of a config key's default: the JSON types its value may take,
+#: their name, and the type of its flag
+_KINDS = {int: ((int,), "an integer", int),
+          float: ((int, float), "a finite number", _finite),
+          str: ((str,), "a string", str),
+          type(None): ((str, type(None)), "a string or null", str)}
+
+#: other spellings of a config key's flag
+_ALIASES = {"grid.nodes": ("--n",)}
+
+
+def _keys(cfg: dict, prefix: str = ""):
+    """``(section, key, dotted name)`` of every config key of ``cfg``."""
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            yield from _keys(val, prefix + key + ".")
+        else:
+            yield cfg, key, prefix + key
+
+
+def _merge(cfg: dict, loaded: dict, path: str = ""):
+    """Merge a config document into ``cfg``. Reject unknown keys, values whose JSON
+    type is not their default's, and non-finite numbers (NaN, Infinity,
+    overflow); a list default (grid extent, nodes, boundary) takes one element or
+    a list."""
     for key, val in loaded.items():
-        if key not in template:
+        if key not in cfg:
             raise ConfigError(f"unknown config key {path + key!r}")
-        default = template[key]
+        default = cfg[key]
         if isinstance(default, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {path + key!r} must be an object")
-            _reject_unknown(val, default, path + key + ".")
+            _merge(default, val, path + key + ".")
             continue
         listed = isinstance(default, list)
-        types, what = _KINDS[type(default[0] if listed else default)]
+        types, what, _ = _KINDS[type(default[0] if listed else default)]
+        vals = val if listed and isinstance(val, list) else [val]
         # true/false load as bool, an int subclass, and no key takes them
         if not all(isinstance(v, types) and not isinstance(v, bool)
-                   and not (isinstance(v, float) and not math.isfinite(v))
-                   for v in (val if listed and isinstance(val, list) else [val])):
+                   and not (isinstance(v, float) and not math.isfinite(v)) for v in vals):
             raise ConfigError(f"config key {path + key!r} must be {what}"
                               f"{' or a list of them' if listed else ''}, got {json.dumps(val)}")
+        cfg[key] = vals if listed else val
 
 
 def load_config(args) -> dict:
+    """The defaults, then the ``--config`` document, then the flags: every config
+    key is set by the flag of its name (see ``_config_flags``)."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"malformed JSON in {args.config}: line {exc.lineno} "
-                f"column {exc.colno}: {exc.msg}") from exc
+            raise ConfigError(f"malformed JSON in {args.config}: line {exc.lineno} "
+                              f"column {exc.colno}: {exc.msg}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config document must be a JSON object")
-        _reject_unknown(loaded, cfg)
-        for key, val in loaded.items():
-            if isinstance(val, dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
-
-    g = cfg["grid"]
-    for section, keys in ((g, ("dim", "time_nodes", "dt")),
-                          (cfg, ("nu", "scenario", "seeds", "out")),
-                          (cfg["solver"], ("newton_tol", "max_newton",
-                                           "continuation_steps", "linear_tol"))):
-        for key in keys:
-            if getattr(args, key, None) is not None:
-                section[key] = getattr(args, key)
-    if getattr(args, "n", None) is not None:
-        g["nodes"] = [args.n] * g["dim"]
-    if getattr(args, "nodes", None) is not None:
-        g["nodes"] = args.nodes
-    for key in ("extent", "boundary"):
-        vals = getattr(args, key, None)
-        if vals is not None:
-            g[key] = vals * g["dim"] if len(vals) == 1 else vals
+        _merge(cfg, loaded)
+    for section, key, name in _keys(cfg):
+        if getattr(args, name) is not None:
+            section[key] = getattr(args, name)
+    # one value of a list key applies to every axis
+    dim = cfg["grid"]["dim"]
+    for section, key, name in _keys(cfg):
+        if isinstance(section[key], list) and len(section[key]) == 1:
+            if dim not in (1, 2, 3):
+                raise ConfigError(f"config key 'grid.dim' must be 1, 2 or 3, got {dim}")
+            section[key] = section[key] * dim
     return cfg
 
 
 def grid_from_config(cfg: dict, steady: bool = False) -> Grid:
     g = cfg["grid"]
-    dim = g["dim"]
-    each = lambda key: g[key] if isinstance(g[key], list) else [g[key]] * dim
-    ext, nodes, bnd = [float(v) for v in each("extent")], each("nodes"), each("boundary")
-    if len(ext) != dim or len(nodes) != dim or len(bnd) != dim:
+    if not len(g["extent"]) == len(g["nodes"]) == len(g["boundary"]) == g["dim"]:
         raise ConfigError("grid extent/nodes/boundary lengths must match dim")
+    time = (1, 0.0) if steady else (int(g["time_nodes"]), float(g["dt"]))
     try:
-        if steady:
-            return Grid(ext, nodes, bnd, 1, 0.0)
-        return Grid(ext, nodes, bnd, int(g["time_nodes"]), float(g["dt"]))
+        return Grid([float(v) for v in g["extent"]], g["nodes"], g["boundary"], *time)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -181,21 +203,15 @@ def solve_config(cfg: dict) -> SolveConfig:
                        linear_tol=float(s["linear_tol"]))
 
 
-def resolve_out(cfg: dict) -> str:
-    out = cfg.get("out") or os.environ.get("VARNS_OUT") or "varns-out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def emit(payload: dict):
-    print(reports.json_line(payload))
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its summary, its reports (file name -> JSON record,
+# reports.Table or ScalarField) and whether its checks passed
 # ---------------------------------------------------------------------------
 
-def cmd_oscillator(args, cfg, out, grid, state) -> int:
+def cmd_oscillator(args, cfg, grid, state):
+    # the order estimate also solves at (n - 1) // 2 + 1 nodes, at least 4
+    if args.osc_n < 7:
+        raise ValueError(f"--osc-n must be at least 7 for the order estimate, got {args.osc_n}")
     problem = OscillatorProblem(args.a, args.b, args.alpha, args.beta, args.osc_n)
     x = problem.x()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,28 +233,20 @@ def cmd_oscillator(args, cfg, out, grid, state) -> int:
     order = float(np.mean([math.log2(r) for r in ratios])) if ratios else None
 
     gres = galerkin_identity_residual(sol.y1, sol.y2, problem)
-    with open(os.path.join(out, "oscillator.csv"), "w") as fh:
-        fh.write("x,y1,y2,y_mean,y_diff,analytic\n")
-        for i in range(problem.n):
-            fh.write(",".join(repr(float(v)) for v in
-                              (x[i], sol.y1[i], sol.y2[i], sol.y_mean[i],
-                               sol.y_diff[i], analytic[i])) + "\n")
+    table = reports.Table(x=x, y1=sol.y1, y2=sol.y2, y_mean=sol.y_mean,
+                          y_diff=sol.y_diff, analytic=analytic)
     verdict = {"J": sol.functional_value, "galerkin_residual": gres,
                "max_err": max_err, "order_estimate": order}
-    reports.write_json(os.path.join(out, "oscillator_verdict.json"), verdict)
-    emit(verdict)
-    return 0
+    return verdict, {"oscillator.csv": table, "oscillator_verdict.json": verdict}, True
 
 
-def cmd_evaluate(args, cfg, out, grid, state) -> int:
+def cmd_evaluate(args, cfg, grid, state):
     rep = evaluate_lagrangian(state, cfg["nu"])
     payload = {"J": rep.J, **rep.breakdown(), "scale": rep.scale}
-    reports.write_json(os.path.join(out, "lagrangian_report.json"), payload)
-    emit({"J": rep.J})
-    return 0
+    return {"J": rep.J}, {"lagrangian_report.json": payload}, True
 
 
-def cmd_residual(args, cfg, out, grid, state) -> int:
+def cmd_residual(args, cfg, grid, state):
     res = el_residuals(state, cfg["nu"])
     payload = {
         "div_u_max": float(np.max(np.abs(res.res_div_u.values))),
@@ -247,12 +255,10 @@ def cmd_residual(args, cfg, out, grid, state) -> int:
         "mom_w_max": float(max(np.max(np.abs(c.values)) for c in res.res_w.components)),
     }
     payload["max"] = max(payload.values())
-    fields = [("res_div_u.csv", res.res_div_u), ("res_div_w.csv", res.res_div_w)]
+    files = {"res_div_u.csv": res.res_div_u, "res_div_w.csv": res.res_div_w}
     for i in range(grid.dim):
-        fields += [(f"res_u_{i}.csv", res.res_u[i]), (f"res_w_{i}.csv", res.res_w[i])]
-    reports.write_fields_csv(out, fields)
-    emit(payload)
-    return 0
+        files.update({f"res_u_{i}.csv": res.res_u[i], f"res_w_{i}.csv": res.res_w[i]})
+    return payload, files, True
 
 
 def _admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
@@ -271,7 +277,7 @@ def _admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
     return FieldQuartet(mkv(du), ScalarField(grid, dp), mkv(dw), ScalarField(grid, dr))
 
 
-def cmd_variation_check(args, cfg, out, grid, state) -> int:
+def cmd_variation_check(args, cfg, grid, state):
     nu = cfg["nu"]
     worst = 0.0
     rows = []
@@ -287,11 +293,9 @@ def cmd_variation_check(args, cfg, out, grid, state) -> int:
         rel = abs(dJ - fd) / max(abs(fd), 1e-30)
         rows.append({"seed": seed, "dJ": dJ, "fd": fd, "rel_err": rel})
         worst = max(worst, rel)
-    reports.write_json(os.path.join(out, "variation_check.json"),
-                       {"cases": rows, "max_rel_err": worst})
     ok = worst <= 1e-6
-    emit({"max_rel_err": worst, "tolerance": 1e-6, "ok": ok})
-    return 0 if ok else 2
+    return ({"max_rel_err": worst, "tolerance": 1e-6, "ok": ok},
+            {"variation_check.json": {"cases": rows, "max_rel_err": worst}}, ok)
 
 
 def _shift_state(state: FieldQuartet, direction: FieldQuartet, eps: float) -> FieldQuartet:
@@ -305,48 +309,56 @@ def _shift_state(state: FieldQuartet, direction: FieldQuartet, eps: float) -> Fi
                         ScalarField(g, state.r.values + eps * direction.r.values))
 
 
-def cmd_energy(args, cfg, out, grid, state) -> int:
+def cmd_energy(args, cfg, grid, state):
     series = energy_series(state, cfg["nu"])
     audit = gronwall_audit(series)
-    reports.write_energy_csv(os.path.join(out, "energy_series.csv"), series)
+    # the mismatch is defined at interior time nodes only
+    mismatch = [None] * len(series.times)
+    mismatch[1:-1] = series.identity_mismatch
+    table = reports.Table(t=series.times, E=series.E, rhs=series.rhs, mismatch=mismatch)
     payload = {"m": series.m, "E_final": float(series.E[-1]),
                "pointwise_ok": audit.pointwise_ok,
                "min_margin": audit.min_pointwise_margin,
                "min_forward_difference": audit.min_forward_difference}
-    emit(payload)
-    return 0 if audit.pointwise_ok else 2
+    return payload, {"energy_series.csv": table}, audit.pointwise_ok
 
 
-def cmd_steady_cert(args, cfg, out, grid, state) -> int:
+def _rows_table(rows, *names) -> reports.Table:
+    return reports.Table({name: [getattr(r, name) for r in rows] for name in names})
+
+
+def _convergence_table(traj) -> reports.Table:
+    return reports.Table(iter=range(len(traj.residuals)), residual=traj.residuals,
+                         u_w_gap=traj.u_w_gap, J=traj.J_values)
+
+
+def cmd_steady_cert(args, cfg, grid, state):
     cert = uniqueness_certificate(state, cfg["nu"], grid)
     record = cert.to_record()
-    reports.write_json(os.path.join(out, "certificate.json"), record)
-    emit(record)
-    return 0 if cert.satisfied else 2
+    return record, {"certificate.json": record}, cert.satisfied
 
 
-def cmd_inequality_audit(args, cfg, out, grid, state) -> int:
+def cmd_inequality_audit(args, cfg, grid, state):
     audit = inequality_chain_audit(state, cfg["nu"], grid)
-    reports.write_inequality_csv(os.path.join(out, "inequality_audit.csv"), audit)
-    emit({"asserted_ok": audit.asserted_ok,
-          "margins": {r.name: r.margin for r in audit.rows}})
-    return 0 if audit.asserted_ok else 2
+    table = _rows_table(audit.rows, "name", "lhs", "rhs", "margin", "asserted")
+    return ({"asserted_ok": audit.asserted_ok,
+             "margins": {r.name: r.margin for r in audit.rows}},
+            {"inequality_audit.csv": table}, audit.asserted_ok)
 
 
-def cmd_extended(args, cfg, out, grid, state) -> int:
+def cmd_extended(args, cfg, grid, state):
     surface = SurfaceData(state.u, state.w)
     rep = extended_functional(state, surface, cfg["nu"])
     payload = {"J": rep.J, "surface_term": rep.surface_term, "I": rep.I,
                "degenerate_wall_nodes": rep.degenerate_wall_nodes}
-    reports.write_json(os.path.join(out, "extended_report.json"), payload)
-    emit(payload)
-    return 0
+    return payload, {"extended_report.json": payload}, True
 
 
-def cmd_boundary_audit(args, cfg, out, grid, state) -> int:
+def cmd_boundary_audit(args, cfg, grid, state):
     surface = SurfaceData(state.u, state.w)
     audit = boundary_recovery_audit(state, surface, cfg["nu"])
-    reports.write_boundary_audit_csv(os.path.join(out, "boundary_audit.csv"), audit)
+    table = _rows_table(audit.rows, "face", "node", "check_a", "check_b", "check_c",
+                        "check_d")
     payload = {"max_normal_trace": audit.max_normal_trace,
                "max_stationarity": audit.max_stationarity,
                "max_normal_adjoint": audit.max_normal_adjoint,
@@ -354,25 +366,21 @@ def cmd_boundary_audit(args, cfg, out, grid, state) -> int:
     ok = True
     if args.claimed_stationary:
         ok = payload["stationary_ok"] = audit.passes(cfg["nu"])
-    emit(payload)
-    return 0 if ok else 2
+    return payload, {"boundary_audit.csv": table}, ok
 
 
-def cmd_solve_unsteady(args, cfg, out, grid, state) -> int:
+def cmd_solve_unsteady(args, cfg, grid, state):
     try:
         traj = march_reduced(state.u, solve_config(cfg), grid)
     except ConvergenceError as exc:
-        emit({"converged": False, "error": str(exc)})
-        return 2
-    reports.write_quartet_csv(out, traj.state)
-    reports.write_convergence_csv(os.path.join(out, "convergence.csv"), traj)
+        return {"converged": False, "error": str(exc)}, {}, False
     ke = kinetic_energy_series(traj)
-    emit({"converged": True, "final_ke": float(ke[-1]),
-          "initial_ke": float(ke[0])})
-    return 0
+    return ({"converged": True, "final_ke": float(ke[-1]), "initial_ke": float(ke[0])},
+            {**reports.quartet_files(traj.state), "convergence.csv": _convergence_table(traj)},
+            True)
 
 
-def cmd_solve_steady(args, cfg, out, grid, state) -> int:
+def cmd_solve_steady(args, cfg, grid, state):
     # the solver configuration is validated before the scenario is built
     scfg = solve_config(cfg)
     all_periodic = all(b == PERIODIC for b in grid.boundaries)
@@ -382,17 +390,14 @@ def cmd_solve_steady(args, cfg, out, grid, state) -> int:
     try:
         result = steady_solve(boundary, scfg, grid, initial=initial)
     except ConvergenceError as exc:
-        emit({"converged": False, "error": str(exc)})
-        return 2
-    reports.write_quartet_csv(out, result)
+        return {"converged": False, "error": str(exc)}, {}, False
     cert = uniqueness_certificate(result, cfg["nu"], grid)
     record = cert.to_record()
-    reports.write_json(os.path.join(out, "certificate.json"), record)
-    emit({"converged": True, **record})
-    return 0 if cert.satisfied else 2
+    return ({"converged": True, **record},
+            {**reports.quartet_files(result), "certificate.json": record}, cert.satisfied)
 
 
-def cmd_newton_dual(args, cfg, out, grid, seed_state) -> int:
+def cmd_newton_dual(args, cfg, grid, seed_state):
     nu = cfg["nu"]
     if args.perturb_w:
         amp = args.perturb_w
@@ -402,78 +407,47 @@ def cmd_newton_dual(args, cfg, out, grid, seed_state) -> int:
             ScalarField(grid, c.values * pert) for c in seed_state.u.components))
         seed_state = FieldQuartet(seed_state.u, seed_state.p, w, seed_state.r)
     traj = newton_dual(seed_state, seed_state.u, solve_config(cfg), grid)
-    reports.write_convergence_csv(os.path.join(out, "convergence.csv"), traj)
-    reports.write_quartet_csv(out, traj.state)
     rep = evaluate_lagrangian(traj.state, nu)
     gap = u_w_gap(traj.state)
     ok = traj.converged and gap <= 1e-8 and abs(rep.J) <= 1e-10 * rep.scale
-    emit({"converged": traj.converged, "iterations": len(traj.residuals) - 1,
-          "u_w_gap": gap, "J": rep.J, "scale": rep.scale, "ok": ok})
-    return 0 if ok else 2
+    return ({"converged": traj.converged, "iterations": len(traj.residuals) - 1,
+             "u_w_gap": gap, "J": rep.J, "scale": rep.scale, "ok": ok},
+            {"convergence.csv": _convergence_table(traj), **reports.quartet_files(traj.state)},
+            ok)
 
 
-def cmd_taylor_green_verify(args, cfg, out, base, state) -> int:
+def cmd_taylor_green_verify(args, cfg, base, state):
     nu = cfg["nu"]
+    levels = range(args.refine)
+    n = [base.nodes[0] * 2 ** lev for lev in levels]
+    dt = [base.dt / 2 ** lev for lev in levels]
     norms = []
-    lines = ["level,n,dt,residual_max"]
-    for lev in range(args.refine):
-        n = base.nodes[0] * 2 ** lev
-        dt = base.dt / 2 ** lev
-        tn = (base.time_nodes - 1) * 2 ** lev + 1
-        grid = periodic_square(n, time_nodes=tn, dt=dt)
-        state = taylor_green(nu, grid)
-        norm = el_residuals(state, nu).max_norm()
-        norms.append(norm)
-        lines.append(f"{lev},{n},{repr(dt)},{repr(norm)}")
+    for lev in levels:
+        grid = periodic_square(n[lev], time_nodes=(base.time_nodes - 1) * 2 ** lev + 1,
+                               dt=dt[lev])
+        norms.append(el_residuals(taylor_green(nu, grid), nu).max_norm())
     ratios = [norms[i] / norms[i + 1] for i in range(len(norms) - 1)]
     ok = all(ORDER_BAND[0] <= r <= ORDER_BAND[1] for r in ratios)
-    with open(os.path.join(out, "taylor_green_orders.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    emit({"norms": norms, "ratios": ratios, "band": list(ORDER_BAND), "ok": ok})
-    return 0 if ok else 2
+    table = reports.Table(level=levels, n=n, dt=dt, residual_max=norms)
+    return ({"norms": norms, "ratios": ratios, "band": list(ORDER_BAND), "ok": ok},
+            {"taylor_green_orders.csv": table}, ok)
 
 
 # ---------------------------------------------------------------------------
 # command table and parser
 # ---------------------------------------------------------------------------
 
-def _finite(text: str) -> float:
-    """Flag type of a number; nan, inf and overflow are rejected as malformed."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _comma_list(convert):
-    """Flag type of a comma list of ``convert`` values."""
-    def comma_list(text: str) -> list:
-        return [convert(v) for v in text.split(",")]
-    return comma_list
-
-
-_COMMON_FLAGS = {
-    "--config": {"help": "JSON config document"},
-    "--out": {"help": "output directory"},
-    "--nu": {"type": _finite},
-    "--n": {"type": int, "help": "nodes per spatial axis"},
-    "--nodes": {"type": _comma_list(int), "help": "comma list of nodes per axis"},
-    "--dim": {"type": int},
-    "--extent": {"type": _comma_list(_finite), "help": "comma list of extents (or one value)"},
-    "--boundary": {"type": _comma_list(str), "help": "comma list: periodic|wall"},
-    "--time-nodes": {"type": int},
-    "--dt": {"type": _finite},
-    "--scenario": {},
-    "--seeds": {"type": int},
-    "--newton-tol": {"type": _finite},
-    "--max-newton": {"type": int},
-    "--continuation-steps": {"type": int},
-    "--linear-tol": {"type": _finite},
-    "--print-config": {"action": "store_true"},
-}
+def _config_flags():
+    """``(spellings, add_argument keywords)`` of the flag of every config key: its
+    name is the key's, its type the default's; a list key takes a comma list."""
+    for section, key, name in _keys(DEFAULT_CONFIG):
+        listed = isinstance(section[key], list)
+        convert = _KINDS[type(section[key][0] if listed else section[key])][2]
+        spellings = ("--" + key.replace("_", "-"), *_ALIASES.get(name, ()))
+        yield spellings, {
+            "dest": name, "type": _comma_list(convert) if listed else convert,
+            "help": f"config key {name}" + (", a comma list or one value for "
+                                            "every axis" if listed else "")}
 
 
 class _Command(NamedTuple):
@@ -530,7 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, kwargs in (*_COMMON_FLAGS.items(), *command.flags.items()):
+        p.add_argument("--config", help="JSON config document")
+        p.add_argument("--print-config", action="store_true",
+                       help="print the effective configuration and exit")
+        for spellings, kwargs in _config_flags():
+            p.add_argument(*spellings, **kwargs)
+        for flag, kwargs in command.flags.items():
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -545,22 +524,26 @@ def main(argv=None) -> int:
         # the preamble every handler shares, in its validation order:
         # output directory, then grid, then scenario
         command = _COMMANDS[args.command]
-        out = resolve_out(cfg)
+        out = cfg["out"] or os.environ.get("VARNS_OUT") or "varns-out"
+        os.makedirs(out, exist_ok=True)
         grid = state = None
         if command.grid is not None:
             grid = grid_from_config(cfg, steady=command.grid == "steady")
         if command.scenario:
             state = build_scenario(cfg["scenario"], grid, cfg["nu"])
-        return command.handler(args, cfg, out, grid, state)
+        summary, files, ok = command.handler(args, cfg, grid, state)
+        reports.write_reports(out, files)
+        print(reports.json_line(summary))
+        return 0 if ok else 2
     except ConfigError as exc:
         print(reports.json_line({"error": "config", "detail": str(exc)}),
               file=sys.stderr)
         return 1
     except ResonanceError as exc:
-        emit({"error": "resonance", "m": exc.m})
+        print(reports.json_line({"error": "resonance", "m": exc.m}))
         return 2
     except ConvergenceError as exc:
-        emit({"error": "non-convergence", "detail": str(exc)})
+        print(reports.json_line({"error": "non-convergence", "detail": str(exc)}))
         return 2
     except ValueError as exc:
         print(reports.json_line({"error": "usage", "detail": str(exc)}),

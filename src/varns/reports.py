@@ -1,4 +1,7 @@
-"""CSV and JSON report writers, plus the field snapshot reader.
+"""Every report file format: field snapshots, CSV tables and JSON records.
+
+``write_reports`` writes a subcommand's reports, a map from file name to a
+``ScalarField`` (a snapshot CSV), a ``Table`` (a CSV table) or a JSON record.
 
 Snapshot format: one row per node with header ``axis0,axis1[,axis2],t,value``
 in time-major, then axis0-major order. Floats are written with shortest
@@ -154,14 +157,7 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
 
 
 def write_quartet_csv(outdir, quartet: FieldQuartet):
-    fields = []
-    for name in ("u", "w", "p", "r"):
-        fld = getattr(quartet, name)
-        if isinstance(fld, VectorField):
-            fields += [(f"{name}_{i}.csv", comp) for i, comp in enumerate(fld.components)]
-        else:
-            fields.append((f"{name}.csv", fld))
-    write_fields_csv(outdir, fields)
+    write_fields_csv(outdir, list(quartet_files(quartet).items()))
 
 
 _COMPARE_CHUNK = 1 << 16
@@ -202,41 +198,62 @@ def read_quartet_csv(indir, grid: Grid) -> FieldQuartet:
     return FieldQuartet(vec("u"), read("p.csv"), vec("w"), read("r.csv"))
 
 
-def write_energy_csv(path, series):
+class Table(dict):
+    """A CSV report: column name -> the column's values, in column order. A column
+    holds floats, ints, strings, bools or tuples of ints; ``None`` is a blank cell."""
+
+
+def _cells(column) -> list[str]:
+    """The text of each cell of ``column``. The format is chosen once per column,
+    by the type of its first value: floats by shortest round trip, bools as
+    true/false, tuples joined by ';'."""
+    values = list(column)
+    given = [v for v in values if v is not None]
+    first = given[0] if given else ""
+    if isinstance(first, (float, np.floating)):
+        text = list(map(repr, np.asarray(given, dtype=float).tolist()))
+    elif isinstance(first, (bool, np.bool_)):
+        text = ["true" if v else "false" for v in given]
+    elif isinstance(first, tuple):
+        text = [";".join(map(str, v)) for v in given]
+    else:
+        text = list(map(str, given))
+    if len(given) < len(values):
+        cells = iter(text)
+        text = ["" if v is None else next(cells) for v in values]
+    return text
+
+
+def write_table_csv(path, table: Table):
+    columns = [_cells(c) for c in table.values()]
     with open(path, "w") as fh:
-        fh.write("t,E,rhs,mismatch\n")
-        n = len(series.times)
-        for k in range(n):
-            mism = ""
-            if 1 <= k <= n - 2 and series.identity_mismatch.size:
-                mism = _fmt(series.identity_mismatch[k - 1])
-            fh.write(f"{_fmt(series.times[k])},{_fmt(series.E[k])},"
-                     f"{_fmt(series.rhs[k])},{mism}\n")
+        fh.write(",".join(table) + "\n")
+        fh.write("".join([",".join(row) + "\n" for row in zip(*columns, strict=True)]))
 
 
-def write_convergence_csv(path, trajectory):
-    with open(path, "w") as fh:
-        fh.write("iter,residual,u_w_gap,J\n")
-        for i, (res, gap, jv) in enumerate(zip(
-                trajectory.residuals, trajectory.u_w_gap, trajectory.J_values)):
-            fh.write(f"{i},{_fmt(res)},{_fmt(gap)},{_fmt(jv)}\n")
+def quartet_files(quartet: FieldQuartet) -> dict:
+    """The snapshot file name of each component of ``quartet``."""
+    files = {}
+    for name in ("u", "w", "p", "r"):
+        fld = getattr(quartet, name)
+        if isinstance(fld, VectorField):
+            files.update((f"{name}_{i}.csv", c) for i, c in enumerate(fld.components))
+        else:
+            files[f"{name}.csv"] = fld
+    return files
 
 
-def write_inequality_csv(path, report):
-    with open(path, "w") as fh:
-        fh.write("name,lhs,rhs,margin,asserted\n")
-        for row in report.rows:
-            fh.write(f"{row.name},{_fmt(row.lhs)},{_fmt(row.rhs)},"
-                     f"{_fmt(row.margin)},{str(row.asserted).lower()}\n")
-
-
-def write_boundary_audit_csv(path, report):
-    with open(path, "w") as fh:
-        fh.write("face,node,check_a,check_b,check_c,check_d\n")
-        for row in report.rows:
-            node = ";".join(str(i) for i in row.node)
-            fh.write(f"{row.face},{node},{_fmt(row.check_a)},{_fmt(row.check_b)},"
-                     f"{_fmt(row.check_c)},{_fmt(row.check_d)}\n")
+def write_reports(outdir, files: dict):
+    """Write each report of ``files`` (file name -> report) into ``outdir``: a
+    ``ScalarField`` as a snapshot CSV, a ``Table`` as a CSV, any other value as a
+    JSON record. All the fields go through one ``write_fields_csv`` call."""
+    write_fields_csv(outdir, [(name, f) for name, f in files.items()
+                              if isinstance(f, ScalarField)])
+    for name, report in files.items():
+        if isinstance(report, Table):
+            write_table_csv(os.path.join(outdir, name), report)
+        elif not isinstance(report, ScalarField):
+            write_json(os.path.join(outdir, name), report)
 
 
 def write_json(path, payload: dict):

@@ -72,9 +72,8 @@ _BYTES_PER_UNKNOWN = 2000
 class ConvergenceError(RuntimeError):
     """Iteration failed to reach its tolerance; carries the history."""
 
-    def __init__(self, message, trajectory=None, history=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
-        self.trajectory = trajectory
         self.history = history
 
 
@@ -104,7 +103,6 @@ class Trajectory:
     u_w_gap: np.ndarray = field(repr=False)
     J_values: np.ndarray = field(repr=False)
     converged: bool
-    message: str = ""
 
 
 def _require_periodic_2d(grid: Grid, unsteady: bool):
@@ -259,8 +257,7 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
     scal = ScalarField(grid, Q)
     state = FieldQuartet(vel, scal, vel, scal)
     zeros = np.zeros(T)
-    return Trajectory(state, increments, zeros, zeros, True,
-                      "marched to the final time level")
+    return Trajectory(state, increments, zeros, zeros, True)
 
 
 def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
@@ -533,8 +530,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         if not ok:
             break
     # the last system built is the one at the target viscosity unless a stage failed
-    message = "converged" if ok else f"Newton did not converge at viscosity {nu}"
-    return Trajectory(system.to_quartet(z), *(np.array(h) for h in record), ok, message)
+    return Trajectory(system.to_quartet(z), *(np.array(h) for h in record), ok)
 
 
 def _viscosity_ladder(config: SolveConfig) -> list[tuple[float, float]]:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from varns import reports, solver
+from varns import cli, reports, solver
 from varns.cli import main
 from varns.grids import FieldQuartet, Grid, ScalarField, VectorField, periodic_square
 from varns.lagrangian import el_residuals
@@ -177,9 +178,11 @@ def test_mistyped_config_value_exits_1_naming_the_key(tmp_path, capsys, command,
     (("evaluate",), '{"grid": {"dt": Infinity}}', "'grid.dt'"),
     (("evaluate",), '{"grid": {"extent": [1, -Infinity]}}', "'grid.extent'"),
     (("evaluate",), '{"solver": {"newton_tol": 1e999}}', "'solver.newton_tol'"),
+    # one value of a list key is repeated dim times only for a valid dim
+    (("evaluate", "--dim", "1000000000", "--n", "8"), None, "'grid.dim'"),
 ], ids=["bad-int", "unknown-flag", "unknown-subcommand", "flag-inf", "flag-nan",
         "nu-nan", "dt-nan", "extent-inf", "config-nan", "config-inf",
-        "config-list-inf", "config-overflow"])
+        "config-list-inf", "config-overflow", "dim-out-of-range"])
 def test_usage_error_exits_1_naming_the_flag_or_key(tmp_path, capsys, argv, document,
                                                     name):
     if document is not None:
@@ -482,3 +485,131 @@ def test_newton_dual_cli_non_finite_step_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert last_json(out)["error"] == "non-convergence"
     assert "non-finite Newton step" in last_json(out)["detail"]
+
+
+@pytest.mark.parametrize("osc_n", ["4", "5", "6"])
+def test_oscillator_too_few_nodes_exits_1_naming_the_flag(tmp_path, capsys, osc_n):
+    """The order estimate also solves at (n - 1) // 2 + 1 nodes, so n >= 7."""
+    code, out, err = run_cli(capsys, "oscillator", "--osc-n", osc_n, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    detail = json.loads(err)["detail"]
+    assert "--osc-n" in detail and "7" in detail
+    assert not (tmp_path / "oscillator.csv").exists()
+
+
+def test_oscillator_smallest_node_count_runs(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "oscillator", "--osc-n", "7", "--out", str(tmp_path))
+    assert code == 0
+    assert len((tmp_path / "oscillator.csv").read_text().splitlines()) == 8
+
+
+def _flag_value(default):
+    """A value other than ``default`` of its type, and its flag text."""
+    if isinstance(default, list):
+        value = {int: [7, 9], float: [1.5, 2.5], str: ["wall", "periodic"]}[type(default[0])]
+        return value, ",".join(map(str, value))
+    if isinstance(default, (int, float)):
+        return default * 3 + 1, repr(default * 3 + 1)
+    value = "elsewhere" if default is None else "zero"
+    return value, value
+
+
+def _print_config(capsys, *argv):
+    code, out, err = run_cli(capsys, "evaluate", *argv, "--print-config")
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("name", [name for _, _, name in cli._keys(cli.DEFAULT_CONFIG)])
+def test_every_config_key_is_set_by_its_flag(capsys, name):
+    *sections, key = name.split(".")
+    default = cli.DEFAULT_CONFIG
+    for s in sections:
+        default = default[s]
+    value, text = _flag_value(default[key])
+    assert value != default[key]
+    cfg = _print_config(capsys, "--" + key.replace("_", "-"), text)
+    for s in sections:
+        cfg = cfg[s]
+    assert cfg[key] == value
+
+
+def test_every_common_flag_is_a_config_key():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {name for _, _, name in cli._keys(cli.DEFAULT_CONFIG)}
+    for command, p in sub.choices.items():
+        own = {flag[2:].replace("-", "_") for flag in cli._COMMANDS[command].flags}
+        dests = {a.dest for a in p._actions} - own - {"help", "config", "print_config"}
+        assert dests == keys, command
+
+
+@pytest.mark.parametrize("argv, document, expected", [
+    (("--n", "16"), None, {"nodes": [16, 16]}),
+    (("--nodes", "16"), None, {"nodes": [16, 16]}),
+    (("--extent", "1"), None, {"extent": [1.0, 1.0]}),
+    (("--boundary", "wall"), None, {"boundary": ["wall", "wall"]}),
+    (("--dim", "3", "--n", "5"), None, {"nodes": [5, 5, 5]}),
+    ((), {"grid": {"extent": [1.0]}}, {"extent": [1.0, 1.0]}),
+    ((), {"grid": {"nodes": 12}}, {"nodes": [12, 12]}),
+    (("--dim", "1"), {"grid": {"boundary": ["wall"]}}, {"boundary": ["wall"]}),
+    (("--n", "10"), {"grid": {"nodes": [12, 14]}}, {"nodes": [10, 10]}),
+], ids=["n", "nodes", "extent", "boundary", "dim-3", "config-extent", "config-scalar",
+        "config-dim-1", "flag-wins"])
+def test_one_value_applies_to_every_axis(tmp_path, capsys, argv, document, expected):
+    if document is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(document))
+        argv = (*argv, "--config", str(tmp_path / "cfg.json"))
+    grid = _print_config(capsys, *argv)["grid"]
+    assert {key: grid[key] for key in expected} == expected
+    if grid["dim"] == 2:
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", "zero", "--time-nodes", "3",
+                                 *argv, "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        assert last_json(out) == {"J": 0.0}
+
+
+@pytest.mark.parametrize("time_nodes, expected", [
+    ("1", "t,E,rhs,mismatch\n0.0,0.0,0.0,\n"),
+    ("3", "t,E,rhs,mismatch\n0.0,0.0,0.0,\n0.1,0.0,0.0,0.0\n0.2,0.0,0.0,\n"),
+])
+def test_energy_table_at_the_fewest_time_nodes(tmp_path, capsys, time_nodes, expected):
+    """The mismatch is blank at the end nodes, and on a steady grid everywhere."""
+    code, _, _ = run_cli(capsys, "energy", "--scenario", "zero", "--n", "4",
+                         "--time-nodes", time_nodes, "--dt", "0.1", "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "energy_series.csv").read_text() == expected
+
+
+def test_solve_unsteady_non_convergence_exits_2_without_reports(tmp_path, capsys,
+                                                                monkeypatch):
+    def stalled(*args):
+        raise solver.ConvergenceError("Picard iteration stalled")
+    monkeypatch.setattr(cli, "march_reduced", stalled)
+    code, out, _ = run_cli(capsys, "solve-unsteady", "--n", "8", "--time-nodes", "3",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert last_json(out) == {"converged": False, "error": "Picard iteration stalled"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_residual_on_a_steady_grid_omits_the_time_terms(tmp_path, capsys):
+    """The steady residual of a state is the unsteady one of the same state held
+    constant in time, at an interior time slice."""
+    code, out, _ = run_cli(capsys, "residual", "--scenario", "random:6", "--n", "6",
+                           "--time-nodes", "1", "--out", str(tmp_path))
+    assert code == 0
+    steady = Grid((2 * np.pi,) * 2, (6, 6), ("periodic",) * 2, 1, 0.0)
+    state = build_scenario("random:6", steady, 0.1)
+    g = Grid((2 * np.pi,) * 2, (6, 6), ("periodic",) * 2, 3, 0.0125)
+    held = lambda f: ScalarField(g, np.repeat(f.values, 3, axis=-1))
+    vec = lambda v: VectorField(g, tuple(held(c) for c in v.components))
+    res = el_residuals(FieldQuartet(vec(state.u), held(state.p), vec(state.w),
+                                    held(state.r)), 0.1)
+    fields = {"res_div_u.csv": res.res_div_u, "res_div_w.csv": res.res_div_w,
+              **{f"res_u_{i}.csv": res.res_u[i] for i in range(2)},
+              **{f"res_w_{i}.csv": res.res_w[i] for i in range(2)}}
+    for name, f in fields.items():
+        written = reports.read_field_csv(tmp_path / name, steady).values[..., 0]
+        assert np.array_equal(written, f.values[..., 1]), name
+    assert last_json(out)["max"] == max(np.abs(f.values[..., 1]).max() for f in fields.values())

@@ -373,3 +373,30 @@ def test_set_writer_copies_only_bit_equal_fields(tmp_path, monkeypatch, f, kind,
     for name, fld in fields:
         _reference_write_field_csv(tmp_path / "ref.csv", fld)
         assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_table_writer_formats_each_column_by_its_type(tmp_path):
+    table = reports.Table(i=range(3), x=[np.float64(0.1), 1e-300, -0.0],
+                          ok=np.array([True, False, True]), node=[(1, 2), (3,), ()],
+                          name=["a", "b", "c"], gap=[None, np.float64(2.5), None])
+    reports.write_table_csv(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text() == (
+        "i,x,ok,node,name,gap\n0,0.1,true,1;2,a,\n1,1e-300,false,3,b,2.5\n2,-0.0,true,,c,\n")
+    with pytest.raises(ValueError):
+        reports.write_table_csv(tmp_path / "bad.csv", reports.Table(a=[1.0], b=[1.0, 2.0]))
+
+
+def test_write_reports_writes_each_kind_and_the_fields_in_one_call(tmp_path, monkeypatch):
+    g = periodic_square(4, time_nodes=3, dt=0.1)
+    f = ScalarField.from_function(g, lambda x, y, t: x - y + t)
+    calls, real = [], reports.write_fields_csv
+    monkeypatch.setattr(reports, "write_fields_csv",
+                        lambda outdir, fields: calls.append(fields) or real(outdir, fields))
+    reports.write_reports(tmp_path, {"a.csv": f, "t.csv": reports.Table(x=[0.5]),
+                                     "r.json": {"J": 0.0}, "b.csv": f})
+    assert calls == [[("a.csv", f), ("b.csv", f)]]
+    write_field_csv(tmp_path / "ref.csv", f)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "t.csv").read_text() == "x\n0.5\n"
+    assert (tmp_path / "r.json").read_text() == '{"J": 0.0}\n'
