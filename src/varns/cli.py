@@ -9,14 +9,15 @@ then ``$VARNS_OUT``, then ``./varns-out``) and prints the summary to stdout.
 
 Exit codes: 0 success / checks passed, 2 checks failed (resonance, unmet
 certificate, non-convergence, order band violation), 1 usage or config error
-(an unknown subcommand, flag or key, a malformed, mistyped or non-finite
-value): the parser checks every flag, ``_merge`` every config value.
+(an unknown subcommand, flag or key, a malformed, mistyped or non-finite value,
+an unwritable output path): the parser checks every flag, ``_merge`` every config value.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -48,7 +49,7 @@ from .oscillator import (
     galerkin_identity_residual,
     solve_oscillator_vp,
 )
-from .scenarios import build_scenario, random_quartet
+from .scenarios import admissible_direction, build_scenario, random_quartet
 from .solver import (
     ConvergenceError,
     SolveConfig,
@@ -261,29 +262,13 @@ def cmd_residual(args, cfg, grid, state):
     return payload, files, True
 
 
-def _admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
-    """Random direction in the admissible class: velocity directions vanish on
-    walls, du = dw at both end time slices, dp = dr on walls."""
-    from .scenarios import _smooth_scalar
-    rng = np.random.default_rng(seed)
-    t = grid.meshes()[-1]
-    env = np.sin(np.pi * t / grid.tau) if grid.tau > 0 else np.zeros(grid.shape)
-    du = [_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
-    dw = [du[i] + env * _smooth_scalar(rng, grid, wall_vanishing=True)
-          for i in range(grid.dim)]
-    dp = _smooth_scalar(rng, grid)
-    dr = dp + _smooth_scalar(rng, grid, wall_vanishing=True)
-    mkv = lambda arrs: VectorField(grid, tuple(ScalarField(grid, a) for a in arrs))
-    return FieldQuartet(mkv(du), ScalarField(grid, dp), mkv(dw), ScalarField(grid, dr))
-
-
 def cmd_variation_check(args, cfg, grid, state):
     nu = cfg["nu"]
     worst = 0.0
     rows = []
     for seed in range(cfg["seeds"]):
         state = random_quartet(grid, 1000 + seed)
-        direction = _admissible_direction(grid, 2000 + seed)
+        direction = admissible_direction(grid, 2000 + seed)
         dJ = first_variation(state, direction, nu)
         scale = max(1.0, max(np.max(np.abs(c.values)) for c in state.u.components))
         eps = 1e-5 * scale
@@ -401,8 +386,8 @@ def cmd_newton_dual(args, cfg, grid, seed_state):
     nu = cfg["nu"]
     if args.perturb_w:
         amp = args.perturb_w
-        meshes = grid.meshes()
-        pert = 1 + amp * np.cos(meshes[0]) * np.cos(meshes[1])
+        x, y = grid.open_meshes()[:2]
+        pert = 1 + amp * np.cos(x) * np.cos(y)
         w = VectorField(grid, tuple(
             ScalarField(grid, c.values * pert) for c in seed_state.u.components))
         seed_state = FieldQuartet(seed_state.u, seed_state.p, w, seed_state.r)
@@ -497,6 +482,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# built once per process: parsing leaves no state in the parser, so calls share it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="varns",
@@ -525,14 +512,20 @@ def main(argv=None) -> int:
         # output directory, then grid, then scenario
         command = _COMMANDS[args.command]
         out = cfg["out"] or os.environ.get("VARNS_OUT") or "varns-out"
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot make the output directory {out!r}: {exc}") from exc
         grid = state = None
         if command.grid is not None:
             grid = grid_from_config(cfg, steady=command.grid == "steady")
         if command.scenario:
             state = build_scenario(cfg["scenario"], grid, cfg["nu"])
         summary, files, ok = command.handler(args, cfg, grid, state)
-        reports.write_reports(out, files)
+        try:
+            reports.write_reports(out, files)
+        except OSError as exc:
+            raise ValueError(f"cannot write the reports under {out!r}: {exc}") from exc
         print(reports.json_line(summary))
         return 0 if ok else 2
     except ConfigError as exc:

@@ -118,10 +118,15 @@ class Grid:
         w[0] = w[-1] = self.dt / 2
         return w
 
+    def open_meshes(self) -> tuple[np.ndarray, ...]:
+        """Coordinate arrays (space + time), each along its own axis and of length
+        one on the others (an open mesh), so that they broadcast to the field shape."""
+        axes = [self.axis_coords(a) for a in range(self.dim)] + [self.time_coords()]
+        return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays (space + time), each broadcast to full field shape."""
-        axes = [self.axis_coords(a) for a in range(self.dim)] + [self.time_coords()]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.broadcast_to(m, self.shape).copy() for m in self.open_meshes())
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Named field scenarios shared by the command-line runner.
+"""Named field scenarios and the random generators of the command-line runner.
 
 ``zero`` and ``taylor-green`` are self-describing; ``random:<seed>`` builds a
 smooth low-wavenumber quartet whose difference field vanishes on wall
@@ -16,12 +16,12 @@ from .solver import taylor_green
 
 def _smooth_scalar(rng: np.random.Generator, grid: Grid,
                    wall_vanishing: bool = False) -> np.ndarray:
-    """Random low-mode trigonometric field; optionally zero on wall faces."""
-    meshes = grid.meshes()
-    coords, t = meshes[:-1], meshes[-1]
+    """Random low-mode trigonometric field; optionally zero on wall faces. Each
+    term is a product of one-axis factors on the open mesh, taken in axis order."""
+    *coords, t = grid.open_meshes()
     out = np.zeros(grid.shape)
     for _ in range(4):
-        term = np.ones(grid.shape) * rng.normal()
+        term = rng.normal()
         for a, x in enumerate(coords):
             scale = 2 * np.pi / grid.extents[a]
             k = int(rng.integers(0, 3))
@@ -37,6 +37,11 @@ def _smooth_scalar(rng: np.random.Generator, grid: Grid,
     return out
 
 
+def _quartet(grid: Grid, u, p, w, r) -> FieldQuartet:
+    vec = lambda arrs: VectorField(grid, tuple(ScalarField(grid, a) for a in arrs))
+    return FieldQuartet(vec(u), ScalarField(grid, p), vec(w), ScalarField(grid, r))
+
+
 def random_quartet(grid: Grid, seed: int) -> FieldQuartet:
     """Smooth random quartet with a wall-vanishing difference field.
 
@@ -50,9 +55,21 @@ def random_quartet(grid: Grid, seed: int) -> FieldQuartet:
     diff = [_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
     u = [base[i] + diff[i] for i in range(grid.dim)]
     w = [base[i] - diff[i] for i in range(grid.dim)]
-    mkv = lambda arrs: VectorField(grid, tuple(ScalarField(grid, a) for a in arrs))
-    return FieldQuartet(mkv(u), ScalarField(grid, _smooth_scalar(rng, grid)),
-                        mkv(w), ScalarField(grid, _smooth_scalar(rng, grid)))
+    return _quartet(grid, u, _smooth_scalar(rng, grid), w, _smooth_scalar(rng, grid))
+
+
+def admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
+    """Random direction in the admissible class: velocity directions vanish on
+    walls, du = dw at both end time slices, dp = dr on walls."""
+    rng = np.random.default_rng(seed)
+    t = grid.open_meshes()[-1]
+    env = np.sin(np.pi * t / grid.tau) if grid.tau > 0 else 0.0
+    du = [_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
+    dw = [du[i] + env * _smooth_scalar(rng, grid, wall_vanishing=True)
+          for i in range(grid.dim)]
+    dp = _smooth_scalar(rng, grid)
+    dr = dp + _smooth_scalar(rng, grid, wall_vanishing=True)
+    return _quartet(grid, du, dp, dw, dr)
 
 
 def build_scenario(name: str, grid: Grid, nu: float) -> FieldQuartet:

@@ -136,7 +136,7 @@ def taylor_green(nu: float, grid: Grid) -> FieldQuartet:
     for e in grid.extents:
         if abs(e - TWO_PI) > 1e-9:
             raise ValueError("the decaying-vortex oracle needs extents of 2*pi")
-    X, Y, T = grid.meshes()
+    X, Y, T = grid.open_meshes()
     decay = np.exp(-2 * nu * T)
     u0 = -np.cos(X) * np.sin(Y) * decay
     u1 = np.sin(X) * np.cos(Y) * decay

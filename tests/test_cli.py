@@ -131,6 +131,49 @@ def test_env_var_default_out(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envout" / "lagrangian_report.json").exists()
 
 
+def _usage_error(err):
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    return payload["detail"]
+
+
+def test_out_naming_an_existing_file_exits_1_naming_it(tmp_path, capsys):
+    target = tmp_path / "afile"
+    target.write_text("")
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "zero", "--n", "8",
+                             "--time-nodes", "3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert str(target) in _usage_error(err)
+
+
+def test_unwritable_report_exits_1_naming_its_path(tmp_path, capsys):
+    # a directory where the report file should go cannot be opened for writing
+    (tmp_path / "lagrangian_report.json").mkdir()
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "zero", "--n", "8",
+                             "--time-nodes", "3", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert str(tmp_path / "lagrangian_report.json") in _usage_error(err)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, _ = run_cli(capsys, "evaluate", "--scenario", "zero", "--n", "16",
+                         "--time-nodes", "3", "--out", str(tmp_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "evaluate", "--print-config")
+    assert code == 0
+    assert json.loads(out)["grid"]["nodes"] == cli.DEFAULT_CONFIG["grid"]["nodes"]
+    code, out, err = run_cli(capsys, "evaluate", "--no-such-flag", "--out", str(tmp_path))
+    assert code == 1
+    assert "--no-such-flag" in _usage_error(err)
+    code, out, _ = run_cli(capsys, "evaluate", "--scenario", "zero", "--n", "8",
+                           "--time-nodes", "3", "--out", str(tmp_path))
+    assert code == 0
+    assert last_json(out) == {"J": 0.0}
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {"dim": 2}, "viscosity": 0.1}))

@@ -7,16 +7,20 @@ arguments, so interchanging (u, p) with (w, r) negates every node value
 exactly and the u = w, p = r configuration gives exactly zero.
 """
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varns import cli, scenarios
 from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
                          _wall_boundary_mask)
 from varns.lagrangian import evaluate_lagrangian, first_variation
-from varns.solver import _DualNewtonSystem
+from varns.solver import _DualNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -135,3 +139,139 @@ def test_newton_preconditioner_inverts_the_linear_part(n0, n1, time_nodes):
     x = rng.normal(size=system.n_dof)
     y = system._solve_linear_part(system.L @ x)
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic-field builders against their dense references: the builders
+# evaluate each one-axis factor on the open mesh, the references on the dense
+# meshes; both take the same draws and multiply in the same order, so the
+# fields must agree to the bit
+# ---------------------------------------------------------------------------
+
+def _dense_smooth_scalar(rng, grid, wall_vanishing=False):
+    meshes = grid.meshes()
+    coords, t = meshes[:-1], meshes[-1]
+    out = np.zeros(grid.shape)
+    for _ in range(4):
+        term = np.ones(grid.shape) * rng.normal()
+        for a, x in enumerate(coords):
+            scale = 2 * np.pi / grid.extents[a]
+            k = int(rng.integers(0, 3))
+            if grid.boundaries[a] == PERIODIC:
+                term = term * np.sin(k * scale * x + rng.normal())
+            elif wall_vanishing:
+                term = term * np.sin((k + 1) * np.pi * x / grid.extents[a])
+            else:
+                term = term * np.cos(k * np.pi * x / grid.extents[a] + rng.normal())
+        if not grid.steady:
+            term = term * np.cos(0.7 * rng.normal() * t + rng.normal())
+        out += term
+    return out
+
+
+def _dense_random_quartet(grid, seed):
+    rng = np.random.default_rng(seed)
+    walls = any(b != PERIODIC for b in grid.boundaries)
+    base = [_dense_smooth_scalar(rng, grid, wall_vanishing=walls) for _ in range(grid.dim)]
+    diff = [_dense_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
+    u = [base[i] + diff[i] for i in range(grid.dim)]
+    w = [base[i] - diff[i] for i in range(grid.dim)]
+    return [*u, _dense_smooth_scalar(rng, grid), *w, _dense_smooth_scalar(rng, grid)]
+
+
+def _dense_admissible_direction(grid, seed):
+    rng = np.random.default_rng(seed)
+    t = grid.meshes()[-1]
+    env = np.sin(np.pi * t / grid.tau) if grid.tau > 0 else np.zeros(grid.shape)
+    du = [_dense_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
+    dw = [du[i] + env * _dense_smooth_scalar(rng, grid, wall_vanishing=True)
+          for i in range(grid.dim)]
+    dp = _dense_smooth_scalar(rng, grid)
+    dr = dp + _dense_smooth_scalar(rng, grid, wall_vanishing=True)
+    return [*du, dp, *dw, dr]
+
+
+def _dense_taylor_green(nu, grid):
+    X, Y, T = grid.meshes()
+    decay = np.exp(-2 * nu * T)
+    u0 = -np.cos(X) * np.sin(Y) * decay
+    u1 = np.sin(X) * np.cos(Y) * decay
+    P = -0.25 * (np.cos(2 * X) + np.cos(2 * Y)) * decay ** 2
+    q = P - 0.5 * (u0 ** 2 + u1 ** 2)
+    return [u0, u1, q, u0, u1, q]
+
+
+def _arrays(q: FieldQuartet):
+    return [c.values for c in (*q.u.components, q.p, *q.w.components, q.r)]
+
+
+def _assert_bits_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def field_grids(draw):
+    dim = draw(st.integers(1, 3))
+    nodes = tuple(draw(st.integers(3, 17)) for _ in range(dim))
+    kinds = tuple(draw(st.sampled_from((PERIODIC, WALL))) for _ in range(dim))
+    extents = tuple(draw(st.sampled_from((1.0, 2.5, 2 * np.pi))) for _ in range(dim))
+    time_nodes = draw(st.sampled_from((1, 3, 4, 5, 6, 7, 8, 9)))
+    return Grid(extents, nodes, kinds, time_nodes, draw(st.sampled_from((0.01, 0.0125, 0.3))))
+
+
+FIELD_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=200)
+
+
+@FIELD_SETTINGS
+@given(grid=field_grids(), seed=seeds, wall_vanishing=st.booleans())
+def test_smooth_scalar_matches_the_dense_builder_to_the_bit(grid, seed, wall_vanishing):
+    got = scenarios._smooth_scalar(np.random.default_rng(seed), grid, wall_vanishing)
+    want = _dense_smooth_scalar(np.random.default_rng(seed), grid, wall_vanishing)
+    _assert_bits_equal([got], [want])
+
+
+@FIELD_SETTINGS
+@given(grid=field_grids(), seed=seeds)
+def test_random_quartet_matches_the_dense_builder_to_the_bit(grid, seed):
+    _assert_bits_equal(_arrays(scenarios.random_quartet(grid, seed)),
+                       _dense_random_quartet(grid, seed))
+
+
+@FIELD_SETTINGS
+@given(grid=field_grids(), seed=seeds)
+def test_admissible_direction_matches_the_dense_builder_to_the_bit(grid, seed):
+    _assert_bits_equal(_arrays(scenarios.admissible_direction(grid, seed)),
+                       _dense_admissible_direction(grid, seed))
+
+
+@FIELD_SETTINGS
+@given(n0=st.integers(3, 17), n1=st.integers(3, 17),
+       time_nodes=st.sampled_from((1, 3, 4, 5, 6, 7, 8, 9)),
+       dt=st.sampled_from((0.01, 0.0125, 0.3)), nu=st.sampled_from((0.0, 0.01, 0.1, 1.3)))
+def test_taylor_green_matches_the_dense_builder_to_the_bit(n0, n1, time_nodes, dt, nu):
+    grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, dt)
+    _assert_bits_equal(_arrays(taylor_green(nu, grid)), _dense_taylor_green(nu, grid))
+
+
+class _Seeded(Exception):
+    """Stops ``cmd_newton_dual`` at the solver call, carrying its seed state."""
+
+
+def _newton_seed_state(seed_state, *args):
+    raise _Seeded(seed_state)
+
+
+@FIELD_SETTINGS
+@given(grid=field_grids(), seed=seeds, amp=st.sampled_from((0.1, -0.37, 2.0)))
+def test_perturb_w_factor_matches_the_dense_builder_to_the_bit(grid, seed, amp):
+    state = scenarios.random_quartet(grid, seed)
+    with mock.patch.object(cli, "newton_dual", _newton_seed_state), \
+            pytest.raises(_Seeded) as seeded:
+        cli.cmd_newton_dual(SimpleNamespace(perturb_w=amp), cli.DEFAULT_CONFIG, grid, state)
+    meshes = grid.meshes()
+    pert = 1 + amp * np.cos(meshes[0]) * np.cos(meshes[1])
+    _assert_bits_equal([c.values for c in seeded.value.args[0].w.components],
+                       [c.values * pert for c in state.u.components])
