@@ -210,7 +210,8 @@ def solve_config(cfg: dict) -> SolveConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_oscillator(args, cfg, grid, state):
-    # the order estimate also solves at (n - 1) // 2 + 1 nodes, at least 4
+    # the order estimate also solves at (n - 1) / 2^k + 1 nodes for k = 2 and 1,
+    # wherever that halves h and leaves at least 4 nodes; n = 7 is the first with one
     if args.osc_n < 7:
         raise ValueError(f"--osc-n must be at least 7 for the order estimate, got {args.osc_n}")
     problem = OscillatorProblem(args.a, args.b, args.alpha, args.beta, args.osc_n)
@@ -224,13 +225,14 @@ def cmd_oscillator(args, cfg, grid, state):
     max_err = float(np.max(np.abs(sol.y_mean - analytic)))
 
     errors = []
-    for n in (max(4, (problem.n - 1) // 4 + 1), (problem.n - 1) // 2 + 1):
+    for n in [(problem.n - 1) // 2 ** k + 1 for k in (2, 1)
+              if (problem.n - 1) % 2 ** k == 0 and (problem.n - 1) // 2 ** k >= 3]:
         pr = OscillatorProblem(args.a, args.b, args.alpha, args.beta, n)
         sl = solve_oscillator_vp(pr)
         errors.append(float(np.max(np.abs(sl.y_mean - pr.analytic_solution(pr.x())))))
     errors.append(max_err)
-    ratios = [errors[i] / errors[i + 1] for i in range(2) if errors[i + 1] > 0]
-    # no nonzero finer error (a node-exact solution): no order to estimate
+    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1) if errors[i + 1] > 0]
+    # no coarser level, or no nonzero finer error (a node-exact solution): no order
     order = float(np.mean([math.log2(r) for r in ratios])) if ratios else None
 
     gres = galerkin_identity_residual(sol.y1, sol.y2, problem)

@@ -19,12 +19,15 @@ Four routes to the stationary point:
   block per spatial mode in space-time), except the steady ones on grids
   with a wall axis: sparse LU.
 
-Periodic stencil systems (viscous solve, projection, pressure recovery) are
-solved exactly in Fourier space: the FFT diagonalizes every circulant
-stencil, so these are direct solves of the discrete operators, not spectral
-approximations. The composite divergence-of-gradient symbol vanishes on the
-constant and Nyquist modes; those pressure modes are pinned to zero (the
-mean-zero gauge extended to the checkerboard modes of the collocated layout).
+The marcher and the space-time Newton solve run on all-periodic 2D and 3D
+boxes, over a list of ``grid.dim`` velocity components; the steady solve also
+on boxes with wall axes, in 1D to 3D. Periodic stencil systems (viscous solve,
+projection, pressure recovery) are solved exactly in Fourier space: the FFT
+diagonalizes every circulant stencil, so these are direct solves of the
+discrete operators, not spectral approximations. The composite
+divergence-of-gradient symbol vanishes on the constant and Nyquist modes;
+those pressure modes are pinned to zero (the mean-zero gauge extended to the
+checkerboard modes of the collocated layout).
 """
 
 from __future__ import annotations
@@ -105,19 +108,19 @@ class Trajectory:
     converged: bool
 
 
-def _require_periodic_2d(grid: Grid, unsteady: bool):
-    if grid.dim != 2 or any(b != PERIODIC for b in grid.boundaries):
-        raise ValueError("this solver needs a 2D all-periodic grid")
+def _require_periodic(grid: Grid, unsteady: bool):
+    if grid.dim not in (2, 3) or any(b != PERIODIC for b in grid.boundaries):
+        raise ValueError("this solver needs an all-periodic 2D or 3D grid")
     if unsteady and grid.steady:
         raise ValueError("this solver needs an unsteady grid")
 
 
-def _require_divergence_free(v0, v1, grid: Grid, what: str):
-    h0, h1 = grid.spacing(0), grid.spacing(1)
-    div0 = np.abs(_d1(v0, 0, h0, periodic=True) + _d1(v1, 1, h1, periodic=True)).max()
-    if div0 > 1e-8:
+def _require_divergence_free(v, grid: Grid, what: str):
+    div = np.abs(functools.reduce(np.add, (
+        _d1(c, a, grid.spacing(a), periodic=True) for a, c in enumerate(v)))).max()
+    if div > 1e-8:
         raise ValueError(
-            f"initial {what} is not discretely divergence-free (|div| = {div0:.3e})")
+            f"initial {what} is not discretely divergence-free (|div| = {div:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,9 @@ def taylor_green(nu: float, grid: Grid) -> FieldQuartet:
     -(cos 2x + cos 2y) e^{-4 nu t} / 4, so the quartet satisfies the
     stationarity system exactly in the continuum.
     """
-    _require_periodic_2d(grid, unsteady=False)
+    if grid.dim != 2:
+        raise ValueError(f"the decaying-vortex oracle is 2D; this grid is {grid.dim}D")
+    _require_periodic(grid, unsteady=False)
     for e in grid.extents:
         if abs(e - TWO_PI) > 1e-9:
             raise ValueError("the decaying-vortex oracle needs extents of 2*pi")
@@ -153,7 +158,7 @@ def taylor_green(nu: float, grid: Grid) -> FieldQuartet:
 
 class _Spectral:
     """Fourier symbols of the periodic central-difference stencils (the central
-    gradient is i s_a per axis) and exact 2D solves with them."""
+    gradient is i s_a per axis) and exact solves with them."""
 
     def __init__(self, grid: Grid):
         along = lambda a, x: x.reshape([-1 if b == a else 1 for b in range(grid.dim)])
@@ -166,61 +171,50 @@ class _Spectral:
 
     def helmholtz(self, rhs: np.ndarray, coef: float) -> np.ndarray:
         """Solve (I - coef * Lap_stencil) x = rhs."""
-        return np.real(np.fft.ifft2(np.fft.fft2(rhs) / (1 - coef * self.lap)))
+        return np.real(np.fft.ifftn(np.fft.fftn(rhs) / (1 - coef * self.lap)))
 
-    def _potential(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of the solution of DivGrad phi = Div (f0, f1)
-        (both given as coefficients), null modes pinned to zero."""
-        div = 1j * (self.s[0] * f0 + self.s[1] * f1)
+    def _potential(self, *f: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of the solution of DivGrad phi = Div f (f given
+        as coefficients, one array per axis), null modes pinned to zero."""
+        div = 1j * functools.reduce(np.add, (s * fa for s, fa in zip(self.s, f)))
         return np.where(self.null, 0.0, div / np.where(self.null, 1.0, self.div_grad))
 
-    def project(self, v0: np.ndarray, v1: np.ndarray):
+    def project(self, *v: np.ndarray) -> tuple[np.ndarray, ...]:
         """Remove the stencil-gradient part so the central divergence is zero."""
-        f0, f1 = np.fft.fft2(v0), np.fft.fft2(v1)
-        phi = self._potential(f0, f1)
-        return (np.real(np.fft.ifft2(f0 - 1j * self.s[0] * phi)),
-                np.real(np.fft.ifft2(f1 - 1j * self.s[1] * phi)))
+        f = [np.fft.fftn(c) for c in v]
+        phi = self._potential(*f)
+        return tuple(np.real(np.fft.ifftn(fa - 1j * s * phi)) for s, fa in zip(self.s, f))
 
-    def poisson_div(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-        """Solve DivGrad p = Div (r0, r1) with the null modes pinned to zero."""
-        return np.real(np.fft.ifft2(self._potential(np.fft.fft2(r0), np.fft.fft2(r1))))
+    def poisson_div(self, *r: np.ndarray) -> np.ndarray:
+        """Solve DivGrad p = Div r with the null modes pinned to zero."""
+        return np.real(np.fft.ifftn(self._potential(*(np.fft.fftn(c) for c in r))))
 
 
-def _advect(v0, v1, h0, h1):
-    a0 = v0 * _d1(v0, 0, h0, periodic=True) + v1 * _d1(v0, 1, h1, periodic=True)
-    a1 = v0 * _d1(v1, 0, h0, periodic=True) + v1 * _d1(v1, 1, h1, periodic=True)
-    return a0, a1
+def _advect(v, h):
+    """(v . grad) v with central differences, one array per component."""
+    return [functools.reduce(np.add, (vj * _d1(vi, j, hj, periodic=True)
+                                      for j, (vj, hj) in enumerate(zip(v, h))))
+            for vi in v]
 
 
 # ---------------------------------------------------------------------------
 # reduced time-marcher
 # ---------------------------------------------------------------------------
 
-def _cn_step(v0, v1, spec, dt, nu, h0, h1, tol, picard_max=40):
+def _cn_step(v, spec, dt, nu, h, tol, picard_max=40):
     """One Crank-Nicolson level with Picard-iterated advection and projection."""
-    lap0 = np.real(np.fft.ifft2(np.fft.fft2(v0) * spec.lap))
-    lap1 = np.real(np.fft.ifft2(np.fft.fft2(v1) * spec.lap))
-    a0n, a1n = _advect(v0, v1, h0, h1)
-    base0 = v0 + dt * (0.5 * nu * lap0 - 0.5 * a0n)
-    base1 = v1 + dt * (0.5 * nu * lap1 - 0.5 * a1n)
-    wk0, wk1 = v0, v1
-    coef = nu * dt / 2
+    base = [vi + dt * (0.5 * nu * np.real(np.fft.ifftn(np.fft.fftn(vi) * spec.lap))
+                       - 0.5 * ai) for vi, ai in zip(v, _advect(v, h))]
+    wk, coef = v, nu * dt / 2
     for _ in range(picard_max):
-        a0k, a1k = _advect(wk0, wk1, h0, h1)
-        s0 = spec.helmholtz(base0 - 0.5 * dt * a0k, coef)
-        s1 = spec.helmholtz(base1 - 0.5 * dt * a1k, coef)
-        n0, n1 = spec.project(s0, s1)
-        inc = max(np.max(np.abs(n0 - wk0)), np.max(np.abs(n1 - wk1)))
-        wk0, wk1 = n0, n1
+        new = spec.project(*(spec.helmholtz(bi - 0.5 * dt * ai, coef)
+                             for bi, ai in zip(base, _advect(wk, h))))
+        inc = max(np.max(np.abs(ni - wi)) for ni, wi in zip(new, wk))
+        wk = new
         if inc <= tol:
-            return wk0, wk1, inc
+            return wk, inc
     raise ConvergenceError(
         f"Picard iteration stalled at increment {inc:.3e} (tolerance {tol:.3e})")
-
-
-def _recover_pressure(v0, v1, spec, h0, h1):
-    a0, a1 = _advect(v0, v1, h0, h1)
-    return spec.poisson_div(-a0, -a1)
 
 
 def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Trajectory:
@@ -230,30 +224,27 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
     full space-time grid; the stored scalar is the variational pressure.
     The initial field must be divergence-free in the discrete sense.
     """
-    _require_periodic_2d(grid, unsteady=True)
+    _require_periodic(grid, unsteady=True)
     if initial.grid.nodes != grid.nodes:
         raise ValueError("initial field resolution does not match the grid")
-    v0 = np.array(initial[0].values[..., 0])
-    v1 = np.array(initial[1].values[..., 0])
-    _require_divergence_free(v0, v1, grid, "field")
-    h0, h1 = grid.spacing(0), grid.spacing(1)
+    v = [np.array(c.values[..., 0]) for c in initial.components]
+    _require_divergence_free(v, grid, "field")
+    h = [grid.spacing(a) for a in range(grid.dim)]
     spec = _Spectral(grid)
-    vmax = max(1.0, np.max(np.abs(v0)), np.max(np.abs(v1)))
+    vmax = max(1.0, *(np.max(np.abs(c)) for c in v))
     tol = max(config.linear_tol, 1e-14) * vmax
 
     T = grid.time_nodes
-    shape = (*grid.nodes, T)
-    U0, U1, Q = np.empty(shape), np.empty(shape), np.empty(shape)
+    U, Q = np.empty((grid.dim, *grid.shape)), np.empty(grid.shape)
     increments = np.zeros(T)
     for k in range(T):
         if k > 0:
-            v0, v1, increments[k] = _cn_step(v0, v1, spec, grid.dt, config.nu,
-                                             h0, h1, tol)
-        U0[..., k], U1[..., k] = v0, v1
-        P = _recover_pressure(v0, v1, spec, h0, h1)
-        Q[..., k] = P - 0.5 * (v0 ** 2 + v1 ** 2)
+            v, increments[k] = _cn_step(v, spec, grid.dt, config.nu, h, tol)
+        U[..., k] = v
+        P = spec.poisson_div(*(-a for a in _advect(v, h)))
+        Q[..., k] = P - 0.5 * functools.reduce(np.add, (vi ** 2 for vi in v))
 
-    vel = VectorField(grid, (ScalarField(grid, U0), ScalarField(grid, U1)))
+    vel = VectorField(grid, tuple(ScalarField(grid, Ui) for Ui in U))
     scal = ScalarField(grid, Q)
     state = FieldQuartet(vel, scal, vel, scal)
     zeros = np.zeros(T)
@@ -291,33 +282,34 @@ class _Components:
 class _DualNewtonSystem:
     """Residual and Jacobian of the discrete system in space-time Kronecker form.
 
-    Unknowns, time-major per field: u and w at every slice, p at slices
-    1..T-1, r at slices 1..T-2, so that unknown j S + x is time-field index j
-    (of m = 6T - 3) at node x. Rows share that layout: data constraints at
-    t=0, the matching constraint u=w at t=tau in the final w-slot, momentum
-    and divergence rows elsewhere, as :func:`el_residuals` evaluates them. On
-    each pressure slice the divergence row at the first node of each pressure
-    component (:class:`_Components`) is implied by the others and pins p there
-    instead. The constant part of the Jacobian is L = sum_k A_k (x) B_k over the
-    space stencils B = (I, Lap, D_0, D_1) and m x m time matrices A_k, with the
-    pin rows swapped in; the Jacobian adds the advection linearization. Newton
-    steps are solved by GMRES preconditioned with the exact inverse of L, which
-    the FFT over space splits into one m x m block per spatial mode.
+    Unknowns, time-major per field: the d components of u and of w at every
+    slice, p at slices 1..T-1, r at slices 1..T-2, so that unknown j S + x is
+    time-field index j (of m = (2d + 2) T - 3) at node x. Rows share that
+    layout: data constraints at t=0, the matching constraint u=w at t=tau in
+    the final w-slot, momentum and divergence rows elsewhere, as
+    :func:`el_residuals` evaluates them. On each pressure slice the divergence
+    row at the first node of each pressure component (:class:`_Components`) is
+    implied by the others and pins p there instead. The constant part of the
+    Jacobian is L = sum_k A_k (x) B_k over the space stencils B = (I, Lap, D_0,
+    ..., D_{d-1}) and m x m time matrices A_k, with the pin rows swapped in; the
+    Jacobian adds the advection linearization. Newton steps are solved by GMRES
+    preconditioned with the exact inverse of L, which the FFT over space splits
+    into one m x m block per spatial mode.
     """
 
-    def __init__(self, grid: Grid, nu: float, data0, data1):
-        _require_periodic_2d(grid, unsteady=True)
-        self.grid = grid
-        self.nu = nu
-        n0, n1 = grid.nodes
-        S, T = n0 * n1, grid.time_nodes
+    def __init__(self, grid: Grid, nu: float, *data):
+        """``data``: the initial velocity, one array of the grid's nodes per axis."""
+        _require_periodic(grid, unsteady=True)
+        self.grid, self.nu = grid, nu
+        d, S, T = grid.dim, int(np.prod(grid.nodes)), grid.time_nodes
         self.S, self.T = S, T
+        m = (2 * d + 2) * T - 3
         DX, LAP = _stencil_matrices(grid)
         DT = _stencil_matrix(_d1, T, grid.dt, periodic=False).toarray()
-        self.DX = [sp.kron(sp.identity(T), d, format="csr") for d in DX]
-        self.g = np.array([data0, data1], dtype=float).reshape(2, S)
+        self.DX = [sp.kron(sp.identity(T), D, format="csr") for D in DX]
+        self.g = np.array(data, dtype=float).reshape(d, S)
         self.gauge = _Components(DX, np.ones(S, dtype=bool))
-        self.n_dof = (6 * T - 3) * S
+        self.n_dof = m * S
         self.spec = _Spectral(grid)
 
         # slice selectors: data (0), matching (T-1), momentum rows of u (1..T-1)
@@ -327,21 +319,22 @@ class _DualNewtonSystem:
         self.momentum_mask = (np.repeat(mom_u, S), np.repeat(mom_w, S))
         E0, ET, MU, MW = map(np.diag, (first, last, mom_u, mom_w))
         lift_p, lift_r = np.eye(T, T - 1, -1), np.eye(T, T - 2, -1)
-        # time matrices of I, Lap, D_0, D_1 on the fields u0, u1, w0, w1, p, r
-        fields = np.split(np.arange(6 * T - 3), np.cumsum([T, T, T, T, T - 1]))
-        self.A = A = np.zeros((4, 6 * T - 3, 6 * T - 3))
-        P, R = 4, 5
-        for i in range(2):
-            u, w, grad = i, 2 + i, 2 + i
+        # time matrices of I, Lap, D_0, ..., D_{d-1} on the fields u_0, ..., u_{d-1},
+        # w_0, ..., w_{d-1}, p, r
+        fields = np.split(np.arange(m), np.cumsum([T] * 2 * d + [T - 1]))
+        self.A = A = np.zeros((2 + d, m, m))
+        P, R = 2 * d, 2 * d + 1
+        for i in range(d):
+            u, w, grad = i, d + i, 2 + i
             for k, row, col, block in (
                     (0, u, u, E0), (1, u, u, nu * MU), (0, u, w, -MU @ DT),
                     (0, w, u, ET - MW @ DT), (0, w, w, E0 - ET), (1, w, w, nu * MW),
                     (grad, u, P, -lift_p), (grad, w, R, -lift_r),
                     (grad, P, u, lift_p.T), (grad, R, w, lift_r.T)):
                 A[k][np.ix_(fields[row], fields[col])] = block
-        self.velocities = 4 * T         # time-field indices of u and w come first
+        self.velocities = 2 * d * T     # time-field indices of u and w come first
         L0 = sum(sp.kron(a, b, format="csr") for a, b in zip(A, (sp.identity(S), LAP, *DX)))
-        pinned = np.zeros((6 * T - 3, S))
+        pinned = np.zeros((m, S))
         pinned[self.velocities:, self.gauge.first] = 1.0
         self.L = (sp.diags(1.0 - pinned.ravel()) @ L0 + sp.diags(pinned.ravel())).tocsr()
         self.L.eliminate_zeros()
@@ -358,10 +351,10 @@ class _DualNewtonSystem:
         return z
 
     def unpack(self, z: np.ndarray):
-        """Views (u, w, p, r) of shapes (2, T S), (2, T S), (T-1, S), (T-2, S)."""
-        S, TS = self.S, self.T * self.S
-        return (z[:2 * TS].reshape(2, TS), z[2 * TS:4 * TS].reshape(2, TS),
-                z[4 * TS:5 * TS - S].reshape(-1, S), z[5 * TS - S:].reshape(-1, S))
+        """Views (u, w, p, r) of shapes (d, T S), (d, T S), (T-1, S), (T-2, S)."""
+        dTS = self.grid.dim * self.T * self.S
+        return (*z[:2 * dTS].reshape(2, self.grid.dim, -1),
+                *np.split(z[2 * dTS:].reshape(-1, self.S), [self.T - 1]))
 
     def _quartet(self, z: np.ndarray, P: np.ndarray, R: np.ndarray) -> FieldQuartet:
         """Quartet of the velocities of ``z`` and the (T, S) pressure slabs P, R."""
@@ -395,14 +388,14 @@ class _DualNewtonSystem:
     # -- Jacobian ----------------------------------------------------------
     def _advection(self, a, b, m):
         """Advection linearization of the momentum rows of ``a`` (masked by
-        ``m``): per component row, blocks on the a_0, a_1, b_0, b_1 columns."""
-        DX = self.DX
-        s = [sp.diags(m * (-0.5 * (a[j] + b[j]))) for j in range(2)]
-        both = s[0] @ DX[0] + s[1] @ DX[1]
+        ``m``): per component row, blocks on the columns of a, then of b."""
+        DX, d = self.DX, len(a)
+        s = [sp.diags(m * (-0.5 * (a[j] + b[j]))) for j in range(d)]
+        both = sum(s[j] @ DX[j] for j in range(d))
         rows = []
-        for i in range(2):
-            dia = [sp.diags(m * (-0.5 * (DX[j] @ b[i] + DX[i] @ b[j]))) for j in range(2)]
-            partner = [dia[j] + s[j] @ DX[i] for j in range(2)]
+        for i in range(d):
+            dia = [sp.diags(m * (-0.5 * (DX[j] @ b[i] + DX[i] @ b[j]))) for j in range(d)]
+            partner = [dia[j] + s[j] @ DX[i] for j in range(d)]
             partner[i] = partner[i] + both
             rows.append(dia + partner)
         return rows
@@ -411,7 +404,8 @@ class _DualNewtonSystem:
         u, w, _, _ = self.unpack(z)
         rows_u = self._advection(u, w, self.momentum_mask[0])
         rows_w = self._advection(w, u, self.momentum_mask[1])
-        N = sp.bmat(rows_u + [row[2:] + row[:2] for row in rows_w], format="csr")
+        d = self.grid.dim
+        N = sp.bmat(rows_u + [row[d:] + row[:d] for row in rows_w], format="csr")
         N.resize(self.L.shape)
         return self.L + N
 
@@ -421,14 +415,15 @@ class _DualNewtonSystem:
     @functools.cached_property
     def _block_inverses(self) -> np.ndarray:
         """(S, m, m) inverse of each spatial-mode block of L without its pin rows,
-        A_0 + lap A_1 + i s_0 A_2 + i s_1 A_3 with the Fourier symbols of the
-        stencils. On the null modes of the central gradient the pressures drop
-        out, so only the velocity block is inverted there, in the least-squares
-        sense: at odd T the zero mode's is singular (the leapfrog mode of the
-        central time difference). A singular block elsewhere raises LinAlgError."""
+        A_0 + lap A_1 + i s_0 A_2 + ... + i s_{d-1} A_{d+1} with the Fourier
+        symbols of the stencils. On the null modes of the central gradient the
+        pressures drop out, so only the velocity block is inverted there, in the
+        least-squares sense: at odd T the zero mode's is singular (the leapfrog
+        mode of the central time difference). A singular block elsewhere raises
+        LinAlgError."""
         spec, v, S = self.spec, self.velocities, self.S
-        symbols = [np.ones(spec.lap.shape), spec.lap, 1j * spec.s[0], 1j * spec.s[1]]
-        symbols = np.stack(np.broadcast_arrays(*symbols), -1).reshape(S, 4)
+        symbols = [np.ones(spec.lap.shape), spec.lap, *(1j * s for s in spec.s)]
+        symbols = np.stack(np.broadcast_arrays(*symbols), -1).reshape(S, len(self.A))
         inverses = np.tensordot(symbols, self.A, axes=1)    # the blocks, inverted in place
         null = np.flatnonzero(spec.null)
         velocity = np.linalg.pinv(inverses[null, :v, :v], rtol=1e-10)
@@ -450,9 +445,10 @@ class _DualNewtonSystem:
         pins = B[v:, first].copy()
         B[v:, first] = 0.0
         B[v:, first] = -np.array([np.bincount(labels, row, len(first)) for row in B[v:]])
-        modes = np.fft.fft2(B.reshape(-1, *self.grid.nodes)).reshape(-1, self.S).T
-        X = np.fft.ifft2((self._block_inverses @ modes[..., None])[..., 0].T.reshape(
-            -1, *self.grid.nodes)).real.reshape(-1, self.S)
+        nodes, space = self.grid.nodes, range(1, self.grid.dim + 1)
+        modes = np.fft.fftn(B.reshape(-1, *nodes), axes=space).reshape(-1, self.S).T
+        X = np.fft.ifftn((self._block_inverses @ modes[..., None])[..., 0].T.reshape(
+            -1, *nodes), axes=space).real.reshape(-1, self.S)
         X[v:] += (pins - X[v:, first])[:, labels]
         return X.ravel()
 
@@ -494,24 +490,24 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     the seed's own u at t=0 is used. With ``continuation_steps`` > 0 the
     solve runs the viscosity ladder of :func:`_viscosity_ladder`.
     """
-    _require_periodic_2d(grid, unsteady=True)
+    _require_periodic(grid, unsteady=True)
     if seed.grid != grid:
         raise ValueError("seed quartet grid does not match")
     # estimated peak memory beside the interpreter's: the inverted mode blocks of
     # the preconditioner (S m^2 complex numbers) and _BYTES_PER_UNKNOWN per unknown
-    S, m = grid.nodes[0] * grid.nodes[1], 6 * grid.time_nodes - 3
+    S, m = int(np.prod(grid.nodes)), (2 * grid.dim + 2) * grid.time_nodes - 3
     need = S * m * (16 * m + _BYTES_PER_UNKNOWN)
     if need > _MAX_NEWTON_BYTES:
         raise ValueError(f"space-time system too large (about {need / 1e6:.0f} MB, limit "
                          f"{_MAX_NEWTON_BYTES / 1e6:.0f} MB); this solver is meant for "
                          "desk-scale grids")
     source = seed.u if data is None else data
-    d0, d1 = source[0].values[..., 0], source[1].values[..., 0]
-    _require_divergence_free(d0, d1, grid, "data")
+    initial = [c.values[..., 0] for c in source.components]
+    _require_divergence_free(initial, grid, "data")
 
     z = None
     for nu, tol in _viscosity_ladder(config):
-        system = _DualNewtonSystem(grid, nu, d0, d1)
+        system = _DualNewtonSystem(grid, nu, *initial)
         if z is None:
             z = system.pack(seed)
         record = ([], [], [])          # history of the stage that finishes last

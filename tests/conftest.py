@@ -1,7 +1,8 @@
 """Shared builders for the test suite.
 
 The random-field helpers here generate inputs; independent oracles live in
-the test modules that use them.
+the test modules that use them, except the 3D flow that the solver and the
+command-line tests share.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from varns.grids import (
     PERIODIC,
     FieldQuartet,
+    Grid,
     ScalarField,
     VectorField,
 )
@@ -104,6 +106,26 @@ def shift_state(state, direction, eps):
                         ScalarField(g, state.p.values + eps * direction.p.values),
                         vec(state.w, direction.w),
                         ScalarField(g, state.r.values + eps * direction.r.values))
+
+
+def periodic_box(nodes, time_nodes=1, dt=0.0):
+    """The 2-pi periodic box with ``nodes`` nodes along its axes."""
+    return Grid((2 * np.pi,) * len(nodes), nodes, (PERIODIC,) * len(nodes), time_nodes, dt)
+
+
+def abc_flow(grid, nu, A=1.0, B=0.8, C=0.6):
+    """Decaying ABC (Arnold-Beltrami-Childress) flow on the 2-pi periodic cube
+    (Dombre et al., J. Fluid Mech. 167, 1986), an exact Navier-Stokes solution:
+    u = e^{-nu t} (A sin z + C cos y, B sin x + A cos z, C sin y + B cos x) is
+    its own curl, so (u . grad) u = grad |u|^2 / 2 and the physical pressure is
+    -|u|^2 / 2; the stored scalar is the variational pressure q = -|u|^2."""
+    X, Y, Z, t = grid.meshes()
+    decay = np.exp(-nu * t)
+    u = [(A * np.sin(Z) + C * np.cos(Y)) * decay, (B * np.sin(X) + A * np.cos(Z)) * decay,
+         (C * np.sin(Y) + B * np.cos(X)) * decay]
+    vel = VectorField(grid, tuple(ScalarField(grid, c) for c in u))
+    q = ScalarField(grid, -(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
+    return FieldQuartet(vel, q, vel, q)
 
 
 @pytest.fixture

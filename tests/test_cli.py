@@ -11,6 +11,8 @@ from varns.lagrangian import el_residuals
 from varns.reports import write_field_csv, write_quartet_csv
 from varns.scenarios import build_scenario
 
+from conftest import abc_flow, periodic_box
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -540,6 +542,17 @@ def test_oscillator_too_few_nodes_exits_1_naming_the_flag(tmp_path, capsys, osc_
     assert not (tmp_path / "oscillator.csv").exists()
 
 
+# the estimate compares levels that halve h: 7 nodes against 4, 9 against 5,
+# and 8 has none; levels that were no halvings read 1.17 at 7 and 1.59 at 9
+@pytest.mark.parametrize("osc_n, expected", [("7", 2.34), ("8", None), ("9", 1.96)])
+def test_oscillator_order_estimate_compares_halvings_only(tmp_path, capsys, osc_n, expected):
+    code, out, _ = run_cli(capsys, "oscillator", "--a", "1", "--b", "20", "--osc-n", osc_n,
+                           "--out", str(tmp_path))
+    assert code == 0
+    order = last_json(out)["order_estimate"]
+    assert order == expected if expected is None else abs(order - expected) < 0.01
+
+
 def test_oscillator_smallest_node_count_runs(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oscillator", "--osc-n", "7", "--out", str(tmp_path))
     assert code == 0
@@ -656,3 +669,32 @@ def test_residual_on_a_steady_grid_omits_the_time_terms(tmp_path, capsys):
         written = reports.read_field_csv(tmp_path / name, steady).values[..., 0]
         assert np.array_equal(written, f.values[..., 1]), name
     assert last_json(out)["max"] == max(np.abs(f.values[..., 1]).max() for f in fields.values())
+
+
+CUBE = ("--dim", "3", "--nodes", "8", "--extent", "6.283185307179586", "--time-nodes", "4",
+        "--dt", "0.05", "--nu", "0.1")
+
+
+def test_3d_abc_flow_solves_end_to_end(tmp_path, capsys):
+    write_quartet_csv(tmp_path / "abc", abc_flow(periodic_box((8, 8, 8), 4, 0.05), 0.1))
+    scenario = ("--boundary", "periodic", "--scenario", f"file:{tmp_path / 'abc'}")
+    code, out, _ = run_cli(capsys, "newton-dual", *CUBE, *scenario,
+                           "--out", str(tmp_path / "newton"))
+    assert code == 0 and last_json(out)["ok"] is True
+    code, out, _ = run_cli(capsys, "solve-unsteady", *CUBE, *scenario,
+                           "--out", str(tmp_path / "march"))
+    assert code == 0 and last_json(out)["converged"] is True
+    assert (tmp_path / "march" / "u_2.csv").exists()
+
+
+@pytest.mark.parametrize("command, boundary, scenario, reason", [
+    ("solve-unsteady", "periodic", "taylor-green", "oracle is 2D"),
+    ("solve-unsteady", "periodic,periodic,wall", "zero", "all-periodic"),
+    ("newton-dual", "periodic,periodic,wall", "zero", "all-periodic"),
+])
+def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, command,
+                                                         boundary, scenario, reason):
+    code, out, err = run_cli(capsys, command, *CUBE, "--boundary", boundary,
+                             "--scenario", scenario, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert reason in json.loads(err)["detail"]

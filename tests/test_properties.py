@@ -23,6 +23,8 @@ from varns.lagrangian import evaluate_lagrangian, first_variation
 from varns.solver import _DualNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
+from conftest import periodic_box
+
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
 
@@ -98,16 +100,23 @@ def test_steady_functional_swap_sums_to_zero(grid, seed, nu):
     assert steady_functional(s, nu) + steady_functional(s.swapped(), nu) == 0.0
 
 
+@st.composite
+def newton_boxes(draw):
+    """2D boxes of 5-9 nodes per axis at T = 4, 5 or 6, 3D boxes of 4-5 at T = 4 or 6."""
+    if draw(st.booleans()):
+        return periodic_box(tuple(draw(st.integers(4, 5)) for _ in range(3)),
+                            draw(st.sampled_from((4, 6))), 0.02)
+    return periodic_box((draw(st.integers(5, 9)), draw(st.integers(5, 9))),
+                        draw(st.sampled_from((4, 5, 6))), 0.02)
+
+
 @PROPERTY_SETTINGS
-@given(n0=st.integers(5, 9), n1=st.integers(5, 9), time_nodes=st.sampled_from((4, 5, 6)),
-       seed=seeds)
-def test_newton_jacobian_is_the_exact_derivative_of_the_residual(n0, n1, time_nodes, seed):
+@given(grid=newton_boxes(), seed=seeds)
+def test_newton_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
     """The stationarity residual is quadratic in the unknowns, so the central
     difference has no truncation error and equals J(z) v up to roundoff."""
-    grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
     rng = np.random.default_rng(seed)
-    system = _DualNewtonSystem(grid, 0.3, rng.normal(size=(n0, n1)),
-                               rng.normal(size=(n0, n1)))
+    system = _DualNewtonSystem(grid, 0.3, *rng.normal(size=(grid.dim, *grid.nodes)))
     z, v = rng.normal(size=(2, system.n_dof))
     eps = 0.5
     fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
@@ -128,14 +137,16 @@ def test_newton_linear_part_is_nonsingular(n0, n1, time_nodes):
 
 
 @pytest.mark.parametrize("time_nodes", [4, 6])
-@pytest.mark.parametrize("n0, n1", [(a, b) for a in range(5, 10) for b in range(5, 10)])
-def test_newton_preconditioner_inverts_the_linear_part(n0, n1, time_nodes):
+@pytest.mark.parametrize("nodes", [(a, b) for a in range(5, 10) for b in range(5, 10)]
+                         + [(a, b, c) for a in (4, 5) for b in (4, 5) for c in (4, 5)],
+                         ids=lambda nodes: "-".join(map(str, nodes)))
+def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
     """The Fourier-block preconditioner of the Newton steps is the exact inverse
     of the constant part, pins included: odd and even axes give 1, 2 and 4
-    pressure components per slice."""
-    grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
-    rng = np.random.default_rng(10 * n0 + n1)
-    system = _DualNewtonSystem(grid, 0.5, *rng.normal(size=(2, n0, n1)))
+    pressure components per slice in 2D, up to 8 in 3D."""
+    grid = periodic_box(nodes, time_nodes, 0.02)
+    rng = np.random.default_rng(int("".join(map(str, nodes))))   # 10 n0 + n1 in 2D
+    system = _DualNewtonSystem(grid, 0.5, *rng.normal(size=(len(nodes), *nodes)))
     x = rng.normal(size=system.n_dof)
     y = system._solve_linear_part(system.L @ x)
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)

@@ -27,6 +27,8 @@ from varns.solver import (
 )
 from varns.steady import uniqueness_certificate
 
+from conftest import abc_flow, periodic_box
+
 
 def tg_velocity(grid, nu):
     """Independent sampling of the decaying-vortex velocity."""
@@ -536,3 +538,63 @@ def test_newton_pressures_have_zero_mean_on_each_component(nodes):
         for k in range(g.time_nodes):
             sums = np.bincount(component, scal.values[..., k].ravel())
             assert np.abs(sums).max() <= 1e-12 * np.abs(scal.values).sum()
+
+
+@pytest.mark.parametrize("nodes", [(8, 7), (5, 4, 6)])
+def test_spectral_projection_leaves_a_central_divergence_at_roundoff(nodes):
+    g = periodic_box(nodes)
+    v = np.random.default_rng(5).normal(size=(len(nodes), *nodes))
+    projected = solver._Spectral(g).project(*v)
+    div = divergence(mkv(g, [c[..., None] for c in projected])).values
+    assert np.abs(div).max() <= 1e-13 * np.abs(v).max()
+
+
+# ---------------------------------------------------------------------------
+# 3D: the decaying ABC flow, an exact solution (tests/conftest.py)
+# ---------------------------------------------------------------------------
+
+def test_abc_el_residual_second_order():
+    nu, norms = 0.1, []
+    for n in (8, 16):
+        exact = abc_flow(periodic_box((n,) * 3, 5, 0.4 / n), nu)
+        norms.append(el_residuals(exact, nu).max_norm())
+    assert norms[0] <= 1e-2
+    assert 3.2 <= norms[0] / norms[1] <= 4.8
+
+
+def velocity_error(state, exact):
+    return max(np.abs(a.values - b.values).max()
+               for a, b in zip(state.u.components, exact.u.components))
+
+
+def test_march_abc_error_falls_at_second_order():
+    nu, errs = 0.1, []
+    for n in (8, 16):
+        g = periodic_box((n,) * 3, 5, 0.4 / n)
+        exact = abc_flow(g, nu)
+        traj = march_reduced(exact.u, SolveConfig(nu=nu), g)
+        errs.append(velocity_error(traj.state, exact))
+        assert np.max(np.abs(divergence(traj.state.u).values)) < 1e-11
+    # 1.8e-3 at 8^3, 2.3e-4 at 16^3
+    assert errs[0] <= 5e-3
+    assert errs[0] / errs[1] >= 4
+
+
+def test_newton_abc_meets_the_uniqueness_contract_at_second_order():
+    # even T only: at odd T the leapfrog mode of the central time difference
+    # stalls GMRES (8^3 x 5 takes ten times as long as 8^3 x 4)
+    nu, errs = 0.1, []
+    for n in (8, 12):
+        g = periodic_box((n,) * 3, 4, 0.05)
+        exact = abc_flow(g, nu)
+        x, y = g.open_meshes()[:2]
+        w = mkv(g, [c.values * (1 + 0.1 * np.cos(x) * np.cos(y)) for c in exact.u.components])
+        traj = newton_dual(FieldQuartet(exact.u, exact.p, w, exact.r), exact.u,
+                           SolveConfig(nu=nu), g)
+        rep = evaluate_lagrangian(traj.state, nu)
+        assert traj.converged
+        assert u_w_gap(traj.state) <= 1e-8
+        assert abs(rep.J) <= 1e-10 * rep.scale
+        errs.append(velocity_error(traj.state, exact))
+    # 1.34e-3 at 8^3, 6.0e-4 at 12^3: (12 / 8)^2 = 2.25
+    assert errs[0] / errs[1] >= 1.8
