@@ -16,8 +16,9 @@ Four routes to the stationary point:
   a pin at one node of each component of the central-gradient graph, and a
   reported pressure of zero mean on each. Their linear systems are solved by
   GMRES preconditioned by the Fourier inverse of the linear part (one dense
-  block per spatial mode in space-time), except the steady ones on grids
-  with a wall axis: sparse LU.
+  block per spatial mode in space-time, on the rfft half of the modes; the
+  space-time Jacobian is an operator applied from its Kronecker factors),
+  except the steady ones on grids with a wall axis: sparse LU.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -66,10 +67,11 @@ _BLOCK_CHUNK = 256
 _MAX_NEWTON_BYTES = 600e6
 
 #: memory per space-time unknown beside the preconditioner's blocks: the GMRES
-#: basis (488 B), the Jacobian and its assembly. Peak RSS growth of whole
-#: newton-dual runs, single-thread BLAS on a 2-vCPU Xeon, less the blocks: 0.98
-#: to 1.3 kB per unknown at 16^2 x 9 to 32^2 x 17, 2.0 kB at 16^2 x 17
-_BYTES_PER_UNKNOWN = 2000
+#: basis (61 vectors, 488 B, all used when GMRES stalls at odd T), the iterates
+#: and the operator's temporaries. Peak RSS growth of whole newton-dual runs less
+#: the blocks, single-thread BLAS on a 2-vCPU Xeon: 360, 340, 516, 317 and 304 B
+#: at 16^3 x 6, 16^3 x 8, 32^2 x 16, 64^2 x 8 and 64^2 x 16; 707 B at 64^2 x 17
+_BYTES_PER_UNKNOWN = 720
 
 
 class ConvergenceError(RuntimeError):
@@ -280,7 +282,7 @@ class _Components:
 
 
 class _DualNewtonSystem:
-    """Residual and Jacobian of the discrete system in space-time Kronecker form.
+    """Residual and matrix-free Jacobian of the discrete system in space-time form.
 
     Unknowns, time-major per field: the d components of u and of w at every
     slice, p at slices 1..T-1, r at slices 1..T-2, so that unknown j S + x is
@@ -292,31 +294,29 @@ class _DualNewtonSystem:
     implied by the others and pins p there instead. The constant part of the
     Jacobian is L = sum_k A_k (x) B_k over the space stencils B = (I, Lap, D_0,
     ..., D_{d-1}) and m x m time matrices A_k, with the pin rows swapped in; the
-    Jacobian adds the advection linearization. Newton steps are solved by GMRES
-    preconditioned with the exact inverse of L, which the FFT over space splits
-    into one m x m block per spatial mode.
+    Jacobian adds the advection linearization, and both act from their factors,
+    never assembled. GMRES solves each Newton step, preconditioned with the exact
+    inverse of L: the FFT over space splits it into one m x m block per mode.
     """
 
     def __init__(self, grid: Grid, nu: float, *data):
         """``data``: the initial velocity, one array of the grid's nodes per axis."""
         _require_periodic(grid, unsteady=True)
-        self.grid, self.nu = grid, nu
         d, S, T = grid.dim, int(np.prod(grid.nodes)), grid.time_nodes
-        self.S, self.T = S, T
+        self.grid, self.nu, self.S, self.T = grid, nu, S, T
         m = (2 * d + 2) * T - 3
         DX, LAP = _stencil_matrices(grid)
         DT = _stencil_matrix(_d1, T, grid.dt, periodic=False).toarray()
-        self.DX = [sp.kron(sp.identity(T), D, format="csr") for D in DX]
+        self.stencils = sp.vstack([LAP, *DX], format="csr")     # B_1, B_2, ... stacked
         self.g = np.array(data, dtype=float).reshape(d, S)
         self.gauge = _Components(DX, np.ones(S, dtype=bool))
-        self.n_dof = m * S
-        self.spec = _Spectral(grid)
+        self.n_dof, self.spec = m * S, _Spectral(grid)
 
         # slice selectors: data (0), matching (T-1), momentum rows of u (1..T-1)
         # and of w (1..T-2); lift_p/lift_r place the p/r slices among all T
         first, last = np.eye(T)[[0, -1]]
         mom_u, mom_w = 1 - first, 1 - first - last
-        self.momentum_mask = (np.repeat(mom_u, S), np.repeat(mom_w, S))
+        self.momentum_mask = np.array([mom_u, mom_w])[:, None, None, :, None]  # [f, i, j, t, x]
         E0, ET, MU, MW = map(np.diag, (first, last, mom_u, mom_w))
         lift_p, lift_r = np.eye(T, T - 1, -1), np.eye(T, T - 2, -1)
         # time matrices of I, Lap, D_0, ..., D_{d-1} on the fields u_0, ..., u_{d-1},
@@ -332,12 +332,8 @@ class _DualNewtonSystem:
                     (grad, u, P, -lift_p), (grad, w, R, -lift_r),
                     (grad, P, u, lift_p.T), (grad, R, w, lift_r.T)):
                 A[k][np.ix_(fields[row], fields[col])] = block
+        self.time_factors = sp.csr_matrix(np.hstack(A))      # A_0 | A_1 | ... side by side
         self.velocities = 2 * d * T     # time-field indices of u and w come first
-        L0 = sum(sp.kron(a, b, format="csr") for a, b in zip(A, (sp.identity(S), LAP, *DX)))
-        pinned = np.zeros((m, S))
-        pinned[self.velocities:, self.gauge.first] = 1.0
-        self.L = (sp.diags(1.0 - pinned.ravel()) @ L0 + sp.diags(pinned.ravel())).tocsr()
-        self.L.eliminate_zeros()
 
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
@@ -386,59 +382,61 @@ class _DualNewtonSystem:
         return F
 
     # -- Jacobian ----------------------------------------------------------
-    def _advection(self, a, b, m):
-        """Advection linearization of the momentum rows of ``a`` (masked by
-        ``m``): per component row, blocks on the columns of a, then of b."""
-        DX, d = self.DX, len(a)
-        s = [sp.diags(m * (-0.5 * (a[j] + b[j]))) for j in range(d)]
-        both = sum(s[j] @ DX[j] for j in range(d))
-        rows = []
-        for i in range(d):
-            dia = [sp.diags(m * (-0.5 * (DX[j] @ b[i] + DX[i] @ b[j]))) for j in range(d)]
-            partner = [dia[j] + s[j] @ DX[i] for j in range(d)]
-            partner[i] = partner[i] + both
-            rows.append(dia + partner)
-        return rows
+    def jacobian(self, z: np.ndarray) -> spla.LinearOperator:
+        """J(z) = L + N(z) as an operator: L v = sum_k A_k V B_k^T (V the (m, S) array
+        of v; v itself on the pin rows), and N, the advection linearization, adds
+        sum_j c_ij (du_j + dw_j) + s_j (D_i db_j + D_j db_i) to momentum row i of each
+        family (b the other one), c_ij = -(D_j b_i + D_i b_j) / 2 and s_j = -(u_j +
+        w_j) / 2 computed once. N vanishes at z = 0, where J is L."""
+        d, T, S, vel, first = self.grid.dim, self.T, self.S, self.velocities, self.gauge.first
+        factors = lambda V: np.concatenate(      # the stack of V B_k^T, k = 0, 1, ...
+            [V[None], (self.stencils @ V.T).reshape(-1, S, len(V)).transpose(0, 2, 1)])
 
-    def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
-        u, w, _, _ = self.unpack(z)
-        rows_u = self._advection(u, w, self.momentum_mask[0])
-        rows_w = self._advection(w, u, self.momentum_mask[1])
-        d = self.grid.dim
-        N = sp.bmat(rows_u + [row[d:] + row[:d] for row in rows_w], format="csr")
-        N.resize(self.L.shape)
-        return self.L + N
+        def partners(BV):      # [f, i, j]: D_i b_j + D_j b_i, b the partner of family f
+            G = np.moveaxis(BV[2:, :vel].reshape(d, 2, d, T, S), 0, 1)[::-1]
+            return G + G.swapaxes(1, 2)
+        uw = z[:vel * S].reshape(2, d, T, S)
+        coef = -0.5 * self.momentum_mask * partners(factors(uw.reshape(vel, S)))
+        sweep = -0.5 * self.momentum_mask * (uw[0] + uw[1])
+
+        def matvec(v):
+            V = v.reshape(-1, S)
+            BV = factors(V)
+            out = self.time_factors @ BV.reshape(-1, S)
+            out[:vel] += (coef * V[:vel].reshape(2, d, T, S).sum(0)
+                          + sweep * partners(BV)).sum(2).reshape(vel, S)
+            out[vel:, first] = V[vel:, first]
+            return out.ravel()
+        return spla.LinearOperator((self.n_dof,) * 2, matvec, dtype=float)
 
     def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
         return _krylov_step(self.jacobian(z), F, self._solve_linear_part)
 
     @functools.cached_property
     def _block_inverses(self) -> np.ndarray:
-        """(S, m, m) inverse of each spatial-mode block of L without its pin rows,
-        A_0 + lap A_1 + i s_0 A_2 + ... + i s_{d-1} A_{d+1} with the Fourier
-        symbols of the stencils. On the null modes of the central gradient the
-        pressures drop out, so only the velocity block is inverted there, in the
-        least-squares sense: at odd T the zero mode's is singular (the leapfrog
-        mode of the central time difference). A singular block elsewhere raises
-        LinAlgError."""
-        spec, v, S = self.spec, self.velocities, self.S
-        symbols = [np.ones(spec.lap.shape), spec.lap, *(1j * s for s in spec.s)]
-        symbols = np.stack(np.broadcast_arrays(*symbols), -1).reshape(S, len(self.A))
-        inverses = np.tensordot(symbols, self.A, axes=1)    # the blocks, inverted in place
-        null = np.flatnonzero(spec.null)
+        """(S', m, m) inverse of each block of L without its pin rows, A_0 + lap A_1
+        + i s_0 A_2 + ... + i s_{d-1} A_{d+1} with the stencils' Fourier symbols, at
+        the S' modes of the rfft half: A_k is real, lap even and s_a odd, so the
+        block at -k is the conjugate of the one at k. On the null modes of the
+        central gradient only the velocity block is inverted, in the least-squares
+        sense: at odd T the zero mode's is singular (the leapfrog mode of the
+        central time difference). A singular block elsewhere raises LinAlgError."""
+        spec, v, half = self.spec, self.velocities, (..., slice(self.grid.nodes[-1] // 2 + 1))
+        symbols = np.broadcast_arrays(1.0, spec.lap[half], *(1j * s[half] for s in spec.s))
+        inverses = np.tensordot(np.stack(symbols, -1), self.A, 1).reshape(-1, *self.A.shape[1:])
+        null = np.flatnonzero(spec.null[half])
         velocity = np.linalg.pinv(inverses[null, :v, :v], rtol=1e-10)
         inverses[null] = np.eye(len(self.A[0]))              # stand-ins, replaced below
-        for start in range(0, S, _BLOCK_CHUNK):
-            inverses[start:start + _BLOCK_CHUNK] = np.linalg.inv(
-                inverses[start:start + _BLOCK_CHUNK])
+        for chunk in np.split(inverses, range(_BLOCK_CHUNK, len(inverses), _BLOCK_CHUNK)):
+            chunk[...] = np.linalg.inv(chunk)
         inverses[null] = 0.0
         inverses[null, :v, :v] = velocity
         return inverses
 
     def _solve_linear_part(self, b: np.ndarray) -> np.ndarray:
-        """L^{-1} b mode by mode in Fourier space. The divergence rows of a
-        component sum to zero, so the row each pin replaces is set to minus the
-        sum of the rest of its component; the pressures, free by N (the
+        """L^{-1} b mode by mode in Fourier space, on the rfft half. The divergence
+        rows of a component sum to zero, so the row each pin replaces is set to
+        minus the sum of the rest of its component; the pressures, free by N (the
         component indicator) without the pins, are then shifted onto them."""
         v, labels, first = self.velocities, self.gauge.labels, self.gauge.first
         B = b.reshape(-1, self.S).copy()
@@ -446,9 +444,9 @@ class _DualNewtonSystem:
         B[v:, first] = 0.0
         B[v:, first] = -np.array([np.bincount(labels, row, len(first)) for row in B[v:]])
         nodes, space = self.grid.nodes, range(1, self.grid.dim + 1)
-        modes = np.fft.fftn(B.reshape(-1, *nodes), axes=space).reshape(-1, self.S).T
-        X = np.fft.ifftn((self._block_inverses @ modes[..., None])[..., 0].T.reshape(
-            -1, *nodes), axes=space).real.reshape(-1, self.S)
+        modes = np.fft.rfftn(B.reshape(-1, *nodes), axes=space)
+        X = (self._block_inverses @ modes.reshape(len(B), -1).T[..., None])[..., 0]
+        X = np.fft.irfftn(X.T.reshape(modes.shape), s=nodes, axes=space).reshape(-1, self.S)
         X[v:] += (pins - X[v:, first])[:, labels]
         return X.ravel()
 
@@ -493,11 +491,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     _require_periodic(grid, unsteady=True)
     if seed.grid != grid:
         raise ValueError("seed quartet grid does not match")
-    # estimated peak memory beside the interpreter's: the inverted mode blocks of
-    # the preconditioner (S m^2 complex numbers) and _BYTES_PER_UNKNOWN per unknown
-    S, m = int(np.prod(grid.nodes)), (2 * grid.dim + 2) * grid.time_nodes - 3
-    need = S * m * (16 * m + _BYTES_PER_UNKNOWN)
-    if need > _MAX_NEWTON_BYTES:
+    if (need := _newton_dual_bytes(grid)) > _MAX_NEWTON_BYTES:
         raise ValueError(f"space-time system too large (about {need / 1e6:.0f} MB, limit "
                          f"{_MAX_NEWTON_BYTES / 1e6:.0f} MB); this solver is meant for "
                          "desk-scale grids")
@@ -505,7 +499,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     initial = [c.values[..., 0] for c in source.components]
     _require_divergence_free(initial, grid, "data")
 
-    z = None
+    z = q = None
     for nu, tol in _viscosity_ladder(config):
         system = _DualNewtonSystem(grid, nu, *initial)
         if z is None:
@@ -513,6 +507,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         record = ([], [], [])          # history of the stage that finishes last
 
         def log(zz, norm, system=system, record=record):
+            nonlocal q                 # the quartet of the last iterate, returned
             q = system.to_quartet(zz)
             for h, x in zip(record, (norm, u_w_gap(q), evaluate_lagrangian(q, system.nu).J)):
                 h.append(x)
@@ -525,8 +520,14 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
                 f"to approach the target viscosity gradually ({exc})") from exc
         if not ok:
             break
-    # the last system built is the one at the target viscosity unless a stage failed
-    return Trajectory(system.to_quartet(z), *(np.array(h) for h in record), ok)
+    return Trajectory(q, *(np.array(h) for h in record), ok)
+
+
+def _newton_dual_bytes(grid: Grid) -> float:
+    """Estimated peak memory of :func:`newton_dual` beside the interpreter's: an
+    inverted m x m complex block per mode of the rfft half and ``_BYTES_PER_UNKNOWN``."""
+    n, m = grid.nodes, (2 * grid.dim + 2) * grid.time_nodes - 3
+    return m * (16 * m * np.prod(n[:-1]) * (n[-1] // 2 + 1) + _BYTES_PER_UNKNOWN * np.prod(n))
 
 
 def _viscosity_ladder(config: SolveConfig) -> list[tuple[float, float]]:
@@ -570,10 +571,9 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
     return z, norm <= tol_eff
 
 
-def _krylov_step(J: sp.spmatrix, F: np.ndarray, precondition) -> np.ndarray:
-    """-J^{-1} F by GMRES preconditioned with ``precondition`` (an approximate
-    inverse of J applied to a vector); the line search absorbs a step GMRES
-    leaves inexact."""
+def _krylov_step(J, F: np.ndarray, precondition) -> np.ndarray:
+    """-J^{-1} F by GMRES (J a matrix or an operator) preconditioned by ``precondition``
+    (an approximate J^{-1} of a vector); the line search absorbs an inexact step."""
     M = spla.LinearOperator(J.shape, precondition, dtype=float)
     return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
 

@@ -7,6 +7,7 @@ command-line tests share.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from varns.grids import (
     PERIODIC,
@@ -111,6 +112,23 @@ def shift_state(state, direction, eps):
 def periodic_box(nodes, time_nodes=1, dt=0.0):
     """The 2-pi periodic box with ``nodes`` nodes along its axes."""
     return Grid((2 * np.pi,) * len(nodes), nodes, (PERIODIC,) * len(nodes), time_nodes, dt)
+
+
+def operator_matrix(apply, n):
+    """Sparse matrix of the linear map ``apply`` on vectors of length ``n``: its
+    image of each unit vector is a column."""
+    rows, cols, vals = [], [], []
+    unit = np.zeros(n)
+    for j in range(n):
+        unit[j] = 1.0
+        col = apply(unit)
+        unit[j] = 0.0
+        nz = np.flatnonzero(col)
+        rows.append(nz)
+        cols.append(np.full(nz.size, j))
+        vals.append(col[nz])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
 
 
 def abc_flow(grid, nu, A=1.0, B=0.8, C=0.6):

@@ -96,41 +96,41 @@ GOLDEN = {
     },
     "newton-dual": {
         "exit": 0,
-        "stdout": "265e89a3aedaa3b38372ff65bf18c3e23ea53007f6248c05258c4cab927ddd02",
+        "stdout": "e03a1208062f6feb0f7441ff13975b2eba06b19e65ae75edf9f9aa378737446b",
         "files": {
-            "convergence.csv": "685e25d35da89a4591b44f2e83d2b1a65e09fde5899eab359649e84ad8a27a5f",
-            "p.csv": "606ae6764f55a3bd98ade3f96890680313e2eca9d9cf9d34caa85b744aa1f43a",
-            "r.csv": "2d191dc02e46ce138433da8ef1150e922d121e7188e6a4c21e346278b0a90001",
-            "u_0.csv": "9d2b5966b54aedffb81adaa99400fc22d7d173fed644578de2870af2fa1c76e0",
-            "u_1.csv": "6ae6303c1fffe97b289af673694ed9ed918c180c874da16d4631477543337b5b",
-            "w_0.csv": "0e7207f3615b95fcdb18ac188ba348c7ed975610f8d6bab07c1869d5e371483e",
-            "w_1.csv": "5eaadef85a92e2e693dfc27ea0e49176a6c3b994b0e9bf0c32d8864d31939bfe",
+            "convergence.csv": "ded388d69476fec625f637b4bcf0ec89980f9c8e9f09af788190a32199d813b0",
+            "p.csv": "b74819d860f879585c35704969eb74e4604aa9f4584f025d12b22a7cf5a21d65",
+            "r.csv": "f4a8ab2853ade6dd679b0ea8ab51d45f5b645fdf2e94f61f6d8420e0ed735dae",
+            "u_0.csv": "084e55a9aa8188c830131c5401f96adcf68c8a193234cd80476de08fedd6b645",
+            "u_1.csv": "5ff5a0d2b81d8ab9b6aa328a779ded49ddc2f0dbf9a64ae01da60a774cffa515",
+            "w_0.csv": "8b64ec54f009548a40f949d99409f3ff37605626998d9b1ea1f1d177794af46a",
+            "w_1.csv": "8016c8745eac3f2283de4102429b4ba055f6d7d810f4f1c2b17cdcab65ab832e",
         },
     },
     "newton-dual-n7": {
         "exit": 0,
-        "stdout": "6d2b4b9c61f41f9e43d86f4a371bef29350a88b3d16e837c314fa14c4b9ea7b8",
+        "stdout": "61b5ee831b3be0c0d2326fbaef7bbfc374d67b037e06760f9ba92d87292bd53e",
         "files": {
-            "convergence.csv": "052ce426de7190c2321ee0422fdfeca43ff6ab65d089575a331dc7d9ba904ba8",
-            "p.csv": "57ecacbd3611edc18f953169e725f7b41cfe5e5e7a03311332943d97cd52ca6e",
-            "r.csv": "596235185a7f80749285cb8ed82d278a76348569730bfe9cc6b0f1a2c0e129a4",
-            "u_0.csv": "0c5d4969c6d13a6c86df6544888353945143d940e3de21db7568e995f1c889a3",
-            "u_1.csv": "67b018978ed94a9851ec7d311fb109bc588b3e22378bdcc0bacc75eb15323966",
-            "w_0.csv": "dec6d5a14e9ae9059498bda67d1725f5199c35251028c16dee04008ba35aee60",
-            "w_1.csv": "6fd1e106fc4e6c6e9896463027be7f3343d2e498b2810d8cbbf3301854011c62",
+            "convergence.csv": "81b4d5c73bb18129648ff712ad2e46eb3942a9bfc6bea697746f7f2a32dd29a6",
+            "p.csv": "22d0050887d1c70ea331e4b2188209c3545dd1511e3825589867b953e7832710",
+            "r.csv": "9636e730ce5cdd3f8d8037cbf0849b2ca0d04ccb8ad828ab2ba430122dc37349",
+            "u_0.csv": "75383e8c81ba9dc359a17774cbafd072335c2327bf42bb4eeaa27f01ec7d6530",
+            "u_1.csv": "78b7a351adff4e46f9b821d3f8c3a10248d8e6cc598de726e3ef068d09d4be1b",
+            "w_0.csv": "46d3f83ce26cfa2726ec5069514e339a58569032bb55095aea758c0b53b94a5e",
+            "w_1.csv": "ffa5506ad94ab02e8728f7c76910ada5959bfd7e7809732317c875c7983c21ab",
         },
     },
     "newton-dual-n8": {
         "exit": 0,
-        "stdout": "2b2509c194501b8c0b60276c5c8018adba4a13a029bd9b0e527f9a7d73330df6",
+        "stdout": "315f62402c2d1b21f9fb0e4dbb752fedb958596996388c04b4003175e79e59f9",
         "files": {
-            "convergence.csv": "74293bd1d199b2dccc0ea57f027408301fc7d904bbbaaab4b6d205a31dfc68f6",
-            "p.csv": "8d58e8e11f7cb9fa8db39407334a56f55b03ed772bbb1a3ebf8337f3c1f6b2ca",
-            "r.csv": "c1dda5962f517044d74c05d3a60f83ebf6b843192554c5c3c097094504206b69",
-            "u_0.csv": "f4a261f908c4b3bdaf5ab3ce6a103983ff283fb10164a39028f0c21ee450c897",
-            "u_1.csv": "2e25f7978f2b05aea2c58d96d136205ef314eda9294de16f97d9c73872f5ff43",
-            "w_0.csv": "c25fbbb15f1a9e8f80ccf54e584734f637d84124944272a0ee81a03461331759",
-            "w_1.csv": "f6bbee88464db60d798ec80eddba1aae376b9fc3d473f6661b1f13ce5bea29a4",
+            "convergence.csv": "1cb431c614f5e7b4cafac226cabb1e140bcf502c39b6dafcbaae7d893ab1d959",
+            "p.csv": "9a216bb4737ce3add83e4947b657cd46fbe4372481a22ecc41f8b038208ef17d",
+            "r.csv": "1127353b9d65f31a1ccc12d3fb30e1480ad90b9d477160f3a869838adf640e7b",
+            "u_0.csv": "2468e95c425aa415b3f2dadfd8211d5c0df0e29b50306fecbb7cecf6163d0d18",
+            "u_1.csv": "1d94fda23d8b890b331d84e9f68d9e1128e0310844c7ff0c54aac9a16fb38e02",
+            "w_0.csv": "cb1a597f5f6f844c2d92eaf73b0c62cc1145ebef51c7f1f1d132aed3f1d0c935",
+            "w_1.csv": "d70d9c5ef467999ae26cb207db4a53f4d90a60586b05a98b6e8faf508286f83d",
         },
     },
     "oscillator": {

@@ -13,17 +13,18 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varns import cli, scenarios
 from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
-                         _wall_boundary_mask)
+                         _stencil_matrices, _wall_boundary_mask)
 from varns.lagrangian import evaluate_lagrangian, first_variation
 from varns.solver import _DualNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
-from conftest import periodic_box
+from conftest import operator_matrix, periodic_box
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -124,6 +125,67 @@ def test_newton_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
     assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)
 
 
+# ---------------------------------------------------------------------------
+# the matrix-free Newton operator against its sparse Kronecker assembly: the
+# space-time matrices L = sum_k A_k (x) B_k and J(z) = L + N(z), built from the
+# same time matrices, stencil matrices and gauge as the operator
+# ---------------------------------------------------------------------------
+
+def _linear_part(system):
+    """L, the Jacobian at z = 0, where the advection linearization vanishes."""
+    return system.jacobian(np.zeros(system.n_dof))
+
+
+def _kron_linear_part(system):
+    S = system.S
+    DX, LAP = _stencil_matrices(system.grid)
+    L0 = sum(sp.kron(a, b, format="csr") for a, b in zip(system.A, (sp.identity(S), LAP, *DX)))
+    pinned = np.zeros((len(system.A[0]), S))
+    pinned[system.velocities:, system.gauge.first] = 1.0
+    return (sp.diags(1.0 - pinned.ravel()) @ L0 + sp.diags(pinned.ravel())).tocsr()
+
+
+def _kron_advection(DX, a, b, m):
+    """Advection linearization of the momentum rows of ``a`` (masked by ``m``):
+    per component row, blocks on the columns of a, then of b."""
+    d = len(a)
+    s = [sp.diags(m * (-0.5 * (a[j] + b[j]))) for j in range(d)]
+    both = sum(s[j] @ DX[j] for j in range(d))
+    rows = []
+    for i in range(d):
+        dia = [sp.diags(m * (-0.5 * (DX[j] @ b[i] + DX[i] @ b[j]))) for j in range(d)]
+        partner = [dia[j] + s[j] @ DX[i] for j in range(d)]
+        partner[i] = partner[i] + both
+        rows.append(dia + partner)
+    return rows
+
+
+def _kron_jacobian(system, z):
+    d, S, T = system.grid.dim, system.S, system.T
+    DX = [sp.kron(sp.identity(T), D, format="csr") for D in _stencil_matrices(system.grid)[0]]
+    first, last = np.eye(T)[[0, -1]]
+    u, w, _, _ = system.unpack(z)
+    rows_u = _kron_advection(DX, u, w, np.repeat(1 - first, S))
+    rows_w = _kron_advection(DX, w, u, np.repeat(1 - first - last, S))
+    N = sp.bmat(rows_u + [row[d:] + row[:d] for row in rows_w], format="csr")
+    L = _kron_linear_part(system)
+    N.resize(L.shape)
+    return L + N
+
+
+@PROPERTY_SETTINGS
+@given(grid=newton_boxes(), seed=seeds)
+def test_newton_operator_matches_the_kronecker_assembly(grid, seed):
+    """L v and J(z) v from the factors equal the assembled products up to the
+    order of the sums."""
+    rng = np.random.default_rng(seed)
+    system = _DualNewtonSystem(grid, 0.3, *rng.normal(size=(grid.dim, *grid.nodes)))
+    z, v = rng.normal(size=(2, system.n_dof))
+    for got, want in ((_linear_part(system) @ v, _kron_linear_part(system) @ v),
+                      (system.jacobian(z) @ v, _kron_jacobian(system, z) @ v)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("time_nodes", [4, 6])
 @pytest.mark.parametrize("n0, n1", [(a, b) for a in range(5, 9) for b in range(5, 9)])
 def test_newton_linear_part_is_nonsingular(n0, n1, time_nodes):
@@ -132,7 +194,9 @@ def test_newton_linear_part_is_nonsingular(n0, n1, time_nodes):
     n0, odd n1) it had one per pressure slice."""
     grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
     zero = np.zeros((n0, n1))
-    sigma = scipy.linalg.svdvals(_DualNewtonSystem(grid, 0.5, zero, zero).L.toarray())
+    system = _DualNewtonSystem(grid, 0.5, zero, zero)
+    sigma = scipy.linalg.svdvals(operator_matrix(_linear_part(system).matvec,
+                                                 system.n_dof).toarray())
     assert sigma.min() > 1e-8 * sigma.max()
 
 
@@ -148,7 +212,7 @@ def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
     rng = np.random.default_rng(int("".join(map(str, nodes))))   # 10 n0 + n1 in 2D
     system = _DualNewtonSystem(grid, 0.5, *rng.normal(size=(len(nodes), *nodes)))
     x = rng.normal(size=system.n_dof)
-    y = system._solve_linear_part(system.L @ x)
+    y = system._solve_linear_part(_linear_part(system) @ x)
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
 
 

@@ -27,7 +27,7 @@ from varns.solver import (
 )
 from varns.steady import uniqueness_certificate
 
-from conftest import abc_flow, periodic_box
+from conftest import abc_flow, operator_matrix, periodic_box
 
 
 def tg_velocity(grid, nu):
@@ -208,8 +208,8 @@ def test_newton_continuation_ladder_runs():
     assert u_w_gap(traj.state) <= 1e-8
 
 
-# the memory estimate: 64^2 x 17 needs 0.64 GB for the preconditioner's blocks
-# alone, 128^2 x 9 0.68 GB; the guard must fire before any assembly
+# the memory estimate: 64^2 x 17 needs 0.62 GB (its stalled odd-T GMRES fills the
+# whole Krylov basis), 128^2 x 9 0.95 GB; the guard must fire before any assembly
 @pytest.mark.parametrize("n, time_nodes", [(64, 17), (128, 9)])
 def test_newton_rejects_oversized_problem(n, time_nodes):
     g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
@@ -221,7 +221,7 @@ class _Assembled(Exception):
     pass
 
 
-# 16^2 x 9 (about 43 MB) and the CLI default 32^2 x 9 (about 0.15 GB) pass the
+# 16^2 x 9 (about 15 MB) and the CLI default 32^2 x 9 (about 60 MB) pass the
 # guard; the assembly is replaced, so no system is built or solved
 @pytest.mark.parametrize("n, time_nodes", [(16, 9), (32, 9)])
 def test_newton_guard_accepts_desk_scale_grids(n, time_nodes, monkeypatch):
@@ -231,6 +231,37 @@ def test_newton_guard_accepts_desk_scale_grids(n, time_nodes, monkeypatch):
     g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
     with pytest.raises(_Assembled):
         newton_dual(FieldQuartet.zeros(g), None, SolveConfig(nu=0.5), g)
+
+
+# the estimate counts the inverted blocks of the rfft half and a per-unknown
+# term fitted to measured peaks; computed here, no system is built or solved
+@pytest.mark.parametrize("nodes, time_nodes, admitted", [
+    ((16, 16, 16), 8, True), ((64, 64), 16, True), ((64, 64), 33, False)])
+def test_newton_memory_estimate(nodes, time_nodes, admitted):
+    need = solver._newton_dual_bytes(periodic_box(nodes, time_nodes, 0.01))
+    assert (need <= solver._MAX_NEWTON_BYTES) == admitted
+
+
+def test_newton_returns_the_quartet_of_its_final_iterate(monkeypatch):
+    # newton_dual returns the quartet its log built of the last iterate; it must
+    # be the system's to_quartet of the iterate the Newton loop returned
+    finals = []
+
+    def loop(system, *args):
+        z, ok = newton_loop(system, *args)
+        finals.append((system, z))
+        return z, ok
+    newton_loop = solver._newton_loop
+    monkeypatch.setattr(solver, "_newton_loop", loop)
+    g = acceptance_grid()
+    traj = newton_dual(perturbed_taylor_green(g, 0.5), None, SolveConfig(nu=0.5), g)
+    system, z = finals[-1]
+    want = system.to_quartet(z)
+    for got, ref in ((traj.state.u, want.u), (traj.state.w, want.w)):
+        for a, b in zip(got.components, ref.components):
+            assert a.values.tobytes() == b.values.tobytes()
+    for a, b in ((traj.state.p, want.p), (traj.state.r, want.r)):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def perturbed_taylor_green(grid, nu, amp=0.1):
@@ -244,14 +275,15 @@ def perturbed_taylor_green(grid, nu, amp=0.1):
 
 @pytest.mark.parametrize("n, time_nodes", [(8, 6), (10, 8)])
 def test_newton_krylov_step_matches_the_direct_solve(n, time_nodes):
-    # sparse LU of the whole Jacobian is the oracle of the preconditioned GMRES step
+    # sparse LU of the whole Jacobian, the operator applied to the identity, is the
+    # oracle of the preconditioned GMRES step
     g = periodic_square(n, time_nodes=time_nodes, dt=0.02)
     seed = perturbed_taylor_green(g, 0.5)
     system = solver._DualNewtonSystem(g, 0.5, *(c.values[..., 0] for c in seed.u.components))
     z = system.pack(seed)
     for _ in range(2):
         F = system.residual(z)
-        direct = solver._lu_step(system.jacobian(z), F)
+        direct = solver._lu_step(operator_matrix(system.jacobian(z).matvec, system.n_dof), F)
         step = system.newton_step(z, F)
         assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
         z = z + step
