@@ -5,7 +5,8 @@ from the operators in this module: second-order central differences with
 one-sided closures at wall boundaries, trapezoid/rectangle quadrature, and
 surface quadrature over wall faces. All operators are pure functions of
 immutable inputs. Every sparse stencil matrix is built here, as the kernels
-``_d1``/``_d2`` applied to an identity (``_stencil_matrix(es)``).
+``_d1``/``_d2`` applied to an identity (``_stencil_matrix``), lifted to the
+nodes of a 2D or 3D slice by index (``_stencil_matrices``).
 
 Field values are stored as float64 arrays of shape ``(*space_nodes,
 time_nodes)``; the time axis is always last. A grid with ``time_nodes == 1``
@@ -14,7 +15,6 @@ encodes a steady problem.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -271,12 +271,21 @@ def _stencil_matrix(op: Callable, n: int, h: float, periodic: bool) -> sp.csr_ma
 
 def _stencil_matrices(grid: Grid):
     """Sparse first-derivative matrices (one per axis) and Laplacian on a slice:
-    the 1D stencil matrices lifted with ``sp.kron``."""
+    the 1D stencil matrices lifted by index. Slice node (o, i, k), o running over
+    the axes before the lifted one and k over those after, couples to (o, j, k)
+    with the 1D entry (i, j): the matrix that ``sp.kron`` with identities builds,
+    to the bit. 1D has nothing to lift."""
     def lift(op, axis):
-        factors = [sp.identity(n) for n in grid.nodes]
-        factors[axis] = _stencil_matrix(op, grid.nodes[axis], grid.spacing(axis),
-                                        grid.boundaries[axis] == PERIODIC)
-        return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+        n = grid.nodes[axis]
+        M = _stencil_matrix(op, n, grid.spacing(axis), grid.boundaries[axis] == PERIODIC)
+        if grid.dim == 1:
+            return M
+        M, inner = M.tocoo(), int(np.prod(grid.nodes[axis + 1:]))
+        outer, S = int(np.prod(grid.nodes[:axis])), int(np.prod(grid.nodes))
+        base = np.arange(outer)[:, None, None] * (n * inner) + np.arange(inner)
+        at = lambda index: (base + (index * inner)[:, None]).ravel()   # (o, entry, k)
+        vals = np.tile(np.repeat(M.data, inner), outer)
+        return sp.csr_matrix((vals, (at(M.row), at(M.col))), shape=(S, S))
     axes = range(grid.dim)
     return [lift(_d1, a) for a in axes], sum(lift(_d2, a) for a in axes)
 

@@ -16,9 +16,11 @@ Four routes to the stationary point:
   a pin at one node of each component of the central-gradient graph, and a
   reported pressure of zero mean on each. Their linear systems are solved by
   GMRES preconditioned by the Fourier inverse of the linear part (one dense
-  block per spatial mode in space-time, on the rfft half of the modes; the
-  space-time Jacobian is an operator applied from its Kronecker factors),
-  except the steady ones on grids with a wall axis: sparse LU.
+  block per spatial mode in space-time, on the rfft half of the modes), with
+  a Jacobian that is never assembled: an operator applied from its Kronecker
+  factors in space-time, from advection coefficients computed once per Newton
+  step in the steady case. Only the steady systems on grids with a wall axis
+  assemble their Jacobian, for a sparse LU.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -656,31 +658,56 @@ class _SteadyNewtonSystem:
         F[:v.size] -= (self.interior * np.array(adv)).ravel()
         return F
 
-    def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
+    def _advection(self, z: np.ndarray):
+        """Coefficients of the advection linearization A(z), (A x)_i = sum_j G_ij x_j
+        + W_j D_j x_i on the velocity rows: G_ij = m D_j v_i and W_j = m v_j, m the
+        interior mask."""
         v, m = self.unpack(z)[0], self.interior
-        conv = sum(sp.diags(m * v[j]) @ self.DX[j] for j in range(self.d))
-        rows = [[sp.diags(m * (D @ vi)) for D in self.DX] for vi in v]
+        return [[m * (D @ vi) for D in self.DX] for vi in v], [m * vj for vj in v]
+
+    def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
+        """J(z) = L - A(z), assembled."""
+        G, W = self._advection(z)
+        conv = sum(sp.diags(Wj) @ D for Wj, D in zip(W, self.DX))
+        rows = [[sp.diags(Gij) for Gij in Gi] for Gi in G]
         for i in range(self.d):
             rows[i][i] = rows[i][i] + conv
         A = sp.bmat(rows, format="csr")
         A.resize(self.L.shape)
         return self.L - A
 
+    def jacobian_operator(self, z: np.ndarray, shift: float) -> spla.LinearOperator:
+        """J(z) - shift V as an operator, x -> L x - shift V x - A(z) x, from the
+        coefficients of A(z) computed once; shift V joins G_ii as shift m."""
+        d, S, DX = self.d, self.S, sp.vstack(self.DX, format="csr")
+        G, W = map(np.array, self._advection(z))      # (d, d, S) and (d, S)
+        G[range(d), range(d)] += shift * self.interior
+
+        def matvec(x):
+            xv = x[:d * S].reshape(d, S)
+            grads = (DX @ xv.T).reshape(d, S, d)      # [j, :, i]: D_j x_i
+            out = self.L @ x
+            out[:d * S] -= ((G * xv).sum(1) + (W[..., None] * grads).sum(0).T).ravel()
+            return out
+        return spla.LinearOperator(self.L.shape, matvec, dtype=float)
+
     def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
         """-(J - V / dtau)^{-1} F with V the identity on the interior momentum rows:
         a backward-Euler pseudo-time step whose dtau grows as dtau0 |F_0| / |F|
         (switched evolution relaxation), so that the steps become Newton's as the
-        residual falls. Sparse LU on grids with a wall axis; on all-periodic grids,
-        whose LU fills in far more, GMRES preconditioned by the exact inverse of
-        the linear part (the line search absorbs a step GMRES leaves inexact)."""
+        residual falls. Sparse LU of the assembled matrix on grids with a wall
+        axis; on all-periodic grids, whose LU fills in far more, GMRES on
+        :meth:`jacobian_operator`, never assembled, preconditioned by the exact
+        inverse of the linear part (the line search absorbs a step GMRES leaves
+        inexact)."""
         norm = np.abs(F).max()
         if self.norm0 is None:
             self.norm0 = norm
         shift = norm / (_DTAU0 * self.norm0)
-        J = self.jacobian(z) - shift * self.V
         if not self.periodic:
-            return _lu_step(J, F)
-        return _krylov_step(J, F, lambda r: self._solve_linear_part(r, shift))
+            return _lu_step(self.jacobian(z) - shift * self.V, F)
+        return _krylov_step(self.jacobian_operator(z, shift), F,
+                            lambda r: self._solve_linear_part(r, shift))
 
     @functools.cached_property
     def _spectral(self) -> _Spectral:

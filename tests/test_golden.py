@@ -155,15 +155,15 @@ GOLDEN = {
     },
     "solve-steady-periodic": {
         "exit": 0,
-        "stdout": "a7c9327a35bd73fc551c6e07741479aa6088356770a0cad36ad079c59e9e7c6c",
+        "stdout": "d47c4fe9cb5615173ad8dcd906b655195b897f4529b54e23b015cfca79975ecc",
         "files": {
-            "certificate.json": "422b257678713a7c5b429ff73648d1ef9e1ed6b011b82ad1cb3b5e0dcbdbf5cd",
-            "p.csv": "103c70749072e43178f6d21a7b29c001786cf30d6a6c7b029eb49f9bbad7a115",
-            "r.csv": "103c70749072e43178f6d21a7b29c001786cf30d6a6c7b029eb49f9bbad7a115",
-            "u_0.csv": "740286f926cac1bbd5c8fadd953a82add88f821ea8afac718be35c8ae410eb0a",
-            "u_1.csv": "80dccd931092c8c9854787138d0b0a884e69f447b415b3a0d54d1e72e77b09f8",
-            "w_0.csv": "740286f926cac1bbd5c8fadd953a82add88f821ea8afac718be35c8ae410eb0a",
-            "w_1.csv": "80dccd931092c8c9854787138d0b0a884e69f447b415b3a0d54d1e72e77b09f8",
+            "certificate.json": "bfe78eeaaad14f74f5abec99e69e4344ca668b2c27ba46131060d56f3e2b5082",
+            "p.csv": "0b336d3e271ce09b5549bda3101473281b1ad8b1c4758142bc74aeb52b8f8b4e",
+            "r.csv": "0b336d3e271ce09b5549bda3101473281b1ad8b1c4758142bc74aeb52b8f8b4e",
+            "u_0.csv": "7d139cb0847ab4b45a7a131686345574cb4c736a66d2ac5401d3c4fb86f84fa3",
+            "u_1.csv": "45f9ebc4714a40bf70a089547e919cb71e3760ac5b46fbac2a7be8a250c36531",
+            "w_0.csv": "7d139cb0847ab4b45a7a131686345574cb4c736a66d2ac5401d3c4fb86f84fa3",
+            "w_1.csv": "45f9ebc4714a40bf70a089547e919cb71e3760ac5b46fbac2a7be8a250c36531",
         },
     },
     "solve-steady-wall": {

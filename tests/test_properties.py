@@ -7,6 +7,7 @@ arguments, so interchanging (u, p) with (w, r) negates every node value
 exactly and the u = w, p = r configuration gives exactly zero.
 """
 
+import functools
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 from varns import cli, scenarios
 from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
-                         _stencil_matrices, _wall_boundary_mask)
+                         _d1, _d2, _stencil_matrices, _stencil_matrix, _wall_boundary_mask)
 from varns.lagrangian import evaluate_lagrangian, first_variation
-from varns.solver import _DualNewtonSystem, taylor_green
+from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
 from conftest import operator_matrix, periodic_box
@@ -217,6 +218,43 @@ def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
 
 
 # ---------------------------------------------------------------------------
+# the steady Newton system: its Jacobian, assembled for the sparse LU of wall
+# grids and applied as an operator on all-periodic ones
+# ---------------------------------------------------------------------------
+
+def _steady_system(grid, seed, nu=0.3):
+    """Steady system with random wall data and start; a random state and direction."""
+    rng = np.random.default_rng(seed)
+    data, start = rng.normal(size=(2, grid.dim, int(np.prod(grid.nodes))))
+    walls = _wall_boundary_mask(grid)[..., 0].ravel()
+    system = _SteadyNewtonSystem(grid, nu, np.where(walls, data, 0.0), start)
+    return system, *rng.normal(size=(2, system.L.shape[0]))
+
+
+@PROPERTY_SETTINGS
+@given(grid=grids(steady=True), seed=seeds)
+def test_steady_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
+    """The steady residual is quadratic in the unknowns, so the central
+    difference has no truncation error and equals J(z) v up to roundoff."""
+    system, z, v = _steady_system(grid, seed)
+    eps = 0.5
+    fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
+    jv = system.jacobian(z) @ v
+    assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)
+
+
+@PROPERTY_SETTINGS
+@given(grid=grids(steady=True), seed=seeds, shift=st.sampled_from((0.0, 0.37, 1.0)))
+def test_steady_operator_matches_the_assembled_jacobian(grid, seed, shift):
+    """x -> L x - shift V x - A(z) x from the per-step coefficients equals the
+    assembled J(z) - shift V up to the order of the sums."""
+    system, z, x = _steady_system(grid, seed)
+    got = system.jacobian_operator(z, shift) @ x
+    want = (system.jacobian(z) - shift * system.V) @ x
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
 # the synthetic-field builders against their dense references: the builders
 # evaluate each one-axis factor on the open mesh, the references on the dense
 # meshes; both take the same draws and multiply in the same order, so the
@@ -350,3 +388,30 @@ def test_perturb_w_factor_matches_the_dense_builder_to_the_bit(grid, seed, amp):
     pert = 1 + amp * np.cos(meshes[0]) * np.cos(meshes[1])
     _assert_bits_equal([c.values for c in seeded.value.args[0].w.components],
                        [c.values * pert for c in state.u.components])
+
+
+# ---------------------------------------------------------------------------
+# the stencil matrices lifted by index against the Kronecker products with
+# identities they replace: the same CSR arrays, to the bit
+# ---------------------------------------------------------------------------
+
+def _kron_stencil_matrices(grid):
+    def lift(op, axis):
+        factors = [sp.identity(n) for n in grid.nodes]
+        factors[axis] = _stencil_matrix(op, grid.nodes[axis], grid.spacing(axis),
+                                        grid.boundaries[axis] == PERIODIC)
+        return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+    axes = range(grid.dim)
+    return [lift(_d1, a) for a in axes], sum(lift(_d2, a) for a in axes)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(grid=field_grids())
+def test_stencil_matrices_equal_the_kronecker_lift_to_the_bit(grid):
+    (DX, LAP), (want_DX, want_LAP) = _stencil_matrices(grid), _kron_stencil_matrices(grid)
+    assert len(DX) == len(want_DX) == grid.dim
+    for got, want in zip([*DX, LAP], [*want_DX, want_LAP]):
+        assert got.format == "csr" and got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
