@@ -4,8 +4,16 @@
 ``ScalarField`` (a snapshot CSV), a ``Table`` (a CSV table) or a JSON record.
 
 Snapshot format: one row per node with header ``axis0,axis1[,axis2],t,value``
-in time-major, then axis0-major order. Floats are written with shortest
-round-trip formatting, so identical inputs produce byte-identical files.
+in time-major, then axis0-major order. Every float of every CSV is written as
+its ``repr``, the shortest round-trip text, so identical inputs produce
+byte-identical files. ``_float_texts`` gets that text for a whole array from
+one ``orjson.dumps`` call: orjson writes the same shortest digits, and only its
+notation is rewritten to repr's (``1e16`` -> ``1e+16``, ``1e-6`` -> ``1e-06``).
+The values orjson writes otherwise, 1e-5 <= |x| < 1e-4 (positional) and the
+non-finite ones (``null``), go through ``repr`` itself. The reader parses each
+time slab's value column with one ``orjson.loads`` and keeps the result when it
+is one float per row; any other slab goes through ``float()`` row by row, so
+the accepted values, their bits and every error are those of ``float()``.
 
 At a solution of the dual system w = u and r = p, so snapshots and residuals
 come in bit-identical pairs. ``write_fields_csv`` formats each distinct field
@@ -25,19 +33,40 @@ import os
 import shutil
 
 import numpy as np
+import orjson
 
 from .grids import FieldQuartet, Grid, ScalarField, VectorField
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_ONE_DIGIT_NEGATIVE_EXPONENTS = tuple((f"e-{d},".encode(), f"e-0{d},".encode())
+                                      for d in "6789")
+
+
+def _float_texts(values) -> list[str]:
+    """``repr`` of each float64 of ``values``, in C order."""
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    mag = np.abs(v)
+    # the trailing comma ends the last value like every other one. orjson
+    # writes a positive exponent only for |x| >= 1e16 and a one-digit negative
+    # one only for 1e-9 <= |x| < 1e-5, so each rewrite runs only if it can match
+    text = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    if (mag >= 1e16).any():
+        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-")
+    if ((mag >= 1e-10) & (mag < 1e-5)).any():
+        for short, padded in _ONE_DIGIT_NEGATIVE_EXPONENTS:
+            text = text.replace(short, padded)
+    texts = text.decode().split(",")[:v.size]
+    own = np.flatnonzero(((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(v))
+    for i, x in zip(own.tolist(), v[own].tolist()):
+        texts[i] = repr(x)
+    return texts
 
 
 def _coord_prefixes(g: Grid) -> list[str]:
     """``"x0,x1[,x2],"`` for every spatial node, in C (axis0-major) order."""
     prefixes = [""]
     for a in range(g.dim):
-        coords = [_fmt(c) + "," for c in g.axis_coords(a).tolist()]
+        coords = [c + "," for c in _float_texts(g.axis_coords(a))]
         prefixes = [p + c for p in prefixes for c in coords]
     return prefixes
 
@@ -51,11 +80,10 @@ def write_field_csv(path, f: ScalarField):
     prefixes = _coord_prefixes(g)
     with open(path, "w") as fh:
         fh.write(_header(g.dim) + "\n")
-        # one time slab per write keeps memory flat; repr of a Python float
-        # is exactly _fmt of the numpy scalar
-        for k, t in enumerate(map(_fmt, g.time_coords().tolist())):
-            fh.write("".join([f"{p}{t},{v!r}\n" for p, v in
-                              zip(prefixes, f.values[..., k].ravel().tolist())]))
+        # one time slab per write keeps memory flat
+        for k, t in enumerate(_float_texts(g.time_coords())):
+            fh.write("".join([f"{p}{t},{v}\n" for p, v in
+                              zip(prefixes, _float_texts(f.values[..., k]))]))
 
 
 def write_fields_csv(outdir, fields):
@@ -80,7 +108,18 @@ def write_fields_csv(outdir, fields):
 
 
 def _parse_slab(path, rows: list[str], first_line: int) -> list[float]:
-    """The value column of ``rows``, which start at 1-based file line ``first_line``."""
+    """The value column of ``rows``, which start at 1-based file line ``first_line``.
+
+    One JSON parse of the joined value texts serves when every element it gives
+    is a float: no value text holds a comma, so that is one float per row. Texts
+    that JSON reads otherwise, or not at all (``-0``, ``1_0``, ``nan``, ``1e400``,
+    ``null``, a missing column, ...), go through ``float()``."""
+    try:
+        vals = orjson.loads("[" + ",".join([row.rsplit(",", 1)[1] for row in rows]) + "]")
+        if set(map(type, vals)) == {float}:
+            return vals
+    except (IndexError, ValueError):
+        pass
     try:
         return [float(row.rsplit(",", 1)[1]) for row in rows]
     except (IndexError, ValueError):
@@ -102,7 +141,7 @@ def _check_node(path, row: str, line: int, node: list[float]):
         got = []
     if len(got) != len(node) or not np.allclose(got, node, rtol=1e-9, atol=1e-12):
         raise ValueError(f"snapshot {path} line {line} is not at grid node "
-                         f"{','.join(map(_fmt, node))}; it was written on another grid")
+                         f"{','.join(_float_texts(node))}; it was written on another grid")
 
 
 def _check_finite(path, rows: list[str], first_line: int, column: np.ndarray):
@@ -211,7 +250,7 @@ def _cells(column) -> list[str]:
     given = [v for v in values if v is not None]
     first = given[0] if given else ""
     if isinstance(first, (float, np.floating)):
-        text = list(map(repr, np.asarray(given, dtype=float).tolist()))
+        text = _float_texts(given)
     elif isinstance(first, (bool, np.bool_)):
         text = ["true" if v else "false" for v in given]
     elif isinstance(first, tuple):

@@ -1,8 +1,11 @@
 """Golden outputs: the sha256 of every report file and of the stdout summary
 line, for every subcommand at small fixed configs.
 
-The hashes were recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11);
-other versions may legitimately change the last bits of a report. Every
+The hashes were recorded with numpy 2.4.6, scipy 1.17.1 and orjson 3.8.3
+(Python 3.11); other versions may legitimately change the last bits of a
+report. orjson writes the digits of every report float, and
+``tests/test_reports.py`` fails if another orjson version writes any float
+other than its ``repr``. Every
 hash holds at one and at two BLAS threads, and CI checks both: the sparse
 LU (SuperLU) gives the same bits at any thread count, and so, as recorded,
 do the dense block inverses and products of the ``newton-dual`` preconditioner.

@@ -304,8 +304,11 @@ def _reference_write_field_csv(path, f):
                 fh.write(",".join(coords + [fmt(times[k]), fmt(slab[idx])]) + "\n")
 
 
+# the seams of the writer's notation rewrite: 1e-5 <= |x| < 1e-4 goes through
+# repr, 1.5e-7 needs its exponent padded, 1e16 and up need a '+'
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300,
-                  -1e300, 1e-300, -1e-300, 1e16, 1e-5, 0.1, 1 / 3, -2.5,
+                  -1e300, 1e-300, -1e-300, 1e16, 1.5e16, 1e-5, 3e-5,
+                  9.999999999999999e-05, 1.5e-7, 0.1, 1 / 3, -2.5,
                   np.inf, -np.inf, np.nan)
 
 IO_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None,
@@ -345,6 +348,85 @@ def test_read_of_write_is_bit_exact(tmp_path, f):
     # comparing the raw bits also checks that -0.0 keeps its sign
     assert np.array_equal(back.view(np.int64), f.values.view(np.int64))
     assert back.flags.c_contiguous
+
+
+# --- float text: orjson digits in repr notation, parsed back as float() ------
+
+def _repr_texts(values):
+    return [repr(x) for x in np.asarray(values, dtype=np.float64).ravel().tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=arrays(np.float64, st.integers(0, 64),
+                elements=st.one_of(st.sampled_from(SPECIAL_VALUES),
+                                   st.floats(allow_subnormal=True, width=64))))
+def test_float_texts_are_repr(a):
+    assert reports._float_texts(a) == _repr_texts(a)
+
+
+def test_float_texts_are_repr_at_every_power_and_seam():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    powers = [10.0 ** k for k in range(-323, 309)] + [2.0 ** k for k in range(-1074, 1024)]
+    seams = [1e-5, 1e-4, 1e16, tiny]
+    v = np.array(powers + seams)
+    v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+    v = np.concatenate([v, -v])
+    assert reports._float_texts(v) == _repr_texts(v)
+    # one at a time, so that no other value of the array turns a rewrite on
+    assert [reports._float_texts([x])[0] for x in v] == _repr_texts(v)
+
+
+def _assert_reads_as_float(tmp_path, tails):
+    """A 1D snapshot whose value column is ``tails``, one per row, must read as
+    ``float()`` of each tail, or fail with the reader's message for the first
+    row where ``float()`` fails or gives a non-finite value."""
+    g = Grid((1.0,), (len(tails),), (PERIODIC,), time_nodes=1, dt=0.0)
+    rows = [f"{x},0.0,{tail}" for x, tail in zip(_repr_texts(g.axis_coords(0)), tails)]
+    path = tmp_path / "tails.csv"
+    path.write_bytes("".join(r if r.endswith("\n") else r + "\n"
+                             for r in ["axis0,t,value", *rows]).encode())
+    want = []
+    for n, (row, tail) in enumerate(zip(rows, tails), 2):      # line 1 is the header
+        try:
+            want.append(float(tail))
+        except ValueError:
+            want = f"snapshot {path} line {n} is malformed: {row.rstrip()!r}"
+            break
+    if isinstance(want, list) and not np.isfinite(want).all():
+        n = int(np.argmin(np.isfinite(want)))
+        want = f"snapshot {path} line {n + 2} has a non-finite value: {rows[n].rstrip()!r}"
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            read_field_csv(path, g)
+        assert str(err.value) == want
+    else:
+        got = read_field_csv(path, g).values.ravel()
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+HARD_TAILS = ("0." + "1" * 40, "9" * 40, "1" * 40 + "e-40", "2.2250738585072011e-308",
+              "2.4703282292062328e-324", "2.4703282292062327e-324", "4.9406564584124654e-324",
+              "1.7976931348623158e308", "1e-400", "-1e-400", "1E5", "-0.0", " 1.5\r\n")
+ODD_TAILS = ("-0", "1_0", "+1", "1.", ".5", "nan", "inf", "1e400", "true", "null", '"1"',
+             "[1]", "", "1.5 2.5", "01.5")
+
+
+@pytest.mark.parametrize("odd", ODD_TAILS)
+def test_reader_parses_every_value_as_float_does(tmp_path, odd):
+    # the odd tail sits among tails that JSON and float() both read
+    _assert_reads_as_float(tmp_path, (*HARD_TAILS[:4], odd, *HARD_TAILS[4:]))
+    _assert_reads_as_float(tmp_path, (odd,) * 3)
+
+
+def test_reader_parses_hard_decimals_as_float_does(tmp_path):
+    _assert_reads_as_float(tmp_path, HARD_TAILS)
+
+
+@IO_SETTINGS
+@given(tails=st.lists(st.from_regex(r"-?[0-9]{1,40}(\.[0-9]{0,40})?([eE][+-]?[0-9]{1,3})?",
+                                    fullmatch=True), min_size=3, max_size=12))
+def test_reader_parses_decimal_strings_as_float_does(tmp_path, tails):
+    _assert_reads_as_float(tmp_path, tails)
 
 
 def _twin(values, kind, index):
