@@ -15,12 +15,12 @@ Four routes to the stationary point:
   ``grids._stencil_matrices`` builds and one pressure gauge (``_Components``):
   a pin at one node of each component of the central-gradient graph, and a
   reported pressure of zero mean on each. Their linear systems are solved by
-  GMRES preconditioned by the Fourier inverse of the linear part (one dense
-  block per spatial mode in space-time, on the rfft half of the modes), with
-  a Jacobian that is never assembled: an operator applied from its Kronecker
-  factors in space-time, from advection coefficients computed once per Newton
-  step in the steady case. Only the steady systems on grids with a wall axis
-  assemble their Jacobian, for a sparse LU.
+  GMRES with a Jacobian that is never assembled: an operator applied from its
+  Kronecker factors in space-time, from advection coefficients computed once
+  per Newton step in the steady case. GMRES is preconditioned by the Fourier
+  inverse of the linear part (one dense block per spatial mode in space-time,
+  on the rfft half of the modes); steady systems on grids with a wall axis
+  take instead one sparse LU of their linear part per solve.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -580,23 +580,14 @@ def _krylov_step(J, F: np.ndarray, precondition) -> np.ndarray:
     return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
 
 
-def _lu_step(J: sp.spmatrix, F: np.ndarray) -> np.ndarray:
-    """-J^{-1} F by sparse LU; the factor dies on return, so two are never alive
-    at once. A singular J raises ``LinAlgError`` carrying the SuperLU message."""
-    try:
-        return spla.splu(J.tocsc()).solve(-F)
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # steady Newton solve
 # ---------------------------------------------------------------------------
 
 #: largest steady system with a wall axis ((dim + 1) S unknowns) in 2D and in 3D,
 #: so that its sparse LU keeps the process under about 0.6 GB resident. Peak RSS
-#: of a whole lid-cavity solve, single-thread BLAS on a 2-vCPU Xeon: 160^2 0.56 GB
-#: (13 s), 15^3 0.41 GB; one LU at 16^3 alone took 0.75 GB
+#: of a whole lid-cavity solve, single-thread BLAS on a 2-vCPU Xeon: 160^2 0.55 GB
+#: (6.5 s), 15^3 0.37 GB (10 s); one LU at 16^3 alone took 0.75 GB
 _MAX_STEADY_LU_UNKNOWNS = (80_000, 14_000)
 
 #: first pseudo-time step of the steady Newton solve. From random:2 on a 32^2
@@ -622,28 +613,37 @@ class _SteadyNewtonSystem:
         d, S = grid.dim, int(np.prod(grid.nodes))
         self.grid, self.nu, self.d, self.S = grid, nu, d, S
         self.DX, LAP = _stencil_matrices(grid)
+        self.DX_stacked = sp.vstack(self.DX, format="csr")     # row j S + x: D_j at x
         self.interior = m = ~_wall_boundary_mask(grid)[..., 0].ravel()
         self.periodic = m.all()
         self.gauge = gauge = _Components(self.DX, m)
-        K = len(gauge.first)
-        N = sp.csr_matrix((np.ones(S), (np.arange(S), gauge.labels)), shape=(S, K))
-        # a dense N^T P = 0 row would multiply the LU fill: pin P, shift it afterwards
-        pin = sp.identity(S, format="csr")[gauge.first]
+        K, labels, nodes = len(gauge.first), gauge.labels, np.arange(S)
         # a multiplier on a component with an interior node is a mass defect
-        self.watched = N.T @ m > 0
-        # all-periodic: force columns and initial-mean-velocity rows
-        E = sp.kron(sp.identity(d), np.ones((S, 1)), format="csr")[:, :d if self.periodic else 0]
-        M = sp.diags(m * 1.0)
-        self.L = sp.bmat([[sp.kron(sp.identity(d), M @ (nu * LAP) + sp.identity(S) - M),
-                           -sp.vstack([M @ D for D in self.DX]), None, -E],
-                          [sp.hstack(self.DX), None, -N, None],
-                          [None, pin, None, None],
-                          [E.T / S, None, None, None]], format="csr")
+        self.watched = np.bincount(labels, m) > 0
+        forces = d if self.periodic else 0     # all-periodic: a force and a mean row per axis
+        P, C, R = d * S, (d + 1) * S, (d + 1) * S + K    # first P, c and force index
+        n, E, comp = R + forces, np.arange(forces * S), S * np.arange(d)[:, None]
+        lap, grad = LAP.tocoo(), self.DX_stacked.tocoo()
+        inner, gi, walls = m[lap.row], m[grad.row % S], nodes[~m]
+        # interior rows nu Lap, to the bit as M nu Lap + I - M summed them
+        lap_vals = np.where(lap.row == lap.col, (nu * lap.data + 1.0) - 1.0, nu * lap.data)
+        # a dense N^T P = 0 row would multiply the LU fill: pin P, shift it afterwards
+        blocks = [  # (rows, columns, values) of each block of L; comp + x: v_i at x
+            (comp + lap.row[inner], comp + lap.col[inner], lap_vals[inner]),
+            (comp + walls, comp + walls, 1.0),                            # v = data
+            (grad.row[gi], P + grad.col[gi], -grad.data[gi]),             # -M D_i
+            (P + grad.row % S, grad.row // S * S + grad.col, grad.data),  # divergence
+            (P + nodes, C + labels, -1.0),                                # -N
+            (C + np.arange(K), P + gauge.first, 1.0),                     # pins
+            (E, R + E // S, -1.0), (R + E // S, E, 1.0 / S)]              # force, means
+        rows, cols, vals = (np.concatenate([np.broadcast_to(b[k], np.shape(b[0])).ravel()
+                                            for b in blocks]) for k in range(3))
+        self.L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         v0 = np.where(m, start, data)
         self.b = np.concatenate([np.where(m, 0.0, data).ravel(), np.zeros(S + K),
-                                 v0.mean(axis=1)[:E.shape[1]]])
-        self.z0 = np.concatenate([v0.ravel(), np.zeros(self.L.shape[0] - v0.size)])
-        self.V = sp.diags(np.concatenate([np.tile(m, d), np.zeros(self.L.shape[0] - d * S)]))
+                                 v0.mean(axis=1)[:forces]])
+        self.z0 = np.concatenate([v0.ravel(), np.zeros(n - v0.size)])
+        self.V = sp.diags(np.concatenate([np.tile(m, d), np.zeros(n - d * S)]))
         self.norm0 = None                   # residual of the first step
 
     def unpack(self, z: np.ndarray):
@@ -665,21 +665,10 @@ class _SteadyNewtonSystem:
         v, m = self.unpack(z)[0], self.interior
         return [[m * (D @ vi) for D in self.DX] for vi in v], [m * vj for vj in v]
 
-    def jacobian(self, z: np.ndarray) -> sp.csr_matrix:
-        """J(z) = L - A(z), assembled."""
-        G, W = self._advection(z)
-        conv = sum(sp.diags(Wj) @ D for Wj, D in zip(W, self.DX))
-        rows = [[sp.diags(Gij) for Gij in Gi] for Gi in G]
-        for i in range(self.d):
-            rows[i][i] = rows[i][i] + conv
-        A = sp.bmat(rows, format="csr")
-        A.resize(self.L.shape)
-        return self.L - A
-
     def jacobian_operator(self, z: np.ndarray, shift: float) -> spla.LinearOperator:
         """J(z) - shift V as an operator, x -> L x - shift V x - A(z) x, from the
         coefficients of A(z) computed once; shift V joins G_ii as shift m."""
-        d, S, DX = self.d, self.S, sp.vstack(self.DX, format="csr")
+        d, S, DX = self.d, self.S, self.DX_stacked
         G, W = map(np.array, self._advection(z))      # (d, d, S) and (d, S)
         G[range(d), range(d)] += shift * self.interior
 
@@ -695,19 +684,27 @@ class _SteadyNewtonSystem:
         """-(J - V / dtau)^{-1} F with V the identity on the interior momentum rows:
         a backward-Euler pseudo-time step whose dtau grows as dtau0 |F_0| / |F|
         (switched evolution relaxation), so that the steps become Newton's as the
-        residual falls. Sparse LU of the assembled matrix on grids with a wall
-        axis; on all-periodic grids, whose LU fills in far more, GMRES on
-        :meth:`jacobian_operator`, never assembled, preconditioned by the exact
-        inverse of the linear part (the line search absorbs a step GMRES leaves
-        inexact)."""
+        residual falls. GMRES on :meth:`jacobian_operator`, never assembled (the
+        line search absorbs a step GMRES leaves inexact), preconditioned by an
+        inverse of the linear part: exact in Fourier space on all-periodic grids; on
+        grids with a wall axis the sparse LU of L - V / dtau0, the linear part at
+        the first step, which does not depend on z and so is factored once."""
         norm = np.abs(F).max()
         if self.norm0 is None:
             self.norm0 = norm
         shift = norm / (_DTAU0 * self.norm0)
-        if not self.periodic:
-            return _lu_step(self.jacobian(z) - shift * self.V, F)
-        return _krylov_step(self.jacobian_operator(z, shift), F,
-                            lambda r: self._solve_linear_part(r, shift))
+        precondition = (functools.partial(self._solve_linear_part, shift=shift)
+                        if self.periodic else self._linear_lu.solve)
+        return _krylov_step(self.jacobian_operator(z, shift), F, precondition)
+
+    @functools.cached_property
+    def _linear_lu(self):
+        """Sparse LU of L - V / dtau0; a singular matrix raises ``LinAlgError``
+        carrying the SuperLU message."""
+        try:
+            return spla.splu((self.L - self.V / _DTAU0).tocsc())
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
 
     @functools.cached_property
     def _spectral(self) -> _Spectral:
@@ -768,7 +765,7 @@ def steady_solve(boundary_data: VectorField | None, config: SolveConfig,
     S = int(np.prod(grid.nodes))
     unknowns, limit = (grid.dim + 1) * S, _MAX_STEADY_LU_UNKNOWNS[grid.dim > 2]
     if walls and unknowns > limit:
-        raise ValueError(f"steady system too large for a direct solve ({unknowns} "
+        raise ValueError(f"steady system too large for its sparse LU ({unknowns} "
                          f"unknowns, limit {limit} with a wall axis)")
     flat = lambda vec: (np.zeros((grid.dim, S)) if vec is None
                         else np.array([c.values[..., 0].ravel() for c in vec.components]))

@@ -2,12 +2,14 @@
 
 The random-field helpers here generate inputs; independent oracles live in
 the test modules that use them, except the 3D flow that the solver and the
-command-line tests share.
+command-line tests share, and the direct Newton steps (the assembled steady
+Jacobian and a sparse LU solve) that the solver and property tests share.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from varns.grids import (
     PERIODIC,
@@ -129,6 +131,24 @@ def operator_matrix(apply, n):
         vals.append(col[nz])
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n))
+
+
+def lu_step(J, F):
+    """-J^{-1} F by sparse LU of the matrix ``J``: the direct Newton step."""
+    return spla.splu(sp.csc_matrix(J)).solve(-F)
+
+
+def steady_jacobian(system, z):
+    """J(z) = L - A(z) of a steady Newton system, assembled from the advection
+    coefficients (A x)_i = sum_j G_ij x_j + W_j D_j x_i of its velocity rows."""
+    G, W = system._advection(z)
+    conv = sum(sp.diags(Wj) @ D for Wj, D in zip(W, system.DX))
+    rows = [[sp.diags(Gij) for Gij in Gi] for Gi in G]
+    for i in range(system.d):
+        rows[i][i] = rows[i][i] + conv
+    A = sp.bmat(rows, format="csr")
+    A.resize(system.L.shape)
+    return system.L - A
 
 
 def abc_flow(grid, nu, A=1.0, B=0.8, C=0.6):

@@ -171,15 +171,15 @@ GOLDEN = {
     },
     "solve-steady-wall": {
         "exit": 0,
-        "stdout": "69c6e883ab7adf5fe313d9c06fbbd50119c4662abc0a67254c4d1b6deaa54d3d",
+        "stdout": "1628e486fcf51bd7acd538c3d4d928d5b08be1a66e7b333e46f65302a2fc45e0",
         "files": {
-            "certificate.json": "97cc8f3763d0f4a2b6d392a90c01ace71b20f2e552b8e1ff22a1eec07be8b6c1",
-            "p.csv": "8136f7c8e181b1ba29a3bd930f63f86ce8a3880d0f266ec63113d68bfc827b72",
-            "r.csv": "8136f7c8e181b1ba29a3bd930f63f86ce8a3880d0f266ec63113d68bfc827b72",
-            "u_0.csv": "a9c100cb0c6e1fc54986d298a3ae3d0a5bfc3731c3721d384756e3e180a46d17",
-            "u_1.csv": "f403c5fc8ec4b3faab2bd55a0ef77cd4f8c97fb0b0d15dcbf619fcaed3bb91a4",
-            "w_0.csv": "a9c100cb0c6e1fc54986d298a3ae3d0a5bfc3731c3721d384756e3e180a46d17",
-            "w_1.csv": "f403c5fc8ec4b3faab2bd55a0ef77cd4f8c97fb0b0d15dcbf619fcaed3bb91a4",
+            "certificate.json": "6cd9cb8814d66da5c3931e808fe5ce6051b044337156e3e63f790a1e5e63ed10",
+            "p.csv": "3d07040954c75c0b1894b39fd8c39cbe07bbece125aafac8ad85a336b5de1e78",
+            "r.csv": "3d07040954c75c0b1894b39fd8c39cbe07bbece125aafac8ad85a336b5de1e78",
+            "u_0.csv": "009290342fb797f10e15ee96338939f4dc97d73f94000eb32fc9354e5af308a2",
+            "u_1.csv": "1cd81d76d52949e78f40a1c3ea0b4e17f9f025da4acee03780c4979deb299a6f",
+            "w_0.csv": "009290342fb797f10e15ee96338939f4dc97d73f94000eb32fc9354e5af308a2",
+            "w_1.csv": "1cd81d76d52949e78f40a1c3ea0b4e17f9f025da4acee03780c4979deb299a6f",
         },
     },
     "solve-unsteady": {

@@ -25,7 +25,7 @@ from varns.lagrangian import evaluate_lagrangian, first_variation
 from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
-from conftest import operator_matrix, periodic_box
+from conftest import operator_matrix, periodic_box, steady_jacobian
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -218,8 +218,8 @@ def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
 
 
 # ---------------------------------------------------------------------------
-# the steady Newton system: its Jacobian, assembled for the sparse LU of wall
-# grids and applied as an operator on all-periodic ones
+# the steady Newton system: its linear part, built by index, and its Jacobian,
+# applied as an operator
 # ---------------------------------------------------------------------------
 
 def _steady_system(grid, seed, nu=0.3):
@@ -239,7 +239,7 @@ def test_steady_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
     system, z, v = _steady_system(grid, seed)
     eps = 0.5
     fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
-    jv = system.jacobian(z) @ v
+    jv = system.jacobian_operator(z, 0.0) @ v
     assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)
 
 
@@ -250,8 +250,42 @@ def test_steady_operator_matches_the_assembled_jacobian(grid, seed, shift):
     assembled J(z) - shift V up to the order of the sums."""
     system, z, x = _steady_system(grid, seed)
     got = system.jacobian_operator(z, shift) @ x
-    want = (system.jacobian(z) - shift * system.V) @ x
+    want = (steady_jacobian(system, z) - shift * system.V) @ x
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _block_linear_part(system):
+    """L of the steady system assembled block by block: momentum rows nu Lap on
+    the interior (as M nu Lap + I - M, M the interior mask) and unit rows on
+    walls, -M D_i, the divergence rows and -N, the pins and, all-periodic, the
+    force columns and mean rows."""
+    d, S, m, gauge = system.d, system.S, system.interior, system.gauge
+    DX, LAP = _stencil_matrices(system.grid)
+    K = len(gauge.first)
+    N = sp.csr_matrix((np.ones(S), (np.arange(S), gauge.labels)), shape=(S, K))
+    pin = sp.identity(S, format="csr")[gauge.first]
+    E = sp.kron(sp.identity(d), np.ones((S, 1)), format="csr")[:, :d if system.periodic else 0]
+    M = sp.diags(m * 1.0)
+    return sp.bmat([[sp.kron(sp.identity(d), M @ (system.nu * LAP) + sp.identity(S) - M),
+                     -sp.vstack([M @ D for D in DX]), None, -E],
+                    [sp.hstack(DX), None, -N, None],
+                    [None, pin, None, None],
+                    [E.T / S, None, None, None]], format="csr")
+
+
+@PROPERTY_SETTINGS
+@given(grid=grids(steady=True), seed=seeds)
+def test_steady_linear_part_matches_the_block_assembly(grid, seed):
+    """L built by index is the block assembly's CSR matrix to the bit. Where the
+    momentum block is at least half full (1D, 3 x 3), ``sp.kron`` stores it
+    dense, zeros included; those entries add nothing and are dropped first."""
+    system = _steady_system(grid, seed, nu=np.random.default_rng(seed).uniform(0.01, 2))[0]
+    want = _block_linear_part(system)
+    want.eliminate_zeros()
+    got = system.L
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from varns.solver import (
 )
 from varns.steady import uniqueness_certificate
 
-from conftest import abc_flow, operator_matrix, periodic_box
+from conftest import abc_flow, lu_step, operator_matrix, periodic_box, steady_jacobian
 
 
 def tg_velocity(grid, nu):
@@ -283,7 +283,7 @@ def test_newton_krylov_step_matches_the_direct_solve(n, time_nodes):
     z = system.pack(seed)
     for _ in range(2):
         F = system.residual(z)
-        direct = solver._lu_step(operator_matrix(system.jacobian(z).matvec, system.n_dof), F)
+        direct = lu_step(operator_matrix(system.jacobian(z).matvec, system.n_dof), F)
         step = system.newton_step(z, F)
         assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
         z = z + step
@@ -382,17 +382,41 @@ def test_steady_mass_incompatible_data_reported():
     assert len(info.value.history) >= 2
 
 
-@pytest.mark.parametrize("grid", [
+#: grids with a wall axis: a cavity, a Couette channel (periodic along the wall)
+#: and a 3D box
+LID_GRIDS = pytest.mark.parametrize("grid", [
     Grid((1.0, 1.0), (16, 16), ("wall", "wall")),
     Grid((2 * np.pi, 1.0), (8, 9), ("periodic", "wall")),
     Grid((1.0, 1.0, 1.0), (6, 6, 6), ("wall", "wall", "wall")),
 ], ids=["cavity-16x16", "couette-8x9", "box-6x6x6"])
+
+
+def lid_data(grid):
+    """Unit velocity along the first axis on the top wall of the last axis."""
+    top = np.where(grid.meshes()[grid.dim - 1] >= 1.0 - 1e-12, 1.0, 0.0)
+    return mkv(grid, [top] + [0 * top] * (grid.dim - 1))
+
+
+@LID_GRIDS
+def test_steady_krylov_step_matches_the_direct_solve(grid):
+    # sparse LU of the assembled J - shift V is the oracle of the GMRES step,
+    # preconditioned by the LU of the linear part at the first step's shift
+    data = np.array([c.values[..., 0].ravel() for c in lid_data(grid).components])
+    system = solver._SteadyNewtonSystem(grid, 1.0, data, 0 * data)
+    z, norm0 = system.z0, None
+    for _ in range(2):
+        F = system.residual(z)
+        norm0 = norm0 or np.abs(F).max()
+        shift = np.abs(F).max() / (solver._DTAU0 * norm0)
+        direct = lu_step(steady_jacobian(system, z) - shift * system.V, F)
+        step = system.newton_step(z, F)
+        assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
+        z = z + step
+
+
+@LID_GRIDS
 def test_steady_solution_satisfies_the_discrete_system(grid):
-    # lid data on the top wall of the last axis: a cavity, a Couette channel
-    # (periodic along the wall) and a 3D box
-    meshes = grid.meshes()
-    top = np.where(meshes[grid.dim - 1] >= 1.0 - 1e-12, 1.0, 0.0)
-    data = mkv(grid, [top] + [0 * top] * (grid.dim - 1))
+    meshes, data = grid.meshes(), lid_data(grid)
     q = steady_solve(data, SolveConfig(nu=1.0, newton_tol=1e-12), grid)
     assert max(steady_residuals(q, data, 1.0)) <= 1e-8
     if grid.boundaries[0] == "periodic":
