@@ -18,9 +18,9 @@ Four routes to the stationary point:
   GMRES with a Jacobian that is never assembled: an operator applied from its
   Kronecker factors in space-time, from advection coefficients computed once
   per Newton step in the steady case. GMRES is preconditioned by the Fourier
-  inverse of the linear part (one dense block per spatial mode in space-time,
-  on the rfft half of the modes); steady systems on grids with a wall axis
-  take instead one sparse LU of their linear part per solve.
+  inverse of the linear part (in space-time, two real blocks per spatial mode
+  of the rfft half); steady systems on grids with a wall axis take instead one
+  sparse LU of their linear part per solve.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -60,10 +60,6 @@ from .lagrangian import el_residuals, evaluate_lagrangian
 
 TWO_PI = 2 * np.pi
 
-#: spatial modes whose time blocks are inverted at once, so that the inversion
-#: needs little memory beside the stored inverses
-_BLOCK_CHUNK = 256
-
 #: memory budget of one space-time Newton solve, estimated in :func:`newton_dual`,
 #: in line with the steady solve's LU cap
 _MAX_NEWTON_BYTES = 600e6
@@ -71,9 +67,10 @@ _MAX_NEWTON_BYTES = 600e6
 #: memory per space-time unknown beside the preconditioner's blocks: the GMRES
 #: basis (61 vectors, 488 B, all used when GMRES stalls at odd T), the iterates
 #: and the operator's temporaries. Peak RSS growth of whole newton-dual runs less
-#: the blocks, single-thread BLAS on a 2-vCPU Xeon: 360, 340, 516, 317 and 304 B
-#: at 16^3 x 6, 16^3 x 8, 32^2 x 16, 64^2 x 8 and 64^2 x 16; 707 B at 64^2 x 17
-_BYTES_PER_UNKNOWN = 720
+#: the blocks, single-thread BLAS on a 2-vCPU Xeon: 318 B at 64^2 x 16 and 427 B
+#: at the ABC flow's 16^3 x 8; with a stalled odd-T GMRES 709 B at 64^2 x 17 and
+#: 753, 751 and 751 B at 16^3 x 13, 16^3 x 18 and 16^3 x 19
+_BYTES_PER_UNKNOWN = 800
 
 
 class ConvergenceError(RuntimeError):
@@ -298,7 +295,8 @@ class _DualNewtonSystem:
     ..., D_{d-1}) and m x m time matrices A_k, with the pin rows swapped in; the
     Jacobian adds the advection linearization, and both act from their factors,
     never assembled. GMRES solves each Newton step, preconditioned with the exact
-    inverse of L: the FFT over space splits it into one m x m block per mode.
+    inverse of L: the FFT over space splits it into one m x m block per mode,
+    inverted as two real blocks (:attr:`_block_inverses`).
     """
 
     def __init__(self, grid: Grid, nu: float, *data):
@@ -336,6 +334,7 @@ class _DualNewtonSystem:
                 A[k][np.ix_(fields[row], fields[col])] = block
         self.time_factors = sp.csr_matrix(np.hstack(A))      # A_0 | A_1 | ... side by side
         self.velocities = 2 * d * T     # time-field indices of u and w come first
+        self._last_residuals = None, None
 
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
@@ -364,10 +363,15 @@ class _DualNewtonSystem:
         return FieldQuartet(vec(u), field(P), vec(w), field(R))
 
     def _el_residuals(self, z: np.ndarray):
-        """:func:`el_residuals` of ``z`` with p_0, r_0 and r_{T-1} zero."""
-        _, _, p, r = self.unpack(z)
-        return el_residuals(self._quartet(z, np.pad(p, ((1, 0), (0, 0))),
-                                          np.pad(r, ((1, 1), (0, 0)))), self.nu)
+        """:func:`el_residuals` of ``z`` with p_0, r_0 and r_{T-1} zero. The last
+        result is kept and returned again for the same array, so that ``to_quartet``
+        of an iterate the Newton loop took does not repeat the residual's work;
+        ``z`` is never changed in place."""
+        if self._last_residuals[0] is not z:
+            _, _, p, r = self.unpack(z)
+            self._last_residuals = z, el_residuals(self._quartet(
+                z, np.pad(p, ((1, 0), (0, 0))), np.pad(r, ((1, 1), (0, 0)))), self.nu)
+        return self._last_residuals[1]
 
     # -- residual ----------------------------------------------------------
     def residual(self, z: np.ndarray) -> np.ndarray:
@@ -415,39 +419,72 @@ class _DualNewtonSystem:
         return _krylov_step(self.jacobian(z), F, self._solve_linear_part)
 
     @functools.cached_property
-    def _block_inverses(self) -> np.ndarray:
-        """(S', m, m) inverse of each block of L without its pin rows, A_0 + lap A_1
-        + i s_0 A_2 + ... + i s_{d-1} A_{d+1} with the stencils' Fourier symbols, at
-        the S' modes of the rfft half: A_k is real, lap even and s_a odd, so the
-        block at -k is the conjugate of the one at k. On the null modes of the
-        central gradient only the velocity block is inverted, in the least-squares
-        sense: at odd T the zero mode's is singular (the leapfrog mode of the
-        central time difference). A singular block elsewhere raises LinAlgError."""
-        spec, v, half = self.spec, self.velocities, (..., slice(self.grid.nodes[-1] // 2 + 1))
-        symbols = np.broadcast_arrays(1.0, spec.lap[half], *(1j * s[half] for s in spec.s))
-        inverses = np.tensordot(np.stack(symbols, -1), self.A, 1).reshape(-1, *self.A.shape[1:])
-        null = np.flatnonzero(spec.null[half])
-        velocity = np.linalg.pinv(inverses[null, :v, :v], rtol=1e-10)
-        inverses[null] = np.eye(len(self.A[0]))              # stand-ins, replaced below
-        for chunk in np.split(inverses, range(_BLOCK_CHUNK, len(inverses), _BLOCK_CHUNK)):
-            chunk[...] = np.linalg.inv(chunk)
-        inverses[null] = 0.0
-        inverses[null, :v, :v] = velocity
-        return inverses
+    def _block_inverses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real inverses of the blocks of L without its pin rows, A_0 + lap A_1 + i s_0
+        A_2 + ... + i s_{d-1} A_{d+1} with the stencils' Fourier symbols, at the S'
+        modes of the rfft half: A_k is real, lap even and s_a odd, so the block at -k
+        is the conjugate of the one at k. A block couples u_a and w_a to p and r only
+        through i s_a, and every component has the same 2T x 2T velocity block Vel =
+        A_0 + lap A_1 on (u_a, w_a); so with e = s / |s| the components across e see
+        Vel alone, and (e . u, e . w, p, r) the (4T - 3) x (4T - 3) saddle block,
+        which is real once p and r are scaled by i. Returns e (S', d), the inverses of
+        Vel (S', 2T, 2T) and of the saddle block. On the null modes of the central
+        gradient e and the saddle inverse are zero, and Vel is inverted in the
+        least-squares sense: at odd T the zero mode's is singular (the leapfrog mode
+        of the central time difference). A singular block elsewhere raises
+        LinAlgError."""
+        spec, d, T = self.spec, self.grid.dim, self.T
+        half = (..., slice(self.grid.nodes[-1] // 2 + 1))
+        lap, null, *s = (a.ravel() for a in np.broadcast_arrays(
+            spec.lap[half], spec.null[half], *(s[half] for s in spec.s)))
+        s = np.stack(s, -1)
+        norm = np.sqrt((s ** 2).sum(-1))
+        null = np.flatnonzero(null)
+        norm[null] = 1.0                 # their blocks are replaced below
+        e = s / norm[:, None]
+        e[null] = 0.0
+        # (u_0, w_0, p, r): the gradient couples u_0 to p, w_0 to r; scaling p and r
+        # by i turns i s_0 A_2 into |s| times A_2 negated on the velocity rows
+        fields = np.r_[:T, d * T:(d + 1) * T, 2 * d * T:len(self.A[0])]
+        A0, A1, grad = (a[np.ix_(fields, fields)] for a in self.A[:3])
+        grad[:2 * T] *= -1
+        saddle = A0 + lap[:, None, None] * A1 + norm[:, None, None] * grad
+        velocity = saddle[:, :2 * T, :2 * T].copy()
+        least_squares = np.linalg.pinv(velocity[null], rtol=1e-10)
+        velocity[null], saddle[null] = np.eye(2 * T), np.eye(len(fields))   # stand-ins
+        velocity, saddle = np.linalg.inv(velocity), np.linalg.inv(saddle)
+        velocity[null], saddle[null] = least_squares, 0.0
+        return e, velocity, saddle
 
     def _solve_linear_part(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b mode by mode in Fourier space, on the rfft half. The divergence
         rows of a component sum to zero, so the row each pin replaces is set to
         minus the sum of the rest of its component; the pressures, free by N (the
-        component indicator) without the pins, are then shifted onto them."""
-        v, labels, first = self.velocities, self.gauge.labels, self.gauge.first
+        component indicator) without the pins, are then shifted onto them. The real
+        inverses act on float views of the complex modes (re, im side by side)."""
+        d, T, v = self.grid.dim, self.T, self.velocities
+        labels, first = self.gauge.labels, self.gauge.first
         B = b.reshape(-1, self.S).copy()
         pins = B[v:, first].copy()
         B[v:, first] = 0.0
-        B[v:, first] = -np.array([np.bincount(labels, row, len(first)) for row in B[v:]])
+        rows = np.arange(len(B) - v)[:, None] * len(first)       # one bin per row and component
+        B[v:, first] = -np.bincount((labels + rows).ravel(), B[v:].ravel(),
+                                    rows.size * len(first)).reshape(len(rows), -1)
         nodes, space = self.grid.nodes, range(1, self.grid.dim + 1)
         modes = np.fft.rfftn(B.reshape(-1, *nodes), axes=space)
-        X = (self._block_inverses @ modes.reshape(len(B), -1).T[..., None])[..., 0]
+        e, velocity, saddle = self._block_inverses
+        M = modes.reshape(len(B), -1).T                             # [mode, time-field]
+        uw = M[:, :v].reshape(-1, 2, d, T).swapaxes(2, 3)            # [mode, family, t, a]
+        along = uw @ e[:, None, :, None]
+        across = (uw - along * e[:, None, None]).reshape(-1, 2 * T, d)
+        # the saddle block's real system: its p and r rows times -i, its p and r times i
+        Y = np.concatenate([along.reshape(-1, 2 * T), -1j * M[:, v:]], axis=1)
+        Y = (saddle @ Y.view(float).reshape(*Y.shape, 2)).reshape(len(Y), -1).view(complex)
+        X = np.empty_like(M, order="C")
+        np.add((velocity @ across.view(float)).view(complex).reshape(-1, 2, T, d),
+               Y[:, :2 * T].reshape(-1, 2, T, 1) * e[:, None, None],
+               out=X[:, :v].reshape(-1, 2, d, T).swapaxes(2, 3))
+        np.multiply(Y[:, 2 * T:], 1j, out=X[:, v:])
         X = np.fft.irfftn(X.T.reshape(modes.shape), s=nodes, axes=space).reshape(-1, self.S)
         X[v:] += (pins - X[v:, first])[:, labels]
         return X.ravel()
@@ -526,10 +563,13 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
 
 
 def _newton_dual_bytes(grid: Grid) -> float:
-    """Estimated peak memory of :func:`newton_dual` beside the interpreter's: an
-    inverted m x m complex block per mode of the rfft half and ``_BYTES_PER_UNKNOWN``."""
-    n, m = grid.nodes, (2 * grid.dim + 2) * grid.time_nodes - 3
-    return m * (16 * m * np.prod(n[:-1]) * (n[-1] // 2 + 1) + _BYTES_PER_UNKNOWN * np.prod(n))
+    """Estimated peak memory of :func:`newton_dual` beside the interpreter's: the
+    preconditioner's two real inverted blocks per mode of the rfft half, of (2T)^2
+    and (4T - 3)^2 floats, and ``_BYTES_PER_UNKNOWN`` per unknown."""
+    n, T = grid.nodes, grid.time_nodes
+    modes = np.prod(n[:-1]) * (n[-1] // 2 + 1)
+    unknowns = ((2 * grid.dim + 2) * T - 3) * np.prod(n)
+    return 8 * modes * ((2 * T) ** 2 + (4 * T - 3) ** 2) + _BYTES_PER_UNKNOWN * unknowns
 
 
 def _viscosity_ladder(config: SolveConfig) -> list[tuple[float, float]]:

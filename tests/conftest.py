@@ -151,6 +151,37 @@ def steady_jacobian(system, z):
     return system.L - A
 
 
+def complex_block_preconditioner(system, b):
+    """L^{-1} b of a space-time Newton system by one complex m x m block inverse
+    per Fourier mode of the rfft half, A_0 + lap A_1 + i s_0 A_2 + ... + i s_{d-1}
+    A_{d+1}; on the null modes of the central gradient the whole velocity block is
+    inverted in the least-squares sense and the pressures are zero. Each pin row's
+    right-hand side is replaced by minus the sum of the rest of its component, and
+    the pressures are shifted onto the pins after the solve."""
+    spec, v, S = system.spec, system.velocities, system.S
+    labels, first = system.gauge.labels, system.gauge.first
+    half = (..., slice(system.grid.nodes[-1] // 2 + 1))
+    symbols = np.broadcast_arrays(1.0, spec.lap[half], *(1j * s[half] for s in spec.s))
+    blocks = np.tensordot(np.stack(symbols, -1), system.A, 1).reshape(-1, *system.A.shape[1:])
+    null = np.flatnonzero(spec.null[half])
+    velocity = np.linalg.pinv(blocks[null, :v, :v], rtol=1e-10)
+    blocks[null] = np.eye(len(system.A[0]))
+    inverses = np.linalg.inv(blocks)
+    inverses[null] = 0.0
+    inverses[null, :v, :v] = velocity
+
+    B = b.reshape(-1, S).copy()
+    pins = B[v:, first].copy()
+    B[v:, first] = 0.0
+    B[v:, first] = -np.array([np.bincount(labels, row, len(first)) for row in B[v:]])
+    nodes, space = system.grid.nodes, range(1, system.grid.dim + 1)
+    modes = np.fft.rfftn(B.reshape(-1, *nodes), axes=space)
+    X = (inverses @ modes.reshape(len(B), -1).T[..., None])[..., 0]
+    X = np.fft.irfftn(X.T.reshape(modes.shape), s=nodes, axes=space).reshape(-1, S)
+    X[v:] += (pins - X[v:, first])[:, labels]
+    return X.ravel()
+
+
 def abc_flow(grid, nu, A=1.0, B=0.8, C=0.6):
     """Decaying ABC (Arnold-Beltrami-Childress) flow on the 2-pi periodic cube
     (Dombre et al., J. Fluid Mech. 167, 1986), an exact Navier-Stokes solution:

@@ -505,7 +505,7 @@ def test_solve_steady_honours_continuation_steps(tmp_path, capsys):
 
 def test_newton_dual_cli_accepts_default_grid(tmp_path, capsys, monkeypatch):
     # the default 32x32x9 grid passes the memory guard and reaches the solve
-    # (replaced here, so that no 52,224-unknown system is solved); 64x64x17
+    # (replaced here, so that no 52,224-unknown system is solved); 128x128x9
     # is a clean usage error
     def reached(*args):
         raise solver.ConvergenceError("reached the space-time solve")
@@ -514,7 +514,7 @@ def test_newton_dual_cli_accepts_default_grid(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert err == ""
     assert last_json(out)["detail"] == "reached the space-time solve"
-    code, out, err = run_cli(capsys, "newton-dual", "--n", "64", "--time-nodes", "17",
+    code, out, err = run_cli(capsys, "newton-dual", "--n", "128", "--time-nodes", "9",
                              "--out", str(tmp_path / "large"))
     assert code == 1
     assert out == ""

@@ -99,41 +99,41 @@ GOLDEN = {
     },
     "newton-dual": {
         "exit": 0,
-        "stdout": "e03a1208062f6feb0f7441ff13975b2eba06b19e65ae75edf9f9aa378737446b",
+        "stdout": "4bf65cd1da72a1681be4f383159fbea5efb29f3ca8389e5c7eac1338cc2e8b28",
         "files": {
-            "convergence.csv": "ded388d69476fec625f637b4bcf0ec89980f9c8e9f09af788190a32199d813b0",
-            "p.csv": "b74819d860f879585c35704969eb74e4604aa9f4584f025d12b22a7cf5a21d65",
-            "r.csv": "f4a8ab2853ade6dd679b0ea8ab51d45f5b645fdf2e94f61f6d8420e0ed735dae",
-            "u_0.csv": "084e55a9aa8188c830131c5401f96adcf68c8a193234cd80476de08fedd6b645",
-            "u_1.csv": "5ff5a0d2b81d8ab9b6aa328a779ded49ddc2f0dbf9a64ae01da60a774cffa515",
-            "w_0.csv": "8b64ec54f009548a40f949d99409f3ff37605626998d9b1ea1f1d177794af46a",
-            "w_1.csv": "8016c8745eac3f2283de4102429b4ba055f6d7d810f4f1c2b17cdcab65ab832e",
+            "convergence.csv": "a9d55e7a2ed8dd1eadca2de2f76d422d9df16f2ebbe80352d33ca868fbbe49b6",
+            "p.csv": "c3624da5c243f589d3e0d22682aae87efead10fd008c866d3c4d3d30a752b631",
+            "r.csv": "15e6f8c492bd3bb436da90566b67d089e67627268ee04d7e43fbd23134ffe119",
+            "u_0.csv": "a0b8690b83289bd5efb488d7368b5a733727fa9327251e6f5d1c357c22c9289f",
+            "u_1.csv": "429f0370dded3f6263baeaf0f04ccd609f631da7fa6bae02b21a5f2f247f8d30",
+            "w_0.csv": "9dc2646956e1cf474c3b35cc1292db5b78c4269f70f80ded5de5510065891816",
+            "w_1.csv": "28c071d412a8eab0d2636c2d1a2a923e35efb429bd61daedeb538bf7f62cd7ed",
         },
     },
     "newton-dual-n7": {
         "exit": 0,
-        "stdout": "61b5ee831b3be0c0d2326fbaef7bbfc374d67b037e06760f9ba92d87292bd53e",
+        "stdout": "aae49d02e6a5dee8e1dcba6d8f6f3a2115374b8486692ed66a7de326b8d2530d",
         "files": {
-            "convergence.csv": "81b4d5c73bb18129648ff712ad2e46eb3942a9bfc6bea697746f7f2a32dd29a6",
-            "p.csv": "22d0050887d1c70ea331e4b2188209c3545dd1511e3825589867b953e7832710",
-            "r.csv": "9636e730ce5cdd3f8d8037cbf0849b2ca0d04ccb8ad828ab2ba430122dc37349",
-            "u_0.csv": "75383e8c81ba9dc359a17774cbafd072335c2327bf42bb4eeaa27f01ec7d6530",
-            "u_1.csv": "78b7a351adff4e46f9b821d3f8c3a10248d8e6cc598de726e3ef068d09d4be1b",
-            "w_0.csv": "46d3f83ce26cfa2726ec5069514e339a58569032bb55095aea758c0b53b94a5e",
-            "w_1.csv": "ffa5506ad94ab02e8728f7c76910ada5959bfd7e7809732317c875c7983c21ab",
+            "convergence.csv": "dd9f9e7a57802c79bd893abc8c08c7baa9341be9295e7406a4b85bf916ae01ba",
+            "p.csv": "309bb833813e8b7be8ecb280dccae02a19208a8dc221849a86ad1ead3ef49f12",
+            "r.csv": "6b741936f39f5e8677b836cbc100680bb93924ae1ccf963cd7af0642ab12d657",
+            "u_0.csv": "8661a02a7efd103f0c99497b0c5840bea9e6b2043e930573484eb8981cd988e8",
+            "u_1.csv": "2dc1378250fa6a37f22d6d7839f5370868717f2d6794b71bf8f2651844903a7f",
+            "w_0.csv": "679abbda226c7ad54879b70c0e512e192be70634f24c754d29f181d818ec4776",
+            "w_1.csv": "62145445de732e0408c31e830b4fe63182d3f1cf6b4d149ed7c2a1b3b88fdbad",
         },
     },
     "newton-dual-n8": {
         "exit": 0,
-        "stdout": "315f62402c2d1b21f9fb0e4dbb752fedb958596996388c04b4003175e79e59f9",
+        "stdout": "524f86b2d64f1d3bbbd5ded739834e6ec4da7d6d08cac9d9a829392d20270b64",
         "files": {
-            "convergence.csv": "1cb431c614f5e7b4cafac226cabb1e140bcf502c39b6dafcbaae7d893ab1d959",
-            "p.csv": "9a216bb4737ce3add83e4947b657cd46fbe4372481a22ecc41f8b038208ef17d",
-            "r.csv": "1127353b9d65f31a1ccc12d3fb30e1480ad90b9d477160f3a869838adf640e7b",
-            "u_0.csv": "2468e95c425aa415b3f2dadfd8211d5c0df0e29b50306fecbb7cecf6163d0d18",
-            "u_1.csv": "1d94fda23d8b890b331d84e9f68d9e1128e0310844c7ff0c54aac9a16fb38e02",
-            "w_0.csv": "cb1a597f5f6f844c2d92eaf73b0c62cc1145ebef51c7f1f1d132aed3f1d0c935",
-            "w_1.csv": "d70d9c5ef467999ae26cb207db4a53f4d90a60586b05a98b6e8faf508286f83d",
+            "convergence.csv": "93004c972635cda9452d43ee70946bf16e9afd3f5c978830dfba3a204bff36b1",
+            "p.csv": "9b471acf216cd4d68fe8bce28106cf5371c78911bb4ab5ce0ff6b1bacc2c7d75",
+            "r.csv": "a09101054fe06565215316394c2578e6789b4cbb8c6bd989e35bab88378aa47e",
+            "u_0.csv": "deeb836531bf41881654cdc0e6daeec2367304b921a702c92028a92557a13b34",
+            "u_1.csv": "446f50307e0f10abd6adf3f347dd327bac2359aa189ca689f8c9a2fb6f335901",
+            "w_0.csv": "768c98bde6ff075f246001d165584e7e1992ef24961e82a30265359531528387",
+            "w_1.csv": "b8dd736994ce9b506276541dfb2cd73d7d7a7cc17d7724ec298db5da19cf82b2",
         },
     },
     "oscillator": {

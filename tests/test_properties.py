@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varns import cli, scenarios
@@ -25,7 +25,7 @@ from varns.lagrangian import evaluate_lagrangian, first_variation
 from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
-from conftest import operator_matrix, periodic_box, steady_jacobian
+from conftest import complex_block_preconditioner, operator_matrix, periodic_box, steady_jacobian
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -215,6 +215,26 @@ def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
     x = rng.normal(size=system.n_dof)
     y = system._solve_linear_part(_linear_part(system) @ x)
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@PROPERTY_SETTINGS
+@given(nodes=st.one_of(st.tuples(st.integers(4, 9), st.integers(4, 9)),
+                       st.tuples(st.integers(4, 5), st.integers(4, 5), st.integers(4, 5))),
+       time_nodes=st.integers(3, 6), seed=seeds)
+@example(nodes=(7, 5), time_nodes=5, seed=0).via("odd axes, odd T")
+@example(nodes=(5, 4, 5), time_nodes=5, seed=1).via("3D, odd T")
+@example(nodes=(4, 4, 4), time_nodes=4, seed=2).via("3D, even T")
+def test_newton_preconditioner_matches_the_complex_block_inverse(nodes, time_nodes, seed):
+    """Two real blocks per Fourier mode (the velocities across the gradient symbol,
+    and the saddle block of the velocities along it with the pressures) give the
+    complex m x m block inverse of each mode, the least-squares inverse of the
+    null modes and the singular odd-T zero mode included."""
+    rng = np.random.default_rng(seed)
+    system = _DualNewtonSystem(periodic_box(nodes, time_nodes, 0.02), 0.5,
+                               *rng.normal(size=(len(nodes), *nodes)))
+    b = rng.normal(size=system.n_dof)
+    want = complex_block_preconditioner(system, b)
+    assert np.linalg.norm(system._solve_linear_part(b) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

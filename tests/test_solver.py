@@ -208,9 +208,9 @@ def test_newton_continuation_ladder_runs():
     assert u_w_gap(traj.state) <= 1e-8
 
 
-# the memory estimate: 64^2 x 17 needs 0.62 GB (its stalled odd-T GMRES fills the
-# whole Krylov basis), 128^2 x 9 0.95 GB; the guard must fire before any assembly
-@pytest.mark.parametrize("n, time_nodes", [(64, 17), (128, 9)])
+# the memory estimate: 64^2 x 33 needs 0.99 GB, 128^2 x 9 0.76 GB; the guard must
+# fire before any assembly
+@pytest.mark.parametrize("n, time_nodes", [(64, 33), (128, 9)])
 def test_newton_rejects_oversized_problem(n, time_nodes):
     g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
     with pytest.raises(ValueError, match="too large"):
@@ -221,9 +221,10 @@ class _Assembled(Exception):
     pass
 
 
-# 16^2 x 9 (about 15 MB) and the CLI default 32^2 x 9 (about 60 MB) pass the
-# guard; the assembly is replaced, so no system is built or solved
-@pytest.mark.parametrize("n, time_nodes", [(16, 9), (32, 9)])
+# 16^2 x 9 (about 12 MB), the CLI default 32^2 x 9 (about 48 MB) and 64^2 x 17
+# (about 0.42 GB) pass the guard; the assembly is replaced, so no system is
+# built or solved
+@pytest.mark.parametrize("n, time_nodes", [(16, 9), (32, 9), (64, 17)])
 def test_newton_guard_accepts_desk_scale_grids(n, time_nodes, monkeypatch):
     def assembled(*args):
         raise _Assembled
@@ -262,6 +263,29 @@ def test_newton_returns_the_quartet_of_its_final_iterate(monkeypatch):
             assert a.values.tobytes() == b.values.tobytes()
     for a, b in ((traj.state.p, want.p), (traj.state.r, want.r)):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_newton_to_quartet_reuses_the_residuals_of_the_last_iterate(monkeypatch):
+    # the Newton loop evaluates each accepted iterate once: to_quartet of the array
+    # the last residual call saw reuses its Euler-Lagrange residuals, with the bits
+    # of a fresh evaluation; any other array is evaluated anew
+    g = acceptance_grid()
+    seed = perturbed_taylor_green(g, 0.5)
+    data = [c.values[..., 0] for c in seed.u.components]
+    z = solver._DualNewtonSystem(g, 0.5, *data).pack(seed)
+    want = solver._DualNewtonSystem(g, 0.5, *data).to_quartet(z)
+    calls = []
+    monkeypatch.setattr(solver, "el_residuals",
+                        lambda *args: calls.append(1) or el_residuals(*args))
+    system = solver._DualNewtonSystem(g, 0.5, *data)
+    system.residual(z)
+    got = system.to_quartet(z)
+    assert len(calls) == 1
+    for a, b in zip((*got.u.components, *got.w.components, got.p, got.r),
+                    (*want.u.components, *want.w.components, want.p, want.r)):
+        assert a.values.tobytes() == b.values.tobytes()
+    system.to_quartet(z.copy())
+    assert len(calls) == 2
 
 
 def perturbed_taylor_green(grid, nu, amp=0.1):
