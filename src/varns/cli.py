@@ -394,7 +394,7 @@ def cmd_newton_dual(args, cfg, grid, seed_state):
             ScalarField(grid, c.values * pert) for c in seed_state.u.components))
         seed_state = FieldQuartet(seed_state.u, seed_state.p, w, seed_state.r)
     traj = newton_dual(seed_state, seed_state.u, solve_config(cfg), grid)
-    rep = evaluate_lagrangian(traj.state, nu)
+    rep = traj.report if traj.report is not None else evaluate_lagrangian(traj.state, nu)
     gap = u_w_gap(traj.state)
     ok = traj.converged and gap <= 1e-8 and abs(rep.J) <= 1e-10 * rep.scale
     return ({"converged": traj.converged, "iterations": len(traj.residuals) - 1,

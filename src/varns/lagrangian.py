@@ -15,6 +15,7 @@ than to discretization error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,14 +26,13 @@ from .grids import (
     Grid,
     ScalarField,
     VectorField,
+    _d1,
+    _gradients,
+    _laplacian,
     _wall_boundary_mask,
-    divergence,
     field_scale,
-    gradient,
     integrate_spacetime,
-    laplacian,
     slice_integrals,
-    time_derivative,
 )
 
 
@@ -99,14 +99,24 @@ class GronwallReport:
 
 def _grad_tensor(v: VectorField) -> list[list[np.ndarray]]:
     """G[i][j] = d v_i / d x_j as raw arrays."""
-    d = v.grid.dim
-    return [[gradient(v[i], j).values for j in range(d)] for i in range(d)]
+    D = _gradients(v.grid, np.stack([c.values for c in v.components]))
+    return [[Dj[i] for Dj in D] for i in range(v.grid.dim)]
+
+
+def _one_family(state: FieldQuartet) -> bool:
+    """Whether w and r are u and p, the same arrays or bit-equal ones, as at a
+    solution: then every derivative, density half and momentum row of the second
+    family is a bit copy of the first's."""
+    same = lambda a, b: a is b or np.array_equal(a.view(np.int64), b.view(np.int64))
+    return same(state.r.values, state.p.values) and all(
+        same(cw.values, cu.values) for cu, cw in zip(state.u.components, state.w.components))
 
 
 class _Derivatives(NamedTuple):
     """Component arrays of a quartet and their derivatives, each computed
     once: velocity gradient tensors, scalar gradients and (None on request)
-    velocity time derivatives. Both halves of the density read from it."""
+    velocity time derivatives. Both halves of the density read from it. For one
+    family (:func:`_one_family`) the w fields are the u fields, the same lists."""
 
     u: list
     w: list
@@ -117,6 +127,10 @@ class _Derivatives(NamedTuple):
     dtu: list | None
     dtw: list | None
 
+    @property
+    def one_family(self) -> bool:
+        return self.w is self.u
+
     def swapped(self) -> "_Derivatives":
         """The same arrays relabelled for the interchanged pairs."""
         return _Derivatives(self.w, self.u, self.Dw, self.Du, self.Dr, self.Dp,
@@ -124,15 +138,23 @@ class _Derivatives(NamedTuple):
 
 
 def _derivatives(state: FieldQuartet, include_time: bool) -> _Derivatives:
-    d = state.grid.dim
-    grad = lambda f: [gradient(f, j).values for j in range(d)]
-    dt = lambda v: [time_derivative(c).values for c in v.components]
-    return _Derivatives([c.values for c in state.u.components],
-                        [c.values for c in state.w.components],
-                        _grad_tensor(state.u), _grad_tensor(state.w),
-                        grad(state.p), grad(state.r),
-                        dt(state.u) if include_time else None,
-                        dt(state.w) if include_time else None)
+    """The derivatives of the velocities of u and w and of p and r; w and r are
+    skipped for one family. The velocities are stacked, and the scalars, so that
+    the kernels run once per axis on each stack; the second stack is made after
+    the first is freed, which keeps the peak that of the unstacked derivatives."""
+    g, d = state.grid, state.grid.dim
+    families = [(state.u, state.p)] if _one_family(state) else [(state.u, state.p),
+                                                                  (state.w, state.r)]
+    velocities = np.stack([c.values for v, _ in families for c in v.components])
+    Dv = _gradients(g, velocities)
+    dt = _d1(velocities, d + 1, g.dt, periodic=False) if include_time else None
+    del velocities
+    Ds = _gradients(g, np.stack([s.values for _, s in families]))
+    parts = [([c.values for c in v.components], [[Dj[f * d + i] for Dj in Dv] for i in range(d)],
+              [Dj[f] for Dj in Ds], None if dt is None else list(dt[f * d:(f + 1) * d]))
+             for f, (v, _) in enumerate(families)]
+    (u, Du, Dp, dtu), (w, Dw, Dr, dtw) = parts[0], parts[-1]
+    return _Derivatives(u, w, Du, Dw, Dp, Dr, dtu, dtw)
 
 
 def _half_terms(k: _Derivatives, nu: float):
@@ -157,7 +179,7 @@ def lagrangian_terms(state: FieldQuartet, nu: float, include_time: bool = True):
     """Net per-term density arrays (positive half minus swapped half)."""
     k = _derivatives(state, include_time)
     pos = _half_terms(k, nu)
-    neg = _half_terms(k.swapped(), nu)
+    neg = pos if k.one_family else _half_terms(k.swapped(), nu)
     return tuple(a - b for a, b in zip(pos, neg)), pos, neg
 
 
@@ -178,8 +200,9 @@ def evaluate_lagrangian(state: FieldQuartet, nu: float) -> LagrangianReport:
     slices = slice_integrals(density)
     J = float(np.dot(g.time_weights(), slices))
     parts = [integrate_spacetime(ScalarField(g, t)) for t in net]
-    scale = sum(integrate_spacetime(ScalarField(g, np.abs(t)))
-                for t in (*pos, *neg))
+    magnitudes = lambda terms: [integrate_spacetime(ScalarField(g, np.abs(t))) for t in terms]
+    pos_mag = magnitudes(pos)
+    scale = sum(pos_mag + (pos_mag if neg is pos else magnitudes(neg)))
     return LagrangianReport(J, slices, parts[0], parts[1], parts[2], parts[3],
                             max(scale, 1e-300))
 
@@ -193,14 +216,14 @@ def swap_functional(state: FieldQuartet, nu: float) -> float:
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------
 
-def _momentum_rows(a: VectorField, k: _Derivatives, nu: float) -> list[np.ndarray]:
-    """nu Lap a_i - grad_i p - dt w_i - sym advection of w by (u + w), with
-    ``a`` the field that ``k.u`` holds; the w rows use ``k.swapped()``."""
+def _momentum_rows(grid: Grid, k: _Derivatives, nu: float) -> list[np.ndarray]:
+    """nu Lap u_i - grad_i p - dt w_i - sym advection of w by (u + w); the w rows
+    use ``k.swapped()``."""
     d = len(k.u)
     rows = []
     for i in range(d):
         adv = sum(0.5 * (k.u[j] + k.w[j]) * (k.Dw[i][j] + k.Dw[j][i]) for j in range(d))
-        rows.append(nu * laplacian(a[i]).values - k.Dp[i] - k.dtw[i] - adv)
+        rows.append(nu * _laplacian(grid, k.u[i]) - k.Dp[i] - k.dtw[i] - adv)
     return rows
 
 
@@ -218,10 +241,14 @@ def el_residuals(state: FieldQuartet, nu: float) -> ELResiduals:
     if g.steady:
         zeros = [np.zeros(g.shape)] * g.dim
         k = k._replace(dtu=zeros, dtw=zeros)
-    mk = lambda arrs: VectorField(g, tuple(ScalarField(g, a) for a in arrs))
-    return ELResiduals(divergence(state.u), divergence(state.w),
-                       mk(_momentum_rows(state.u, k, nu)),
-                       mk(_momentum_rows(state.w, k.swapped(), nu)))
+
+    def rows(k):        # the divergence, summed over the axes in order, and momentum
+        div = functools.reduce(np.add, (k.Du[a][a] for a in range(g.dim)))
+        return ScalarField(g, div), VectorField(g, tuple(
+            ScalarField(g, a) for a in _momentum_rows(g, k, nu)))
+    (div_u, mom_u) = rows(k)
+    (div_w, mom_w) = (div_u, mom_u) if k.one_family else rows(k.swapped())
+    return ELResiduals(div_u, div_w, mom_u, mom_w)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +320,8 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
     k = _derivatives(state, include_time=True)
     dk = _derivatives(direction, include_time=True)
     pos = _half_linearized(k, dk, nu)
-    neg = _half_linearized(k.swapped(), dk.swapped(), nu)
+    neg = pos if k.one_family and dk.one_family else _half_linearized(
+        k.swapped(), dk.swapped(), nu)
     return integrate_spacetime(ScalarField(g, pos - neg))
 
 

@@ -10,10 +10,11 @@ byte-identical files. ``_float_texts`` gets that text for a whole array from
 one ``orjson.dumps`` call: orjson writes the same shortest digits, and only its
 notation is rewritten to repr's (``1e16`` -> ``1e+16``, ``1e-6`` -> ``1e-06``).
 The values orjson writes otherwise, 1e-5 <= |x| < 1e-4 (positional) and the
-non-finite ones (``null``), go through ``repr`` itself. The reader parses each
-time slab's value column with one ``orjson.loads`` and keeps the result when it
-is one float per row; any other slab goes through ``float()`` row by row, so
-the accepted values, their bits and every error are those of ``float()``.
+non-finite ones (``null``), go through ``repr`` itself. The reader parses all
+the fields of each time slab with one ``orjson.loads`` and checks every row's
+coordinates against the grid, vectorized; a slab that one parse does not serve
+goes through ``float()`` field by field, so the accepted values, their bits and
+every error are those of ``float()``.
 
 At a solution of the dual system w = u and r = p, so snapshots and residuals
 come in bit-identical pairs. ``write_fields_csv`` formats each distinct field
@@ -107,41 +108,52 @@ def write_fields_csv(outdir, fields):
             shutil.copyfile(source, path)
 
 
-def _parse_slab(path, rows: list[str], first_line: int) -> list[float]:
-    """The value column of ``rows``, which start at 1-based file line ``first_line``.
-
-    One JSON parse of the joined value texts serves when every element it gives
-    is a float: no value text holds a comma, so that is one float per row. Texts
-    that JSON reads otherwise, or not at all (``-0``, ``1_0``, ``nan``, ``1e400``,
-    ``null``, a missing column, ...), go through ``float()``."""
+def _parsed_rows(rows: list[str], width: int) -> list | None:
+    """The fields of ``rows`` from one JSON parse of the rows joined by nulls, when
+    each row is ``width`` JSON numbers and its value (the last) is a float; else
+    None. Field c of row i is at index i (width + 1) + c. The rows hold no true,
+    false, null, string, array or object, so every null is a joiner, and at its
+    place only if each row holds its own fields: a row short of a field cannot
+    borrow its neighbour's."""
+    plain = "".join(rows)
+    if any(c in plain for c in 'tfn"[{'):
+        return None
+    text = ",null,".join(rows)
     try:
-        vals = orjson.loads("[" + ",".join([row.rsplit(",", 1)[1] for row in rows]) + "]")
-        if set(map(type, vals)) == {float}:
-            return vals
-    except (IndexError, ValueError):
-        pass
-    try:
-        return [float(row.rsplit(",", 1)[1]) for row in rows]
-    except (IndexError, ValueError):
-        for n, row in enumerate(rows, first_line):
-            try:
-                float(row.rsplit(",", 1)[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"snapshot {path} line {n} is malformed: "
-                                 f"{row.rstrip()!r}") from None
-        raise
-
-
-def _check_node(path, row: str, line: int, node: list[float]):
-    """Raise unless ``row`` (1-based file line ``line``) is at ``node`` to a relative
-    1e-9: other writers may round the coordinates differently in the last bits."""
-    try:
-        got = [float(c) for c in row.split(",")[:-1]]
+        flat = orjson.loads("[" + text + "]")
     except ValueError:
-        got = []
-    if len(got) != len(node) or not np.allclose(got, node, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"snapshot {path} line {line} is not at grid node "
-                         f"{','.join(_float_texts(node))}; it was written on another grid")
+        return None
+    stride = width + 1
+    if len(flat) != len(rows) * stride - 1 or \
+            flat[width::stride].count(None) != len(rows) - 1:
+        return None
+    return flat if set(map(type, flat[width - 1::stride])) == {float} else None
+
+
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _value_column(path, rows: list[str], first_line: int) -> list[float]:
+    """The value column of ``rows``, which start at 1-based file line ``first_line``,
+    by ``float()`` row by row; a row without a float there is malformed."""
+    values = [_float_or_none(row.rsplit(",", 1)[-1]) if "," in row else None
+              for row in rows]
+    if None in values:
+        n = values.index(None)
+        raise ValueError(f"snapshot {path} line {first_line + n} is malformed: "
+                         f"{rows[n].rstrip()!r}")
+    return values
+
+
+def _coordinates(row: str, count: int) -> list[float]:
+    """The ``count`` coordinates of ``row`` by ``float()``; NaN for a row with
+    another number of them or one that is not a float."""
+    got = [_float_or_none(c) for c in row.split(",")[:-1]]
+    return got if len(got) == count and None not in got else [np.nan] * count
 
 
 def _check_finite(path, rows: list[str], first_line: int, column: np.ndarray):
@@ -153,15 +165,39 @@ def _check_finite(path, rows: list[str], first_line: int, column: np.ndarray):
                          f"{rows[n].rstrip()!r}")
 
 
-def _checked_nodes(grid: Grid) -> list[tuple[int, list[float]]]:
-    """``(row, coordinates)`` of the rows checked in every time slab: the first,
-    the last and the one at each axis stride. The stride rows catch a slab
-    written in another axis order, whose first and last rows are the same."""
-    axes = [grid.axis_coords(a) for a in range(grid.dim)]
-    per_slab = int(np.prod(grid.nodes))
-    strides = (int(np.prod(grid.nodes[a + 1:])) for a in range(grid.dim))
-    return [(row, [x[i] for x, i in zip(axes, np.unravel_index(row, grid.nodes))])
-            for row in sorted({0, per_slab - 1, *strides})]
+def _on_grid(got: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Whether each row of coordinates ``got`` is at its row of ``nodes`` to a
+    relative 1e-9: other writers may round the coordinates differently in the last
+    bits."""
+    return np.isclose(got, nodes, rtol=1e-9, atol=1e-12).all(axis=1)
+
+
+def _read_slab(path, rows: list[str], first_line: int, space: np.ndarray,
+               columns: list[list[float]], t: float):
+    """The value column of one time slab's ``rows``, which start at 1-based file
+    line ``first_line``, each row checked to be at its node: the row of ``space``
+    (``columns`` are its columns as lists) at time ``t``. The coordinates that
+    :func:`_parsed_rows` gives are compared with ``columns`` exactly, and only if
+    they differ to the tolerance. When it gives none, or a row is off the grid,
+    every field goes through ``float()``, so the accepted values, their bits and
+    every error are those of ``float()``: the first malformed row, then the first
+    non-finite value, then the first row off the grid."""
+    width = len(columns) + 2
+    nodes = lambda: np.column_stack([space, np.full(len(rows), t)])
+    flat = _parsed_rows(rows, width)
+    field = lambda c: flat[c::width + 1]
+    if flat is not None and (
+            all(field(c) == want for c, want in enumerate([*columns, [t] * len(rows)]))
+            or _on_grid(np.array([field(c) for c in range(width - 1)]).T, nodes()).all()):
+        return field(width - 1)
+    column = np.array(_value_column(path, rows, first_line))
+    _check_finite(path, rows, first_line, column)
+    on = _on_grid(np.array([_coordinates(row, width - 1) for row in rows]), nodes())
+    if not on.all():
+        n = int(np.argmin(on))
+        raise ValueError(f"snapshot {path} line {first_line + n} is not at grid node "
+                         f"{','.join(_float_texts(nodes()[n]))}; it was written on another grid")
+    return column
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:
@@ -172,22 +208,21 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     per_slab = int(np.prod(grid.nodes))
     values = np.empty(grid.shape)
     slabs = values.reshape(per_slab, grid.time_nodes)
-    checked = _checked_nodes(grid)
+    space = np.stack(np.meshgrid(*(grid.axis_coords(a) for a in range(grid.dim)),
+                                 indexing="ij"), axis=-1).reshape(per_slab, grid.dim)
+    space_columns = [space[:, a].tolist() for a in range(grid.dim)]
     with fh:
         try:
             header = fh.readline().strip()
             if header != _header(grid.dim):
                 raise ValueError(f"snapshot {path} has {header.count(',') + 1} columns, "
                                  f"expected {grid.dim + 2} named {_header(grid.dim)!r}")
-            for k, t in enumerate(grid.time_coords()):
+            for k, t in enumerate(grid.time_coords().tolist()):
                 rows = list(itertools.islice(fh, per_slab))
                 if len(rows) < per_slab:
                     raise ValueError(f"snapshot {path} is truncated")
-                first = 2 + k * per_slab        # line 1 is the header
-                slabs[:, k] = _parse_slab(path, rows, first)
-                _check_finite(path, rows, first, slabs[:, k])
-                for row, node in checked:
-                    _check_node(path, rows[row], first + row, [*node, t])
+                slabs[:, k] = _read_slab(path, rows, 2 + k * per_slab, space,
+                                         space_columns, t)
             if fh.readline():
                 raise ValueError(f"snapshot {path} has extra rows")
         except UnicodeDecodeError as exc:

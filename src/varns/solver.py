@@ -56,12 +56,14 @@ from .grids import (
     integrate_spacetime,
     slice_integrals,
 )
-from .lagrangian import el_residuals, evaluate_lagrangian
+from .lagrangian import LagrangianReport, el_residuals, evaluate_lagrangian
 
 TWO_PI = 2 * np.pi
 
 #: memory budget of one space-time Newton solve, estimated in :func:`newton_dual`,
-#: in line with the steady solve's LU cap
+#: in line with the steady solve's LU cap. It is counted beside the interpreter and
+#: its imports (about 70 MB), not against the whole process, so an admitted solve
+#: can peak above 0.6 GB resident: 16^3 x 18 peaked at 0.62 GB, 0.55 GB over them
 _MAX_NEWTON_BYTES = 600e6
 
 #: memory per space-time unknown beside the preconditioner's blocks: the GMRES
@@ -107,6 +109,8 @@ class Trajectory:
     u_w_gap: np.ndarray = field(repr=False)
     J_values: np.ndarray = field(repr=False)
     converged: bool
+    #: the functional of ``state`` at the config's viscosity, when the solve has it
+    report: LagrangianReport | None = None
 
 
 def _require_periodic(grid: Grid, unsteady: bool):
@@ -192,10 +196,11 @@ class _Spectral:
 
 
 def _advect(v, h):
-    """(v . grad) v with central differences, one array per component."""
-    return [functools.reduce(np.add, (vj * _d1(vi, j, hj, periodic=True)
-                                      for j, (vj, hj) in enumerate(zip(v, h))))
-            for vi in v]
+    """(v . grad) v with central differences, one array per component: D[j][i] is
+    d v_i / d x_j, one kernel call per axis over the stacked components."""
+    V = np.stack(v)
+    D = [_d1(V, 1 + j, hj, periodic=True) for j, hj in enumerate(h)]
+    return list(functools.reduce(np.add, (vj * Dj for vj, Dj in zip(v, D))))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +543,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     initial = [c.values[..., 0] for c in source.components]
     _require_divergence_free(initial, grid, "data")
 
-    z = q = None
+    z = q = rep = None
     for nu, tol in _viscosity_ladder(config):
         system = _DualNewtonSystem(grid, nu, *initial)
         if z is None:
@@ -546,9 +551,10 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         record = ([], [], [])          # history of the stage that finishes last
 
         def log(zz, norm, system=system, record=record):
-            nonlocal q                 # the quartet of the last iterate, returned
-            q = system.to_quartet(zz)
-            for h, x in zip(record, (norm, u_w_gap(q), evaluate_lagrangian(q, system.nu).J)):
+            nonlocal q, rep            # the quartet of the last iterate and its
+            q = system.to_quartet(zz)  # functional, returned
+            rep = evaluate_lagrangian(q, system.nu)
+            for h, x in zip(record, (norm, u_w_gap(q), rep.J)):
                 h.append(x)
 
         try:
@@ -559,7 +565,8 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
                 f"to approach the target viscosity gradually ({exc})") from exc
         if not ok:
             break
-    return Trajectory(q, *(np.array(h) for h in record), ok)
+    return Trajectory(q, *(np.array(h) for h in record), ok,
+                      rep if system.nu == config.nu else None)
 
 
 def _newton_dual_bytes(grid: Grid) -> float:

@@ -2,8 +2,10 @@
 
 The random-field helpers here generate inputs; independent oracles live in
 the test modules that use them, except the 3D flow that the solver and the
-command-line tests share, and the direct Newton steps (the assembled steady
-Jacobian and a sparse LU solve) that the solver and property tests share.
+command-line tests share, the direct Newton steps (the assembled steady
+Jacobian and a sparse LU solve) that the solver and property tests share, and
+the stencil kernels built from ``np.roll`` that ``grids._d1``/``_d2`` must
+match to the bit.
 """
 
 import numpy as np
@@ -109,6 +111,47 @@ def shift_state(state, direction, eps):
                         ScalarField(g, state.p.values + eps * direction.p.values),
                         vec(state.w, direction.w),
                         ScalarField(g, state.r.values + eps * direction.r.values))
+
+
+def _face(axis, side, ndim):
+    idx = [slice(None)] * ndim
+    idx[axis] = side
+    return tuple(idx)
+
+
+def roll_d1(arr, axis, h, periodic):
+    """Second-order first derivative along one axis, periodic by two ``np.roll``
+    copies; one-sided second-order closures at walls."""
+    if arr.shape[axis] < 3:
+        raise ValueError("first-derivative stencil needs at least 3 nodes")
+    if periodic:
+        return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
+    out = np.empty_like(arr)
+    sl = lambda i: _face(axis, i, arr.ndim)
+    out[sl(slice(1, -1))] = (arr[sl(slice(2, None))] - arr[sl(slice(None, -2))]) / (2 * h)
+    out[sl(0)] = (-3 * arr[sl(0)] + 4 * arr[sl(1)] - arr[sl(2)]) / (2 * h)
+    out[sl(-1)] = (3 * arr[sl(-1)] - 4 * arr[sl(-2)] + arr[sl(-3)]) / (2 * h)
+    return out
+
+
+def roll_d2(arr, axis, h, periodic):
+    """Second derivative along one axis, periodic by two ``np.roll`` copies;
+    one-sided 4-point closure at walls, the interior stencil on 3 nodes."""
+    if arr.shape[axis] < 3:
+        raise ValueError("second-derivative stencil needs at least 3 nodes")
+    if periodic:
+        return (np.roll(arr, -1, axis) - 2 * arr + np.roll(arr, 1, axis)) / h**2
+    out = np.empty_like(arr)
+    sl = lambda i: _face(axis, i, arr.ndim)
+    out[sl(slice(1, -1))] = (arr[sl(slice(2, None))] - 2 * arr[sl(slice(1, -1))]
+                             + arr[sl(slice(None, -2))]) / h**2
+    if arr.shape[axis] >= 4:
+        out[sl(0)] = (2 * arr[sl(0)] - 5 * arr[sl(1)] + 4 * arr[sl(2)] - arr[sl(3)]) / h**2
+        out[sl(-1)] = (2 * arr[sl(-1)] - 5 * arr[sl(-2)] + 4 * arr[sl(-3)] - arr[sl(-4)]) / h**2
+    else:
+        out[sl(0)] = (arr[sl(0)] - 2 * arr[sl(1)] + arr[sl(2)]) / h**2
+        out[sl(-1)] = out[sl(0)]
+    return out
 
 
 def periodic_box(nodes, time_nodes=1, dt=0.0):

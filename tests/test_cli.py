@@ -103,6 +103,17 @@ def test_newton_dual_cli(tmp_path, capsys):
     assert len(conv) >= 3
 
 
+def test_newton_dual_cli_takes_the_functional_from_the_solve(tmp_path, capsys, monkeypatch):
+    # the solve evaluated the functional of its last iterate at the target
+    # viscosity; the handler does not evaluate it again
+    def evaluate(*args):
+        raise AssertionError("evaluate_lagrangian called again")
+    monkeypatch.setattr(cli, "evaluate_lagrangian", evaluate)
+    code, out, _ = run_cli(capsys, "newton-dual", "--n", "8", "--time-nodes", "6",
+                           "--dt", "0.02", "--nu", "0.5", "--out", str(tmp_path))
+    assert code == 0 and last_json(out)["ok"]
+
+
 def test_deterministic_outputs(tmp_path, capsys):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for d in (d1, d2):

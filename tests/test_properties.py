@@ -7,7 +7,9 @@ arguments, so interchanging (u, p) with (w, r) negates every node value
 exactly and the u = w, p = r configuration gives exactly zero.
 """
 
+import copy
 import functools
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,15 +19,18 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from varns import cli, scenarios
+from varns import cli, lagrangian, reports, scenarios, solver
 from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
-                         _d1, _d2, _stencil_matrices, _stencil_matrix, _wall_boundary_mask)
-from varns.lagrangian import evaluate_lagrangian, first_variation
+                         _STENCIL_BLOCK, _d1, _d2, _stencil_matrices, _stencil_matrix,
+                         _wall_boundary_mask)
+from varns.lagrangian import el_residuals, evaluate_lagrangian, first_variation
 from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem, taylor_green
 from varns.steady import steady_functional
 
-from conftest import complex_block_preconditioner, operator_matrix, periodic_box, steady_jacobian
+from conftest import (complex_block_preconditioner, operator_matrix, periodic_box, roll_d1,
+                      roll_d2, steady_jacobian)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -469,3 +474,159 @@ def test_stencil_matrices_equal_the_kronecker_lift_to_the_bit(grid):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the stencil kernels against the np.roll kernels they replace: the same bits,
+# and the same floating-point warnings, so that no pair of nodes the old stencil
+# does not pair is ever computed with
+# ---------------------------------------------------------------------------
+
+KERNELS = {"d1": (_d1, roll_d1), "d2": (_d2, roll_d2)}
+
+
+@st.composite
+def stencil_inputs(draw):
+    """An array of 1-3 grid axes, maybe a time axis after them and a batch axis
+    before, in C order, Fortran order or strided; its values may be huge,
+    infinite or NaN. Returns the array, an axis that is not the batch axis, and
+    h and periodic (never on the time axis)."""
+    grid_axes = draw(st.integers(1, 3)) + draw(st.integers(0, 1))
+    batch = draw(st.sampled_from(((), (0,), (1,), (3,))))
+    shape = (*batch, *(draw(st.integers(3, 6)) for _ in range(grid_axes)))
+    elements = st.one_of(st.floats(-1e3, 1e3),
+                         st.sampled_from((1e308, -1e308, np.inf, -np.inf, np.nan, -0.0)))
+    arr = draw(arrays(np.float64, shape, elements=elements))
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "F":
+        arr = np.asfortranarray(arr)
+    elif layout == "strided":
+        arr = np.repeat(arr, 2, axis=-1)[..., ::2]
+    axis = draw(st.integers(len(batch), len(shape) - 1))
+    return arr, axis, draw(st.sampled_from((0.3, 2.0, 1e-3))), draw(st.booleans())
+
+
+def _flagged(kernel, *args):
+    """The kernel's result and the floating-point conditions numpy warned of."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = kernel(*args)
+    return out, {str(w.message).split(" encountered")[0] for w in caught}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(case=stencil_inputs(), kernel=st.sampled_from(sorted(KERNELS)))
+@example(case=(np.array([1e308, -1e308, 1.0, 2.0]), 0, 1e-3, False), kernel="d2")
+@example(case=(np.array([[1.0, 2.0, 3.0], [1e308, 0.0, -1e308]]), 1, 0.3, False),
+         kernel="d2").via("3-node wall axis: the interior stencil at both ends")
+@example(case=(np.array([[1e308, 0.0, 0.0, -1e308], [-1e308, 0.0, 0.0, 1e308]]), 1, 0.3,
+               False), kernel="d1").via("wall ends of adjacent lines: never paired")
+def test_stencil_kernels_match_the_roll_oracle_to_the_bit(case, kernel):
+    arr, axis, h, periodic = case
+    new, old = KERNELS[kernel]
+    (got, got_flags), (want, want_flags) = (_flagged(k, arr, axis, h, periodic)
+                                            for k in (new, old))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got_flags == want_flags
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, _STENCIL_BLOCK + 1])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stencil_matrix_keeps_the_bits_of_the_roll_oracle(kernel, periodic, n):
+    new, old = KERNELS[kernel]
+    got = _stencil_matrix(new, n, 0.3, periodic)
+    want = sp.csr_matrix(old(np.eye(n), 0, 0.3, periodic))
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# one family: when w and r are u and p, the functional, the residuals and the
+# first variation reuse the first family's arrays; the bits are those of the
+# general path, which computes both families
+# ---------------------------------------------------------------------------
+
+def _general(fn, *args):
+    """``fn`` with both families computed, as for any quartet."""
+    with mock.patch.object(lagrangian, "_one_family", lambda state: False):
+        return fn(*args)
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).view(np.int64) for v in values]
+
+
+def _same(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(_bits(*got), _bits(*want), strict=True))
+
+
+def _residual_arrays(res):
+    return [res.res_div_u.values, res.res_div_w.values,
+            *(c.values for c in (*res.res_u.components, *res.res_w.components))]
+
+
+@PROPERTY_SETTINGS
+@given(grid=grids(), seed=seeds, nu=st.sampled_from((0.0, 0.1, 1.3)),
+       shared=st.booleans())
+def test_one_family_has_the_bits_of_the_general_path(grid, seed, nu, shared):
+    s = random_state(grid, seed)
+    w, r = (s.u, s.p) if shared else (copy.deepcopy(s.u), copy.deepcopy(s.p))
+    state = FieldQuartet(s.u, s.p, w, r)
+    assert lagrangian._one_family(state)
+    got, want = evaluate_lagrangian(state, nu), _general(evaluate_lagrangian, state, nu)
+    assert _same([got.J, got.scale, *got.breakdown().values(), got.slice_values],
+                 [want.J, want.scale, *want.breakdown().values(), want.slice_values])
+    assert _same(_residual_arrays(el_residuals(state, nu)),
+                 _residual_arrays(_general(el_residuals, state, nu)))
+    d = admissible_direction(grid, seed)
+    for direction in (d, FieldQuartet(d.u, d.p, d.u, d.p)):
+        assert _same([first_variation(state, direction, nu)],
+                     [_general(first_variation, state, direction, nu)])
+
+
+def test_one_family_means_equal_bits_not_equal_values():
+    # -0.0 and 0.0 are equal values whose derivatives and products can differ in
+    # sign; such a w is a second family
+    grid = periodic_box((4, 4), 3, 0.1)
+    s = random_state(grid, 0)
+    u0 = s.u[0].values.copy()
+    u0[0, 0, 0] = 0.0
+    w0 = u0.copy()
+    w0[0, 0, 0] = -0.0
+    vec = lambda c: VectorField(grid, (ScalarField(grid, c), s.u[1]))
+    assert lagrangian._one_family(FieldQuartet(vec(u0), s.p, vec(u0.copy()), s.p))
+    assert not lagrangian._one_family(FieldQuartet(vec(u0), s.p, vec(w0), s.p))
+
+
+def test_consumers_of_one_family_residuals_write_no_shared_array(tmp_path, monkeypatch):
+    # at u = w, r = p the residuals of both families are the same arrays: the
+    # newton-dual residual packing, to_quartet and the field writer must read them
+    # and never write into them, and give the bits of the general path
+    grid, nu = periodic_box((6, 5), 5, 0.05), 0.5
+    data = [np.zeros(grid.nodes)] * 2
+    system = _DualNewtonSystem(grid, nu, *data)
+    z = np.random.default_rng(3).normal(size=system.n_dof)
+    u, w, p, r = system.unpack(z)
+    w[:], p[-1], r[:] = u, 0.0, p[:-1]   # p and r padded alike: one family
+
+    def frozen(state, nu):
+        res = el_residuals(state, nu)
+        assert res.res_w is res.res_u and res.res_div_w is res.res_div_u
+        for a in _residual_arrays(res):
+            a.setflags(write=False)
+        frozen.res = res
+        return res
+    monkeypatch.setattr(solver, "el_residuals", frozen)
+    F, q = system.residual(z), system.to_quartet(z)
+    reports.write_fields_csv(tmp_path, [(f"{i}.csv", ScalarField(grid, a))
+                                        for i, a in enumerate(_residual_arrays(frozen.res))])
+    monkeypatch.setattr(solver, "el_residuals", el_residuals)
+    general = _DualNewtonSystem(grid, nu, *data)
+    F_want, q_want = _general(general.residual, z), _general(general.to_quartet, z)
+    assert _same([F], [F_want])
+    assert _same([c.values for c in (*q.u.components, q.p, *q.w.components, q.r)],
+                 [c.values for c in (*q_want.u.components, q_want.p, *q_want.w.components,
+                                     q_want.r)])

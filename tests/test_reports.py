@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from varns import reports
+from varns.cli import main
 from varns.grids import PERIODIC, WALL, FieldQuartet, Grid, ScalarField, periodic_square
 from varns.reports import (
     read_field_csv,
@@ -258,7 +260,7 @@ def _write_in_axis_order(path, f, order):
 ])
 def test_axis_permuted_snapshot_rejected(tmp_path, nodes, order):
     """The first and last row of every slab are the same in any axis order;
-    the row at each axis stride is not."""
+    the reader checks every row."""
     g = Grid((1.0,) * len(nodes), nodes, (WALL,) * len(nodes), 3, 0.1)
     f = ScalarField(g, np.random.default_rng(3).normal(size=g.shape))
     path = tmp_path / "f.csv"
@@ -482,3 +484,68 @@ def test_write_reports_writes_each_kind_and_the_fields_in_one_call(tmp_path, mon
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "t.csv").read_text() == "x\n0.5\n"
     assert (tmp_path / "r.json").read_text() == '{"J": 0.0}\n'
+
+
+@st.composite
+def off_grid_rows(draw):
+    """A small grid, the column (a space or the time coordinate) to move off it,
+    by how much, and the row to move through the command line."""
+    dim = draw(st.integers(1, 3))
+    nodes = tuple(draw(st.integers(3, 4)) for _ in range(dim))
+    kinds = tuple(draw(st.sampled_from((PERIODIC, WALL))) for _ in range(dim))
+    g = Grid((2.0,) * dim, nodes, kinds, draw(st.sampled_from((1, 3))), 0.1)
+    column = draw(st.integers(0, dim))
+    shift = draw(st.sampled_from((3.0, -0.5, 1e-6)))
+    return g, column, shift, draw(st.integers(0, int(np.prod(g.shape)) - 1))
+
+
+@IO_SETTINGS
+@given(case=off_grid_rows())
+def test_off_grid_coordinate_at_every_row_names_that_line(tmp_path_factory, capsys, case):
+    """A coordinate moved off the grid, by more than the tolerance, is rejected
+    at every row position, naming that line; through ``evaluate`` the run exits 1."""
+    g, column, shift, picked = case
+    f = ScalarField(g, np.random.default_rng(4).normal(size=g.shape))
+    base = tmp_path_factory.mktemp("off-grid")
+    path = base / "f.csv"
+    write_field_csv(path, f)
+    lines = path.read_text().splitlines()
+
+    def moved(row):
+        fields = lines[row + 1].split(",")
+        fields[column] = repr(float(fields[column]) + shift)
+        return "\n".join([*lines[:row + 1], ",".join(fields), *lines[row + 2:]]) + "\n"
+    for row in range(len(lines) - 1):
+        path.write_text(moved(row))
+        with pytest.raises(ValueError, match=f"line {row + 2} is not at grid node"):
+            read_field_csv(path, g)
+    if g.steady:
+        return
+    quartet = base / "quartet"
+    write_quartet_csv(quartet, FieldQuartet.zeros(g))
+    (quartet / "p.csv").write_text(moved(picked))
+    config = base / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"dim": g.dim, "extent": list(g.extents), "nodes": list(g.nodes),
+                 "boundary": list(g.boundaries), "time_nodes": g.time_nodes, "dt": g.dt},
+        "scenario": f"file:{quartet}"}))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--out", str(base / "out")]) == 1
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert str(quartet / "p.csv") in detail
+    assert f"line {picked + 2} is not at grid node" in detail
+
+
+def test_row_short_of_a_field_cannot_borrow_its_neighbours(tmp_path):
+    """A row with a field too many, then one with a field too few: the number
+    stream is that of a good slab, but the first of the two rows is off the grid."""
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    f = ScalarField(g, np.random.default_rng(5).normal(size=g.shape))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, f)
+    lines = path.read_text().splitlines()
+    lines[7] += "," + lines[8].split(",")[0]
+    lines[8] = ",".join(lines[8].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 8 is not at grid node"):
+        read_field_csv(path, g)

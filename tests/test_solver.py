@@ -288,6 +288,25 @@ def test_newton_to_quartet_reuses_the_residuals_of_the_last_iterate(monkeypatch)
     assert len(calls) == 2
 
 
+def test_newton_returns_the_functional_of_its_final_iterate(monkeypatch):
+    # the report of the last logged iterate, at the target viscosity, has the bits
+    # of a fresh evaluation of the returned quartet; a solve that stops on a
+    # looser rung of the viscosity ladder returns none
+    g, nu = acceptance_grid(), 0.5
+    traj = newton_dual(perturbed_taylor_green(g, nu), None, SolveConfig(nu=nu), g)
+    want = evaluate_lagrangian(traj.state, nu)
+    got = traj.report
+    assert [got.J, got.scale, *got.breakdown().values()] == \
+        [want.J, want.scale, *want.breakdown().values()]
+    assert got.slice_values.tobytes() == want.slice_values.tobytes()
+
+    newton_loop = solver._newton_loop
+    monkeypatch.setattr(solver, "_newton_loop", lambda *args: (newton_loop(*args)[0], False))
+    stopped = newton_dual(perturbed_taylor_green(g, nu), None,
+                          SolveConfig(nu=nu, continuation_steps=2), g)
+    assert not stopped.converged and stopped.report is None
+
+
 def perturbed_taylor_green(grid, nu, amp=0.1):
     """The decaying vortex with w scaled by 1 + amp cos x cos y, the seed of
     ``newton-dual --perturb-w``."""
