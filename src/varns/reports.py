@@ -137,67 +137,52 @@ def _float_or_none(text: str) -> float | None:
         return None
 
 
-def _value_column(path, rows: list[str], first_line: int) -> list[float]:
-    """The value column of ``rows``, which start at 1-based file line ``first_line``,
-    by ``float()`` row by row; a row without a float there is malformed."""
-    values = [_float_or_none(row.rsplit(",", 1)[-1]) if "," in row else None
-              for row in rows]
-    if None in values:
-        n = values.index(None)
-        raise ValueError(f"snapshot {path} line {first_line + n} is malformed: "
-                         f"{rows[n].rstrip()!r}")
-    return values
+def _row_fields(row: str, width: int) -> list:
+    """The ``width`` fields of ``row`` by ``float()``: its coordinates, NaN for a
+    row with another number of them or one that is not a float, then its value,
+    None when that is not a float."""
+    texts = row.split(",")
+    got = [_float_or_none(c) for c in texts[:-1]]
+    if len(got) != width - 1 or None in got:
+        got = [np.nan] * (width - 1)
+    return [*got, _float_or_none(texts[-1]) if len(texts) > 1 else None]
 
 
-def _coordinates(row: str, count: int) -> list[float]:
-    """The ``count`` coordinates of ``row`` by ``float()``; NaN for a row with
-    another number of them or one that is not a float."""
-    got = [_float_or_none(c) for c in row.split(",")[:-1]]
-    return got if len(got) == count and None not in got else [np.nan] * count
-
-
-def _check_finite(path, rows: list[str], first_line: int, column: np.ndarray):
-    """Raise unless every value of ``column``, parsed from ``rows``, is finite."""
-    finite = np.isfinite(column)
+def _read_slab(path, rows: list[str], first_line: int, columns: list[list[float]],
+               t: float) -> list | np.ndarray:
+    """The value column of one time slab's ``rows``, which start at 1-based file
+    line ``first_line``, each row checked to be at its node: the space coordinates
+    of the grid's nodes, one list per axis in ``columns``, and time ``t``. The
+    coordinates that :func:`_parsed_rows` gives must equal the nodes' exactly. When
+    it gives none, or they differ, every field goes through ``float()``, so the
+    accepted values, their bits and every error are those of ``float()``: the first
+    malformed row, then the first non-finite value, then the first row off its node
+    by more than a relative 1e-9 (other writers may round the coordinates
+    differently in the last bits). The exact compare of lists saves about 0.6 ms of
+    the 2 ms a 4096-row slab takes with the tolerance check on every slab."""
+    width = len(columns) + 2
+    flat = _parsed_rows(rows, width)
+    if flat is not None and all(flat[c::width + 1] == want
+                                for c, want in enumerate([*columns, [t] * len(rows)])):
+        return flat[width - 1::width + 1]
+    parsed = [_row_fields(row, width) for row in rows]
+    bad = next((n for n, f in enumerate(parsed) if f[-1] is None), None)
+    if bad is not None:
+        raise ValueError(f"snapshot {path} line {first_line + bad} is malformed: "
+                         f"{rows[bad].rstrip()!r}")
+    fields = np.array(parsed)
+    finite = np.isfinite(fields[:, -1])
     if not finite.all():
         n = int(np.argmin(finite))
         raise ValueError(f"snapshot {path} line {first_line + n} has a non-finite value: "
                          f"{rows[n].rstrip()!r}")
-
-
-def _on_grid(got: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Whether each row of coordinates ``got`` is at its row of ``nodes`` to a
-    relative 1e-9: other writers may round the coordinates differently in the last
-    bits."""
-    return np.isclose(got, nodes, rtol=1e-9, atol=1e-12).all(axis=1)
-
-
-def _read_slab(path, rows: list[str], first_line: int, space: np.ndarray,
-               columns: list[list[float]], t: float):
-    """The value column of one time slab's ``rows``, which start at 1-based file
-    line ``first_line``, each row checked to be at its node: the row of ``space``
-    (``columns`` are its columns as lists) at time ``t``. The coordinates that
-    :func:`_parsed_rows` gives are compared with ``columns`` exactly, and only if
-    they differ to the tolerance. When it gives none, or a row is off the grid,
-    every field goes through ``float()``, so the accepted values, their bits and
-    every error are those of ``float()``: the first malformed row, then the first
-    non-finite value, then the first row off the grid."""
-    width = len(columns) + 2
-    nodes = lambda: np.column_stack([space, np.full(len(rows), t)])
-    flat = _parsed_rows(rows, width)
-    field = lambda c: flat[c::width + 1]
-    if flat is not None and (
-            all(field(c) == want for c, want in enumerate([*columns, [t] * len(rows)]))
-            or _on_grid(np.array([field(c) for c in range(width - 1)]).T, nodes()).all()):
-        return field(width - 1)
-    column = np.array(_value_column(path, rows, first_line))
-    _check_finite(path, rows, first_line, column)
-    on = _on_grid(np.array([_coordinates(row, width - 1) for row in rows]), nodes())
+    nodes = np.column_stack([*columns, np.full(len(rows), t)])
+    on = (np.abs(fields[:, :-1] - nodes) <= 1e-12 + 1e-9 * np.abs(nodes)).all(axis=1)
     if not on.all():
         n = int(np.argmin(on))
         raise ValueError(f"snapshot {path} line {first_line + n} is not at grid node "
-                         f"{','.join(_float_texts(nodes()[n]))}; it was written on another grid")
-    return column
+                         f"{','.join(_float_texts(nodes[n]))}; it was written on another grid")
+    return fields[:, -1]
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:
@@ -208,9 +193,8 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     per_slab = int(np.prod(grid.nodes))
     values = np.empty(grid.shape)
     slabs = values.reshape(per_slab, grid.time_nodes)
-    space = np.stack(np.meshgrid(*(grid.axis_coords(a) for a in range(grid.dim)),
-                                 indexing="ij"), axis=-1).reshape(per_slab, grid.dim)
-    space_columns = [space[:, a].tolist() for a in range(grid.dim)]
+    columns = [m.ravel().tolist() for m in np.meshgrid(
+        *(grid.axis_coords(a) for a in range(grid.dim)), indexing="ij")]
     with fh:
         try:
             header = fh.readline().strip()
@@ -221,8 +205,7 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
                 rows = list(itertools.islice(fh, per_slab))
                 if len(rows) < per_slab:
                     raise ValueError(f"snapshot {path} is truncated")
-                slabs[:, k] = _read_slab(path, rows, 2 + k * per_slab, space,
-                                         space_columns, t)
+                slabs[:, k] = _read_slab(path, rows, 2 + k * per_slab, columns, t)
             if fh.readline():
                 raise ValueError(f"snapshot {path} has extra rows")
         except UnicodeDecodeError as exc:
