@@ -29,10 +29,12 @@ encodes a steady problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:       # scipy is imported by the builders of sparse matrices alone
+    import scipy.sparse as sp
 
 PERIODIC = "periodic"
 WALL = "wall"
@@ -267,7 +269,10 @@ def _d2(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     inner = out[sl(slice(1, -1))]                       # (hi - 2 mid) + lo, in place
     np.multiply(arr[sl(slice(1, -1))], 2, out=inner)
     np.subtract(arr[sl(slice(2, None))], inner, out=inner)
-    np.add(inner, arr[sl(slice(None, -2))], out=inner)
+    if inner.size > 1:
+        np.add(inner, arr[sl(slice(None, -2))], out=inner)
+    else:   # one element: numpy's in-place add keeps the NaN of lo, x + y that of x
+        inner[...] = inner + arr[sl(slice(None, -2))]
     if periodic:
         out[sl(0)] = arr[sl(1)] - 2 * arr[sl(0)] + arr[sl(-1)]
         out[sl(-1)] = arr[sl(0)] - 2 * arr[sl(-1)] + arr[sl(-2)]
@@ -286,6 +291,7 @@ def _stencil_matrix(op: Callable, n: int, h: float, periodic: bool) -> sp.csr_ma
     """The kernel ``op`` (``_d1``/``_d2``) on ``n`` nodes: ``op`` of the identity,
     applied to ``_STENCIL_BLOCK`` of its columns at a time (it acts on each
     column alone, so every bit is the same)."""
+    import scipy.sparse as sp
     return sp.hstack([sp.csr_matrix(op(np.eye(n, min(_STENCIL_BLOCK, n - j), -j), 0, h,
                                        periodic))
                       for j in range(0, n, _STENCIL_BLOCK)], format="csr")
@@ -297,6 +303,7 @@ def _stencil_matrices(grid: Grid):
     the axes before the lifted one and k over those after, couples to (o, j, k)
     with the 1D entry (i, j): the matrix that ``sp.kron`` with identities builds,
     to the bit. 1D has nothing to lift."""
+    import scipy.sparse as sp
     def lift(op, axis):
         n = grid.nodes[axis]
         M = _stencil_matrix(op, n, grid.spacing(axis), grid.boundaries[axis] == PERIODIC)

@@ -14,10 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import WALL, Grid, _d1, _d2, _stencil_matrices
+
+
+def __getattr__(name: str):
+    """``spla``: scipy.sparse.linalg, imported on first use, not with the module."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ResonanceError(ValueError):
@@ -130,6 +136,8 @@ def solve_oscillator_vp(problem: OscillatorProblem) -> OscillatorSolution:
     Interior rows: y1'' + 2a y2' + b y1 = 0 and y2'' + 2a y1' + b y2 = 0 with
     central stencils; Dirichlet rows pin both fields at both ends; one sparse LU.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     m = resonance_integer(problem.a, problem.b)
     if m is not None:
         raise ResonanceError(m)

@@ -8,9 +8,10 @@ in time-major, then axis0-major order. Every float of every CSV is written as
 its ``repr``, the shortest round-trip text, so identical inputs produce
 byte-identical files. ``_float_texts`` gets that text for a whole array from
 one ``orjson.dumps`` call: orjson writes the same shortest digits, and only its
-notation is rewritten to repr's (``1e16`` -> ``1e+16``, ``1e-6`` -> ``1e-06``).
-The values orjson writes otherwise, 1e-5 <= |x| < 1e-4 (positional) and the
-non-finite ones (``null``), go through ``repr`` itself. The reader parses all
+notation is rewritten to repr's (``1e16`` -> ``1e+16``, ``1e-6`` -> ``1e-06``,
+and for 1e-5 <= |x| < 1e-4, which orjson writes positionally, ``0.0000123`` ->
+``1.23e-05``). The non-finite values, which orjson writes as ``null``, go
+through ``repr`` itself. The reader parses all
 the fields of each time slab with one ``orjson.loads`` and checks every row's
 coordinates against the grid, vectorized; a slab that one parse does not serve
 goes through ``float()`` field by field, so the accepted values, their bits and
@@ -57,7 +58,10 @@ def _float_texts(values) -> list[str]:
         for short, padded in _ONE_DIGIT_NEGATIVE_EXPONENTS:
             text = text.replace(short, padded)
     texts = text.decode().split(",")[:v.size]
-    own = np.flatnonzero(((mag >= 1e-5) & (mag < 1e-4)) | ~np.isfinite(v))
+    for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-4)).tolist():
+        sign, digits = texts[i].split("0.0000")     # orjson's [-]0.0000DDD
+        texts[i] = f"{sign}{digits[0]}.{digits[1:]}e-05" if digits[1:] else f"{sign}{digits}e-05"
+    own = np.flatnonzero(~np.isfinite(v))
     for i, x in zip(own.tolist(), v[own].tolist()):
         texts[i] = repr(x)
     return texts

@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .grids import (
     PERIODIC,
@@ -57,6 +55,18 @@ from .grids import (
     slice_integrals,
 )
 from .lagrangian import LagrangianReport, el_residuals, evaluate_lagrangian
+
+if TYPE_CHECKING:       # scipy is imported where sparse systems are built or solved
+    import scipy.sparse.linalg as spla
+
+
+def __getattr__(name: str):
+    """``spla``: scipy.sparse.linalg, imported on first use, not with the module."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TWO_PI = 2 * np.pi
 
@@ -276,6 +286,8 @@ class _Components:
     it ``centred``, with zero mean on each component."""
 
     def __init__(self, DX, interior: np.ndarray):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
         stencils = sp.vstack([abs(D[interior]) for D in DX])   # interior central rows
         _, self.labels = connected_components(stencils.T @ stencils, directed=False)
         self.first = np.unique(self.labels, return_index=True)[1]
@@ -306,6 +318,7 @@ class _DualNewtonSystem:
 
     def __init__(self, grid: Grid, nu: float, *data):
         """``data``: the initial velocity, one array of the grid's nodes per axis."""
+        import scipy.sparse as sp
         _require_periodic(grid, unsteady=True)
         d, S, T = grid.dim, int(np.prod(grid.nodes)), grid.time_nodes
         self.grid, self.nu, self.S, self.T = grid, nu, S, T
@@ -399,6 +412,7 @@ class _DualNewtonSystem:
         sum_j c_ij (du_j + dw_j) + s_j (D_i db_j + D_j db_i) to momentum row i of each
         family (b the other one), c_ij = -(D_j b_i + D_i b_j) / 2 and s_j = -(u_j +
         w_j) / 2 computed once. N vanishes at z = 0, where J is L."""
+        import scipy.sparse.linalg as spla
         d, T, S, vel, first = self.grid.dim, self.T, self.S, self.velocities, self.gauge.first
         factors = lambda V: np.concatenate(      # the stack of V B_k^T, k = 0, 1, ...
             [V[None], (self.stencils @ V.T).reshape(-1, S, len(V)).transpose(0, 2, 1)])
@@ -623,6 +637,7 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
 def _krylov_step(J, F: np.ndarray, precondition) -> np.ndarray:
     """-J^{-1} F by GMRES (J a matrix or an operator) preconditioned by ``precondition``
     (an approximate J^{-1} of a vector); the line search absorbs an inexact step."""
+    import scipy.sparse.linalg as spla
     M = spla.LinearOperator(J.shape, precondition, dtype=float)
     return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
 
@@ -657,6 +672,7 @@ class _SteadyNewtonSystem:
     """
 
     def __init__(self, grid: Grid, nu: float, data: np.ndarray, start: np.ndarray):
+        import scipy.sparse as sp
         d, S = grid.dim, int(np.prod(grid.nodes))
         self.grid, self.nu, self.d, self.S = grid, nu, d, S
         self.DX, LAP = _stencil_matrices(grid)
@@ -715,6 +731,7 @@ class _SteadyNewtonSystem:
     def jacobian_operator(self, z: np.ndarray, shift: float) -> spla.LinearOperator:
         """J(z) - shift V as an operator, x -> L x - shift V x - A(z) x, from the
         coefficients of A(z) computed once; shift V joins G_ii as shift m."""
+        import scipy.sparse.linalg as spla
         d, S, DX = self.d, self.S, self.DX_stacked
         G, W = map(np.array, self._advection(z))      # (d, d, S) and (d, S)
         G[range(d), range(d)] += shift * self.interior
@@ -748,6 +765,7 @@ class _SteadyNewtonSystem:
     def _linear_lu(self):
         """Sparse LU of L - V / dtau0; a singular matrix raises ``LinAlgError``
         carrying the SuperLU message."""
+        import scipy.sparse.linalg as spla
         try:
             return spla.splu((self.L - self.V / _DTAU0).tocsc())
         except RuntimeError as exc:

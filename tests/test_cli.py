@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -709,3 +712,38 @@ def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, comma
                              "--scenario", scenario, "--out", str(tmp_path))
     assert code == 1 and out == ""
     assert reason in json.loads(err)["detail"]
+
+
+# --- cold start: scipy loads only where a sparse matrix is built ---------------
+
+SPARSE_FREE = {"evaluate": (), "energy": (), "variation-check": (), "residual": (),
+               "steady-cert": (), "inequality-audit": (), "extended": (),
+               "boundary-audit": (), "solve-unsteady": (),
+               "taylor-green-verify": ("--refine", "2")}
+
+
+def test_sparse_free_subcommands_never_import_scipy(tmp_path):
+    """Ten subcommands build no sparse matrix, so none of them may import scipy,
+    whose import is most of a cold start. One fresh process runs them all through
+    ``cli.main``; ``solver.spla`` and ``oscillator.spla``, the names through which
+    tests and the tracer patch ``splu`` and ``gmres``, still resolve to
+    scipy.sparse.linalg."""
+    script = f"""
+import contextlib, io, sys
+from varns import cli
+for name, flags in {SPARSE_FREE!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([name, "--n", "8", "--time-nodes", "5", *flags,
+                         "--out", {str(tmp_path)!r}])
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert code in (0, 2) and not loaded, (name, code, loaded[:3])
+import scipy.sparse.linalg
+from varns import oscillator, solver
+assert solver.spla is oscillator.spla is scipy.sparse.linalg
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

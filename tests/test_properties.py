@@ -517,6 +517,8 @@ def _flagged(kernel, *args):
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(case=stencil_inputs(), kernel=st.sampled_from(sorted(KERNELS)))
 @example(case=(np.array([1e308, -1e308, 1.0, 2.0]), 0, 1e-3, False), kernel="d2")
+@example(case=(np.array([np.nan, np.inf, np.inf]), 0, 0.3, False), kernel="d2").via(
+    "one interior node: the NaN of (hi - 2 mid), not lo's, as the oracle's x + y keeps")
 @example(case=(np.array([[1.0, 2.0, 3.0], [1e308, 0.0, -1e308]]), 1, 0.3, False),
          kernel="d2").via("3-node wall axis: the interior stencil at both ends")
 @example(case=(np.array([[1e308, 0.0, 0.0, -1e308], [-1e308, 0.0, 0.0, 1e308]]), 1, 0.3,

@@ -366,6 +366,16 @@ def test_float_texts_are_repr(a):
     assert reports._float_texts(a) == _repr_texts(a)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=arrays(np.float64, st.integers(1, 64),
+                elements=st.one_of(st.floats(1e-5, 1e-4, exclude_max=True),
+                                   st.floats(-1e-4, -1e-5, exclude_min=True))))
+def test_float_texts_rewrite_the_positional_band_to_repr(a):
+    # orjson writes 1e-5 <= |x| < 1e-4 as [-]0.0000DDD; the text is rewritten, not
+    # taken from repr, so every value of the array goes through the rewrite
+    assert reports._float_texts(a) == _repr_texts(a)
+
+
 def test_float_texts_are_repr_at_every_power_and_seam():
     tiny = np.finfo(np.float64).smallest_subnormal
     powers = [10.0 ** k for k in range(-323, 309)] + [2.0 ** k for k in range(-1074, 1024)]
