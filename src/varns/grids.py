@@ -29,7 +29,7 @@ encodes a steady problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -170,11 +170,6 @@ class ScalarField:
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        """Sample ``fn(x0[, x1[, x2]], t)`` on every node."""
-        return cls(grid, np.asarray(fn(*grid.meshes()), dtype=float) + np.zeros(grid.shape))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -196,10 +191,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(grid, tuple(ScalarField.zeros(grid) for _ in range(grid.dim)))
-
-    @classmethod
-    def from_functions(cls, grid: Grid, fns: Sequence[Callable]) -> "VectorField":
-        return cls(grid, tuple(ScalarField.from_function(grid, f) for f in fns))
 
 
 @dataclass(frozen=True)
@@ -302,13 +293,11 @@ def _stencil_matrices(grid: Grid):
     the 1D stencil matrices lifted by index. Slice node (o, i, k), o running over
     the axes before the lifted one and k over those after, couples to (o, j, k)
     with the 1D entry (i, j): the matrix that ``sp.kron`` with identities builds,
-    to the bit. 1D has nothing to lift."""
+    to the bit."""
     import scipy.sparse as sp
     def lift(op, axis):
         n = grid.nodes[axis]
         M = _stencil_matrix(op, n, grid.spacing(axis), grid.boundaries[axis] == PERIODIC)
-        if grid.dim == 1:
-            return M
         M, inner = M.tocoo(), int(np.prod(grid.nodes[axis + 1:]))
         outer, S = int(np.prod(grid.nodes[:axis])), int(np.prod(grid.nodes))
         base = np.arange(outer)[:, None, None] * (n * inner) + np.arange(inner)

@@ -5,8 +5,9 @@ y(1)=beta is not variational in y alone, but it is the stationarity system of
 an antisymmetric functional of two independent copies y1, y2 sharing the end
 values. Solving the coupled Euler-Lagrange system recovers y as the mean
 (y1+y2)/2 while the half-difference collapses to zero away from resonance.
-It is built from the stencil matrices of ``grids`` and solved by one sparse
-LU, which also gives the condition estimate; no bit depends on BLAS threads.
+In y1 + y2 and y1 - y2 the discrete system splits into two tridiagonal ones,
+solved by Gaussian elimination in plain Python floats: no bit depends on BLAS
+threads, and the half-difference is exactly zero, so y1 = y2 to the bit.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import WALL, Grid, _d1, _d2, _stencil_matrices
-
-
-def __getattr__(name: str):
-    """``spla``: scipy.sparse.linalg, imported on first use, not with the module."""
-    if name == "spla":
-        import scipy.sparse.linalg as spla
-        return spla
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .grids import _d1, _d2
 
 
 class ResonanceError(ValueError):
@@ -42,9 +35,7 @@ def resonance_integer(a: float, b: float, tol: float = 1e-9) -> int | None:
         return None
     ratio = np.sqrt(b - a * a) / np.pi
     m = int(round(ratio))
-    if m >= 1 and abs(ratio - m) < tol:
-        return m
-    return None
+    return m if m >= 1 and abs(ratio - m) < tol else None
 
 
 @dataclass(frozen=True)
@@ -58,10 +49,6 @@ class OscillatorProblem:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need n >= 4 nodes, got {self.n}")
-
-    @property
-    def well_posed(self) -> bool:
-        return resonance_integer(self.a, self.b) is None
 
     @property
     def h(self) -> float:
@@ -79,14 +66,12 @@ class OscillatorProblem:
             om = np.sqrt(-disc)
             if abs(np.sin(om)) < 1e-14:
                 raise ResonanceError(int(round(om / np.pi)))
-            A = alpha
             B = (beta * ea - alpha * np.cos(om)) / np.sin(om)
-            return np.exp(-a * x) * (A * np.cos(om * x) + B * np.sin(om * x))
+            return np.exp(-a * x) * (alpha * np.cos(om * x) + B * np.sin(om * x))
         if disc > 0:
             k = np.sqrt(disc)
-            A = alpha
             B = (beta * ea - alpha * np.cosh(k)) / np.sinh(k)
-            return np.exp(-a * x) * (A * np.cosh(k * x) + B * np.sinh(k * x))
+            return np.exp(-a * x) * (alpha * np.cosh(k * x) + B * np.sinh(k * x))
         return np.exp(-a * x) * (alpha + (beta * ea - alpha) * x)
 
 
@@ -130,31 +115,74 @@ def oscillator_functional(y1, y2, problem: OscillatorProblem) -> float:
     return float(np.trapezoid(0.5 * (g1 - g2), dx=h))
 
 
-def solve_oscillator_vp(problem: OscillatorProblem) -> OscillatorSolution:
-    """Assemble and solve the coupled discrete Euler-Lagrange system.
+def _solve_tridiagonal(lower, diag, upper, rhs) -> list:
+    """x with A x = rhs, A's entries (i + 1, i), (i, i), (i, i + 1) being ``lower[i]``,
+    ``diag[i]``, ``upper[i]``: Gaussian elimination with partial pivoting (LAPACK
+    dgtsv's scheme), as A may be indefinite. Raises ``LinAlgError`` at a zero pivot."""
+    n = len(diag)
+    low, d, u, u2, x = list(lower), list(diag), [*upper, 0.0], [0.0] * n, [*rhs, 0.0, 0.0]
+    try:
+        for i in range(n - 1):
+            if abs(low[i]) > abs(d[i]):     # swap rows i, i + 1: U gets a 2nd superdiagonal
+                f = d[i] / low[i]
+                d[i], u[i], d[i + 1] = low[i], d[i + 1], u[i] - f * d[i + 1]
+                u2[i], u[i + 1] = u[i + 1], -f * u[i + 1]
+                x[i], x[i + 1] = x[i + 1], x[i] - f * x[i + 1]
+            else:
+                f = low[i] / d[i]
+                d[i + 1] -= f * u[i]
+                x[i + 1] -= f * x[i]
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - u[i] * x[i + 1] - u2[i] * x[i + 2]) / d[i]
+    except ZeroDivisionError:       # a Python float division raises only at a zero pivot
+        raise np.linalg.LinAlgError("singular discrete system: zero pivot") from None
+    return x[:n]
 
-    Interior rows: y1'' + 2a y2' + b y1 = 0 and y2'' + 2a y1' + b y2 = 0 with
-    central stencils; Dirichlet rows pin both fields at both ends; one sparse LU.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+
+def _inverse_norm_estimate(solve, size: int) -> float:
+    """Lower bound of |A^-1|_1 by the Hager-Higham iteration with one column and at
+    most six products with A^-1, as scipy's ``onenormest(t=1)``; ``solve(v, transpose)``
+    applies A^-1 or A^-T. Draws no random numbers."""
+    x, est, j = np.full(size, 1.0 / size), 0.0, None
+    for k in range(6):
+        y = solve(x, False)
+        norm = float(np.abs(y).sum())
+        if k and norm <= est:
+            break
+        est = norm
+        z = np.abs(solve(np.where(y >= 0, 1.0, -1.0), True))
+        if k and z.max() == z[j]:
+            break
+        j = int(np.argmax(z))
+        x = np.eye(1, size, j)[0]
+    return est
+
+
+def solve_oscillator_vp(problem: OscillatorProblem) -> OscillatorSolution:
+    """Solve the coupled discrete Euler-Lagrange system M (y1, y2) = (data, data):
+    central interior rows y1'' + 2a y2' + b y1 = 0 and y2'' + 2a y1' + b y2 = 0, both
+    fields pinned at both ends. M = P diag(A+, A-) P with P = [[I, I], [I, -I]] / sqrt 2
+    and A+- = D2 + b I +- 2a D1 with pinned end rows, so s = y1 + y2 solves A+ s = 2 data
+    and d = y1 - y2 solves A- d = 0: d is exactly zero."""
     m = resonance_integer(problem.a, problem.b)
     if m is not None:
         raise ResonanceError(m)
-    n, a, b = problem.n, problem.a, problem.b
-    (D1,), D2 = _stencil_matrices(Grid((1.0,), (n,), (WALL,)))
-    own, cross = D2 + b * sp.identity(n), 2 * a * D1
-    pin = sp.diags(np.tile(np.r_[1.0, np.zeros(n - 2), 1.0], 2))      # the end rows
-    M = ((sp.identity(2 * n) - pin) @ sp.bmat([[own, cross], [cross, own]]) + pin).tocsc()
+    n, a, b, h = problem.n, problem.a, problem.b, problem.h
+    k2, k1 = 1 / h**2, a / h        # D2's off-diagonal entry and 2a D1's upper one
+    plus, minus = (([k2 - sign * k1] * (n - 2) + [0.0], [1.0, *[b - 2 * k2] * (n - 2), 1.0],
+                    [0.0] + [k2 + sign * k1] * (n - 2)) for sign in (1, -1))   # 3 bands each
+
+    def solve(v, transpose):        # M^-1 v, or M^-T v: A^T has the bands reversed
+        p, q = (np.array(_solve_tridiagonal(*(A[::-1] if transpose else A), w.tolist()))
+                for A, w in ((plus, v[:n] + v[n:]), (minus, v[:n] - v[n:])))
+        return np.r_[p + q, p - q] / 2
+
     data = np.r_[problem.alpha, np.zeros(n - 2), problem.beta]
-    try:
-        lu = spla.splu(M)
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(f"singular discrete system: {exc}") from exc
-    y1, y2 = np.split(lu.solve(np.tile(data, 2)), 2)
-    # |M|_1 |M^-1|_1; one probe column (t=1) draws nothing from numpy's RNG
-    inverse = spla.LinearOperator(M.shape, lu.solve, lambda r: lu.solve(r, "T"), dtype=float)
-    cond = float(abs(M).sum(axis=0).max() * spla.onenormest(inverse, t=1))
+    y1, y2 = np.split(solve(np.r_[data, data], False), 2)
+    # |M|'s columns are those of |D2 + bI| + |2a D1| = max(|A+|, |A-|), entrywise
+    lower, diag, upper = (np.maximum(np.abs(p), np.abs(q)) for p, q in zip(plus, minus))
+    norm = float((diag + np.r_[lower, 0.0] + np.r_[0.0, upper]).max())
+    cond = norm * _inverse_norm_estimate(solve, 2 * n)
     # end values are prescribed data: pin them exactly against solver roundoff
     y1[0] = y2[0] = problem.alpha
     y1[-1] = y2[-1] = problem.beta

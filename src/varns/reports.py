@@ -217,10 +217,6 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     return ScalarField(grid, values)
 
 
-def write_quartet_csv(outdir, quartet: FieldQuartet):
-    write_fields_csv(outdir, list(quartet_files(quartet).items()))
-
-
 _COMPARE_CHUNK = 1 << 16
 
 

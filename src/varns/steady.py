@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .grids import (
     FieldQuartet,
     Grid,
@@ -58,15 +56,6 @@ def steady_functional(state: FieldQuartet, nu: float) -> float:
     _, pos, neg = lagrangian_terms(state, nu, include_time=False)
     density = sum(pos) - sum(neg)
     return integrate_space(ScalarField(g, density), 0)
-
-
-def steady_functional_scale(state: FieldQuartet, nu: float) -> float:
-    """Magnitude proxy: integral of absolute term values, both halves."""
-    g = state.grid
-    _require_steady(g)
-    _, pos, neg = lagrangian_terms(state, nu, include_time=False)
-    total = sum(integrate_space(ScalarField(g, np.abs(t)), 0) for t in (*pos, *neg))
-    return max(total, 1e-300)
 
 
 def enclosing_radius(grid: Grid) -> float:
@@ -197,10 +186,6 @@ class SteadyBoundaryReport:
     closing_lhs: float
     closing_rhs: float
     all_periodic: bool
-
-    @property
-    def closing_margin(self) -> float:
-        return self.closing_rhs - self.closing_lhs
 
 
 def steady_boundary_estimate(state: FieldQuartet, nu: float,

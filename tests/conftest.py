@@ -5,7 +5,8 @@ the test modules that use them, except the 3D flow that the solver and the
 command-line tests share, the direct Newton steps (the assembled steady
 Jacobian and a sparse LU solve) that the solver and property tests share, and
 the stencil kernels built from ``np.roll`` that ``grids._d1``/``_d2`` must
-match to the bit.
+match to the bit. The field builders, the quartet writer and the steady
+functional's scale at the end serve tests only.
 """
 
 import numpy as np
@@ -19,7 +20,10 @@ from varns.grids import (
     Grid,
     ScalarField,
     VectorField,
+    integrate_space,
 )
+from varns.lagrangian import lagrangian_terms
+from varns.reports import quartet_files, write_fields_csv
 
 
 def smooth_scalar(rng, grid, wall_vanishing=False):
@@ -238,6 +242,30 @@ def abc_flow(grid, nu, A=1.0, B=0.8, C=0.6):
     vel = VectorField(grid, tuple(ScalarField(grid, c) for c in u))
     q = ScalarField(grid, -(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
     return FieldQuartet(vel, q, vel, q)
+
+
+def field_from_function(grid, fn):
+    """The scalar field ``fn(x0[, x1[, x2]], t)`` sampled on every node."""
+    return ScalarField(grid, np.asarray(fn(*grid.meshes()), dtype=float) + np.zeros(grid.shape))
+
+
+def vector_from_functions(grid, fns):
+    """The vector field whose components are ``fns`` evaluated on the grid."""
+    return VectorField(grid, tuple(field_from_function(grid, f) for f in fns))
+
+
+def write_quartet_csv(outdir, quartet):
+    """A quartet as snapshot CSVs, one file per field (``u_0.csv`` ... ``r.csv``)."""
+    write_fields_csv(outdir, list(quartet_files(quartet).items()))
+
+
+def steady_functional_scale(state, nu):
+    """Magnitude of the steady functional's terms: the integral of each term's
+    absolute value, both halves summed."""
+    g = state.grid
+    _, pos, neg = lagrangian_terms(state, nu, include_time=False)
+    total = sum(integrate_space(ScalarField(g, np.abs(t)), 0) for t in (*pos, *neg))
+    return max(total, 1e-300)
 
 
 @pytest.fixture

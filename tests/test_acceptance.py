@@ -42,7 +42,6 @@ from varns.solver import (
 from varns.steady import (
     inequality_chain_audit,
     steady_functional,
-    steady_functional_scale,
     uniqueness_certificate,
 )
 
@@ -51,6 +50,7 @@ from conftest import (
     boundary_rich_quartet,
     random_quartet,
     shift_state,
+    steady_functional_scale,
 )
 
 from test_oscillator import reference_solution

@@ -11,10 +11,10 @@ from varns import cli, reports, solver
 from varns.cli import main
 from varns.grids import FieldQuartet, Grid, ScalarField, VectorField, periodic_square
 from varns.lagrangian import el_residuals
-from varns.reports import write_field_csv, write_quartet_csv
+from varns.reports import write_field_csv
 from varns.scenarios import build_scenario
 
-from conftest import abc_flow, periodic_box
+from conftest import abc_flow, periodic_box, write_quartet_csv
 
 
 def run_cli(capsys, *argv):
@@ -716,18 +716,17 @@ def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, comma
 
 # --- cold start: scipy loads only where a sparse matrix is built ---------------
 
-SPARSE_FREE = {"evaluate": (), "energy": (), "variation-check": (), "residual": (),
-               "steady-cert": (), "inequality-audit": (), "extended": (),
+SPARSE_FREE = {"oscillator": (), "evaluate": (), "energy": (), "variation-check": (),
+               "residual": (), "steady-cert": (), "inequality-audit": (), "extended": (),
                "boundary-audit": (), "solve-unsteady": (),
                "taylor-green-verify": ("--refine", "2")}
 
 
 def test_sparse_free_subcommands_never_import_scipy(tmp_path):
-    """Ten subcommands build no sparse matrix, so none of them may import scipy,
-    whose import is most of a cold start. One fresh process runs them all through
-    ``cli.main``; ``solver.spla`` and ``oscillator.spla``, the names through which
-    tests and the tracer patch ``splu`` and ``gmres``, still resolve to
-    scipy.sparse.linalg."""
+    """Eleven subcommands build no sparse matrix, so none of them may import
+    scipy, whose import is most of a cold start. One fresh process runs them all
+    through ``cli.main``; ``solver.spla``, the name through which tests and the
+    tracer patch ``splu`` and ``gmres``, still resolves to scipy.sparse.linalg."""
     script = f"""
 import contextlib, io, sys
 from varns import cli
@@ -738,12 +737,39 @@ for name, flags in {SPARSE_FREE!r}.items():
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert code in (0, 2) and not loaded, (name, code, loaded[:3])
 import scipy.sparse.linalg
-from varns import oscillator, solver
-assert solver.spla is oscillator.spla is scipy.sparse.linalg
+from varns import solver
+assert solver.spla is scipy.sparse.linalg
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def fresh_process_env(**overrides):
+    """The environment of a fresh Python process that imports this ``varns``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+# --- report bytes against the BLAS thread count ---------------------------------
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: OpenBLAS inverts the (4T - 3)-row saddle "
+                          "blocks of newton-dual with other bits at two threads from T = 26")
+def test_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path):
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run = subprocess.run([sys.executable, "-m", "varns.cli", "newton-dual", "--n", "6",
+                              "--time-nodes", "26", "--out", str(out)],
+                             env=fresh_process_env(OPENBLAS_NUM_THREADS=threads),
+                             capture_output=True, text=True, timeout=300)
+        if run.returncode != 0:
+            pytest.fail(run.stderr)
+        reports[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    if len(reports["1"]) != 7 or reports["1"].keys() != reports["2"].keys():
+        pytest.fail(f"report files differ: {sorted(reports['1'])} against {sorted(reports['2'])}")
+    assert [name for name in sorted(reports["1"])
+            if reports["1"][name] != reports["2"][name]] == []

@@ -7,8 +7,10 @@ report. orjson writes the digits of every report float, and
 ``tests/test_reports.py`` fails if another orjson version writes any float
 other than its ``repr``. Every
 hash holds at one and at two BLAS threads, and CI checks both: the sparse
-LU (SuperLU) gives the same bits at any thread count, and so, as recorded,
-do the dense block inverses and products of the ``newton-dual`` preconditioner.
+LU (SuperLU) and the oscillator's tridiagonal eliminations give the same bits
+at any thread count, and so, as recorded, do the dense block inverses and
+products of the ``newton-dual`` preconditioner at these sizes; from 26 time
+nodes on they do not (``tests/test_cli.py``, ROADMAP item 13).
 
 To print the hashes of the current code (after an intended change of
 output), run ``python tests/test_golden.py`` from the repository root.
@@ -138,10 +140,10 @@ GOLDEN = {
     },
     "oscillator": {
         "exit": 0,
-        "stdout": "8edb2e0c562e37ac8bc90cc02cde938d12856663ed3ed53a0491c22046f4a287",
+        "stdout": "ab4dd69a592aa2ddc5fbc0f0b34f5506d937b4182daf7ac80433c826a911a21a",
         "files": {
-            "oscillator.csv": "bada8a40cd7c75497f9230136f931ed31c7ea2f5534381dd558fcca4930e56dc",
-            "oscillator_verdict.json": "c44b262d9bd32236d387ca852f5900188b49eb575fb4aac5088a837f5cce3337",
+            "oscillator.csv": "498bfa6c95eba2bbb9bb887e85529aa47175bf2d88c50b81e8deb8967a3835b7",
+            "oscillator_verdict.json": "ae6943ec8506bac9097c7e6dd58ecde3e74d1490811dbb1c1f7c92541525dd3b",
         },
     },
     "residual": {

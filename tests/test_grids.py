@@ -18,7 +18,7 @@ from varns.grids import (
     time_derivative,
 )
 
-from conftest import smooth_scalar
+from conftest import field_from_function, smooth_scalar, vector_from_functions
 
 
 def wall_line(n, extent=1.0, time_nodes=1, dt=0.0):
@@ -79,7 +79,7 @@ def test_field_shape_validation():
 
 def test_gradient_constant_is_zero():
     g = wall_square(9)
-    f = ScalarField.from_function(g, lambda x, y, t: 3.7 + 0 * x)
+    f = field_from_function(g, lambda x, y, t: 3.7 + 0 * x)
     # one-sided closures leave a few ulps of cancellation noise
     assert np.max(np.abs(gradient(f, 0).values)) < 5e-14
     assert np.max(np.abs(gradient(f, 1).values)) < 5e-14
@@ -87,7 +87,7 @@ def test_gradient_constant_is_zero():
 
 def test_gradient_linear_exact_on_walls():
     g = wall_line(17)
-    f = ScalarField.from_function(g, lambda x, t: x)
+    f = field_from_function(g, lambda x, t: x)
     assert np.max(np.abs(gradient(f, 0).values - 1.0)) < 1e-13
 
 
@@ -120,14 +120,14 @@ def test_gradient_periodic_second_order():
 
 def test_divergence_constant_vector():
     g = wall_square(7)
-    v = VectorField.from_functions(g, [lambda x, y, t: 1.0 + 0 * x,
+    v = vector_from_functions(g, [lambda x, y, t: 1.0 + 0 * x,
                                        lambda x, y, t: -2.0 + 0 * x])
     assert np.max(np.abs(divergence(v).values)) == 0.0
 
 
 def test_divergence_solenoidal_vortex():
     g = periodic_square(32)
-    v = VectorField.from_functions(
+    v = vector_from_functions(
         g, [lambda x, y, t: -np.cos(x) * np.sin(y),
             lambda x, y, t: np.sin(x) * np.cos(y)])
     # analytically solenoidal; the equal-spacing central stencil keeps it so
@@ -136,7 +136,7 @@ def test_divergence_solenoidal_vortex():
 
 def test_divergence_linear_field():
     g = wall_square(9)
-    v = VectorField.from_functions(g, [lambda x, y, t: x,
+    v = vector_from_functions(g, [lambda x, y, t: x,
                                        lambda x, y, t: 0 * x])
     assert np.max(np.abs(divergence(v).values - 1.0)) < 1e-12
 
@@ -147,13 +147,13 @@ def test_divergence_linear_field():
 
 def test_laplacian_constant():
     g = wall_square(8)
-    f = ScalarField.from_function(g, lambda x, y, t: 5.0 + 0 * x)
+    f = field_from_function(g, lambda x, y, t: 5.0 + 0 * x)
     assert np.max(np.abs(laplacian(f).values)) < 1e-12
 
 
 def test_laplacian_quadratic_interior_exact():
     g = wall_line(11)
-    f = ScalarField.from_function(g, lambda x, t: x ** 2 / 2)
+    f = field_from_function(g, lambda x, t: x ** 2 / 2)
     lap = laplacian(f).values[1:-1]
     assert np.max(np.abs(lap - 1.0)) < 1e-11
 
@@ -162,7 +162,7 @@ def test_laplacian_trig_second_order():
     errs = []
     for n in (16, 32, 64):
         g = periodic_square(n)
-        f = ScalarField.from_function(g, lambda x, y, t: np.sin(x) * np.sin(y))
+        f = field_from_function(g, lambda x, y, t: np.sin(x) * np.sin(y))
         errs.append(np.max(np.abs(laplacian(f).values + 2 * f.values)))
     assert 3.3 <= errs[0] / errs[1] <= 4.7
     assert 3.3 <= errs[1] / errs[2] <= 4.7
@@ -174,9 +174,9 @@ def test_laplacian_trig_second_order():
 
 def test_time_derivative_constant_and_linear():
     g = wall_line(5, time_nodes=9, dt=0.125)
-    f = ScalarField.from_function(g, lambda x, t: 2.0 + 0 * t)
+    f = field_from_function(g, lambda x, t: 2.0 + 0 * t)
     assert np.max(np.abs(time_derivative(f).values)) == 0.0
-    f = ScalarField.from_function(g, lambda x, t: 3 * t)
+    f = field_from_function(g, lambda x, t: 3 * t)
     assert np.max(np.abs(time_derivative(f).values - 3.0)) < 1e-12
 
 
@@ -185,8 +185,8 @@ def test_time_derivative_trig_second_order():
     for tn in (9, 17, 33):
         dt = 1.0 / (tn - 1)
         g = wall_line(5, time_nodes=tn, dt=dt)
-        f = ScalarField.from_function(g, lambda x, t: np.cos(2 * np.pi * t))
-        exact = ScalarField.from_function(
+        f = field_from_function(g, lambda x, t: np.cos(2 * np.pi * t))
+        exact = field_from_function(
             g, lambda x, t: -2 * np.pi * np.sin(2 * np.pi * t))
         errs.append(np.max(np.abs(time_derivative(f).values - exact.values)))
     assert 3.3 <= errs[0] / errs[1] <= 4.7
@@ -205,20 +205,20 @@ def test_time_derivative_needs_three_nodes():
 
 def test_integrate_space_unit_square():
     g = wall_square(13)
-    one = ScalarField.from_function(g, lambda x, y, t: 1.0 + 0 * x)
+    one = field_from_function(g, lambda x, y, t: 1.0 + 0 * x)
     assert integrate_space(one, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_integrate_space_linear_exact():
     for n in (5, 9, 40):
         g = wall_line(n)
-        f = ScalarField.from_function(g, lambda x, t: x)
+        f = field_from_function(g, lambda x, t: x)
         assert integrate_space(f, 0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_integrate_space_periodic_trig_machine():
     g = Grid((2 * np.pi,), (24,), ("periodic",))
-    f = ScalarField.from_function(g, lambda x, t: np.sin(x) ** 2)
+    f = field_from_function(g, lambda x, t: np.sin(x) ** 2)
     assert integrate_space(f, 0) == pytest.approx(np.pi, abs=1e-13)
 
 
@@ -226,7 +226,7 @@ def test_integrate_spacetime_trivial():
     g = Grid((1.0, 1.0, 1.0), (5, 5, 5), ("wall",) * 3, time_nodes=5, dt=0.25)
     one = ScalarField(g, np.ones(g.shape))
     assert integrate_spacetime(one) == pytest.approx(1.0, abs=1e-13)
-    tfield = ScalarField.from_function(g, lambda x, y, z, t: t + 0 * x)
+    tfield = field_from_function(g, lambda x, y, z, t: t + 0 * x)
     assert integrate_spacetime(tfield) == pytest.approx(0.5, abs=1e-13)
 
 
@@ -239,7 +239,7 @@ def test_integrate_spacetime_product_second_order():
     for tn in (9, 17, 33):
         dt = tau / (tn - 1)
         g = Grid((2 * np.pi,), (32,), ("periodic",), time_nodes=tn, dt=dt)
-        f = ScalarField.from_function(
+        f = field_from_function(
             g, lambda x, t: np.sin(2 * np.pi * t) ** 2 * np.sin(x) ** 2)
         errs.append(abs(integrate_spacetime(f) - exact))
     assert errs[-1] < 1e-3
@@ -253,21 +253,21 @@ def test_integrate_spacetime_product_second_order():
 
 def test_boundary_integral_constant_cancels():
     g = wall_square(9)
-    v = VectorField.from_functions(g, [lambda x, y, t: 2.5 + 0 * x,
+    v = vector_from_functions(g, [lambda x, y, t: 2.5 + 0 * x,
                                        lambda x, y, t: 0 * x])
     assert boundary_integral(v, 0) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_boundary_integral_matches_divergence_integral():
     g = wall_square(9)
-    v = VectorField.from_functions(g, [lambda x, y, t: x, lambda x, y, t: 0 * x])
+    v = vector_from_functions(g, [lambda x, y, t: x, lambda x, y, t: 0 * x])
     assert boundary_integral(v, 0) == pytest.approx(1.0, abs=1e-13)
     assert integrate_space(divergence(v), 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_boundary_integral_all_periodic_zero():
     g = periodic_square(8)
-    v = VectorField.from_functions(g, [lambda x, y, t: np.sin(x),
+    v = vector_from_functions(g, [lambda x, y, t: np.sin(x),
                                        lambda x, y, t: np.cos(y)])
     assert boundary_integral(v, 0) == 0.0
 
@@ -276,7 +276,7 @@ def test_discrete_divergence_theorem_second_order():
     errs = []
     for n in (17, 33, 65):
         g = wall_square(n)
-        v = VectorField.from_functions(
+        v = vector_from_functions(
             g, [lambda x, y, t: np.exp(x) * np.cos(2 * y),
                 lambda x, y, t: np.sin(x + y)])
         gap = abs(integrate_space(divergence(v), 0) - boundary_integral(v, 0))

@@ -20,7 +20,13 @@ from varns.lagrangian import (
     swap_functional,
 )
 
-from conftest import admissible_direction, random_quartet, shift_state, smooth_scalar
+from conftest import (
+    admissible_direction,
+    random_quartet,
+    shift_state,
+    smooth_scalar,
+    vector_from_functions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +319,7 @@ def test_deformation_eigenvalue_linear_2d():
     # field (a x + b y, c x + d y): sym-grad = [[a, (b+c)/2], [(b+c)/2, d]]
     a, b, c, d = 0.4, -1.2, 0.6, -0.1
     g = Grid((1.0, 1.0), (9, 9), ("wall", "wall"))
-    v = VectorField.from_functions(
+    v = vector_from_functions(
         g, [lambda x, y, t: a * x + b * y, lambda x, y, t: c * x + d * y])
     lam = deformation_eigenvalue(v)
     M = np.array([[a, (b + c) / 2], [(b + c) / 2, d]])
@@ -325,7 +331,7 @@ def test_deformation_eigenvalue_linear_3d():
     g = Grid((1.0, 1.0, 1.0), (5, 6, 7), ("wall",) * 3)
     fns = [lambda x, y, z, t, r=row: r[0] * x + r[1] * y + r[2] * z
            for row in coeffs]
-    v = VectorField.from_functions(g, fns)
+    v = vector_from_functions(g, fns)
     lam = deformation_eigenvalue(v)
     M = (coeffs + coeffs.T) / 2
     assert lam == pytest.approx(np.linalg.eigvalsh(M)[-1], abs=1e-9)

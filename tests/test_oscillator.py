@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varns import oscillator
 from varns.grids import _d1, _d2
 from varns.oscillator import (
     OscillatorProblem,
     ResonanceError,
+    _inverse_norm_estimate,
+    _solve_tridiagonal,
     galerkin_identity_residual,
     oscillator_functional,
+    resonance_integer,
     solve_oscillator_vp,
 )
 
@@ -113,10 +116,10 @@ def test_resonance_detected_with_integer():
 
 
 def test_well_posed_flag():
-    assert OscillatorProblem(1.0, 20.0, 0.0, 1.0, 10).well_posed
-    assert not OscillatorProblem(0.0, np.pi ** 2, 0.0, 1.0, 10).well_posed
+    assert resonance_integer(1.0, 20.0) is None
+    assert resonance_integer(0.0, np.pi ** 2) == 1
     # b = a^2 (double root) is uniquely solvable, not a resonance
-    assert OscillatorProblem(2.0, 4.0, 0.0, 1.0, 10).well_posed
+    assert resonance_integer(2.0, 4.0) is None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -150,12 +153,82 @@ def test_condition_estimate_is_deterministic_and_draws_no_random_numbers():
     assert before[2:] == after[2:]
 
 
-def test_singular_factor_reported(monkeypatch):
-    def singular(_):
-        raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(oscillator.spla, "splu", singular)
+def test_singular_factor_reported():
+    # a = 1/h and b = 2/h^2 zero the entries (i, i-1) and (i, i) of every interior
+    # row of D2 + bI + 2a D1, so its column 1 is zero: a zero pivot, exactly. The
+    # continuum problem is not resonant: b - a^2 = 16 is not (m pi)^2.
+    pr = OscillatorProblem(4.0, 32.0, 0.0, 1.0, 5)
+    assert resonance_integer(pr.a, pr.b) is None
     with pytest.raises(np.linalg.LinAlgError, match="singular discrete system"):
-        solve_oscillator_vp(OscillatorProblem(1.0, 20.0, 0.0, 1.0, 16))
+        solve_oscillator_vp(pr)
+
+
+@pytest.mark.parametrize("diagonal_scale", [1e-3, 1e3])   # swap rows at almost every step, or never
+def test_tridiagonal_elimination_matches_a_dense_solve(diagonal_scale):
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 7, 16, 33):
+        lower, upper, rhs = rng.normal(size=n - 1), rng.normal(size=n - 1), rng.normal(size=n)
+        diag = diagonal_scale * rng.normal(size=n)
+        A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        # the transpose is the same elimination with the bands reversed
+        for bands, M in (((lower, diag, upper), A), ((upper, diag, lower), A.T)):
+            got = np.array(_solve_tridiagonal(*(band.tolist() for band in bands), rhs.tolist()))
+            want = np.linalg.solve(M, rhs)
+            tol = 16 * np.finfo(float).eps * np.linalg.cond(M, 1) * np.abs(want).max()
+            assert np.abs(got - want).max() <= tol
+
+
+def test_inverse_norm_estimate_is_scipys_one_column_onenormest():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(3, 40))
+        inverse = np.linalg.inv(rng.normal(size=(n, n)))
+        op = spla.LinearOperator((n, n), matvec=lambda v: inverse @ v,
+                                 rmatvec=lambda v: inverse.T @ v, dtype=float)
+        got = _inverse_norm_estimate(lambda v, transpose: (inverse.T if transpose
+                                                          else inverse) @ v, n)
+        assert got == spla.onenormest(op, t=1)
+
+
+def dense_coupled_system(pr):
+    """The coupled 2n x 2n system M, assembled densely from the array stencils of
+    the identity: D2 + bI on the diagonal blocks, 2a D1 off them, the rows of the
+    four end nodes replaced by identity rows. Returns M and its right-hand side."""
+    n, a, b, h = pr.n, pr.a, pr.b, pr.h
+    eye = np.eye(n)
+    own = _d2(eye, 0, h, periodic=False) + b * eye
+    cross = 2 * a * _d1(eye, 0, h, periodic=False)
+    M = np.block([[own, cross], [cross, own]])
+    for row in (0, n - 1, n, 2 * n - 1):
+        M[row] = 0.0
+        M[row, row] = 1.0
+    data = np.r_[pr.alpha, np.zeros(n - 2), pr.beta]
+    return M, np.r_[data, data]
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (1.0, 20.0, 33), (0.5, 30.0, 64), (2.0, 60.0, 17), (-3.0, 120.0, 40),
+    (2.0, 1.0, 8), (1.3, -10.0, 4),
+    (0.0, np.pi ** 2 + 1e-3, 64),        # within 1e-3 of the first resonance
+    (1.0, 50.0, 6),                      # b = 2/h^2: zero interior diagonal, so it must pivot
+])
+def test_solution_and_condition_estimate_match_the_dense_coupled_system(a, b, n):
+    pr = OscillatorProblem(a, b, 0.3, -1.1, n)
+    sol = solve_oscillator_vp(pr)
+    M, rhs = dense_coupled_system(pr)
+    want = np.linalg.solve(M, rhs)
+    cond = np.linalg.cond(M, 1)
+    got = np.r_[sol.y1, sol.y2]
+    scale = np.abs(want).max()
+    # both solves are backward stable, so they agree to within the forward error
+    # bound eps * cond(M), which exceeds 1e-12 near resonance
+    tol = max(1e-12, 16 * np.finfo(float).eps * cond) * scale
+    assert np.abs(got - want).max() <= tol
+    assert np.abs(M @ got - rhs).max() <= 1e-13 * np.abs(M).sum(axis=1).max() * scale
+    # a Hager-Higham estimate is a lower bound, up to roundoff, and rarely 3x low;
+    # on these systems it finds the column of largest norm, so it is |M^-1|_1
+    assert cond / 3 <= sol.condition_estimate <= (1 + 1e-10) * cond
+    assert sol.condition_estimate >= (1 - 1e-6) * cond
 
 
 def test_near_resonance_condition_estimate_blows_up():

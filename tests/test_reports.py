@@ -17,15 +17,14 @@ from varns.reports import (
     read_quartet_csv,
     write_field_csv,
     write_fields_csv,
-    write_quartet_csv,
 )
 
-from conftest import random_quartet
+from conftest import field_from_function, random_quartet, write_quartet_csv
 
 
 def test_field_csv_layout(tmp_path):
     g = Grid((1.0, 2.0), (3, 4), ("wall", "periodic"), time_nodes=3, dt=0.5)
-    f = ScalarField.from_function(g, lambda x, y, t: x + 10 * y + 100 * t)
+    f = field_from_function(g, lambda x, y, t: x + 10 * y + 100 * t)
     path = tmp_path / "f.csv"
     write_field_csv(path, f)
     lines = path.read_text().splitlines()
@@ -482,7 +481,7 @@ def test_table_writer_formats_each_column_by_its_type(tmp_path):
 
 def test_write_reports_writes_each_kind_and_the_fields_in_one_call(tmp_path, monkeypatch):
     g = periodic_square(4, time_nodes=3, dt=0.1)
-    f = ScalarField.from_function(g, lambda x, y, t: x - y + t)
+    f = field_from_function(g, lambda x, y, t: x - y + t)
     calls, real = [], reports.write_fields_csv
     monkeypatch.setattr(reports, "write_fields_csv",
                         lambda outdir, fields: calls.append(fields) or real(outdir, fields))
