@@ -7,10 +7,11 @@ one-line JSON summary, its reports and whether its checks passed; ``main``
 writes the reports under the output directory (``--out``, then the config,
 then ``$VARNS_OUT``, then ``./varns-out``) and prints the summary to stdout.
 
-Exit codes: 0 success / checks passed, 2 checks failed (resonance, unmet
-certificate, non-convergence, order band violation), 1 usage or config error
-(an unknown subcommand, flag or key, a malformed, mistyped or non-finite value,
-an unwritable output path): the parser checks every flag, ``_merge`` every config value.
+Exit codes: 0 success / checks passed, 2 checks failed (resonance, a singular
+discrete oscillator, unmet certificate, non-convergence, order band violation),
+1 usage or config error (an unknown subcommand, flag or key, a malformed,
+mistyped or non-finite value, an unwritable output path): the parser checks
+every flag, ``_merge`` every config value.
 """
 
 from __future__ import annotations
@@ -221,16 +222,16 @@ def cmd_oscillator(args, cfg, grid, state):
     if not np.isfinite(analytic).all():
         raise ValueError(f"--a {args.a!r} and --b {args.b!r} give a closed-form "
                          "solution that is not finite in floating point")
-    sol = solve_oscillator_vp(problem)
+    levels = [OscillatorProblem(args.a, args.b, args.alpha, args.beta, n)
+              for n in [(problem.n - 1) // 2 ** k + 1 for k in (2, 1)
+                        if (problem.n - 1) % 2 ** k == 0 and (problem.n - 1) // 2 ** k >= 3]]
+    try:
+        sol, *coarse = map(solve_oscillator_vp, [problem, *levels])
+    except np.linalg.LinAlgError as exc:    # a zero pivot: no unique discrete solution
+        return {"error": "singular", "detail": str(exc)}, {}, False
     max_err = float(np.max(np.abs(sol.y_mean - analytic)))
-
-    errors = []
-    for n in [(problem.n - 1) // 2 ** k + 1 for k in (2, 1)
-              if (problem.n - 1) % 2 ** k == 0 and (problem.n - 1) // 2 ** k >= 3]:
-        pr = OscillatorProblem(args.a, args.b, args.alpha, args.beta, n)
-        sl = solve_oscillator_vp(pr)
-        errors.append(float(np.max(np.abs(sl.y_mean - pr.analytic_solution(pr.x())))))
-    errors.append(max_err)
+    errors = [float(np.max(np.abs(sl.y_mean - pr.analytic_solution(pr.x()))))
+              for pr, sl in zip(levels, coarse)] + [max_err]
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1) if errors[i + 1] > 0]
     # no coarser level, or no nonzero finer error (a node-exact solution): no order
     order = float(np.mean([math.log2(r) for r in ratios])) if ratios else None

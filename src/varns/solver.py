@@ -15,12 +15,16 @@ Four routes to the stationary point:
   ``grids._stencil_matrices`` builds and one pressure gauge (``_Components``):
   a pin at one node of each component of the central-gradient graph, and a
   reported pressure of zero mean on each. Their linear systems are solved by
-  GMRES with a Jacobian that is never assembled: an operator applied from its
+  GMRES (:func:`_gmres`, restarted and right-preconditioned, in numpy) with a
+  Jacobian that is never assembled: an operator applied from its
   Kronecker factors in space-time, from advection coefficients computed once
   per Newton step in the steady case. GMRES is preconditioned by the Fourier
   inverse of the linear part (in space-time, two real blocks per spatial mode
   of the rfft half); steady systems on grids with a wall axis take instead one
-  sparse LU of their linear part per solve.
+  sparse LU of their linear part per solve. Newton is inexact: each step asks
+  GMRES only for the linear residual that would take the Newton residual to half
+  the stop (:func:`_newton_loop`), so the last steps take a few iterations where
+  a fixed relative target of 1e-12 ran GMRES to its iteration limit.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
@@ -56,10 +60,6 @@ from .grids import (
 )
 from .lagrangian import LagrangianReport, el_residuals, evaluate_lagrangian
 
-if TYPE_CHECKING:       # scipy is imported where sparse systems are built or solved
-    import scipy.sparse.linalg as spla
-
-
 def __getattr__(name: str):
     """``spla``: scipy.sparse.linalg, imported on first use, not with the module."""
     if name == "spla":
@@ -77,20 +77,23 @@ TWO_PI = 2 * np.pi
 _MAX_NEWTON_BYTES = 600e6
 
 #: memory per space-time unknown beside the preconditioner's blocks: the GMRES
-#: basis (61 vectors, 488 B, all used when GMRES stalls at odd T), the iterates
-#: and the operator's temporaries. Peak RSS growth of whole newton-dual runs less
-#: the blocks, single-thread BLAS on a 2-vCPU Xeon: 318 B at 64^2 x 16 and 427 B
-#: at the ABC flow's 16^3 x 8; with a stalled odd-T GMRES 709 B at 64^2 x 17 and
-#: 753, 751 and 751 B at 16^3 x 13, 16^3 x 18 and 16^3 x 19
+#: basis (61 vectors, 488 B when all are used), the iterates and the operator's
+#: temporaries. Peak RSS growth of whole newton-dual runs less the blocks,
+#: single-thread BLAS on a 2-vCPU Xeon: 318 B at 64^2 x 16 and 427 B at the ABC
+#: flow's 16^3 x 8; 709 B at 64^2 x 17 and 753, 751 and 751 B at 16^3 x 13, 16^3 x
+#: 18 and 16^3 x 19 when a fixed GMRES target of 1e-12 filled the basis at odd T.
+#: Since the forcing term of _newton_loop, no measured solve fills it: 64^2 x 17
+#: peaks at 0.27 GB (0.43 GB before); the value is not yet re-fitted
 _BYTES_PER_UNKNOWN = 800
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration failed to reach its tolerance; carries the history."""
+    """Iteration failed to reach its tolerance; carries the history and, from a
+    steady Newton solve, the (iterations, met) of each step's GMRES."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history=None, gmres=None):
         super().__init__(message)
-        self.history = history
+        self.history, self.gmres = history, gmres
 
 
 class StagnationError(ConvergenceError):
@@ -121,6 +124,8 @@ class Trajectory:
     converged: bool
     #: the functional of ``state`` at the config's viscosity, when the solve has it
     report: LagrangianReport | None = None
+    #: per Newton step: GMRES iterations and whether GMRES met the forcing term
+    gmres: tuple[tuple[int, bool], ...] = ()
 
 
 def _require_periodic(grid: Grid, unsteady: bool):
@@ -281,16 +286,28 @@ def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
 
 class _Components:
     """Components of the graph linking P(x + e_a) to P(x - e_a) at each interior
-    node x: the central gradient's null space is the pressures constant on each.
-    Both Newton systems pin P at the ``first`` node of each component and report
-    it ``centred``, with zero mean on each component."""
+    node x of a grid of ``nodes`` (links wrap only along periodic axes: a wall axis
+    has no interior node on its ends): the central gradient's null space is the
+    pressures constant on each. Both Newton systems pin P at the ``first`` node of
+    each component and report it ``centred``, with zero mean on each component.
+    Linked roots are hooked, the larger onto the smaller, and pointer jumping makes
+    each root its component's smallest node: components are numbered in the order
+    of their smallest node, as scipy's ``connected_components`` numbers them."""
 
-    def __init__(self, DX, interior: np.ndarray):
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-        stencils = sp.vstack([abs(D[interior]) for D in DX])   # interior central rows
-        _, self.labels = connected_components(stencils.T @ stencils, directed=False)
-        self.first = np.unique(self.labels, return_index=True)[1]
+    def __init__(self, nodes: tuple[int, ...], interior: np.ndarray):
+        S = interior.size
+        grid_index, inner = np.arange(S).reshape(nodes), interior.reshape(nodes)
+        ends = [np.concatenate([np.roll(grid_index, shift, a)[inner] for a in range(len(nodes))])
+                for shift in (1, -1)]
+        root = np.arange(S)
+        while not ((ra := root[ends[0]]) == (rb := root[ends[1]])).all():
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not ((jump := root[root]) == root).all():
+                root = jump
+        self.first = np.flatnonzero(root == np.arange(S))
+        number = np.empty(S, dtype=np.intp)
+        number[self.first] = np.arange(len(self.first))
+        self.labels = number[root]
         self.counts = np.bincount(self.labels)
 
     def centred(self, P: np.ndarray) -> np.ndarray:
@@ -327,7 +344,7 @@ class _DualNewtonSystem:
         DT = _stencil_matrix(_d1, T, grid.dt, periodic=False).toarray()
         self.stencils = sp.vstack([LAP, *DX], format="csr")     # B_1, B_2, ... stacked
         self.g = np.array(data, dtype=float).reshape(d, S)
-        self.gauge = _Components(DX, np.ones(S, dtype=bool))
+        self.gauge = _Components(grid.nodes, np.ones(S, dtype=bool))
         self.n_dof, self.spec = m * S, _Spectral(grid)
 
         # slice selectors: data (0), matching (T-1), momentum rows of u (1..T-1)
@@ -406,13 +423,12 @@ class _DualNewtonSystem:
         return F
 
     # -- Jacobian ----------------------------------------------------------
-    def jacobian(self, z: np.ndarray) -> spla.LinearOperator:
-        """J(z) = L + N(z) as an operator: L v = sum_k A_k V B_k^T (V the (m, S) array
+    def jacobian(self, z: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> J(z) v, J = L + N(z): L v = sum_k A_k V B_k^T (V the (m, S) array
         of v; v itself on the pin rows), and N, the advection linearization, adds
         sum_j c_ij (du_j + dw_j) + s_j (D_i db_j + D_j db_i) to momentum row i of each
         family (b the other one), c_ij = -(D_j b_i + D_i b_j) / 2 and s_j = -(u_j +
         w_j) / 2 computed once. N vanishes at z = 0, where J is L."""
-        import scipy.sparse.linalg as spla
         d, T, S, vel, first = self.grid.dim, self.T, self.S, self.velocities, self.gauge.first
         factors = lambda V: np.concatenate(      # the stack of V B_k^T, k = 0, 1, ...
             [V[None], (self.stencils @ V.T).reshape(-1, S, len(V)).transpose(0, 2, 1)])
@@ -432,10 +448,12 @@ class _DualNewtonSystem:
                           + sweep * partners(BV)).sum(2).reshape(vel, S)
             out[vel:, first] = V[vel:, first]
             return out.ravel()
-        return spla.LinearOperator((self.n_dof,) * 2, matvec, dtype=float)
+        return matvec
 
-    def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return _krylov_step(self.jacobian(z), F, self._solve_linear_part)
+    def newton_step(self, z: np.ndarray, F: np.ndarray, eta: float):
+        """:func:`_gmres`'s (s, iterations, met) for J(z) s = -F to the forcing term
+        ``eta``."""
+        return _gmres(self.jacobian(z), -F, self._solve_linear_part, eta)
 
     @functools.cached_property
     def _block_inverses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -562,14 +580,16 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         system = _DualNewtonSystem(grid, nu, *initial)
         if z is None:
             z = system.pack(seed)
-        record = ([], [], [])          # history of the stage that finishes last
+        record, steps = ([], [], []), []      # history of the stage that finishes last
 
-        def log(zz, norm, system=system, record=record):
+        def log(zz, norm, gmres, system=system, record=record, steps=steps):
             nonlocal q, rep            # the quartet of the last iterate and its
             q = system.to_quartet(zz)  # functional, returned
             rep = evaluate_lagrangian(q, system.nu)
             for h, x in zip(record, (norm, u_w_gap(q), rep.J)):
                 h.append(x)
+            if gmres:
+                steps.append(gmres)
 
         try:
             z, ok = _newton_loop(system, z, config, tol, log)
@@ -580,7 +600,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         if not ok:
             break
     return Trajectory(q, *(np.array(h) for h in record), ok,
-                      rep if system.nu == config.nu else None)
+                      rep if system.nu == config.nu else None, tuple(steps))
 
 
 def _newton_dual_bytes(grid: Grid) -> float:
@@ -606,17 +626,26 @@ def _viscosity_ladder(config: SolveConfig) -> list[tuple[float, float]]:
 
 def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
                  measure=np.linalg.norm):
-    """At most ``config.max_newton`` Newton steps ``system.newton_step`` on ``system``,
-    each halved until the residual norm (``measure``) drops, to norm <= tol * max(1,
-    initial norm); ``log`` sees every iterate. Returns (z, converged)."""
+    """At most ``config.max_newton`` inexact Newton steps ``system.newton_step`` on
+    ``system``, each halved until the residual norm (``measure``) drops, to norm <=
+    tol_eff = tol * max(1, initial norm); ``log(z, norm, gmres)`` sees every iterate,
+    with the (iterations, converged) of the GMRES solve that reached it (None for
+    the first). Returns (z, converged).
+
+    Inexact Newton: each step asks GMRES for |F + J s| <= eta |F| (2-norms), with
+    the forcing term eta = tol_eff / (2 norm), the relative reduction that would
+    take the residual to half the stop: early steps are solved tightly, the last
+    loosely, and none beyond what the stop needs, in either norm. Eisenstat and
+    Walker's choice 2 loosens the next-to-last step too, and so costs a third
+    Newton step where most of these solves take two."""
     F = system.residual(z)
     norm = measure(F)
     tol_eff = tol * max(1.0, norm)
-    log(z, norm)
+    log(z, norm, None)
     for _ in range(config.max_newton):
         if norm <= tol_eff:
             return z, True
-        step = system.newton_step(z, F)
+        step, iterations, met = system.newton_step(z, F, 0.5 * tol_eff / norm)
         if not np.isfinite(step).all():
             raise ConvergenceError(f"non-finite Newton step at residual {norm:.3e}")
         alpha = 1.0
@@ -630,16 +659,57 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
         else:
             return z, norm <= tol_eff
         z, F, norm = z_try, F_try, n_try
-        log(z, norm)
+        log(z, norm, (iterations, met))
     return z, norm <= tol_eff
 
 
-def _krylov_step(J, F: np.ndarray, precondition) -> np.ndarray:
-    """-J^{-1} F by GMRES (J a matrix or an operator) preconditioned by ``precondition``
-    (an approximate J^{-1} of a vector); the line search absorbs an inexact step."""
-    import scipy.sparse.linalg as spla
-    M = spla.LinearOperator(J.shape, precondition, dtype=float)
-    return spla.gmres(J, -F, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=10)[0]
+def _gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int = 60,
+           cycles: int = 10):
+    """x with |b - A x| <= rtol |b| by restarted GMRES, A applied by ``matvec`` and
+    preconditioned on the right by ``precondition`` (an approximate A^{-1}), for at
+    most ``cycles`` cycles of ``restart`` iterations. One Krylov basis of restart + 1
+    vectors; Arnoldi by modified Gram-Schmidt, its least-squares problem by Givens
+    rotations, and x += M^{-1} V y once per cycle. The target is checked on the true
+    residual b - A x at the end of each cycle. Returns (x, iterations, whether x met
+    the target); b = 0 returns x = 0."""
+    x, r = np.zeros_like(b), b
+    beta, target = np.linalg.norm(b), rtol * np.linalg.norm(b)
+    V, iterations = np.empty((restart + 1, len(b))), 0
+    for _ in range(cycles):
+        if beta <= target:
+            break
+        H, g = np.zeros((restart + 1, restart)), np.zeros(restart + 1)
+        c, s = np.zeros(restart), np.zeros(restart)
+        np.divide(r, beta, out=V[0])
+        g[0] = beta
+        for k in range(restart):
+            w = matvec(precondition(V[k]))
+            size = np.linalg.norm(w)
+            for i in range(k + 1):
+                H[i, k] = V[i] @ w
+                w -= H[i, k] * V[i]
+            H[k + 1, k] = np.linalg.norm(w)
+            iterations += 1
+            invariant = H[k + 1, k] <= np.finfo(float).eps * size
+            if not invariant:
+                np.divide(w, H[k + 1, k], out=V[k + 1])
+            for i in range(k):
+                H[i, k], H[i + 1, k] = (c[i] * H[i, k] + s[i] * H[i + 1, k],
+                                        c[i] * H[i + 1, k] - s[i] * H[i, k])
+            rho = np.hypot(H[k, k], H[k + 1, k])
+            c[k], s[k] = (H[k, k] / rho, H[k + 1, k] / rho) if rho else (1.0, 0.0)
+            H[k, k], g[k], g[k + 1] = rho, c[k] * g[k], -s[k] * g[k]
+            if abs(g[k + 1]) <= target or invariant:
+                break
+        y = g[:k + 1].copy()
+        for i in range(k, -1, -1):      # back substitution; a zero pivot leaves y_i 0
+            y[i] = (y[i] - H[i, i + 1:k + 1] @ y[i + 1:]) / H[i, i] if H[i, i] else 0.0
+        x += precondition(y @ V[:k + 1])
+        r = b - matvec(x)
+        beta = np.linalg.norm(r)
+        if invariant:
+            break
+    return x, iterations, bool(beta <= target)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +749,7 @@ class _SteadyNewtonSystem:
         self.DX_stacked = sp.vstack(self.DX, format="csr")     # row j S + x: D_j at x
         self.interior = m = ~_wall_boundary_mask(grid)[..., 0].ravel()
         self.periodic = m.all()
-        self.gauge = gauge = _Components(self.DX, m)
+        self.gauge = gauge = _Components(grid.nodes, m)
         K, labels, nodes = len(gauge.first), gauge.labels, np.arange(S)
         # a multiplier on a component with an interior node is a mass defect
         self.watched = np.bincount(labels, m) > 0
@@ -728,10 +798,9 @@ class _SteadyNewtonSystem:
         v, m = self.unpack(z)[0], self.interior
         return [[m * (D @ vi) for D in self.DX] for vi in v], [m * vj for vj in v]
 
-    def jacobian_operator(self, z: np.ndarray, shift: float) -> spla.LinearOperator:
-        """J(z) - shift V as an operator, x -> L x - shift V x - A(z) x, from the
-        coefficients of A(z) computed once; shift V joins G_ii as shift m."""
-        import scipy.sparse.linalg as spla
+    def jacobian_operator(self, z: np.ndarray, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (J(z) - shift V) x = L x - shift V x - A(z) x, from the coefficients
+        of A(z) computed once; shift V joins G_ii as shift m."""
         d, S, DX = self.d, self.S, self.DX_stacked
         G, W = map(np.array, self._advection(z))      # (d, d, S) and (d, S)
         G[range(d), range(d)] += shift * self.interior
@@ -742,24 +811,26 @@ class _SteadyNewtonSystem:
             out = self.L @ x
             out[:d * S] -= ((G * xv).sum(1) + (W[..., None] * grads).sum(0).T).ravel()
             return out
-        return spla.LinearOperator(self.L.shape, matvec, dtype=float)
+        return matvec
 
-    def newton_step(self, z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    def newton_step(self, z: np.ndarray, F: np.ndarray, eta: float):
         """-(J - V / dtau)^{-1} F with V the identity on the interior momentum rows:
         a backward-Euler pseudo-time step whose dtau grows as dtau0 |F_0| / |F|
         (switched evolution relaxation), so that the steps become Newton's as the
-        residual falls. GMRES on :meth:`jacobian_operator`, never assembled (the
-        line search absorbs a step GMRES leaves inexact), preconditioned by an
-        inverse of the linear part: exact in Fourier space on all-periodic grids; on
-        grids with a wall axis the sparse LU of L - V / dtau0, the linear part at
-        the first step, which does not depend on z and so is factored once."""
+        residual falls; |F_0| is the first residual of the solve, of its first rung
+        with a viscosity ladder. :func:`_gmres` to the forcing term ``eta`` on
+        :meth:`jacobian_operator`, never assembled, preconditioned by an inverse of
+        the linear part: exact in Fourier space on all-periodic grids; on grids with
+        a wall axis the sparse LU of L - V / dtau0, the linear part at the first
+        step, which does not depend on z and so is factored once. Returns
+        :func:`_gmres`'s (step, iterations, met)."""
         norm = np.abs(F).max()
         if self.norm0 is None:
             self.norm0 = norm
         shift = norm / (_DTAU0 * self.norm0)
         precondition = (functools.partial(self._solve_linear_part, shift=shift)
                         if self.periodic else self._linear_lu.solve)
-        return _krylov_step(self.jacobian_operator(z, shift), F, precondition)
+        return _gmres(self.jacobian_operator(z, shift), -F, precondition, eta)
 
     @functools.cached_property
     def _linear_lu(self):
@@ -836,28 +907,38 @@ def steady_solve(boundary_data: VectorField | None, config: SolveConfig,
                         else np.array([c.values[..., 0].ravel() for c in vec.components]))
     data, start = flat(boundary_data), flat(initial)
     largest = lambda F: np.abs(F).max()
-    z = None
+    z = norm0 = None
     for nu, tol in _viscosity_ladder(config):
         system = _SteadyNewtonSystem(grid, nu, data, start)
+        # pseudo-time runs on across the rungs: a rung that starts near its solution
+        # takes Newton steps, not steps of dtau0 again
+        system.norm0 = norm0
         if z is None:
             z = system.z0
         # the largest residual entry must reach tol times the data scale;
         # _newton_loop scales its tolerance by the initial norm, which is undone here
         tol = tol * max(1.0, np.abs(system.z0).max())
-        history = []
+        history, gmres = [], []
+
+        def log(z, norm, step):
+            history.append(norm)
+            if step:
+                gmres.append(step)
+
         try:
             z, ok = _newton_loop(system, z, config, tol / max(1.0, largest(system.residual(z))),
-                                 lambda z, norm: history.append(norm), largest)
+                                 log, largest)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular steady Newton Jacobian ({exc})",
-                                   history=history) from exc
+                                   history, gmres) from exc
         if not ok:
             raise StagnationError(
                 f"steady Newton stopped at residual {history[-1]:.3e} (tolerance {tol:.3e}) "
                 f"after {len(history) - 1} of at most {config.max_newton} steps "
-                f"at viscosity {nu}", history=history)
+                f"at viscosity {nu}", history, gmres)
+        norm0 = system.norm0
     defect = np.abs(system.unpack(z)[2][system.watched]).max()
     if defect > tol:
         raise StagnationError("wall data is not discretely mass-compatible (divergence "
-                              f"multiplier {defect:.3e})", history=history)
+                              f"multiplier {defect:.3e})", history, gmres)
     return system.to_quartet(z)

@@ -36,6 +36,18 @@ def test_oscillator_resonance_exit_2(tmp_path, capsys):
     assert payload["m"] == 1
 
 
+def test_oscillator_singular_discrete_system_exits_2(tmp_path, capsys):
+    # a = 1/h and b = 2/h^2 at 7 nodes zero a column of the sum system: an exact
+    # zero pivot, reported like a resonance, on stdout with exit code 2
+    code, out, err = run_cli(capsys, "oscillator", "--a", "6", "--b", "72", "--osc-n", "7",
+                             "--out", str(tmp_path))
+    assert code == 2 and err == ""
+    assert len(out.splitlines()) == 1
+    assert last_json(out) == {"detail": "singular discrete system: zero pivot",
+                              "error": "singular"}
+    assert not (tmp_path / "oscillator.csv").exists()
+
+
 def test_oscillator_node_exact_solution_has_no_order(tmp_path, capsys):
     # y = alpha + (beta - alpha) x solves y'' = 0 exactly at the nodes: every
     # error is 0, so there is no order to estimate, and NaN is not JSON
@@ -537,7 +549,7 @@ def test_newton_dual_cli_accepts_default_grid(tmp_path, capsys, monkeypatch):
 
 def test_newton_dual_cli_non_finite_step_exits_2(tmp_path, capsys, monkeypatch):
     # a GMRES step with NaN entries ends the solve as non-convergence, not a traceback
-    monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.full(len(b), np.nan), 0))
+    monkeypatch.setattr(solver, "_gmres", lambda A, b, *args: (np.full(len(b), np.nan), 0, True))
     code, out, _ = run_cli(capsys, "newton-dual", "--n", "6", "--time-nodes", "4",
                            "--dt", "0.02", "--nu", "0.5", "--perturb-w", "0.1",
                            "--out", str(tmp_path))
@@ -736,6 +748,27 @@ for name, flags in {SPARSE_FREE!r}.items():
                          "--out", {str(tmp_path)!r}])
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert code in (0, 2) and not loaded, (name, code, loaded[:3])
+import scipy.sparse.linalg
+from varns import solver
+assert solver.spla is scipy.sparse.linalg
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_newton_dual_loads_no_sparse_solver(tmp_path):
+    """newton-dual builds sparse stencil matrices but solves with numpy alone: after a
+    solve neither scipy.sparse.linalg nor scipy.sparse.csgraph is loaded, and
+    ``solver.spla`` still resolves to scipy.sparse.linalg."""
+    script = f"""
+import contextlib, io, sys
+from varns import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["newton-dual", "--n", "8", "--time-nodes", "5", "--out", {str(tmp_path)!r}])
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph")))
+assert code == 0 and "scipy.sparse" in sys.modules and not loaded, (code, loaded[:3])
 import scipy.sparse.linalg
 from varns import solver
 assert solver.spla is scipy.sparse.linalg

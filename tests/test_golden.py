@@ -101,41 +101,41 @@ GOLDEN = {
     },
     "newton-dual": {
         "exit": 0,
-        "stdout": "4bf65cd1da72a1681be4f383159fbea5efb29f3ca8389e5c7eac1338cc2e8b28",
+        "stdout": "2254d2ed7d8f40a4ac28dae32b0905b79fd06d8c947f4b4aed9230c0453f23c5",
         "files": {
-            "convergence.csv": "a9d55e7a2ed8dd1eadca2de2f76d422d9df16f2ebbe80352d33ca868fbbe49b6",
-            "p.csv": "c3624da5c243f589d3e0d22682aae87efead10fd008c866d3c4d3d30a752b631",
-            "r.csv": "15e6f8c492bd3bb436da90566b67d089e67627268ee04d7e43fbd23134ffe119",
-            "u_0.csv": "a0b8690b83289bd5efb488d7368b5a733727fa9327251e6f5d1c357c22c9289f",
-            "u_1.csv": "429f0370dded3f6263baeaf0f04ccd609f631da7fa6bae02b21a5f2f247f8d30",
-            "w_0.csv": "9dc2646956e1cf474c3b35cc1292db5b78c4269f70f80ded5de5510065891816",
-            "w_1.csv": "28c071d412a8eab0d2636c2d1a2a923e35efb429bd61daedeb538bf7f62cd7ed",
+            "convergence.csv": "a131e54f235aec5ed4d907df67eae9548c108b3ae86a622a8483095bac2fe9d9",
+            "p.csv": "b18dd1636573e8edfc92117d2fafacf299ae777201baf9e7b1568fffb569b63c",
+            "r.csv": "6aba1e30cf4021d1a64147e01beada92258134005ed7ac4956090fc3e9a22527",
+            "u_0.csv": "00b57ba50fcb1f3fd3cbf9af7b8642b6867ab10a6f100b759683543d73577f54",
+            "u_1.csv": "b94911b40a9c3a890407caa48291b4d3a4a8bea152d973f807b4919de4d21ad1",
+            "w_0.csv": "1c115cf0e3f45d504062d372888836f5c827e11ab3c68d6e65b89dd75d2c32e8",
+            "w_1.csv": "b3ac7d563428db16244a800c2625c7e41542d2859d04fe4e0bab60122da68f8e",
         },
     },
     "newton-dual-n7": {
         "exit": 0,
-        "stdout": "aae49d02e6a5dee8e1dcba6d8f6f3a2115374b8486692ed66a7de326b8d2530d",
+        "stdout": "24593c79ea5f134b59a3ad5d35ae20b1142c2743043d12a7d853d430aa4d7af0",
         "files": {
-            "convergence.csv": "dd9f9e7a57802c79bd893abc8c08c7baa9341be9295e7406a4b85bf916ae01ba",
-            "p.csv": "309bb833813e8b7be8ecb280dccae02a19208a8dc221849a86ad1ead3ef49f12",
-            "r.csv": "6b741936f39f5e8677b836cbc100680bb93924ae1ccf963cd7af0642ab12d657",
-            "u_0.csv": "8661a02a7efd103f0c99497b0c5840bea9e6b2043e930573484eb8981cd988e8",
-            "u_1.csv": "2dc1378250fa6a37f22d6d7839f5370868717f2d6794b71bf8f2651844903a7f",
-            "w_0.csv": "679abbda226c7ad54879b70c0e512e192be70634f24c754d29f181d818ec4776",
-            "w_1.csv": "62145445de732e0408c31e830b4fe63182d3f1cf6b4d149ed7c2a1b3b88fdbad",
+            "convergence.csv": "110d4a1e4aafb22fe708979ef346911426e05e0ad65c8510a8da4dd965c2b0cf",
+            "p.csv": "b39db04b1decbd731fbe394b59a70583dd9817b06440456e0c66259d061c40a3",
+            "r.csv": "0d54cb0f28d7e32985c88446d2425b74fdda2be1181d9a671cb19122d015c202",
+            "u_0.csv": "c493f90217cafbfb8610fd22ef0e254db4ccc90a4cbd67be5310d480fcc60c32",
+            "u_1.csv": "392ba1644ed94ab0357440a0d71cd5fbd5ee39454c01a56b44ff35525b735105",
+            "w_0.csv": "913b0645a1eb29bf5895a2f4edec6b29aacba90bfd01ca2eed8eb32626b19785",
+            "w_1.csv": "11cd8497ebc0abeb2f2b6a313e6ed0c5da8a087091fc82b72ca10fcefd2927a4",
         },
     },
     "newton-dual-n8": {
         "exit": 0,
-        "stdout": "524f86b2d64f1d3bbbd5ded739834e6ec4da7d6d08cac9d9a829392d20270b64",
+        "stdout": "789a5a469e13f2a389535cd3e65cc0c1113a55839a43ea6411d30b6db22e36a3",
         "files": {
-            "convergence.csv": "93004c972635cda9452d43ee70946bf16e9afd3f5c978830dfba3a204bff36b1",
-            "p.csv": "9b471acf216cd4d68fe8bce28106cf5371c78911bb4ab5ce0ff6b1bacc2c7d75",
-            "r.csv": "a09101054fe06565215316394c2578e6789b4cbb8c6bd989e35bab88378aa47e",
-            "u_0.csv": "deeb836531bf41881654cdc0e6daeec2367304b921a702c92028a92557a13b34",
-            "u_1.csv": "446f50307e0f10abd6adf3f347dd327bac2359aa189ca689f8c9a2fb6f335901",
-            "w_0.csv": "768c98bde6ff075f246001d165584e7e1992ef24961e82a30265359531528387",
-            "w_1.csv": "b8dd736994ce9b506276541dfb2cd73d7d7a7cc17d7724ec298db5da19cf82b2",
+            "convergence.csv": "41adb29d3afd7b1c54818cd6bcc57d93a1b3d94418fb54d6e6275988b2a92db4",
+            "p.csv": "a08398117379eb3ff148421ef68aea678945c03b1605fc2de67296f791458614",
+            "r.csv": "39bbe95a846d38dd96d9b86d43aacb3eadba1fd6bb1f23ea47e8dc4c43d76409",
+            "u_0.csv": "3c688a6d60cc04a35b8ae62da97703c88d17277deae3d6ae10df06506e9d1b26",
+            "u_1.csv": "82622a2cf8db7e08781316ed805610905971bc944beaa427ac2e458a09a950d2",
+            "w_0.csv": "58d4ff7f9efa28980e57c48a901f30aa7110ad1cae86efaf379c5ebe3a30cc6d",
+            "w_1.csv": "772ab73363c9348c522c0a330ddb01306cca4dd3d7f40a1900c8262aae81952a",
         },
     },
     "oscillator": {
@@ -160,28 +160,28 @@ GOLDEN = {
     },
     "solve-steady-periodic": {
         "exit": 0,
-        "stdout": "d47c4fe9cb5615173ad8dcd906b655195b897f4529b54e23b015cfca79975ecc",
+        "stdout": "8f7ebb623ffb14cba244da78d16091c8e41a0dfdd36904e0af88fd9c3607e661",
         "files": {
-            "certificate.json": "bfe78eeaaad14f74f5abec99e69e4344ca668b2c27ba46131060d56f3e2b5082",
-            "p.csv": "0b336d3e271ce09b5549bda3101473281b1ad8b1c4758142bc74aeb52b8f8b4e",
-            "r.csv": "0b336d3e271ce09b5549bda3101473281b1ad8b1c4758142bc74aeb52b8f8b4e",
-            "u_0.csv": "7d139cb0847ab4b45a7a131686345574cb4c736a66d2ac5401d3c4fb86f84fa3",
-            "u_1.csv": "45f9ebc4714a40bf70a089547e919cb71e3760ac5b46fbac2a7be8a250c36531",
-            "w_0.csv": "7d139cb0847ab4b45a7a131686345574cb4c736a66d2ac5401d3c4fb86f84fa3",
-            "w_1.csv": "45f9ebc4714a40bf70a089547e919cb71e3760ac5b46fbac2a7be8a250c36531",
+            "certificate.json": "cc6e6e96a252e052c75cac5b2d9c8a9df60b160fb6757b13338369ea710ed4c8",
+            "p.csv": "c24a85a1f05f4433796c09a51772d78a76faede516a9e3b13eac7a47783f9d03",
+            "r.csv": "c24a85a1f05f4433796c09a51772d78a76faede516a9e3b13eac7a47783f9d03",
+            "u_0.csv": "db63e3039ef12455f2a58475b6ace432f7e80a1e3b135557fb7ffe72a9315064",
+            "u_1.csv": "cdebbee1f6cee3197358bd9cd5c6bb6224aacd36b0359eb1e5378a550e528547",
+            "w_0.csv": "db63e3039ef12455f2a58475b6ace432f7e80a1e3b135557fb7ffe72a9315064",
+            "w_1.csv": "cdebbee1f6cee3197358bd9cd5c6bb6224aacd36b0359eb1e5378a550e528547",
         },
     },
     "solve-steady-wall": {
         "exit": 0,
-        "stdout": "1628e486fcf51bd7acd538c3d4d928d5b08be1a66e7b333e46f65302a2fc45e0",
+        "stdout": "c48c15ffc2a15f1c00f4fbc938c5cb7ddb5b55aaaec7586155f359cbb021e376",
         "files": {
-            "certificate.json": "6cd9cb8814d66da5c3931e808fe5ce6051b044337156e3e63f790a1e5e63ed10",
-            "p.csv": "3d07040954c75c0b1894b39fd8c39cbe07bbece125aafac8ad85a336b5de1e78",
-            "r.csv": "3d07040954c75c0b1894b39fd8c39cbe07bbece125aafac8ad85a336b5de1e78",
-            "u_0.csv": "009290342fb797f10e15ee96338939f4dc97d73f94000eb32fc9354e5af308a2",
-            "u_1.csv": "1cd81d76d52949e78f40a1c3ea0b4e17f9f025da4acee03780c4979deb299a6f",
-            "w_0.csv": "009290342fb797f10e15ee96338939f4dc97d73f94000eb32fc9354e5af308a2",
-            "w_1.csv": "1cd81d76d52949e78f40a1c3ea0b4e17f9f025da4acee03780c4979deb299a6f",
+            "certificate.json": "c237938c29ac1b92bb724b315ee3bdfd70ae57a4633b4559819c73db2f4026f0",
+            "p.csv": "d403d118596dde891e070dcaa7e4137bc8b521dce69c4efe4f2ac88501a211cb",
+            "r.csv": "d403d118596dde891e070dcaa7e4137bc8b521dce69c4efe4f2ac88501a211cb",
+            "u_0.csv": "0856578710377c4aff74ebe7456701b424083e44696eb4d405a3c5df6cd74755",
+            "u_1.csv": "91cb5101156e534a51b219ad43b58fa3c361be616beee4250bced20a4ef3df65",
+            "w_0.csv": "0856578710377c4aff74ebe7456701b424083e44696eb4d405a3c5df6cd74755",
+            "w_1.csv": "91cb5101156e534a51b219ad43b58fa3c361be616beee4250bced20a4ef3df65",
         },
     },
     "solve-unsteady": {

@@ -127,8 +127,28 @@ def test_newton_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
     z, v = rng.normal(size=(2, system.n_dof))
     eps = 0.5
     fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
-    jv = system.jacobian(z) @ v
+    jv = system.jacobian(z)(v)
     assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)
+
+
+@PROPERTY_SETTINGS
+@given(grid=grids(steady=True))
+@example(grid=Grid((1.0,), (3,), (WALL,)))
+@example(grid=Grid((1.0, 1.0), (3, 4), (PERIODIC, WALL)))
+@example(grid=Grid((1.0, 1.0), (6, 7), (PERIODIC, PERIODIC)))
+@example(grid=Grid((1.0, 1.0, 1.0), (4, 3, 5), (WALL, PERIODIC, PERIODIC)))
+def test_pressure_components_match_scipy_connected_components(grid):
+    """The components of the interior central-gradient graph are csgraph's: the
+    same labels, first nodes and counts, so that the pin rows and the order of the
+    multipliers stay."""
+    from scipy.sparse.csgraph import connected_components
+    interior = ~_wall_boundary_mask(grid)[..., 0].ravel()
+    stencils = sp.vstack([abs(D[interior]) for D in _stencil_matrices(grid)[0]])
+    _, labels = connected_components(stencils.T @ stencils, directed=False)
+    got = solver._Components(grid.nodes, interior)
+    assert np.array_equal(got.labels, labels)
+    assert np.array_equal(got.first, np.unique(labels, return_index=True)[1])
+    assert np.array_equal(got.counts, np.bincount(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +207,8 @@ def test_newton_operator_matches_the_kronecker_assembly(grid, seed):
     rng = np.random.default_rng(seed)
     system = _DualNewtonSystem(grid, 0.3, *rng.normal(size=(grid.dim, *grid.nodes)))
     z, v = rng.normal(size=(2, system.n_dof))
-    for got, want in ((_linear_part(system) @ v, _kron_linear_part(system) @ v),
-                      (system.jacobian(z) @ v, _kron_jacobian(system, z) @ v)):
+    for got, want in ((_linear_part(system)(v), _kron_linear_part(system) @ v),
+                      (system.jacobian(z)(v), _kron_jacobian(system, z) @ v)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -201,7 +221,7 @@ def test_newton_linear_part_is_nonsingular(n0, n1, time_nodes):
     grid = Grid((2 * np.pi, 2 * np.pi), (n0, n1), (PERIODIC, PERIODIC), time_nodes, 0.02)
     zero = np.zeros((n0, n1))
     system = _DualNewtonSystem(grid, 0.5, zero, zero)
-    sigma = scipy.linalg.svdvals(operator_matrix(_linear_part(system).matvec,
+    sigma = scipy.linalg.svdvals(operator_matrix(_linear_part(system),
                                                  system.n_dof).toarray())
     assert sigma.min() > 1e-8 * sigma.max()
 
@@ -218,7 +238,7 @@ def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
     rng = np.random.default_rng(int("".join(map(str, nodes))))   # 10 n0 + n1 in 2D
     system = _DualNewtonSystem(grid, 0.5, *rng.normal(size=(len(nodes), *nodes)))
     x = rng.normal(size=system.n_dof)
-    y = system._solve_linear_part(_linear_part(system) @ x)
+    y = system._solve_linear_part(_linear_part(system)(x))
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -264,7 +284,7 @@ def test_steady_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
     system, z, v = _steady_system(grid, seed)
     eps = 0.5
     fd = (system.residual(z + eps * v) - system.residual(z - eps * v)) / (2 * eps)
-    jv = system.jacobian_operator(z, 0.0) @ v
+    jv = system.jacobian_operator(z, 0.0)(v)
     assert np.linalg.norm(fd - jv) <= 1e-9 * np.linalg.norm(jv)
 
 
@@ -274,7 +294,7 @@ def test_steady_operator_matches_the_assembled_jacobian(grid, seed, shift):
     """x -> L x - shift V x - A(z) x from the per-step coefficients equals the
     assembled J(z) - shift V up to the order of the sums."""
     system, z, x = _steady_system(grid, seed)
-    got = system.jacobian_operator(z, shift) @ x
+    got = system.jacobian_operator(z, shift)(x)
     want = (steady_jacobian(system, z) - shift * system.V) @ x
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 

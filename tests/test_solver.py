@@ -326,10 +326,66 @@ def test_newton_krylov_step_matches_the_direct_solve(n, time_nodes):
     z = system.pack(seed)
     for _ in range(2):
         F = system.residual(z)
-        direct = lu_step(operator_matrix(system.jacobian(z).matvec, system.n_dof), F)
-        step = system.newton_step(z, F)
+        direct = lu_step(operator_matrix(system.jacobian(z), system.n_dof), F)
+        step, _, met = system.newton_step(z, F, 1e-12)
+        assert met
         assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
         z = z + step
+
+
+@pytest.mark.parametrize("amp, gmres", [(0.0, ((2, True), (1, True))),
+                                        (0.1, ((25, True), (24, True), (10, True)))])
+def test_newton_dual_records_gmres_per_step_on_the_default_grid(amp, gmres):
+    # the CLI's default grid (32^2 x 9, odd T, nu 0.1), with and without --perturb-w:
+    # each step asks GMRES for half the Newton stop, so no step runs GMRES to its
+    # limit (asked for 1e-12 of |F| on every step, the last took 327 and 388
+    # iterations, without meeting it)
+    g = periodic_square(32, time_nodes=9, dt=0.0125)
+    seed = perturbed_taylor_green(g, 0.1, amp)
+    traj = newton_dual(seed, seed.u, SolveConfig(nu=0.1), g)
+    assert traj.converged
+    assert traj.gmres == gmres
+    assert len(traj.residuals) == len(gmres) + 1
+
+
+def _dense_system(n, seed):
+    """A nonsymmetric n x n system, its right-hand side and a rough inverse of it
+    (the inverse of its diagonal part plus a tenth of the rest)."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(rng.uniform(1.0, 4.0, n)) + rng.normal(size=(n, n)) / np.sqrt(n)
+    rough = np.linalg.inv(np.diag(np.diag(A)) + 0.1 * (A - np.diag(np.diag(A))))
+    return A, rng.normal(size=n), rough
+
+
+@pytest.mark.parametrize("n, restart", [(30, 60), (50, 4)], ids=["one-cycle", "restarted"])
+def test_gmres_matches_a_dense_solve(n, restart):
+    A, b, rough = _dense_system(n, n)
+    want = np.linalg.solve(A, b)
+    x, iterations, met = solver._gmres(lambda v: A @ v, b, lambda v: rough @ v, 1e-12,
+                                       restart=restart, cycles=30)
+    assert met
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    # restarted: more than one cycle of restart iterations
+    assert (iterations > restart) == (restart < n)
+
+
+def test_gmres_zero_right_hand_side_and_unmet_targets():
+    A, b, rough = _dense_system(20, 7)
+    x, iterations, met = solver._gmres(lambda v: A @ v, np.zeros(20), lambda v: rough @ v,
+                                       1e-12)
+    assert not x.any() and iterations == 0 and met
+    # one cycle of two iterations cannot reach 1e-12; the partial solve is returned
+    x, iterations, met = solver._gmres(lambda v: A @ v, b, lambda v: rough @ v, 1e-12,
+                                       restart=2, cycles=1)
+    assert iterations == 2 and not met
+    assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
+    # an operator applied with errors of 1e-9 of its input cannot be solved to 1e-12,
+    # whatever the Arnoldi estimate says: the target is judged on the true residual
+    rng = np.random.default_rng(0)
+    noisy = lambda v: A @ v + 1e-9 * np.linalg.norm(v) * rng.normal(size=len(v))
+    x, iterations, met = solver._gmres(noisy, b, lambda v: rough @ v, 1e-12, cycles=2)
+    assert not met
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -409,8 +465,12 @@ def test_steady_stagnation_reported():
     X, Y, _ = g.meshes()
     lid = np.where(Y >= 1.0 - 1e-12, 1.0, 0.0)
     bdata = mkv(g, [lid, 0 * lid])
-    with pytest.raises(StagnationError):
+    with pytest.raises(StagnationError) as info:
         steady_solve(bdata, SolveConfig(nu=1.0, max_newton=1), g)
+    # the history keeps both residuals and the step's GMRES record
+    assert len(info.value.history) == 2
+    (iterations, met), = info.value.gmres
+    assert iterations > 0 and met
 
 
 def test_steady_mass_incompatible_data_reported():
@@ -452,7 +512,8 @@ def test_steady_krylov_step_matches_the_direct_solve(grid):
         norm0 = norm0 or np.abs(F).max()
         shift = np.abs(F).max() / (solver._DTAU0 * norm0)
         direct = lu_step(steady_jacobian(system, z) - shift * system.V, F)
-        step = system.newton_step(z, F)
+        step, _, met = system.newton_step(z, F, 1e-12)
+        assert met
         assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
         z = z + step
 
