@@ -6,7 +6,9 @@ one-sided closures at wall boundaries, trapezoid/rectangle quadrature, and
 surface quadrature over wall faces. All operators are pure functions of
 immutable inputs. Every sparse stencil matrix is built here, as the kernels
 ``_d1``/``_d2`` applied to an identity (``_stencil_matrix``), lifted to the
-nodes of a 2D or 3D slice by index (``_stencil_matrices``).
+nodes of a 2D or 3D slice by index (``_stencil_matrices``, for the steady
+solve); the space-time Newton solve applies the same 1D matrices, dense, along
+each axis.
 
 The kernels copy nothing. Ufunc calls on views of the array along the axis,
 shifted one node either way, compute every interior node (one subtraction for

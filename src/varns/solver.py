@@ -11,20 +11,25 @@ Four routes to the stationary point:
   u = w and functional value zero; its residual is ``el_residuals``,
 * a Newton solve of the steady discrete Navier-Stokes system on periodic and
   wall-bounded boxes (w = u, r = p); both Newton solves share one damped
-  loop, one viscosity-continuation ladder, the stencil matrices that
-  ``grids._stencil_matrices`` builds and one pressure gauge (``_Components``):
-  a pin at one node of each component of the central-gradient graph, and a
-  reported pressure of zero mean on each. Their linear systems are solved by
-  GMRES (:func:`_gmres`, restarted and right-preconditioned, in numpy) with a
-  Jacobian that is never assembled: an operator applied from its
-  Kronecker factors in space-time, from advection coefficients computed once
-  per Newton step in the steady case. GMRES is preconditioned by the Fourier
-  inverse of the linear part (in space-time, two real blocks per spatial mode
-  of the rfft half); steady systems on grids with a wall axis take instead one
-  sparse LU of their linear part per solve. Newton is inexact: each step asks
-  GMRES only for the linear residual that would take the Newton residual to half
-  the stop (:func:`_newton_loop`), so the last steps take a few iterations where
-  a fixed relative target of 1e-12 ran GMRES to its iteration limit.
+  loop, one viscosity-continuation ladder and one pressure gauge
+  (``_Components``): a pin at one node of each component of the
+  central-gradient graph, and a reported pressure of zero mean on each. Their
+  linear systems are solved by GMRES (:func:`_gmres`, restarted and
+  right-preconditioned, in numpy) with a Jacobian that is never assembled. In
+  space-time it is an operator applied from its Kronecker factors with numpy
+  alone: the 1D stencil matrices (the kernels ``_d1``/``_d2`` of an identity),
+  one matrix product per axis, and the nonzero blocks of the time matrices; in
+  the steady case from the sparse stencil matrices that
+  ``grids._stencil_matrices`` builds and advection coefficients computed once
+  per Newton step. GMRES is preconditioned by the Fourier inverse of the linear
+  part (in space-time, two real blocks per spatial mode of the rfft half,
+  inverted once per distinct symbol); steady systems on grids with a wall axis
+  take instead one sparse LU of their linear part per solve. Newton is inexact:
+  each step asks GMRES only for the linear residual that would take the Newton
+  residual to half the stop (:func:`_newton_loop`), so the last steps take a few
+  iterations where a fixed relative target of 1e-12 ran GMRES to its iteration
+  limit. Only the steady solve imports scipy (``scipy.sparse``, and
+  ``scipy.sparse.linalg`` on a wall grid), on first use.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -52,8 +57,8 @@ from .grids import (
     ScalarField,
     VectorField,
     _d1,
+    _d2,
     _stencil_matrices,
-    _stencil_matrix,
     _wall_boundary_mask,
     integrate_spacetime,
     slice_integrals,
@@ -72,19 +77,19 @@ TWO_PI = 2 * np.pi
 
 #: memory budget of one space-time Newton solve, estimated in :func:`newton_dual`,
 #: in line with the steady solve's LU cap. It is counted beside the interpreter and
-#: its imports (about 70 MB), not against the whole process, so an admitted solve
-#: can peak above 0.6 GB resident: 16^3 x 18 peaked at 0.62 GB, 0.55 GB over them
+#: its imports (about 32 MB: newton-dual imports no scipy), not against the whole
+#: process, so an admitted solve can peak a little above 0.6 GB resident
 _MAX_NEWTON_BYTES = 600e6
 
 #: memory per space-time unknown beside the preconditioner's blocks: the GMRES
-#: basis (61 vectors, 488 B when all are used), the iterates and the operator's
-#: temporaries. Peak RSS growth of whole newton-dual runs less the blocks,
-#: single-thread BLAS on a 2-vCPU Xeon: 318 B at 64^2 x 16 and 427 B at the ABC
-#: flow's 16^3 x 8; 709 B at 64^2 x 17 and 753, 751 and 751 B at 16^3 x 13, 16^3 x
-#: 18 and 16^3 x 19 when a fixed GMRES target of 1e-12 filled the basis at odd T.
-#: Since the forcing term of _newton_loop, no measured solve fills it: 64^2 x 17
-#: peaks at 0.27 GB (0.43 GB before); the value is not yet re-fitted
-_BYTES_PER_UNKNOWN = 800
+#: basis (61 vectors, 488 B when all are used), the iterates and the temporaries of
+#: the operator and the preconditioner. Peak RSS growth of whole newton-dual runs
+#: over the imports, less the blocks, single-thread BLAS on a 2-vCPU Xeon: 194-257 B
+#: at the CLI defaults (64^2 x 17, 64^2 x 24, 64^2 x 33, 128^2 x 9, 16^3 x 19), where
+#: GMRES takes 2 + 1 iterations, and 552-686 B with --perturb-w 0.3 --nu 0.05 (64^2 x
+#: 17, 64^2 x 24, 128^2 x 9, 64^2 x 33), where it fills most of its basis; the last
+#: peaked at 0.89 GB, 0.91 GB estimated
+_BYTES_PER_UNKNOWN = 700
 
 
 class ConvergenceError(RuntimeError):
@@ -210,6 +215,18 @@ class _Spectral:
         return np.real(np.fft.ifftn(self._potential(*(np.fft.fftn(c) for c in r))))
 
 
+def _along(M: np.ndarray, X: np.ndarray, axis: int, out: np.ndarray | None = None):
+    """The 1D matrix M applied along ``axis`` of X (into ``out``, contiguous, when
+    given): one matrix product, batched over the axes before ``axis`` unless it is
+    the last."""
+    n = X.shape[axis]
+    shape = (-1, n) if axis == X.ndim - 1 else (-1, n, int(np.prod(X.shape[axis + 1:])))
+    into = None if out is None else out.reshape(shape)
+    if axis == X.ndim - 1:
+        return np.matmul(X.reshape(shape), M.T, out=into).reshape(X.shape)
+    return np.matmul(M, X.reshape(shape), out=into).reshape(X.shape)
+
+
 def _advect(v, h):
     """(v . grad) v with central differences, one array per component: D[j][i] is
     d v_i / d x_j, one kernel call per axis over the stacked components."""
@@ -328,21 +345,24 @@ class _DualNewtonSystem:
     Jacobian is L = sum_k A_k (x) B_k over the space stencils B = (I, Lap, D_0,
     ..., D_{d-1}) and m x m time matrices A_k, with the pin rows swapped in; the
     Jacobian adds the advection linearization, and both act from their factors,
-    never assembled. GMRES solves each Newton step, preconditioned with the exact
-    inverse of L: the FFT over space splits it into one m x m block per mode,
-    inverted as two real blocks (:attr:`_block_inverses`).
+    never assembled, in numpy alone: B_k as one product per axis with the 1D
+    matrix of ``_d1``/``_d2`` (:func:`_along`), the A_k by their nonzero blocks
+    between the field groups of one component (:attr:`time_blocks`). GMRES
+    solves each Newton step, preconditioned with the exact inverse of L: the FFT
+    over space splits it into one m x m block per mode, inverted as two real
+    blocks once per distinct symbol (:attr:`_block_inverses`).
     """
 
     def __init__(self, grid: Grid, nu: float, *data):
         """``data``: the initial velocity, one array of the grid's nodes per axis."""
-        import scipy.sparse as sp
         _require_periodic(grid, unsteady=True)
         d, S, T = grid.dim, int(np.prod(grid.nodes)), grid.time_nodes
         self.grid, self.nu, self.S, self.T = grid, nu, S, T
         m = (2 * d + 2) * T - 3
-        DX, LAP = _stencil_matrices(grid)
-        DT = _stencil_matrix(_d1, T, grid.dt, periodic=False).toarray()
-        self.stencils = sp.vstack([LAP, *DX], format="csr")     # B_1, B_2, ... stacked
+        # the 1D stencil matrices: the kernels applied to an identity
+        one_d = lambda op, a: op(np.eye(grid.nodes[a]), 0, grid.spacing(a), periodic=True)
+        self.d1, self.d2 = ([one_d(op, a) for a in range(d)] for op in (_d1, _d2))
+        DT = _d1(np.eye(T), 0, grid.dt, periodic=False)
         self.g = np.array(data, dtype=float).reshape(d, S)
         self.gauge = _Components(grid.nodes, np.ones(S, dtype=bool))
         self.n_dof, self.spec = m * S, _Spectral(grid)
@@ -367,9 +387,24 @@ class _DualNewtonSystem:
                     (grad, u, P, -lift_p), (grad, w, R, -lift_r),
                     (grad, P, u, lift_p.T), (grad, R, w, lift_r.T)):
                 A[k][np.ix_(fields[row], fields[col])] = block
-        self.time_factors = sp.csr_matrix(np.hstack(A))      # A_0 | A_1 | ... side by side
-        self.velocities = 2 * d * T     # time-field indices of u and w come first
+        self.velocities = vel = 2 * d * T   # time-field indices of u and w come first
+        # A_0 and A_1 act alike on the (u_i, w_i) of every component i, and A_{2+i}
+        # couples them to (p, r) alike: the nonzero blocks of component 0's time
+        # matrices between the field groups u, w, p, r act on all components at once
+        groups = np.split(np.r_[:T, d * T:(d + 1) * T, vel:m], np.cumsum([T, T, T - 1]))
+        self.time_blocks = [(k, a, b, block) for k in range(3)
+                            for a, rows in enumerate(groups) for b, cols in enumerate(groups)
+                            if (block := A[k][np.ix_(rows, cols)]).any()]
         self._last_residuals = None, None
+
+    def _stencils(self, V: np.ndarray) -> np.ndarray:
+        """D_0 V, ..., D_{d-1} V of the (rows, S) array V, stacked: one 1D matrix
+        product per axis of the slice."""
+        X = V.reshape(-1, *self.grid.nodes)
+        DV = np.empty((self.grid.dim, *X.shape))
+        for a, D in enumerate(self.d1):
+            _along(D, X, 1 + a, out=DV[a])
+        return DV.reshape(self.grid.dim, len(V), self.S)
 
     # -- state packing -----------------------------------------------------
     def pack(self, quartet: FieldQuartet) -> np.ndarray:
@@ -430,22 +465,30 @@ class _DualNewtonSystem:
         family (b the other one), c_ij = -(D_j b_i + D_i b_j) / 2 and s_j = -(u_j +
         w_j) / 2 computed once. N vanishes at z = 0, where J is L."""
         d, T, S, vel, first = self.grid.dim, self.T, self.S, self.velocities, self.gauge.first
-        factors = lambda V: np.concatenate(      # the stack of V B_k^T, k = 0, 1, ...
-            [V[None], (self.stencils @ V.T).reshape(-1, S, len(V)).transpose(0, 2, 1)])
 
-        def partners(BV):      # [f, i, j]: D_i b_j + D_j b_i, b the partner of family f
-            G = np.moveaxis(BV[2:, :vel].reshape(d, 2, d, T, S), 0, 1)[::-1]
+        def partners(DV):      # [f, i, j]: D_i b_j + D_j b_i, b the partner of family f
+            G = np.moveaxis(DV[:, :vel].reshape(d, 2, d, T, S), 0, 1)[::-1]
             return G + G.swapaxes(1, 2)
         uw = z[:vel * S].reshape(2, d, T, S)
-        coef = -0.5 * self.momentum_mask * partners(factors(uw.reshape(vel, S)))
+        coef = -0.5 * self.momentum_mask * partners(self._stencils(uw.reshape(vel, S)))
         sweep = -0.5 * self.momentum_mask * (uw[0] + uw[1])
 
         def matvec(v):
             V = v.reshape(-1, S)
-            BV = factors(V)
-            out = self.time_factors @ BV.reshape(-1, S)
+            DV = self._stencils(V)
+            Y = V[:vel].reshape(-1, *self.grid.nodes)
+            lap = functools.reduce(np.add, (_along(D, Y, 1 + a) for a, D in enumerate(self.d2)))
+            # the inputs of A_0, A_1 and A_{2+i} per field group and component i: D_i
+            # of (u_i, w_i), of p and of r; a pressure row sums the components'
+            DY = np.moveaxis(np.diagonal(DV[:, :vel].reshape(d, 2, d, T, S), 0, 0, 2), -1, 1)
+            X = (Y.reshape(2, d, T, S), lap.reshape(2, d, T, S),
+                 (*DY, *np.split(DV[:, vel:], [T - 1], axis=1)))
+            out = np.zeros_like(V)
+            rows = [*out[:vel].reshape(2, d, T, S), *np.split(out[vel:], [T - 1])]
+            for k, a, b, block in self.time_blocks:
+                rows[a] += block @ (X[k][b] if a < 2 else X[k][b].sum(0))
             out[:vel] += (coef * V[:vel].reshape(2, d, T, S).sum(0)
-                          + sweep * partners(BV)).sum(2).reshape(vel, S)
+                          + sweep * partners(DV)).sum(2).reshape(vel, S)
             out[vel:, first] = V[vel:, first]
             return out.ravel()
         return matvec
@@ -469,14 +512,17 @@ class _DualNewtonSystem:
         gradient e and the saddle inverse are zero, and Vel is inverted in the
         least-squares sense: at odd T the zero mode's is singular (the leapfrog mode
         of the central time difference). A singular block elsewhere raises
-        LinAlgError."""
+        LinAlgError. Modes share symbols (the stencils' are even in each axis): each
+        distinct saddle block, keyed on the bits of (lap, |s|), and each distinct
+        velocity block, keyed on lap, is inverted once and handed to every mode that
+        has it, bit for bit what inverting each mode's gives: 561 saddle blocks for
+        the 2,112 modes of 64^2, 214 for the 2,304 of 16^3."""
         spec, d, T = self.spec, self.grid.dim, self.T
         half = (..., slice(self.grid.nodes[-1] // 2 + 1))
         lap, null, *s = (a.ravel() for a in np.broadcast_arrays(
             spec.lap[half], spec.null[half], *(s[half] for s in spec.s)))
         s = np.stack(s, -1)
         norm = np.sqrt((s ** 2).sum(-1))
-        null = np.flatnonzero(null)
         norm[null] = 1.0                 # their blocks are replaced below
         e = s / norm[:, None]
         e[null] = 0.0
@@ -485,13 +531,24 @@ class _DualNewtonSystem:
         fields = np.r_[:T, d * T:(d + 1) * T, 2 * d * T:len(self.A[0])]
         A0, A1, grad = (a[np.ix_(fields, fields)] for a in self.A[:3])
         grad[:2 * T] *= -1
-        saddle = A0 + lap[:, None, None] * A1 + norm[:, None, None] * grad
-        velocity = saddle[:, :2 * T, :2 * T].copy()
-        least_squares = np.linalg.pinv(velocity[null], rtol=1e-10)
-        velocity[null], saddle[null] = np.eye(2 * T), np.eye(len(fields))   # stand-ins
-        velocity, saddle = np.linalg.inv(velocity), np.linalg.inv(saddle)
-        velocity[null], saddle[null] = least_squares, 0.0
-        return e, velocity, saddle
+
+        def inverses(keys, size, stand_in):
+            """Each mode's inverse of the leading size x size part of its saddle block,
+            inverted once per distinct row of ``keys`` (compared by their bits), the
+            null modes' replaced by ``stand_in`` of theirs."""
+            _, first, index = np.unique(np.stack(keys, 1).view(np.uint64), axis=0,
+                                        return_index=True, return_inverse=True)
+            blocks = (A0 + lap[first, None, None] * A1
+                      + norm[first, None, None] * grad)[:, :size, :size]
+            singular = null[first]
+            replaced = stand_in(blocks[singular])
+            blocks[singular] = np.eye(size)
+            blocks = np.linalg.inv(blocks)
+            blocks[singular] = replaced
+            return blocks[index.ravel()]
+        # the velocity block does not see |s|; the null flag keeps the stand-ins apart
+        velocity = inverses((lap, null), 2 * T, lambda b: np.linalg.pinv(b, rtol=1e-10))
+        return e, velocity, inverses((lap, norm, null), len(fields), np.zeros_like)
 
     def _solve_linear_part(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b mode by mode in Fourier space, on the rfft half. The divergence
@@ -624,8 +681,27 @@ def _viscosity_ladder(config: SolveConfig) -> list[tuple[float, float]]:
     return [(nu, loose) for nu in rungs if nu > config.nu] + [(config.nu, config.newton_tol)]
 
 
+#: length of the pieces :func:`_dot` sums one by one: OpenBLAS splits a dot product
+#: of more than 10,000 entries among its threads, which sum it in another order
+_DOT_PIECE = 8192
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x . y; longer than ``_DOT_PIECE``, summed over pieces of that length in turn,
+    so that it has the same bits at any BLAS thread count."""
+    if len(x) <= _DOT_PIECE:
+        return x.dot(y)
+    return sum(x[i:i + _DOT_PIECE].dot(y[i:i + _DOT_PIECE])
+               for i in range(0, len(x), _DOT_PIECE))
+
+
+def _norm(x: np.ndarray):
+    """The 2-norm of x from :func:`_dot`: np.linalg.norm's bits up to one piece."""
+    return np.sqrt(_dot(x, x))
+
+
 def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
-                 measure=np.linalg.norm):
+                 measure=_norm):
     """At most ``config.max_newton`` inexact Newton steps ``system.newton_step`` on
     ``system``, each halved until the residual norm (``measure``) drops, to norm <=
     tol_eff = tol * max(1, initial norm); ``log(z, norm, gmres)`` sees every iterate,
@@ -637,11 +713,17 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
     take the residual to half the stop: early steps are solved tightly, the last
     loosely, and none beyond what the stop needs, in either norm. Eisenstat and
     Walker's choice 2 loosens the next-to-last step too, and so costs a third
-    Newton step where most of these solves take two."""
+    Newton step where most of these solves take two. A norm that is not finite (one
+    that overflows is inf, without a warning) never converges."""
+    def size(F):
+        with np.errstate(over="ignore"):
+            return measure(F)
     F = system.residual(z)
-    norm = measure(F)
+    norm = size(F)
     tol_eff = tol * max(1.0, norm)
     log(z, norm, None)
+    if not np.isfinite(norm):
+        return z, False
     for _ in range(config.max_newton):
         if norm <= tol_eff:
             return z, True
@@ -652,7 +734,7 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
         while alpha >= 2 ** -30:
             z_try = z + alpha * step
             F_try = system.residual(z_try)
-            n_try = measure(F_try)
+            n_try = size(F_try)
             if n_try < norm:
                 break
             alpha /= 2
@@ -673,7 +755,7 @@ def _gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int = 60,
     residual b - A x at the end of each cycle. Returns (x, iterations, whether x met
     the target); b = 0 returns x = 0."""
     x, r = np.zeros_like(b), b
-    beta, target = np.linalg.norm(b), rtol * np.linalg.norm(b)
+    beta, target = _norm(b), rtol * _norm(b)
     V, iterations = np.empty((restart + 1, len(b))), 0
     for _ in range(cycles):
         if beta <= target:
@@ -684,11 +766,11 @@ def _gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int = 60,
         g[0] = beta
         for k in range(restart):
             w = matvec(precondition(V[k]))
-            size = np.linalg.norm(w)
+            size = _norm(w)
             for i in range(k + 1):
-                H[i, k] = V[i] @ w
+                H[i, k] = _dot(V[i], w)
                 w -= H[i, k] * V[i]
-            H[k + 1, k] = np.linalg.norm(w)
+            H[k + 1, k] = _norm(w)
             iterations += 1
             invariant = H[k + 1, k] <= np.finfo(float).eps * size
             if not invariant:
@@ -706,7 +788,7 @@ def _gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int = 60,
             y[i] = (y[i] - H[i, i + 1:k + 1] @ y[i + 1:]) / H[i, i] if H[i, i] else 0.0
         x += precondition(y @ V[:k + 1])
         r = b - matvec(x)
-        beta = np.linalg.norm(r)
+        beta = _norm(r)
         if invariant:
             break
     return x, iterations, bool(beta <= target)

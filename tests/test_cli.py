@@ -558,6 +558,17 @@ def test_newton_dual_cli_non_finite_step_exits_2(tmp_path, capsys, monkeypatch):
     assert "non-finite Newton step" in last_json(out)["detail"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_dual_overflowing_residual_norm_is_not_converged(tmp_path, capsys):
+    # a seed of 1e100 overflows the residual's 2-norm: inf is no convergence (it
+    # met its own stop tol * max(1, inf) before), and the overflow raises no warning
+    code, out, _ = run_cli(capsys, "newton-dual", "--n", "8", "--time-nodes", "4",
+                           "--perturb-w", "1e100", "--out", str(tmp_path))
+    summary = last_json(out)
+    assert code == 2
+    assert summary["converged"] is False and summary["iterations"] == 0
+
+
 @pytest.mark.parametrize("osc_n", ["4", "5", "6"])
 def test_oscillator_too_few_nodes_exits_1_naming_the_flag(tmp_path, capsys, osc_n):
     """The order estimate also solves at (n - 1) // 2 + 1 nodes, so n >= 7."""
@@ -731,14 +742,15 @@ def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, comma
 SPARSE_FREE = {"oscillator": (), "evaluate": (), "energy": (), "variation-check": (),
                "residual": (), "steady-cert": (), "inequality-audit": (), "extended": (),
                "boundary-audit": (), "solve-unsteady": (),
-               "taylor-green-verify": ("--refine", "2")}
+               "taylor-green-verify": ("--refine", "2"), "newton-dual": ()}
 
 
 def test_sparse_free_subcommands_never_import_scipy(tmp_path):
-    """Eleven subcommands build no sparse matrix, so none of them may import
-    scipy, whose import is most of a cold start. One fresh process runs them all
-    through ``cli.main``; ``solver.spla``, the name through which tests and the
-    tracer patch ``splu`` and ``gmres``, still resolves to scipy.sparse.linalg."""
+    """Twelve subcommands build no sparse matrix (newton-dual applies its stencils
+    and time matrices with numpy alone), so none of them may import scipy, whose
+    import is most of a cold start. One fresh process runs them all through
+    ``cli.main``; ``solver.spla``, the name through which tests and the tracer
+    patch ``splu``, still resolves to scipy.sparse.linalg."""
     script = f"""
 import contextlib, io, sys
 from varns import cli
@@ -757,27 +769,6 @@ assert solver.spla is scipy.sparse.linalg
     assert run.returncode == 0, run.stderr
 
 
-def test_newton_dual_loads_no_sparse_solver(tmp_path):
-    """newton-dual builds sparse stencil matrices but solves with numpy alone: after a
-    solve neither scipy.sparse.linalg nor scipy.sparse.csgraph is loaded, and
-    ``solver.spla`` still resolves to scipy.sparse.linalg."""
-    script = f"""
-import contextlib, io, sys
-from varns import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["newton-dual", "--n", "8", "--time-nodes", "5", "--out", {str(tmp_path)!r}])
-loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.sparse.linalg", "scipy.sparse.csgraph")))
-assert code == 0 and "scipy.sparse" in sys.modules and not loaded, (code, loaded[:3])
-import scipy.sparse.linalg
-from varns import solver
-assert solver.spla is scipy.sparse.linalg
-"""
-    run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-
-
 def fresh_process_env(**overrides):
     """The environment of a fresh Python process that imports this ``varns``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -787,16 +778,12 @@ def fresh_process_env(**overrides):
 
 # --- report bytes against the BLAS thread count ---------------------------------
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 13: OpenBLAS inverts the (4T - 3)-row saddle "
-                          "blocks of newton-dual with other bits at two threads from T = 26")
-def test_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path):
+def assert_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path, *argv):
     reports = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
-        run = subprocess.run([sys.executable, "-m", "varns.cli", "newton-dual", "--n", "6",
-                              "--time-nodes", "26", "--out", str(out)],
+        run = subprocess.run([sys.executable, "-m", "varns.cli", "newton-dual", *argv,
+                              "--out", str(out)],
                              env=fresh_process_env(OPENBLAS_NUM_THREADS=threads),
                              capture_output=True, text=True, timeout=300)
         if run.returncode != 0:
@@ -806,3 +793,21 @@ def test_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path):
         pytest.fail(f"report files differ: {sorted(reports['1'])} against {sorted(reports['2'])}")
     assert [name for name in sorted(reports["1"])
             if reports["1"][name] != reports["2"][name]] == []
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_default_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path):
+    """The default 32^2 x 9 grid (52,224 unknowns): the per-axis stencil products,
+    the time blocks, the block inverses and GMRES's dot products, summed in pieces
+    that OpenBLAS does not split among threads, give the same bits at one and at
+    two BLAS threads."""
+    assert_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: OpenBLAS inverts the (4T - 3)-row saddle "
+                          "blocks of newton-dual with other bits at two threads from T = 26")
+def test_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path):
+    assert_newton_dual_reports_keep_their_bytes_at_two_blas_threads(
+        tmp_path, "--n", "6", "--time-nodes", "26")

@@ -101,41 +101,41 @@ GOLDEN = {
     },
     "newton-dual": {
         "exit": 0,
-        "stdout": "2254d2ed7d8f40a4ac28dae32b0905b79fd06d8c947f4b4aed9230c0453f23c5",
+        "stdout": "b343a4d0a2f22df7475700af5c8bd6820002a6e583fc8c39fd3ab2675b0e2c94",
         "files": {
-            "convergence.csv": "a131e54f235aec5ed4d907df67eae9548c108b3ae86a622a8483095bac2fe9d9",
-            "p.csv": "b18dd1636573e8edfc92117d2fafacf299ae777201baf9e7b1568fffb569b63c",
-            "r.csv": "6aba1e30cf4021d1a64147e01beada92258134005ed7ac4956090fc3e9a22527",
-            "u_0.csv": "00b57ba50fcb1f3fd3cbf9af7b8642b6867ab10a6f100b759683543d73577f54",
-            "u_1.csv": "b94911b40a9c3a890407caa48291b4d3a4a8bea152d973f807b4919de4d21ad1",
-            "w_0.csv": "1c115cf0e3f45d504062d372888836f5c827e11ab3c68d6e65b89dd75d2c32e8",
-            "w_1.csv": "b3ac7d563428db16244a800c2625c7e41542d2859d04fe4e0bab60122da68f8e",
+            "convergence.csv": "d07684f7ca23b0715aff4bca9e1be31a23eae6b46c419bbc009083f070b0a191",
+            "p.csv": "983e2ae778a4d9e25f314eab90274627117c9361abe099573a9db1c49449cc95",
+            "r.csv": "d65d5d77fa69003023fd21374c5e01c203c315cf58ceec6a0904e82732f395ff",
+            "u_0.csv": "36efa7c94c970bafecdf2d1600317b5b948de9d729cd8e14f7b94e87d7f23ac3",
+            "u_1.csv": "42821a04704687d91f460b6371beb94e377bd05375716ffbe0805584c6062ce4",
+            "w_0.csv": "8aad29a695143bd5ca2b58766d0a6c24a4b6415fa34906888b6b82950c98c6ed",
+            "w_1.csv": "7ae27693a07f43f120461e24f633f6a94b8ba08a9ec216e3aae837c4062604ca",
         },
     },
     "newton-dual-n7": {
         "exit": 0,
-        "stdout": "24593c79ea5f134b59a3ad5d35ae20b1142c2743043d12a7d853d430aa4d7af0",
+        "stdout": "f331b13db5748eb624a134df760fa32236009bb0b155c624ce5631a6f7f490c0",
         "files": {
-            "convergence.csv": "110d4a1e4aafb22fe708979ef346911426e05e0ad65c8510a8da4dd965c2b0cf",
-            "p.csv": "b39db04b1decbd731fbe394b59a70583dd9817b06440456e0c66259d061c40a3",
-            "r.csv": "0d54cb0f28d7e32985c88446d2425b74fdda2be1181d9a671cb19122d015c202",
-            "u_0.csv": "c493f90217cafbfb8610fd22ef0e254db4ccc90a4cbd67be5310d480fcc60c32",
-            "u_1.csv": "392ba1644ed94ab0357440a0d71cd5fbd5ee39454c01a56b44ff35525b735105",
-            "w_0.csv": "913b0645a1eb29bf5895a2f4edec6b29aacba90bfd01ca2eed8eb32626b19785",
-            "w_1.csv": "11cd8497ebc0abeb2f2b6a313e6ed0c5da8a087091fc82b72ca10fcefd2927a4",
+            "convergence.csv": "d1d59bbcc1b5b32ef1cd3c570f6fa734b9ea17451cfe290bc13946fb159debfb",
+            "p.csv": "7188ecfae23006a506f70ded0c4884faef17ae6cf896d2be3a7f0d0724027c46",
+            "r.csv": "8dc878f8dd559774669b2a33b80d38b2201f1fdc1e5364ebae3a886f0d256304",
+            "u_0.csv": "d87fe731c6c6e79f38cc0c0e1ea7a96c0a7be6a03692929766b8ee1eeb167f59",
+            "u_1.csv": "dc0257c1328e79c96f4c46e7ec88637ce191308be588667cf6a844652c3534e6",
+            "w_0.csv": "d9c7a7cc2bf070a618c88e5047924dafcdc0987cbd45db4eb631b28af1b6940f",
+            "w_1.csv": "76c3b14e94002cb0b728eb415e4d97b4b4c3280891b164f184647da02c9d58a6",
         },
     },
     "newton-dual-n8": {
         "exit": 0,
-        "stdout": "789a5a469e13f2a389535cd3e65cc0c1113a55839a43ea6411d30b6db22e36a3",
+        "stdout": "f53f8840f6f38bf4f8728f3339e8486165b9b7239b2005c2b4cdf787d6770214",
         "files": {
-            "convergence.csv": "41adb29d3afd7b1c54818cd6bcc57d93a1b3d94418fb54d6e6275988b2a92db4",
-            "p.csv": "a08398117379eb3ff148421ef68aea678945c03b1605fc2de67296f791458614",
-            "r.csv": "39bbe95a846d38dd96d9b86d43aacb3eadba1fd6bb1f23ea47e8dc4c43d76409",
-            "u_0.csv": "3c688a6d60cc04a35b8ae62da97703c88d17277deae3d6ae10df06506e9d1b26",
-            "u_1.csv": "82622a2cf8db7e08781316ed805610905971bc944beaa427ac2e458a09a950d2",
-            "w_0.csv": "58d4ff7f9efa28980e57c48a901f30aa7110ad1cae86efaf379c5ebe3a30cc6d",
-            "w_1.csv": "772ab73363c9348c522c0a330ddb01306cca4dd3d7f40a1900c8262aae81952a",
+            "convergence.csv": "215fefb3ec303ae8d690c3fef3345db292518a21c5029b8a40d34e46914fc846",
+            "p.csv": "809b4aafa30d96e22e3a2677f3970f5ac4d0716be13284a359fb8c7d72ec5bb3",
+            "r.csv": "bab2bb0fcd0641f1c624cd5369f95d9606871f0dc3469a6c6bc7dff3c8c5bdc9",
+            "u_0.csv": "fb2f78f4e3360c0ad3d57cfef75dd4f4d7f62247e99940c8797dc92fb2391515",
+            "u_1.csv": "9a9cd0416fb1937899921d3faa0776a4d59771e0efd59b538484c6016fb5414b",
+            "w_0.csv": "a92cbb73abaa0234771d546b47b2c988e9452de1323ddf454b02488334d7da06",
+            "w_1.csv": "df07894a8d5f6ce3ff2dec051b49e4bac8a38c3260a2356c8e2db542fa77de11",
         },
     },
     "oscillator": {

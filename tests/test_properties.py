@@ -242,6 +242,34 @@ def test_newton_preconditioner_inverts_the_linear_part(nodes, time_nodes):
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("nodes, time_nodes", [((5, 9), 5), ((8, 7), 4), ((8, 8), 6),
+                                               ((4, 5, 4), 5), ((4, 4, 4), 4)])
+def test_newton_block_inverses_equal_the_per_mode_inverses_to_the_bit(nodes, time_nodes):
+    """Inverting each distinct block once and handing it to every mode that has it
+    gives, bit for bit, what inverting the block of every mode of the rfft half
+    gives: odd and even axes, odd T, the null modes' stand-ins and 3D."""
+    system = _DualNewtonSystem(periodic_box(nodes, time_nodes, 0.02), 0.5,
+                               *np.zeros((len(nodes), *nodes)))
+    d, T, spec = len(nodes), time_nodes, system.spec
+    half = (..., slice(nodes[-1] // 2 + 1))
+    lap, null, *s = (a.ravel() for a in np.broadcast_arrays(
+        spec.lap[half], spec.null[half], *(s[half] for s in spec.s)))
+    norm = np.where(null, 1.0, np.sqrt((np.stack(s, -1) ** 2).sum(-1)))
+    fields = np.r_[:T, d * T:(d + 1) * T, 2 * d * T:len(system.A[0])]
+    A0, A1, grad = (a[np.ix_(fields, fields)] for a in system.A[:3])
+    grad[:2 * T] *= -1
+    saddle = A0 + lap[:, None, None] * A1 + norm[:, None, None] * grad
+    velocity = saddle[:, :2 * T, :2 * T].copy()
+    least_squares = np.linalg.pinv(velocity[null], rtol=1e-10)
+    velocity[null], saddle[null] = np.eye(2 * T), np.eye(len(fields))
+    velocity, saddle = np.linalg.inv(velocity), np.linalg.inv(saddle)
+    velocity[null], saddle[null] = least_squares, 0.0
+
+    _, got_velocity, got_saddle = system._block_inverses
+    assert null.any() and len(np.unique(lap)) < len(lap)
+    assert np.array_equal(got_velocity, velocity) and np.array_equal(got_saddle, saddle)
+
+
 @PROPERTY_SETTINGS
 @given(nodes=st.one_of(st.tuples(st.integers(4, 9), st.integers(4, 9)),
                        st.tuples(st.integers(4, 5), st.integers(4, 5), st.integers(4, 5))),

@@ -208,9 +208,10 @@ def test_newton_continuation_ladder_runs():
     assert u_w_gap(traj.state) <= 1e-8
 
 
-# the memory estimate: 64^2 x 33 needs 0.99 GB, 128^2 x 9 0.76 GB; the guard must
-# fire before any assembly
-@pytest.mark.parametrize("n, time_nodes", [(64, 33), (128, 9)])
+# the memory estimate: 64^2 x 33 needs 0.91 GB, 128^2 x 17 1.49 GB; whole runs with
+# the guard lifted peaked at 0.89 GB (64^2 x 33, --perturb-w 0.3 --nu 0.05) and 0.67
+# GB (128^2 x 17). The guard must fire before any assembly
+@pytest.mark.parametrize("n, time_nodes", [(64, 33), (128, 17)])
 def test_newton_rejects_oversized_problem(n, time_nodes):
     g = periodic_square(n, time_nodes=time_nodes, dt=0.01)
     with pytest.raises(ValueError, match="too large"):
@@ -221,10 +222,10 @@ class _Assembled(Exception):
     pass
 
 
-# 16^2 x 9 (about 12 MB), the CLI default 32^2 x 9 (about 48 MB) and 64^2 x 17
-# (about 0.42 GB) pass the guard; the assembly is replaced, so no system is
-# built or solved
-@pytest.mark.parametrize("n, time_nodes", [(16, 9), (32, 9), (64, 17)])
+# 16^2 x 9 (about 10 MB), the CLI default 32^2 x 9 (about 43 MB), 64^2 x 17 (about
+# 0.38 GB) and 64^2 x 24 (about 0.59 GB) pass the guard; the assembly is replaced,
+# so no system is built or solved
+@pytest.mark.parametrize("n, time_nodes", [(16, 9), (32, 9), (64, 17), (64, 24)])
 def test_newton_guard_accepts_desk_scale_grids(n, time_nodes, monkeypatch):
     def assembled(*args):
         raise _Assembled
