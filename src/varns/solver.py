@@ -388,10 +388,11 @@ class _DualNewtonSystem:
                     (grad, P, u, lift_p.T), (grad, R, w, lift_r.T)):
                 A[k][np.ix_(fields[row], fields[col])] = block
         self.velocities = vel = 2 * d * T   # time-field indices of u and w come first
+        self.component_fields = np.r_[:T, d * T:(d + 1) * T, vel:m]     # u_0, w_0, p, r
         # A_0 and A_1 act alike on the (u_i, w_i) of every component i, and A_{2+i}
         # couples them to (p, r) alike: the nonzero blocks of component 0's time
         # matrices between the field groups u, w, p, r act on all components at once
-        groups = np.split(np.r_[:T, d * T:(d + 1) * T, vel:m], np.cumsum([T, T, T - 1]))
+        groups = np.split(self.component_fields, np.cumsum([T, T, T - 1]))
         self.time_blocks = [(k, a, b, block) for k in range(3)
                             for a, rows in enumerate(groups) for b, cols in enumerate(groups)
                             if (block := A[k][np.ix_(rows, cols)]).any()]
@@ -517,7 +518,7 @@ class _DualNewtonSystem:
         velocity block, keyed on lap, is inverted once and handed to every mode that
         has it, bit for bit what inverting each mode's gives: 561 saddle blocks for
         the 2,112 modes of 64^2, 214 for the 2,304 of 16^3."""
-        spec, d, T = self.spec, self.grid.dim, self.T
+        spec, T = self.spec, self.T
         half = (..., slice(self.grid.nodes[-1] // 2 + 1))
         lap, null, *s = (a.ravel() for a in np.broadcast_arrays(
             spec.lap[half], spec.null[half], *(s[half] for s in spec.s)))
@@ -528,7 +529,7 @@ class _DualNewtonSystem:
         e[null] = 0.0
         # (u_0, w_0, p, r): the gradient couples u_0 to p, w_0 to r; scaling p and r
         # by i turns i s_0 A_2 into |s| times A_2 negated on the velocity rows
-        fields = np.r_[:T, d * T:(d + 1) * T, 2 * d * T:len(self.A[0])]
+        fields = self.component_fields
         A0, A1, grad = (a[np.ix_(fields, fields)] for a in self.A[:3])
         grad[:2 * T] *= -1
 
