@@ -742,15 +742,14 @@ def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, comma
 SPARSE_FREE = {"oscillator": (), "evaluate": (), "energy": (), "variation-check": (),
                "residual": (), "steady-cert": (), "inequality-audit": (), "extended": (),
                "boundary-audit": (), "solve-unsteady": (),
-               "taylor-green-verify": ("--refine", "2"), "newton-dual": ()}
+               "taylor-green-verify": ("--refine", "2")}
 
 
 def test_sparse_free_subcommands_never_import_scipy(tmp_path):
-    """Twelve subcommands build no sparse matrix (newton-dual applies its stencils
-    and time matrices with numpy alone), so none of them may import scipy, whose
-    import is most of a cold start. One fresh process runs them all through
-    ``cli.main``; ``solver.spla``, the name through which tests and the tracer
-    patch ``splu``, still resolves to scipy.sparse.linalg."""
+    """Eleven subcommands build no sparse matrix, so none of them may import
+    scipy, whose import is most of a cold start. One fresh process runs them all
+    through ``cli.main``; ``solver.spla``, the name through which tests and the
+    tracer patch ``splu``, still resolves to scipy.sparse.linalg."""
     script = f"""
 import contextlib, io, sys
 from varns import cli
@@ -760,6 +759,26 @@ for name, flags in {SPARSE_FREE!r}.items():
                          "--out", {str(tmp_path)!r}])
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert code in (0, 2) and not loaded, (name, code, loaded[:3])
+import scipy.sparse.linalg
+from varns import solver
+assert solver.spla is scipy.sparse.linalg
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_newton_dual_loads_no_sparse_solver(tmp_path):
+    """newton-dual applies its stencils and time matrices and solves with numpy
+    alone: a whole solve in a fresh process loads no scipy module at all, and
+    ``solver.spla`` still resolves to scipy.sparse.linalg afterwards."""
+    script = f"""
+import contextlib, io, sys
+from varns import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["newton-dual", "--n", "8", "--time-nodes", "5", "--out", {str(tmp_path)!r}])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert code == 0 and not loaded, (code, loaded[:3])
 import scipy.sparse.linalg
 from varns import solver
 assert solver.spla is scipy.sparse.linalg
