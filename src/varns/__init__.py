@@ -8,68 +8,4 @@ difference-field energy balance, the steady uniqueness certificate, and
 boundary-condition recovery from the extended functional.
 """
 
-from .grids import (
-    PERIODIC,
-    WALL,
-    FieldQuartet,
-    Grid,
-    ScalarField,
-    VectorField,
-    boundary_integral,
-    divergence,
-    gradient,
-    integrate_space,
-    integrate_spacetime,
-    laplacian,
-    periodic_square,
-    time_derivative,
-)
-from .oscillator import (
-    OscillatorProblem,
-    OscillatorSolution,
-    ResonanceError,
-    galerkin_identity_residual,
-    oscillator_functional,
-    solve_oscillator_vp,
-)
-from .lagrangian import (
-    AdmissibilityError,
-    ELResiduals,
-    EnergySeries,
-    LagrangianReport,
-    difference_fields,
-    el_residuals,
-    energy_series,
-    evaluate_lagrangian,
-    first_variation,
-    gronwall_audit,
-    swap_functional,
-)
-from .steady import (
-    THRESHOLD_CONSTANT,
-    UniquenessCertificate,
-    enclosing_radius,
-    inequality_chain_audit,
-    steady_boundary_estimate,
-    steady_functional,
-    uniqueness_certificate,
-)
-from .boundary import (
-    SurfaceData,
-    boundary_recovery_audit,
-    extended_functional,
-    surface_density,
-)
-from .solver import (
-    ConvergenceError,
-    SolveConfig,
-    StagnationError,
-    Trajectory,
-    march_reduced,
-    newton_dual,
-    steady_solve,
-    taylor_green,
-    u_w_gap,
-)
-
 __version__ = "0.1.0"

@@ -130,14 +130,6 @@ def _surface_density_arrays(state: FieldQuartet, surface: SurfaceData, nu: float
     return out, wall_degenerate
 
 
-def surface_density(state: FieldQuartet, surface: SurfaceData,
-                    nu: float) -> VectorField:
-    """The wall-surface density as a vector field (meaningful on wall nodes)."""
-    arrays, _ = _surface_density_arrays(state, surface, nu)
-    g = state.grid
-    return VectorField(g, tuple(ScalarField(g, a) for a in arrays))
-
-
 @dataclass(frozen=True)
 class ExtendedReport:
     J: float

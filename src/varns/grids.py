@@ -4,11 +4,11 @@ Everything downstream (functional evaluation, residuals, solvers) is built
 from the operators in this module: second-order central differences with
 one-sided closures at wall boundaries, trapezoid/rectangle quadrature, and
 surface quadrature over wall faces. All operators are pure functions of
-immutable inputs. Every sparse stencil matrix is built here, as the kernels
-``_d1``/``_d2`` applied to an identity (``_stencil_matrix``), lifted to the
-nodes of a 2D or 3D slice by index (``_stencil_matrices``, for the steady
-solve); the space-time Newton solve applies the same 1D matrices, dense, along
-each axis.
+immutable inputs. Every sparse stencil matrix is built here, from the kernels
+``_d1``/``_d2`` applied to an identity of at most 8 nodes (``_stencil_matrix``),
+lifted to the nodes of a 2D or 3D slice by index (``_stencil_matrices``, for the
+steady solve); the space-time Newton solve applies the kernels of a whole
+identity, dense, along each axis.
 
 The kernels copy nothing. Ufunc calls on views of the array along the axis,
 shifted one node either way, compute every interior node (one subtraction for
@@ -40,10 +40,6 @@ if TYPE_CHECKING:       # scipy is imported by the builders of sparse matrices a
 
 PERIODIC = "periodic"
 WALL = "wall"
-
-#: identity columns a stencil matrix is built from at a time, so that building
-#: it takes memory linear in the node count
-_STENCIL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -281,13 +277,22 @@ def _d2(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
 
 
 def _stencil_matrix(op: Callable, n: int, h: float, periodic: bool) -> sp.csr_matrix:
-    """The kernel ``op`` (``_d1``/``_d2``) on ``n`` nodes: ``op`` of the identity,
-    applied to ``_STENCIL_BLOCK`` of its columns at a time (it acts on each
-    column alone, so every bit is the same)."""
+    """The kernel ``op`` (``_d1``/``_d2``) on ``n`` nodes: ``op`` of the identity, to
+    the bit. A row reaches at most 3 nodes from itself, and only the end rows are
+    not the interior band, so past 8 nodes the matrix is that of 8 nodes with the
+    band of its row 4 shifted along rows 1 to n - 2, and the columns of its end
+    rows from 4 on moved to the end of the axis."""
     import scipy.sparse as sp
-    return sp.hstack([sp.csr_matrix(op(np.eye(n, min(_STENCIL_BLOCK, n - j), -j), 0, h,
-                                       periodic))
-                      for j in range(0, n, _STENCIL_BLOCK)], format="csr")
+    M = op(np.eye(min(n, 8)), 0, h, periodic)
+    if n <= 8:
+        return sp.csr_matrix(M)
+    first, band, last = (np.flatnonzero(M[i]) for i in (0, 4, 7))
+    ends = lambda cols: np.where(cols < 4, cols, cols + (n - 8))
+    indices = np.concatenate([ends(first), (np.arange(1, n - 1)[:, None] + band - 4).ravel(),
+                              ends(last)])
+    data = np.concatenate([M[0, first], np.tile(M[4, band], n - 2), M[7, last]])
+    indptr = np.r_[0, len(first) + len(band) * np.arange(n - 1), len(data)]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _stencil_matrices(grid: Grid):
@@ -334,10 +339,6 @@ def divergence(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, out)
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _laplacian(f.grid, f.values))
-
-
 def _gradients(grid: Grid, batch: np.ndarray) -> list[np.ndarray]:
     """The spatial derivative along each axis of every array of ``batch``, arrays
     on ``grid``'s nodes (its time axis optional) stacked on a leading axis: one
@@ -354,13 +355,6 @@ def _laplacian(grid: Grid, arr: np.ndarray) -> np.ndarray:
     for a in range(grid.dim):
         out += _d2(arr, a, grid.spacing(a), grid.boundaries[a] == PERIODIC)
     return out
-
-
-def time_derivative(f: ScalarField) -> ScalarField:
-    g = f.grid
-    if g.time_nodes < 3:
-        raise ValueError("time derivative needs at least 3 time nodes")
-    return ScalarField(g, _d1(f.values, f.values.ndim - 1, g.dt, periodic=False))
 
 
 def integrate_space(f: ScalarField, time_index: int = 0) -> float:

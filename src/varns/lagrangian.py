@@ -207,11 +207,6 @@ def evaluate_lagrangian(state: FieldQuartet, nu: float) -> LagrangianReport:
                             max(scale, 1e-300))
 
 
-def swap_functional(state: FieldQuartet, nu: float) -> float:
-    """Functional value with (u, p) and (w, r) interchanged; equals -J."""
-    return evaluate_lagrangian(state.swapped(), nu).J
-
-
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------

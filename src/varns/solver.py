@@ -346,8 +346,9 @@ class _DualNewtonSystem:
     ..., D_{d-1}) and m x m time matrices A_k, with the pin rows swapped in; the
     Jacobian adds the advection linearization, and both act from their factors,
     never assembled, in numpy alone: B_k as one product per axis with the 1D
-    matrix of ``_d1``/``_d2`` (:func:`_along`), the A_k by their nonzero blocks
-    between the field groups of one component (:attr:`time_blocks`). GMRES
+    matrix of ``_d1``/``_d2`` (:func:`_along`), the A_k by the nonzero blocks of
+    A_0, A_1 and A_2 between the field groups of one component (:attr:`A` holds
+    those three on u_0, w_0, p, r; :attr:`time_blocks` their blocks). GMRES
     solves each Newton step, preconditioned with the exact inverse of L: the FFT
     over space splits it into one m x m block per mode, inverted as two real
     blocks once per distinct symbol (:attr:`_block_inverses`).
@@ -374,25 +375,19 @@ class _DualNewtonSystem:
         self.momentum_mask = np.array([mom_u, mom_w])[:, None, None, :, None]  # [f, i, j, t, x]
         E0, ET, MU, MW = map(np.diag, (first, last, mom_u, mom_w))
         lift_p, lift_r = np.eye(T, T - 1, -1), np.eye(T, T - 2, -1)
-        # time matrices of I, Lap, D_0, ..., D_{d-1} on the fields u_0, ..., u_{d-1},
-        # w_0, ..., w_{d-1}, p, r
-        fields = np.split(np.arange(m), np.cumsum([T] * 2 * d + [T - 1]))
-        self.A = A = np.zeros((2 + d, m, m))
-        P, R = 2 * d, 2 * d + 1
-        for i in range(d):
-            u, w, grad = i, d + i, 2 + i
-            for k, row, col, block in (
-                    (0, u, u, E0), (1, u, u, nu * MU), (0, u, w, -MU @ DT),
-                    (0, w, u, ET - MW @ DT), (0, w, w, E0 - ET), (1, w, w, nu * MW),
-                    (grad, u, P, -lift_p), (grad, w, R, -lift_r),
-                    (grad, P, u, lift_p.T), (grad, R, w, lift_r.T)):
-                A[k][np.ix_(fields[row], fields[col])] = block
-        self.velocities = vel = 2 * d * T   # time-field indices of u and w come first
-        self.component_fields = np.r_[:T, d * T:(d + 1) * T, vel:m]     # u_0, w_0, p, r
-        # A_0 and A_1 act alike on the (u_i, w_i) of every component i, and A_{2+i}
-        # couples them to (p, r) alike: the nonzero blocks of component 0's time
-        # matrices between the field groups u, w, p, r act on all components at once
-        groups = np.split(self.component_fields, np.cumsum([T, T, T - 1]))
+        # time matrices of I, Lap and D_0 on one component's fields u_0, w_0, p, r: A_0
+        # and A_1 act alike on the (u_i, w_i) of every component i, and A_{2+i} couples
+        # them to (p, r) as A_2 does (u_0, w_0), so the nonzero blocks of these between
+        # the field groups u, w, p, r act on all components at once
+        groups = np.split(np.arange(4 * T - 3), np.cumsum([T, T, T - 1]))
+        self.A = A = np.zeros((3, 4 * T - 3, 4 * T - 3))
+        for k, row, col, block in (
+                (0, 0, 0, E0), (1, 0, 0, nu * MU), (0, 0, 1, -MU @ DT),
+                (0, 1, 0, ET - MW @ DT), (0, 1, 1, E0 - ET), (1, 1, 1, nu * MW),
+                (2, 0, 2, -lift_p), (2, 1, 3, -lift_r),
+                (2, 2, 0, lift_p.T), (2, 3, 1, lift_r.T)):
+            A[k][np.ix_(groups[row], groups[col])] = block
+        self.velocities = 2 * d * T   # time-field indices of u and w come first
         self.time_blocks = [(k, a, b, block) for k in range(3)
                             for a, rows in enumerate(groups) for b, cols in enumerate(groups)
                             if (block := A[k][np.ix_(rows, cols)]).any()]
@@ -529,8 +524,7 @@ class _DualNewtonSystem:
         e[null] = 0.0
         # (u_0, w_0, p, r): the gradient couples u_0 to p, w_0 to r; scaling p and r
         # by i turns i s_0 A_2 into |s| times A_2 negated on the velocity rows
-        fields = self.component_fields
-        A0, A1, grad = (a[np.ix_(fields, fields)] for a in self.A[:3])
+        A0, A1, grad = self.A.copy()
         grad[:2 * T] *= -1
 
         def inverses(keys, size, stand_in):
@@ -549,7 +543,7 @@ class _DualNewtonSystem:
             return blocks[index.ravel()]
         # the velocity block does not see |s|; the null flag keeps the stand-ins apart
         velocity = inverses((lap, null), 2 * T, lambda b: np.linalg.pinv(b, rtol=1e-10))
-        return e, velocity, inverses((lap, norm, null), len(fields), np.zeros_like)
+        return e, velocity, inverses((lap, norm, null), 4 * T - 3, np.zeros_like)
 
     def _solve_linear_part(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b mode by mode in Fourier space, on the rfft half. The divergence
@@ -828,8 +822,8 @@ class _SteadyNewtonSystem:
         import scipy.sparse as sp
         d, S = grid.dim, int(np.prod(grid.nodes))
         self.grid, self.nu, self.d, self.S = grid, nu, d, S
-        self.DX, LAP = _stencil_matrices(grid)
-        self.DX_stacked = sp.vstack(self.DX, format="csr")     # row j S + x: D_j at x
+        DX, LAP = _stencil_matrices(grid)
+        self.DX_stacked = sp.vstack(DX, format="csr")     # row j S + x: D_j at x
         self.interior = m = ~_wall_boundary_mask(grid)[..., 0].ravel()
         self.periodic = m.all()
         self.gauge = gauge = _Components(grid.nodes, m)
@@ -859,7 +853,6 @@ class _SteadyNewtonSystem:
         self.b = np.concatenate([np.where(m, 0.0, data).ravel(), np.zeros(S + K),
                                  v0.mean(axis=1)[:forces]])
         self.z0 = np.concatenate([v0.ravel(), np.zeros(n - v0.size)])
-        self.V = sp.diags(np.concatenate([np.tile(m, d), np.zeros(n - d * S)]))
         self.norm0 = None                   # residual of the first step
 
     def unpack(self, z: np.ndarray):
@@ -869,24 +862,22 @@ class _SteadyNewtonSystem:
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         v = self.unpack(z)[0]
-        adv = [sum(v[j] * (self.DX[j] @ vi) for j in range(self.d)) for vi in v]
+        grads = (self.DX_stacked @ v.T).reshape(self.d, self.S, self.d)   # [j, :, i]: D_j v_i
+        adv = [sum(v[j] * grads[j, :, i] for j in range(self.d)) for i in range(self.d)]
         F = self.L @ z - self.b
         F[:v.size] -= (self.interior * np.array(adv)).ravel()
         return F
 
-    def _advection(self, z: np.ndarray):
-        """Coefficients of the advection linearization A(z), (A x)_i = sum_j G_ij x_j
-        + W_j D_j x_i on the velocity rows: G_ij = m D_j v_i and W_j = m v_j, m the
-        interior mask."""
-        v, m = self.unpack(z)[0], self.interior
-        return [[m * (D @ vi) for D in self.DX] for vi in v], [m * vj for vj in v]
-
     def jacobian_operator(self, z: np.ndarray, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (J(z) - shift V) x = L x - shift V x - A(z) x, from the coefficients
-        of A(z) computed once; shift V joins G_ii as shift m."""
-        d, S, DX = self.d, self.S, self.DX_stacked
-        G, W = map(np.array, self._advection(z))      # (d, d, S) and (d, S)
-        G[range(d), range(d)] += shift * self.interior
+        """x -> (J(z) - shift V) x = L x - shift V x - A(z) x, V the identity on the
+        interior momentum rows. The advection linearization A(z), (A x)_i = sum_j
+        G_ij x_j + W_j D_j x_i on the velocity rows, has G_ij = m D_j v_i and W_j = m
+        v_j (m the interior mask), computed once; shift V joins G_ii as shift m."""
+        d, S, m, DX = self.d, self.S, self.interior, self.DX_stacked
+        v = self.unpack(z)[0]
+        G = m * (DX @ v.T).reshape(d, S, d).transpose(2, 0, 1)     # (d, d, S)
+        W = m * v                                                   # (d, S)
+        G[range(d), range(d)] += shift * m
 
         def matvec(x):
             xv = x[:d * S].reshape(d, S)
@@ -917,11 +908,14 @@ class _SteadyNewtonSystem:
 
     @functools.cached_property
     def _linear_lu(self):
-        """Sparse LU of L - V / dtau0; a singular matrix raises ``LinAlgError``
-        carrying the SuperLU message."""
+        """Sparse LU of L - V / dtau0, V the identity on the interior momentum rows; a
+        singular matrix raises ``LinAlgError`` carrying the SuperLU message."""
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
+        V = sp.diags(np.concatenate([np.tile(self.interior, self.d),
+                                     np.zeros(self.L.shape[0] - self.d * self.S)]))
         try:
-            return spla.splu((self.L - self.V / _DTAU0).tocsc())
+            return spla.splu((self.L - V / _DTAU0).tocsc())
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
 

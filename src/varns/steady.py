@@ -22,10 +22,7 @@ from .grids import (
     FieldQuartet,
     Grid,
     ScalarField,
-    VectorField,
-    boundary_integral,
     integrate_space,
-    wall_faces,
 )
 from .lagrangian import (
     _combined_field,
@@ -175,49 +172,3 @@ def inequality_chain_audit(state: FieldQuartet, nu: float,
     poincare = Dv2 / (lam * E2) if E2 > 0 else math.inf
     scale = max(1.0, *(abs(r.rhs) for r in rows))
     return ChainAuditReport(rows, poincare, scale, tol * scale)
-
-
-@dataclass(frozen=True)
-class SteadyBoundaryReport:
-    dirichlet_term: float
-    boundary_term: float
-    volume_rhs: float
-    identity_residual: float
-    closing_lhs: float
-    closing_rhs: float
-    all_periodic: bool
-
-
-def steady_boundary_estimate(state: FieldQuartet, nu: float,
-                             grid: Grid | None = None) -> SteadyBoundaryReport:
-    """Evaluate the terms of the summed steady stationarity identity and the
-    closing boundary-data inequality, as printed. Diagnostic only: no sign
-    contract is attached to any margin.
-    """
-    if nu < 0:
-        raise ValueError(f"viscosity must be nonnegative, got {nu}")
-    grid = grid or state.grid
-    _require_steady(grid)
-    d = grid.dim
-    g_field = _combined_field(state)
-    gv = [c.values for c in g_field.components]
-    Dg = _grad_tensor(g_field)
-    sq = lambda arr: integrate_space(ScalarField(grid, arr), 0)
-
-    Dg2 = sq(sum(Dg[j][i] ** 2 for i in range(d) for j in range(d)))
-    dirichlet = 0.25 * nu * Dg2
-    g2 = sum(c ** 2 for c in gv)
-    pres = state.p.values + state.r.values + g2 / 4
-    flux = VectorField(grid, tuple(
-        ScalarField(grid, 0.25 * pres * gv[i]) for i in range(d)))
-    all_periodic = not any(True for _ in wall_faces(grid))
-    bterm = 0.0 if all_periodic else boundary_integral(flux, 0)
-    volume = 0.25 * sq(sum(gv[i] * gv[j] * Dg[j][i]
-                           for i in range(d) for j in range(d)))
-
-    lam = _pinned_lambda(grid)
-    braced = nu - 3.0 ** -0.75 / (4 * lam ** 0.25) * Dg2
-    closing_lhs = 0.25 * math.sqrt(braced) * Dg2 if braced >= 0 else math.nan
-    return SteadyBoundaryReport(dirichlet, bterm, volume,
-                                dirichlet + bterm - volume,
-                                closing_lhs, abs(bterm), all_periodic)

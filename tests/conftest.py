@@ -3,7 +3,8 @@
 The random-field helpers here generate inputs; independent oracles live in
 the test modules that use them, except the 3D flow that the solver and the
 command-line tests share, the direct Newton steps (the assembled steady
-Jacobian and a sparse LU solve) that the solver and property tests share, and
+Jacobian and a sparse LU solve) that the solver and property tests share, the
+space-time Newton system's time matrices on every field, and
 the stencil kernels built from ``np.roll`` that ``grids._d1``/``_d2`` must
 match to the bit. The field builders, the quartet writer and the steady
 functional's scale at the end serve tests only.
@@ -20,6 +21,7 @@ from varns.grids import (
     Grid,
     ScalarField,
     VectorField,
+    _stencil_matrices,
     integrate_space,
 )
 from varns.lagrangian import lagrangian_terms
@@ -185,17 +187,36 @@ def lu_step(J, F):
     return spla.splu(sp.csc_matrix(J)).solve(-F)
 
 
-def steady_jacobian(system, z):
-    """J(z) = L - A(z) of a steady Newton system, assembled from the advection
-    coefficients (A x)_i = sum_j G_ij x_j + W_j D_j x_i of its velocity rows."""
-    G, W = system._advection(z)
-    conv = sum(sp.diags(Wj) @ D for Wj, D in zip(W, system.DX))
-    rows = [[sp.diags(Gij) for Gij in Gi] for Gi in G]
+def steady_jacobian(system, z, shift=0.0):
+    """J(z) - shift V = L - A(z) - shift V of a steady Newton system, assembled from
+    the advection coefficients (A x)_i = sum_j G_ij x_j + W_j D_j x_i of its velocity
+    rows, G_ij = m D_j v_i and W_j = m v_j with the interior mask m, and V the
+    identity on the interior momentum rows."""
+    DX, m = _stencil_matrices(system.grid)[0], system.interior
+    v = system.unpack(z)[0]
+    conv = sum(sp.diags(m * vj) @ D for vj, D in zip(v, DX))
+    rows = [[sp.diags(m * (D @ vi) + shift * m * (i == j)) for j, D in enumerate(DX)]
+            for i, vi in enumerate(v)]
     for i in range(system.d):
         rows[i][i] = rows[i][i] + conv
     A = sp.bmat(rows, format="csr")
     A.resize(system.L.shape)
     return system.L - A
+
+
+def full_time_matrices(system):
+    """The m x m time matrices A_0, ..., A_{d+1} of I, Lap, D_0, ..., D_{d-1} on every
+    field of a space-time Newton system, from its (u_0, w_0, p, r) matrices of I,
+    Lap and D_0: A_0 and A_1 act alike on each (u_i, w_i), and A_{2+i} couples
+    (u_i, w_i) to (p, r) as A_2 couples (u_0, w_0)."""
+    d, T, v = system.grid.dim, system.T, system.velocities
+    m = v + 2 * T - 3
+    A = np.zeros((2 + d, m, m))
+    for i in range(d):
+        fields = np.r_[i * T:(i + 1) * T, (d + i) * T:(d + i + 1) * T, v:m]
+        for k, a in zip((0, 1, 2 + i), system.A):
+            A[k][np.ix_(fields, fields)] = a
+    return A
 
 
 def complex_block_preconditioner(system, b):
@@ -209,10 +230,11 @@ def complex_block_preconditioner(system, b):
     labels, first = system.gauge.labels, system.gauge.first
     half = (..., slice(system.grid.nodes[-1] // 2 + 1))
     symbols = np.broadcast_arrays(1.0, spec.lap[half], *(1j * s[half] for s in spec.s))
-    blocks = np.tensordot(np.stack(symbols, -1), system.A, 1).reshape(-1, *system.A.shape[1:])
+    A = full_time_matrices(system)
+    blocks = np.tensordot(np.stack(symbols, -1), A, 1).reshape(-1, *A.shape[1:])
     null = np.flatnonzero(spec.null[half])
     velocity = np.linalg.pinv(blocks[null, :v, :v], rtol=1e-10)
-    blocks[null] = np.eye(len(system.A[0]))
+    blocks[null] = np.eye(len(A[0]))
     inverses = np.linalg.inv(blocks)
     inverses[null] = 0.0
     inverses[null, :v, :v] = velocity

@@ -788,6 +788,15 @@ assert solver.spla is scipy.sparse.linalg
     assert run.returncode == 0, run.stderr
 
 
+def test_importing_the_package_loads_no_module_of_it():
+    """The API is the modules, with no flat ``varns.*`` namespace: ``import varns``
+    loads none of them."""
+    script = "import sys, varns; print(sorted(m for m in sys.modules if m.startswith('varns.')))"
+    run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
 def fresh_process_env(**overrides):
     """The environment of a fresh Python process that imports this ``varns``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))

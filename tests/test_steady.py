@@ -15,7 +15,6 @@ from varns.steady import (
     THRESHOLD_CONSTANT,
     enclosing_radius,
     inequality_chain_audit,
-    steady_boundary_estimate,
     steady_functional,
     uniqueness_certificate,
 )
@@ -235,57 +234,3 @@ def test_chain_wall_precondition():
     bad = random_quartet(g, 77, wall_safe=False)
     with pytest.raises(ValueError, match="wall"):
         inequality_chain_audit(bad, 0.4, g)
-
-
-# ---------------------------------------------------------------------------
-# steady boundary estimate
-# ---------------------------------------------------------------------------
-
-def test_boundary_estimate_zero_fields():
-    g = Grid((1.0, 1.0), (9, 9), ("wall", "wall"))
-    rep = steady_boundary_estimate(FieldQuartet.zeros(g), 1.0, g)
-    assert rep.dirichlet_term == 0.0
-    assert rep.boundary_term == 0.0
-    assert rep.volume_rhs == 0.0
-    assert not rep.all_periodic
-
-
-def test_boundary_estimate_periodic_vortex_slice():
-    nu = 0.3
-    g = periodic_square(24)
-    X, Y, _ = g.meshes()
-    u = [-np.cos(X) * np.sin(Y), np.sin(X) * np.cos(Y)]
-    P = -0.25 * (np.cos(2 * X) + np.cos(2 * Y))
-    q = P - 0.5 * (u[0] ** 2 + u[1] ** 2)
-    state = quartet_from_arrays(g, u, q, u, q)
-    rep = steady_boundary_estimate(state, nu, g)
-    assert rep.all_periodic
-    assert rep.boundary_term == 0.0
-
-    # dual implementation of the volume term: own stencils and weights
-    h = g.spacing(0)
-    gg = [2 * u[0], 2 * u[1]]
-    der = lambda f, ax: (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2 * h)
-    vol = 0.25 * np.sum(sum(gg[i] * gg[j] * der(gg[j], i)[..., 0]
-                            for i in range(2) for j in range(2))[..., None]) * h * h
-    assert rep.volume_rhs == pytest.approx(float(vol), abs=1e-12)
-
-
-def test_boundary_estimate_cavity_style_regression():
-    # analytic cavity-like data at coarse 16^2; values frozen from the first
-    # verified run (deterministic formulas, diagnostic only)
-    g = Grid((1.0, 1.0), (16, 16), ("wall", "wall"))
-    X, Y, _ = g.meshes()
-    u = [16 * (X * (1 - X)) ** 2 * Y * (2 - 3 * Y),
-         -16 * 2 * X * (1 - X) * (1 - 2 * X) * Y ** 2 * (1 - Y)]
-    w = [0.3 * np.sin(np.pi * X) * np.cos(np.pi * Y) + 0.1 * Y,
-         0.2 * np.cos(np.pi * X) * np.sin(np.pi * Y) - 0.05 * X]
-    p = np.sin(np.pi * X) * np.cos(np.pi * Y)
-    state = quartet_from_arrays(g, u, p, w, 0.5 * p)
-    rep = steady_boundary_estimate(state, 1.0, g)
-    assert rep.dirichlet_term == pytest.approx(1.4409466382892129, rel=1e-12)
-    assert rep.boundary_term == pytest.approx(0.01109827936870628, rel=1e-12)
-    assert rep.volume_rhs == pytest.approx(-0.001315715398207254, rel=1e-10)
-    assert rep.identity_residual == pytest.approx(1.4533606330561264, rel=1e-12)
-    assert rep.closing_lhs == pytest.approx(1.246766483010274, rel=1e-12)
-    assert np.isfinite(rep.closing_rhs - rep.closing_lhs)
