@@ -52,6 +52,7 @@ from .oscillator import (
 )
 from .scenarios import admissible_direction, build_scenario, random_quartet
 from .solver import (
+    _MAX_NEWTON_BYTES,
     ConvergenceError,
     SolveConfig,
     kinetic_energy_series,
@@ -68,6 +69,11 @@ from .steady import (
 
 ORDER_BAND = (3.3, 4.7)
 
+#: memory per finest-level node of taylor-green-verify: whole-process peak RSS growth
+#: over the imports, single-thread BLAS on a 2-vCPU Xeon, was 130-131 B at 128^2 x 33
+#: and up (n 32 at --refine 3 and 4, n 16 and 24 at --refine 4) and 138 B at 64^2 x 17
+_TG_BYTES_PER_NODE = 140
+
 DEFAULT_CONFIG = {
     "grid": {
         "dim": 2,
@@ -82,7 +88,6 @@ DEFAULT_CONFIG = {
         "newton_tol": 1e-10,
         "max_newton": 25,
         "continuation_steps": 0,
-        "linear_tol": 1e-11,
     },
     "scenario": "taylor-green",
     "out": None,
@@ -201,8 +206,7 @@ def solve_config(cfg: dict) -> SolveConfig:
     s = cfg["solver"]
     return SolveConfig(nu=float(cfg["nu"]), newton_tol=float(s["newton_tol"]),
                        max_newton=int(s["max_newton"]),
-                       continuation_steps=int(s["continuation_steps"]),
-                       linear_tol=float(s["linear_tol"]))
+                       continuation_steps=int(s["continuation_steps"]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,8 @@ def cmd_residual(args, cfg, grid, state):
 
 
 def cmd_variation_check(args, cfg, grid, state):
+    if cfg["seeds"] < 1:
+        raise ValueError(f"--seeds must be at least 1, got {cfg['seeds']}")
     nu = cfg["nu"]
     worst = 0.0
     rows = []
@@ -405,6 +411,15 @@ def cmd_newton_dual(args, cfg, grid, seed_state):
 
 
 def cmd_taylor_green_verify(args, cfg, base, state):
+    if args.refine < 2:
+        raise ValueError(f"--refine must be at least 2 for a ratio of levels, got {args.refine}")
+    # one level is held at a time, the finest (n 2^(r-1))^2 x ((T - 1) 2^(r-1) + 1) nodes;
+    # r - 1 = 32 already puts any grid over the budget, so the integers stay small
+    scale = 2 ** min(args.refine - 1, 32)
+    nodes = (base.nodes[0] * scale) ** 2 * ((base.time_nodes - 1) * scale + 1)
+    if _TG_BYTES_PER_NODE * nodes > _MAX_NEWTON_BYTES:
+        raise ValueError(f"--refine {args.refine} is too large: its finest level needs more "
+                         f"than the {_MAX_NEWTON_BYTES / 1e6:.0f} MB memory budget")
     nu = cfg["nu"]
     levels = range(args.refine)
     n = [base.nodes[0] * 2 ** lev for lev in levels]

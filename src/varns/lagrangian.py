@@ -89,7 +89,6 @@ class GronwallReport:
     pointwise_ok: bool
     min_pointwise_margin: float
     tolerance: float
-    weighted_profile: np.ndarray
     min_forward_difference: float
 
 
@@ -437,5 +436,4 @@ def gronwall_audit(series: EnergySeries, tol: float = 1e-10) -> GronwallReport:
     min_margin = float(np.min(margins)) if margins.size else 0.0
     profile = series.E * np.exp(2 * series.m * series.times)
     min_fwd = float(np.min(np.diff(profile))) if profile.size > 1 else 0.0
-    return GronwallReport(min_margin >= -tol * scale, min_margin, tol * scale,
-                          profile, min_fwd)
+    return GronwallReport(min_margin >= -tol * scale, min_margin, tol * scale, min_fwd)

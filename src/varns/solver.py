@@ -91,6 +91,10 @@ _MAX_NEWTON_BYTES = 600e6
 #: peaked at 0.89 GB, 0.91 GB estimated
 _BYTES_PER_UNKNOWN = 700
 
+#: the marcher's Picard increment tolerance, relative to the larger of 1 and the
+#: initial field's peak
+_PICARD_TOL = 1e-11
+
 
 class ConvergenceError(RuntimeError):
     """Iteration failed to reach its tolerance; carries the history and, from a
@@ -111,7 +115,6 @@ class SolveConfig:
     newton_tol: float = 1e-10
     max_newton: int = 25
     continuation_steps: int = 0
-    linear_tol: float = 1e-11
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -270,7 +273,7 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
     h = [grid.spacing(a) for a in range(grid.dim)]
     spec = _Spectral(grid)
     vmax = max(1.0, *(np.max(np.abs(c)) for c in v))
-    tol = max(config.linear_tol, 1e-14) * vmax
+    tol = _PICARD_TOL * vmax
 
     T = grid.time_nodes
     U, Q = np.empty((grid.dim, *grid.shape)), np.empty(grid.shape)

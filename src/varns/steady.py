@@ -72,7 +72,6 @@ class UniquenessCertificate:
     R: float
     lam: float
     nu: float
-    dirichlet_norm_sum: float
     satisfied: bool
     threshold_quoted_approx: float = QUOTED_THRESHOLD_APPROX
 
@@ -101,8 +100,7 @@ def uniqueness_certificate(state: FieldQuartet, nu: float,
         ScalarField(grid, sum(G[j][i] ** 2 for i in range(d) for j in range(d))), 0)
     lhs = math.sqrt(R) / nu * math.sqrt(dir_sum)
     threshold = math.sqrt(R) * lam ** 0.25 * 3.0 ** 0.75
-    return UniquenessCertificate(lhs, threshold, R, lam, nu, dir_sum,
-                                 lhs <= threshold)
+    return UniquenessCertificate(lhs, threshold, R, lam, nu, lhs <= threshold)
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,6 @@ class InequalityRow:
 @dataclass(frozen=True)
 class ChainAuditReport:
     rows: tuple[InequalityRow, ...]
-    poincare_ratio: float
     scale: float
     tolerance: float
 
@@ -169,6 +166,5 @@ def inequality_chain_audit(state: FieldQuartet, nu: float,
         InequalityRow("payne-weinberger", nu * Dv2,
                       c34 / lam ** 0.25 * Dv2 * math.sqrt(Dg2q), False),
     )
-    poincare = Dv2 / (lam * E2) if E2 > 0 else math.inf
     scale = max(1.0, *(abs(r.rhs) for r in rows))
-    return ChainAuditReport(rows, poincare, scale, tol * scale)
+    return ChainAuditReport(rows, scale, tol * scale)

@@ -211,6 +211,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "viscosity" in err
 
 
+def test_linear_tol_config_key_is_unknown(tmp_path, capsys):
+    """The marcher's Picard tolerance is a constant: a document that sets the old key
+    is refused like any unknown key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"linear_tol": 1e-11}}))
+    code, out, err = run_cli(capsys, "solve-unsteady", "--config", str(cfg),
+                             "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["detail"] == "unknown config key 'solver.linear_tol'"
+
+
 @pytest.mark.parametrize("command, document, key", [
     ("evaluate", {"nu": {"a": 1}}, "nu"),
     ("evaluate", {"nu": "abc"}, "nu"),
@@ -291,8 +304,7 @@ def test_print_config_lists_all_defaults(tmp_path, capsys):
     assert code == 0
     cfg = json.loads(out)
     assert set(cfg) == {"grid", "nu", "solver", "scenario", "out", "seeds"}
-    assert set(cfg["solver"]) == {"newton_tol", "max_newton",
-                                  "continuation_steps", "linear_tol"}
+    assert set(cfg["solver"]) == {"newton_tol", "max_newton", "continuation_steps"}
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -577,6 +589,52 @@ def test_oscillator_too_few_nodes_exits_1_naming_the_flag(tmp_path, capsys, osc_
     detail = json.loads(err)["detail"]
     assert "--osc-n" in detail and "7" in detail
     assert not (tmp_path / "oscillator.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag, minimum", [
+    (("taylor-green-verify", "--refine", "1"), "--refine", 2),
+    (("taylor-green-verify", "--refine", "0"), "--refine", 2),
+    (("taylor-green-verify", "--refine", "-3"), "--refine", 2),
+    (("variation-check", "--seeds", "0"), "--seeds", 1),
+    (("variation-check", "--seeds", "-2"), "--seeds", 1),
+])
+def test_audit_that_would_check_nothing_exits_1_naming_the_flag(tmp_path, capsys, argv,
+                                                                flag, minimum):
+    """One refinement level gives no ratio and no seed gives no case: either audit
+    would pass with nothing checked."""
+    code, out, err = run_cli(capsys, *argv, "--n", "8", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    detail = json.loads(err)["detail"]
+    assert flag in detail and f"at least {minimum}" in detail
+    assert not any(tmp_path.iterdir())
+
+
+class _LevelBuilt(Exception):
+    pass
+
+
+# finest levels at about 140 B per node: 256^2 x 65 takes about 596 MB, 512^2 x 129
+# about 4.7 GB, 512^2 x 33 about 1.2 GB
+@pytest.mark.parametrize("argv, admitted", [
+    (("--refine", "4"), True),
+    (("--refine", "5"), False),
+    (("--n", "64", "--time-nodes", "5", "--refine", "4"), False),
+    (("--refine", "1000000000"), False),
+])
+def test_taylor_green_verify_memory_guard_decides_before_any_level_is_built(
+        tmp_path, capsys, monkeypatch, argv, admitted):
+    def build_level(*args, **kwargs):
+        raise _LevelBuilt
+    monkeypatch.setattr(cli, "periodic_square", build_level)
+    argv = ("taylor-green-verify", *argv, "--out", str(tmp_path))
+    if admitted:
+        with pytest.raises(_LevelBuilt):
+            main(list(argv))
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    detail = json.loads(err)["detail"]
+    assert "--refine" in detail and "600 MB" in detail
 
 
 # the estimate compares levels that halve h: 7 nodes against 4, 9 against 5,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +7,6 @@ from varns.grids import _d1, _d2
 from varns.oscillator import (
     OscillatorProblem,
     ResonanceError,
-    _inverse_norm_estimate,
     _solve_tridiagonal,
     galerkin_identity_residual,
     oscillator_functional,
@@ -141,18 +139,6 @@ def test_solution_satisfies_the_interior_rows(a, b, n, alpha, beta):
     assert y1[0] == y2[0] == alpha and y1[-1] == y2[-1] == beta
 
 
-def test_condition_estimate_is_deterministic_and_draws_no_random_numbers():
-    pr = OscillatorProblem(1.0, 20.0, 0.0, 1.0, 257)
-    np.random.seed(7)
-    before = np.random.get_state()
-    first = solve_oscillator_vp(pr).condition_estimate
-    second = solve_oscillator_vp(pr).condition_estimate
-    after = np.random.get_state()
-    assert first == second
-    assert before[0] == after[0] and np.array_equal(before[1], after[1])
-    assert before[2:] == after[2:]
-
-
 def test_singular_factor_reported():
     # a = 1/h and b = 2/h^2 zero the entries (i, i-1) and (i, i) of every interior
     # row of D2 + bI + 2a D1, so its column 1 is zero: a zero pivot, exactly. The
@@ -176,18 +162,6 @@ def test_tridiagonal_elimination_matches_a_dense_solve(diagonal_scale):
             want = np.linalg.solve(M, rhs)
             tol = 16 * np.finfo(float).eps * np.linalg.cond(M, 1) * np.abs(want).max()
             assert np.abs(got - want).max() <= tol
-
-
-def test_inverse_norm_estimate_is_scipys_one_column_onenormest():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(3, 40))
-        inverse = np.linalg.inv(rng.normal(size=(n, n)))
-        op = spla.LinearOperator((n, n), matvec=lambda v: inverse @ v,
-                                 rmatvec=lambda v: inverse.T @ v, dtype=float)
-        got = _inverse_norm_estimate(lambda v, transpose: (inverse.T if transpose
-                                                          else inverse) @ v, n)
-        assert got == spla.onenormest(op, t=1)
 
 
 def dense_coupled_system(pr):
@@ -225,17 +199,6 @@ def test_solution_and_condition_estimate_match_the_dense_coupled_system(a, b, n)
     tol = max(1e-12, 16 * np.finfo(float).eps * cond) * scale
     assert np.abs(got - want).max() <= tol
     assert np.abs(M @ got - rhs).max() <= 1e-13 * np.abs(M).sum(axis=1).max() * scale
-    # a Hager-Higham estimate is a lower bound, up to roundoff, and rarely 3x low;
-    # on these systems it finds the column of largest norm, so it is |M^-1|_1
-    assert cond / 3 <= sol.condition_estimate <= (1 + 1e-10) * cond
-    assert sol.condition_estimate >= (1 - 1e-6) * cond
-
-
-def test_near_resonance_condition_estimate_blows_up():
-    healthy = solve_oscillator_vp(OscillatorProblem(1.0, 20.0, 0.0, 1.0, 64))
-    near = solve_oscillator_vp(
-        OscillatorProblem(0.0, np.pi ** 2 + 1e-5, 0.0, 1.0, 64))
-    assert near.condition_estimate > 50 * healthy.condition_estimate
 
 
 # ---------------------------------------------------------------------------

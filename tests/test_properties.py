@@ -570,6 +570,8 @@ def _flagged(kernel, *args):
          kernel="d2").via("3-node wall axis: the interior stencil at both ends")
 @example(case=(np.array([[1e308, 0.0, 0.0, -1e308], [-1e308, 0.0, 0.0, 1e308]]), 1, 0.3,
                False), kernel="d1").via("wall ends of adjacent lines: never paired")
+@example(case=(np.array([np.inf, np.nan, np.inf]), 0, 0.3, True), kernel="d2").via(
+    "NaN + NaN: numpy's loops pick which NaN a sum keeps, so the np.roll calls run")
 def test_stencil_kernels_match_the_roll_oracle_to_the_bit(case, kernel):
     arr, axis, h, periodic = case
     new, old = KERNELS[kernel]
