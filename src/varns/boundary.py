@@ -27,12 +27,12 @@ from .grids import (
     ScalarField,
     VectorField,
     _face_index,
+    _gradients,
     boundary_integral,
     field_scale,
-    gradient,
     wall_faces,
 )
-from .lagrangian import _grad_tensor, evaluate_lagrangian
+from .lagrangian import evaluate_lagrangian
 
 # nonzero entries of the permutation tensor: (i, j, k) -> sign
 _LEVI = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
@@ -96,13 +96,12 @@ def _surface_density_arrays(state: FieldQuartet, surface: SurfaceData, nu: float
     u2 = sum(c * c for c in uv)
     w2 = sum(c * c for c in wv)
 
-    Du = _grad_tensor(state.u)
-    Dw = _grad_tensor(state.w)
-
     # grouped as (u - u_s) + (w - w_s): bitwise invariant under the pair swap
     mag = np.sqrt(sum(((uv[i] - us[i]) + (wv[i] - ws[i])) ** 2 for i in range(3)))
-    mag_field = ScalarField(g, mag)
-    dmag = [gradient(mag_field, a).values for a in range(d)]
+    # grad u, grad w and grad mag: one kernel call per axis on the stacked arrays
+    D = _gradients(g, np.stack([*uv[:d], *wv[:d], mag]))
+    Du, Dw = ([[Dj[f * d + i] for Dj in D] for i in range(d)] for f in (0, 1))
+    dmag = [Dj[2 * d] for Dj in D]
     degenerate = mag <= 0.0
 
     def half(av, a2, bv, bscal, bs, Db, j):
@@ -201,7 +200,7 @@ def boundary_recovery_audit(state: FieldQuartet, surface: SurfaceData,
     wv = _zero_padded(state.w)
 
     mag_u = np.sqrt(sum((uv[i] - us[i]) ** 2 for i in range(3)))
-    dmag = [gradient(ScalarField(g, mag_u), a).values for a in range(d)]
+    dmag = [Dj[0] for Dj in _gradients(g, mag_u[None])]
     degenerate = mag_u <= 0.0
 
     face_names = {(0, 0): "axis0_low", (0, -1): "axis0_high",

@@ -327,13 +327,13 @@ def _convergence_table(traj) -> reports.Table:
 
 
 def cmd_steady_cert(args, cfg, grid, state):
-    cert = uniqueness_certificate(state, cfg["nu"], grid)
+    cert = uniqueness_certificate(state, cfg["nu"])
     record = cert.to_record()
     return record, {"certificate.json": record}, cert.satisfied
 
 
 def cmd_inequality_audit(args, cfg, grid, state):
-    audit = inequality_chain_audit(state, cfg["nu"], grid)
+    audit = inequality_chain_audit(state, cfg["nu"])
     table = _rows_table(audit.rows, "name", "lhs", "rhs", "margin", "asserted")
     return ({"asserted_ok": audit.asserted_ok,
              "margins": {r.name: r.margin for r in audit.rows}},
@@ -385,7 +385,7 @@ def cmd_solve_steady(args, cfg, grid, state):
         result = steady_solve(boundary, scfg, grid, initial=initial)
     except ConvergenceError as exc:
         return {"converged": False, "error": str(exc)}, {}, False
-    cert = uniqueness_certificate(result, cfg["nu"], grid)
+    cert = uniqueness_certificate(result, cfg["nu"])
     record = cert.to_record()
     return ({"converged": True, **record},
             {**reports.quartet_files(result), "certificate.json": record}, cert.satisfied)

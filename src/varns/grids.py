@@ -324,26 +324,6 @@ def _stencil_matrices(grid: Grid):
 # differential operators and quadrature
 # ---------------------------------------------------------------------------
 
-def gradient(f: ScalarField, axis: int) -> ScalarField:
-    """Spatial derivative of ``f`` along ``axis``.
-
-    Central second order in the interior, one-sided second order at wall
-    boundaries, wraparound on periodic axes.
-    """
-    g = f.grid
-    if not 0 <= axis < g.dim:
-        raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    vals = _d1(f.values, axis, g.spacing(axis), g.boundaries[axis] == PERIODIC)
-    return ScalarField(g, vals)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    out = gradient(v[0], 0).values
-    for a in range(1, v.grid.dim):
-        out = out + gradient(v[a], a).values
-    return ScalarField(v.grid, out)
-
-
 def _gradients(grid: Grid, batch: np.ndarray) -> list[np.ndarray]:
     """The spatial derivative along each axis of every array of ``batch``, arrays
     on ``grid``'s nodes (its time axis optional) stacked on a leading axis: one

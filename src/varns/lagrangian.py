@@ -70,12 +70,6 @@ class ELResiduals:
 
 
 @dataclass(frozen=True)
-class DifferencePair:
-    v_bar: VectorField
-    q_bar: ScalarField
-
-
-@dataclass(frozen=True)
 class EnergySeries:
     times: np.ndarray
     E: np.ndarray
@@ -96,12 +90,6 @@ class GronwallReport:
 # density terms
 # ---------------------------------------------------------------------------
 
-def _grad_tensor(v: VectorField) -> list[list[np.ndarray]]:
-    """G[i][j] = d v_i / d x_j as raw arrays."""
-    D = _gradients(v.grid, np.stack([c.values for c in v.components]))
-    return [[Dj[i] for Dj in D] for i in range(v.grid.dim)]
-
-
 def _one_family(state: FieldQuartet) -> bool:
     """Whether w and r are u and p, the same arrays or bit-equal ones, as at a
     solution: then every derivative, density half and momentum row of the second
@@ -113,7 +101,7 @@ def _one_family(state: FieldQuartet) -> bool:
 
 class _Derivatives(NamedTuple):
     """Component arrays of a quartet and their derivatives, each computed
-    once: velocity gradient tensors, scalar gradients and (None on request)
+    once: velocity gradient tensors, scalar gradients and (None on a steady grid)
     velocity time derivatives. Both halves of the density read from it. For one
     family (:func:`_one_family`) the w fields are the u fields, the same lists."""
 
@@ -136,7 +124,7 @@ class _Derivatives(NamedTuple):
                             self.dtw, self.dtu)
 
 
-def _derivatives(state: FieldQuartet, include_time: bool) -> _Derivatives:
+def _derivatives(state: FieldQuartet) -> _Derivatives:
     """The derivatives of the velocities of u and w and of p and r; w and r are
     skipped for one family. The velocities are stacked, and the scalars, so that
     the kernels run once per axis on each stack; the second stack is made after
@@ -146,7 +134,7 @@ def _derivatives(state: FieldQuartet, include_time: bool) -> _Derivatives:
                                                                   (state.w, state.r)]
     velocities = np.stack([c.values for v, _ in families for c in v.components])
     Dv = _gradients(g, velocities)
-    dt = _d1(velocities, d + 1, g.dt, periodic=False) if include_time else None
+    dt = None if g.steady else _d1(velocities, d + 1, g.dt, periodic=False)
     del velocities
     Ds = _gradients(g, np.stack([s.values for _, s in families]))
     parts = [([c.values for c in v.components], [[Dj[f * d + i] for Dj in Dv] for i in range(d)],
@@ -174,9 +162,9 @@ def _half_terms(k: _Derivatives, nu: float):
     return viscous, advective, pressure, temporal
 
 
-def lagrangian_terms(state: FieldQuartet, nu: float, include_time: bool = True):
+def lagrangian_terms(state: FieldQuartet, nu: float):
     """Net per-term density arrays (positive half minus swapped half)."""
-    k = _derivatives(state, include_time)
+    k = _derivatives(state)
     pos = _half_terms(k, nu)
     neg = pos if k.one_family else _half_terms(k.swapped(), nu)
     return tuple(a - b for a, b in zip(pos, neg)), pos, neg
@@ -185,16 +173,13 @@ def lagrangian_terms(state: FieldQuartet, nu: float, include_time: bool = True):
 def evaluate_lagrangian(state: FieldQuartet, nu: float) -> LagrangianReport:
     """Evaluate the space-time functional and its term breakdown.
 
-    Requires an unsteady grid; use :func:`varns.steady.steady_functional` for
-    the time-independent variant.
+    On a steady grid the time terms and the time quadrature drop out: J is the
+    spatial quadrature of the density.
     """
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
-    if g.steady:
-        raise ValueError("evaluate_lagrangian needs an unsteady grid; "
-                         "see steady_functional for steady problems")
-    net, pos, neg = lagrangian_terms(state, nu, include_time=True)
+    net, pos, neg = lagrangian_terms(state, nu)
     density = ScalarField(g, net[0] + net[1] + net[2] + net[3])
     slices = slice_integrals(density)
     J = float(np.dot(g.time_weights(), slices))
@@ -231,7 +216,7 @@ def el_residuals(state: FieldQuartet, nu: float) -> ELResiduals:
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
-    k = _derivatives(state, include_time=not g.steady)
+    k = _derivatives(state)
     if g.steady:
         zeros = [np.zeros(g.shape)] * g.dim
         k = k._replace(dtu=zeros, dtw=zeros)
@@ -311,8 +296,8 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
     if direction.grid != g:
         raise ValueError("state and direction must share the grid")
     check_admissible_direction(direction)
-    k = _derivatives(state, include_time=True)
-    dk = _derivatives(direction, include_time=True)
+    k = _derivatives(state)
+    dk = _derivatives(direction)
     pos = _half_linearized(k, dk, nu)
     neg = pos if k.one_family and dk.one_family else _half_linearized(
         k.swapped(), dk.swapped(), nu)
@@ -323,25 +308,22 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
 # difference fields and the energy series
 # ---------------------------------------------------------------------------
 
-def difference_fields(state: FieldQuartet) -> DifferencePair:
-    g = state.grid
-    vbar = VectorField(g, tuple(
-        ScalarField(g, (cu.values - cw.values) / 2)
-        for cu, cw in zip(state.u.components, state.w.components)))
-    qbar = ScalarField(g, (state.p.values - state.r.values) / 2)
-    return DifferencePair(vbar, qbar)
+def _difference_and_sum(state: FieldQuartet):
+    """The difference field vbar = (u - w)/2 as component arrays, and the gradient
+    tensors Dv[i][j] = d_j vbar_i and Dg[i][j] = d_j g_i of vbar and g = u + w: one
+    kernel call per axis on the stacked components of both."""
+    grid, d = state.grid, state.grid.dim
+    pairs = list(zip(state.u.components, state.w.components))
+    fields = np.stack([(cu.values - cw.values) / 2 for cu, cw in pairs]
+                      + [cu.values + cw.values for cu, cw in pairs])
+    D = _gradients(grid, fields)
+    tensor = lambda f: [[Dj[f * d + i] for Dj in D] for i in range(d)]
+    return list(fields[:d]), tensor(0), tensor(1)
 
 
-def _combined_field(state: FieldQuartet) -> VectorField:
-    """The combined velocity u + w."""
-    g = state.grid
-    return VectorField(g, tuple(
-        ScalarField(g, cu.values + cw.values)
-        for cu, cw in zip(state.u.components, state.w.components)))
-
-
-def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray], grid: Grid):
+def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray]):
     """Raise unless the difference field ``vb`` vanishes on every wall node."""
+    grid = state.grid
     mask = _wall_boundary_mask(grid)
     if not mask.any():
         return
@@ -354,8 +336,11 @@ def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray], grid: Gri
             f"{where} with |vbar| = {worst:.3e}")
 
 
-def _sym_eig_max(D: list[list[np.ndarray]], dim: int) -> float:
-    """Max eigenvalue over all nodes of a symmetric tensor field, closed form."""
+def deformation_eigenvalue(G: list[list[np.ndarray]]) -> float:
+    """Largest eigenvalue over all nodes of the symmetric part of the gradient
+    tensor ``G[i][j] = d_j g_i`` of a forcing flow g, in closed form."""
+    dim = len(G)
+    D = [[0.5 * (G[i][j] + G[j][i]) for j in range(dim)] for i in range(dim)]
     if dim == 1:
         return float(np.max(D[0][0]))
     if dim == 2:
@@ -379,14 +364,6 @@ def _sym_eig_max(D: list[list[np.ndarray]], dim: int) -> float:
     return float(np.max(lam))
 
 
-def deformation_eigenvalue(forcing: VectorField) -> float:
-    """Largest eigenvalue of sym-grad of the forcing flow over all nodes."""
-    d = forcing.grid.dim
-    G = _grad_tensor(forcing)
-    D = [[0.5 * (G[i][j] + G[j][i]) for j in range(d)] for i in range(d)]
-    return _sym_eig_max(D, d)
-
-
 def energy_series(state: FieldQuartet, nu: float) -> EnergySeries:
     """Difference-field energy, the energy-balance right side as printed, and
     the deformation-eigenvalue bound.
@@ -399,14 +376,8 @@ def energy_series(state: FieldQuartet, nu: float) -> EnergySeries:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
     d = g.dim
-    pair = difference_fields(state)
-    vb = [c.values for c in pair.v_bar.components]
-
-    _require_wall_vanishing(state, vb, g)
-
-    forcing = _combined_field(state)
-    Dv = _grad_tensor(pair.v_bar)
-    Dg = _grad_tensor(forcing)
+    vb, Dv, Dg = _difference_and_sum(state)
+    _require_wall_vanishing(state, vb)
 
     E = slice_integrals(ScalarField(g, sum(c ** 2 for c in vb)))
     integrand = nu * sum(Dv[i][j] ** 2 for i in range(d) for j in range(d)) \
@@ -418,7 +389,7 @@ def energy_series(state: FieldQuartet, nu: float) -> EnergySeries:
         mismatch = np.abs(dEdt - rhs[1:-1])
     else:
         mismatch = np.zeros(0)
-    m = deformation_eigenvalue(forcing)
+    m = deformation_eigenvalue(Dg)
     return EnergySeries(g.time_coords(), E, m, rhs, mismatch)
 
 

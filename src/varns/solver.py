@@ -649,7 +649,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
         try:
             z, ok = _newton_loop(system, z, config, tol, log)
         except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
+            raise ConvergenceError(
                 "singular stationarity Jacobian; increase continuation_steps "
                 f"to approach the target viscosity gradually ({exc})") from exc
         if not ok:
@@ -743,6 +743,7 @@ def _newton_loop(system, z: np.ndarray, config: SolveConfig, tol: float, log,
     return z, norm <= tol_eff
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int = 60,
            cycles: int = 10):
     """x with |b - A x| <= rtol |b| by restarted GMRES, A applied by ``matvec`` and
@@ -751,7 +752,9 @@ def _gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int = 60,
     vectors; Arnoldi by modified Gram-Schmidt, its least-squares problem by Givens
     rotations, and x += M^{-1} V y once per cycle. The target is checked on the true
     residual b - A x at the end of each cycle. Returns (x, iterations, whether x met
-    the target); b = 0 returns x = 0."""
+    the target); b = 0 returns x = 0. Krylov vectors that overflow leave inf and NaN
+    in H and x without a floating-point warning; the Newton loop's checks of the step
+    and of its residual norm see them."""
     x, r = np.zeros_like(b), b
     beta, target = _norm(b), rtol * _norm(b)
     V, iterations = np.empty((restart + 1, len(b))), 0

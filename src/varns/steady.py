@@ -1,4 +1,4 @@
-"""Steady functional, the quantitative uniqueness certificate, and the
+"""The quantitative uniqueness certificate of a steady state, and the
 inequality-chain audits behind it.
 
 The certificate compares a scaled Dirichlet norm of the combined field u+w
@@ -24,13 +24,7 @@ from .grids import (
     ScalarField,
     integrate_space,
 )
-from .lagrangian import (
-    _combined_field,
-    _grad_tensor,
-    _require_wall_vanishing,
-    difference_fields,
-    lagrangian_terms,
-)
+from .lagrangian import _difference_and_sum, _require_wall_vanishing
 
 #: exact value of the certificate threshold R^{1/2} (20/R^2)^{1/4} 3^{3/4}
 THRESHOLD_CONSTANT = 20.0 ** 0.25 * 3.0 ** 0.75
@@ -42,17 +36,6 @@ QUOTED_THRESHOLD_APPROX = 3.0
 def _require_steady(grid: Grid):
     if not grid.steady:
         raise ValueError("this operation needs a steady grid (time_nodes == 1)")
-
-
-def steady_functional(state: FieldQuartet, nu: float) -> float:
-    """Spatial quadrature of the dual density with time terms omitted."""
-    if nu < 0:
-        raise ValueError(f"viscosity must be nonnegative, got {nu}")
-    g = state.grid
-    _require_steady(g)
-    _, pos, neg = lagrangian_terms(state, nu, include_time=False)
-    density = sum(pos) - sum(neg)
-    return integrate_space(ScalarField(g, density), 0)
 
 
 def enclosing_radius(grid: Grid) -> float:
@@ -81,8 +64,7 @@ class UniquenessCertificate:
                 "threshold_quoted_approx": self.threshold_quoted_approx}
 
 
-def uniqueness_certificate(state: FieldQuartet, nu: float,
-                           grid: Grid | None = None) -> UniquenessCertificate:
+def uniqueness_certificate(state: FieldQuartet, nu: float) -> UniquenessCertificate:
     """Evaluate both sides of the steady uniqueness condition.
 
     lhs = (R^{1/2}/nu) { (1/4) int (d_i (u_j+w_j))^2 }^{1/2};
@@ -90,11 +72,11 @@ def uniqueness_certificate(state: FieldQuartet, nu: float,
     """
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    grid = grid or state.grid
+    grid = state.grid
     _require_steady(grid)
     R = enclosing_radius(grid)
     lam = _pinned_lambda(grid)
-    G = _grad_tensor(_combined_field(state))
+    G = _difference_and_sum(state)[2]
     d = grid.dim
     dir_sum = 0.25 * integrate_space(
         ScalarField(grid, sum(G[j][i] ** 2 for i in range(d) for j in range(d))), 0)
@@ -127,7 +109,6 @@ class ChainAuditReport:
 
 
 def inequality_chain_audit(state: FieldQuartet, nu: float,
-                           grid: Grid | None = None,
                            tol: float = 1e-10) -> ChainAuditReport:
     """Evaluate both sides of the three displayed chain inequalities.
 
@@ -138,16 +119,11 @@ def inequality_chain_audit(state: FieldQuartet, nu: float,
     """
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    grid = grid or state.grid
+    grid = state.grid
     _require_steady(grid)
     d = grid.dim
-    pair = difference_fields(state)
-    vb = [c.values for c in pair.v_bar.components]
-    _require_wall_vanishing(state, vb, grid)
-
-    g_field = _combined_field(state)
-    Dg = _grad_tensor(g_field)
-    Dv = _grad_tensor(pair.v_bar)
+    vb, Dv, Dg = _difference_and_sum(state)
+    _require_wall_vanishing(state, vb)
     sq = lambda arr: integrate_space(ScalarField(grid, arr), 0)
 
     Dv2 = sq(sum(Dv[i][j] ** 2 for i in range(d) for j in range(d)))

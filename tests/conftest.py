@@ -6,9 +6,11 @@ command-line tests share, the direct Newton steps (the assembled steady
 Jacobian and a sparse LU solve) that the solver and property tests share, the
 space-time Newton system's time matrices on every field, and
 the stencil kernels built from ``np.roll`` that ``grids._d1``/``_d2`` must
-match to the bit. The field builders, the quartet writer and the steady
-functional's scale at the end serve tests only.
+match to the bit. The field builders, the gradient and divergence of a field
+by the kernels and the quartet writer at the end serve tests only.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -21,10 +23,10 @@ from varns.grids import (
     Grid,
     ScalarField,
     VectorField,
+    _d1,
+    _gradients,
     _stencil_matrices,
-    integrate_space,
 )
-from varns.lagrangian import lagrangian_terms
 from varns.reports import quartet_files, write_fields_csv
 
 
@@ -281,13 +283,17 @@ def write_quartet_csv(outdir, quartet):
     write_fields_csv(outdir, list(quartet_files(quartet).items()))
 
 
-def steady_functional_scale(state, nu):
-    """Magnitude of the steady functional's terms: the integral of each term's
-    absolute value, both halves summed."""
-    g = state.grid
-    _, pos, neg = lagrangian_terms(state, nu, include_time=False)
-    total = sum(integrate_space(ScalarField(g, np.abs(t)), 0) for t in (*pos, *neg))
-    return max(total, 1e-300)
+def gradient(f, axis):
+    """The spatial derivative of the scalar field ``f`` along ``axis`` by ``_d1``."""
+    g = f.grid
+    return ScalarField(g, _d1(f.values, axis, g.spacing(axis), g.boundaries[axis] == PERIODIC))
+
+
+def divergence(v):
+    """The divergence of the vector field ``v``: its gradients from one
+    ``_gradients`` call, summed over the axes in order."""
+    D = _gradients(v.grid, np.stack([c.values for c in v.components]))
+    return ScalarField(v.grid, functools.reduce(np.add, (D[a][a] for a in range(v.grid.dim))))
 
 
 @pytest.fixture

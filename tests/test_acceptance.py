@@ -39,18 +39,13 @@ from varns.solver import (
     taylor_green,
     u_w_gap,
 )
-from varns.steady import (
-    inequality_chain_audit,
-    steady_functional,
-    uniqueness_certificate,
-)
+from varns.steady import inequality_chain_audit, uniqueness_certificate
 
 from conftest import (
     admissible_direction,
     boundary_rich_quartet,
     random_quartet,
     shift_state,
-    steady_functional_scale,
 )
 
 from test_oscillator import reference_solution
@@ -136,12 +131,11 @@ def test_criterion_3_antisymmetry_and_fixed_point():
     gs = periodic_square(12)
     for seed in range(10):
         state = random_quartet(gs, 950 + seed)
-        J = steady_functional(state, nu)
-        Js = steady_functional(state.swapped(), nu)
+        J = evaluate_lagrangian(state, nu).J
+        Js = evaluate_lagrangian(state.swapped(), nu).J
         assert abs(J + Js) <= 1e-12 * max(abs(J), 1e-30)
-        fixed = FieldQuartet(state.u, state.p, state.u, state.p)
-        assert abs(steady_functional(fixed, nu)) <= \
-            1e-13 * steady_functional_scale(fixed, nu)
+        frep = evaluate_lagrangian(FieldQuartet(state.u, state.p, state.u, state.p), nu)
+        assert abs(frep.J) <= 1e-13 * frep.scale
 
     gb = Grid((1.0, 1.0), (9, 9), ("wall", "wall"), 5, 0.02)
     for seed in range(10):
@@ -268,24 +262,24 @@ def test_criterion_7_newton_uniqueness():
 
 def test_criterion_8_steady_certificate():
     g = Grid((1.0, 1.0), (10, 10), ("wall", "wall"))
-    zero = uniqueness_certificate(FieldQuartet.zeros(g), 0.7, g)
+    zero = uniqueness_certificate(FieldQuartet.zeros(g), 0.7)
     assert zero.lhs == 0.0 and zero.satisfied
 
     gs = periodic_square(12)
     state = random_quartet(gs, 1600)
-    base = uniqueness_certificate(state, 1.0, gs)
+    base = uniqueness_certificate(state, 1.0)
 
     def scaled(c):
         vec = lambda v: VectorField(gs, tuple(ScalarField(gs, c * s.values)
                                               for s in v.components))
         return FieldQuartet(vec(state.u), state.p, vec(state.w), state.r)
 
-    assert uniqueness_certificate(scaled(2.0), 1.0, gs).lhs == 2.0 * base.lhs
-    assert uniqueness_certificate(state, 2.0, gs).lhs == base.lhs / 2.0
+    assert uniqueness_certificate(scaled(2.0), 1.0).lhs == 2.0 * base.lhs
+    assert uniqueness_certificate(state, 2.0).lhs == base.lhs / 2.0
 
     for seed in range(10):
         trial = random_quartet(gs, 1700 + seed)
-        audit = inequality_chain_audit(trial, 0.4, gs)
+        audit = inequality_chain_audit(trial, 0.4)
         row = {r.name: r for r in audit.rows}["schwarz"]
         assert row.margin >= -audit.tolerance
 

@@ -10,7 +10,7 @@ import pytest
 from varns import cli, reports, solver
 from varns.cli import main
 from varns.grids import FieldQuartet, Grid, ScalarField, VectorField, periodic_square
-from varns.lagrangian import el_residuals
+from varns.lagrangian import el_residuals, evaluate_lagrangian
 from varns.reports import write_field_csv
 from varns.scenarios import build_scenario
 
@@ -581,6 +581,31 @@ def test_newton_dual_overflowing_residual_norm_is_not_converged(tmp_path, capsys
     assert summary["converged"] is False and summary["iterations"] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_dual_overflowing_krylov_vectors_are_not_converged(tmp_path, capsys):
+    # at nu 1e200 the Krylov vectors of GMRES overflow: the run is not converged,
+    # and neither their dot products nor the Givens rotations raise a warning
+    code, out, _ = run_cli(capsys, "newton-dual", "--n", "6", "--time-nodes", "4",
+                           "--dt", "0.02", "--nu", "1e200", "--out", str(tmp_path))
+    summary = last_json(out)
+    assert code == 2
+    assert summary["converged"] is False and summary["iterations"] == 0
+
+
+def test_newton_dual_singular_preconditioner_block_exits_2(tmp_path, capsys, monkeypatch):
+    # a singular block of the preconditioner is a breakdown of the solve, reported
+    # on stdout with the continuation advice, not a usage error
+    def singular_block(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "inv", singular_block)
+    code, out, err = run_cli(capsys, "newton-dual", "--n", "6", "--time-nodes", "4",
+                             "--dt", "0.02", "--nu", "0.5", "--out", str(tmp_path))
+    assert code == 2 and err == ""
+    summary = last_json(out)
+    assert summary["error"] == "non-convergence"
+    assert "continuation_steps" in summary["detail"]
+
+
 @pytest.mark.parametrize("osc_n", ["4", "5", "6"])
 def test_oscillator_too_few_nodes_exits_1_naming_the_flag(tmp_path, capsys, osc_n):
     """The order estimate also solves at (n - 1) // 2 + 1 nodes, so n >= 7."""
@@ -764,6 +789,24 @@ def test_residual_on_a_steady_grid_omits_the_time_terms(tmp_path, capsys):
         written = reports.read_field_csv(tmp_path / name, steady).values[..., 0]
         assert np.array_equal(written, f.values[..., 1]), name
     assert last_json(out)["max"] == max(np.abs(f.values[..., 1]).max() for f in fields.values())
+
+
+def test_evaluate_on_a_steady_grid_omits_the_time_terms(tmp_path, capsys):
+    """The steady functional of a state is the unsteady one of the same state held
+    constant over a time interval of length 1."""
+    code, _, _ = run_cli(capsys, "evaluate", "--scenario", "random:6", "--n", "6",
+                         "--time-nodes", "1", "--out", str(tmp_path))
+    assert code == 0
+    steady = Grid((2 * np.pi,) * 2, (6, 6), ("periodic",) * 2, 1, 0.0)
+    state = build_scenario("random:6", steady, 0.1)
+    g = Grid((2 * np.pi,) * 2, (6, 6), ("periodic",) * 2, 3, 0.5)
+    held = lambda f: ScalarField(g, np.repeat(f.values, 3, axis=-1))
+    vec = lambda v: VectorField(g, tuple(held(c) for c in v.components))
+    rep = evaluate_lagrangian(FieldQuartet(vec(state.u), held(state.p), vec(state.w),
+                                           held(state.r)), 0.1)
+    written = json.loads((tmp_path / "lagrangian_report.json").read_text())
+    assert written["temporal"] == 0.0
+    assert abs(written["J"] - rep.J) <= 1e-13 * rep.scale
 
 
 CUBE = ("--dim", "3", "--nodes", "8", "--extent", "6.283185307179586", "--time-nodes", "4",

@@ -9,14 +9,18 @@ from varns.grids import (
     ScalarField,
     VectorField,
     boundary_integral,
-    divergence,
-    gradient,
     integrate_space,
     integrate_spacetime,
     periodic_square,
 )
 
-from conftest import field_from_function, smooth_scalar, vector_from_functions
+from conftest import (
+    divergence,
+    field_from_function,
+    gradient,
+    smooth_scalar,
+    vector_from_functions,
+)
 
 
 def wall_line(n, extent=1.0, time_nodes=1, dt=0.0):
@@ -99,10 +103,12 @@ def test_gradient_linear_exact_on_walls():
 
 
 def test_gradient_axis_out_of_range():
+    # past the spatial axes of a steady grid lies its one-node time axis, too
+    # short for the stencil
     g = wall_line(9)
     f = ScalarField.zeros(g)
-    with pytest.raises(ValueError):
-        gradient(f, 1)
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        grids._d1(f.values, 1, g.spacing(0), periodic=False)
 
 
 def test_gradient_periodic_second_order():

@@ -26,7 +26,6 @@ from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, Vector
                          _d1, _d2, _stencil_matrices, _stencil_matrix, _wall_boundary_mask)
 from varns.lagrangian import el_residuals, evaluate_lagrangian, first_variation
 from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem, taylor_green
-from varns.steady import steady_functional
 
 from conftest import (complex_block_preconditioner, full_time_matrices, operator_matrix,
                       periodic_box, roll_d1, roll_d2, steady_jacobian)
@@ -103,7 +102,7 @@ def test_swap_negates_first_variation_exactly(grid, seed, nu):
 @given(grid=grids(steady=True), seed=seeds, nu=st.sampled_from((0.0, 0.1, 1.3)))
 def test_steady_functional_swap_sums_to_zero(grid, seed, nu):
     s = random_state(grid, seed)
-    assert steady_functional(s, nu) + steady_functional(s.swapped(), nu) == 0.0
+    assert evaluate_lagrangian(s, nu).J + evaluate_lagrangian(s.swapped(), nu).J == 0.0
 
 
 @st.composite

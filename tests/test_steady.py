@@ -10,16 +10,16 @@ from varns.grids import (
     VectorField,
     periodic_square,
 )
+from varns.lagrangian import evaluate_lagrangian
 from varns.steady import (
     QUOTED_THRESHOLD_APPROX,
     THRESHOLD_CONSTANT,
     enclosing_radius,
     inequality_chain_audit,
-    steady_functional,
     uniqueness_certificate,
 )
 
-from conftest import random_quartet, steady_functional_scale
+from conftest import random_quartet
 
 
 def steady_random(grid_seed, n=12, boundaries=("periodic", "periodic"),
@@ -71,11 +71,10 @@ def oracle_steady_functional(grid, u, p, w, r, nu):
 def test_steady_fixed_point_and_antisymmetry():
     for seed in range(5):
         g, q = steady_random(seed)
-        same = FieldQuartet(q.u, q.p, q.u, q.p)
-        val = steady_functional(same, 0.3)
-        assert abs(val) <= 1e-13 * steady_functional_scale(same, 0.3)
-        J = steady_functional(q, 0.3)
-        Js = steady_functional(q.swapped(), 0.3)
+        same = evaluate_lagrangian(FieldQuartet(q.u, q.p, q.u, q.p), 0.3)
+        assert abs(same.J) <= 1e-13 * same.scale
+        J = evaluate_lagrangian(q, 0.3).J
+        Js = evaluate_lagrangian(q.swapped(), 0.3).J
         assert abs(J + Js) <= 1e-12 * max(abs(J), 1e-30)
 
 
@@ -93,7 +92,7 @@ def test_steady_dual_implementation_oracle():
     state = quartet_from_arrays(g, [c[..., None] for c in u], q[..., None],
                                 [c[..., None] for c in w], r[..., None])
     ref = oracle_steady_functional(g, u, q, w, r, nu)
-    val = steady_functional(state, nu)
+    val = evaluate_lagrangian(state, nu).J
     assert abs(val - ref) <= 1e-12 * max(abs(ref), 1.0)
 
     gw, qw = steady_random(3, boundaries=("wall", "wall"), extent=1.0)
@@ -102,14 +101,8 @@ def test_steady_dual_implementation_oracle():
     ref = oracle_steady_functional(
         gw, [c[..., 0] for c in raw(qw.u)], qw.p.values[..., 0],
         [c[..., 0] for c in raw(qw.w)], qw.r.values[..., 0], nu)
-    val = steady_functional(qw, nu)
+    val = evaluate_lagrangian(qw, nu).J
     assert abs(val - ref) <= 1e-12 * max(abs(ref), 1.0)
-
-
-def test_steady_rejects_unsteady_grid():
-    g = periodic_square(8, time_nodes=3, dt=0.1)
-    with pytest.raises(ValueError):
-        steady_functional(FieldQuartet.zeros(g), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ def test_enclosing_radius_boxes():
 
 def test_certificate_zero_fields():
     g = Grid((1.0, 1.0), (10, 10), ("wall", "wall"))
-    cert = uniqueness_certificate(FieldQuartet.zeros(g), 0.5, g)
+    cert = uniqueness_certificate(FieldQuartet.zeros(g), 0.5)
     assert cert.lhs == 0.0
     assert cert.satisfied
     assert cert.lam == pytest.approx(20.0 / cert.R ** 2)
@@ -139,7 +132,7 @@ def test_certificate_zero_fields():
 
 def test_certificate_threshold_constant():
     g = Grid((3.0, 2.0), (10, 10), ("wall", "wall"))
-    cert = uniqueness_certificate(FieldQuartet.zeros(g), 1.0, g)
+    cert = uniqueness_certificate(FieldQuartet.zeros(g), 1.0)
     # R^{1/2} (20/R^2)^{1/4} 3^{3/4} collapses to a pure number
     assert abs(cert.threshold - 20.0 ** 0.25 * 3.0 ** 0.75) < 1e-12
     assert abs(THRESHOLD_CONSTANT - 4.820570513667908) < 1e-12
@@ -157,15 +150,15 @@ def scale_state(state, c):
 
 def test_certificate_homogeneity_and_viscosity_scaling():
     g, q = steady_random(21)
-    base = uniqueness_certificate(q, 1.0, g)
-    doubled = uniqueness_certificate(scale_state(q, 2.0), 1.0, g)
+    base = uniqueness_certificate(q, 1.0)
+    doubled = uniqueness_certificate(scale_state(q, 2.0), 1.0)
     assert doubled.lhs == 2.0 * base.lhs          # power-of-two exactness
-    tripled = uniqueness_certificate(scale_state(q, 3.0), 1.0, g)
+    tripled = uniqueness_certificate(scale_state(q, 3.0), 1.0)
     assert abs(tripled.lhs - 3.0 * base.lhs) <= 1e-13 * base.lhs
-    halved_nu = uniqueness_certificate(q, 2.0, g)
+    halved_nu = uniqueness_certificate(q, 2.0)
     assert halved_nu.lhs == base.lhs / 2.0
     # satisfied flips monotonically as the amplitude grows
-    flags = [uniqueness_certificate(scale_state(q, c), 1.0, g).satisfied
+    flags = [uniqueness_certificate(scale_state(q, c), 1.0).satisfied
              for c in (1e-6, 1e3)]
     assert flags[0] and not flags[1]
 
@@ -173,7 +166,7 @@ def test_certificate_homogeneity_and_viscosity_scaling():
 def test_certificate_requires_positive_viscosity():
     g = Grid((1.0, 1.0), (8, 8), ("wall", "wall"))
     with pytest.raises(ValueError):
-        uniqueness_certificate(FieldQuartet.zeros(g), 0.0, g)
+        uniqueness_certificate(FieldQuartet.zeros(g), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +175,7 @@ def test_certificate_requires_positive_viscosity():
 
 def test_chain_zero_difference_trivial():
     g = Grid((1.0, 1.0), (10, 10), ("wall", "wall"))
-    rep = inequality_chain_audit(FieldQuartet.zeros(g), 1.0, g)
+    rep = inequality_chain_audit(FieldQuartet.zeros(g), 1.0)
     assert rep.asserted_ok
     for row in rep.rows:
         assert row.margin >= -rep.tolerance
@@ -204,7 +197,7 @@ def test_chain_closed_form_oracle():
     u = [gg[i] / 2 + vb[i] for i in range(2)]
     w = [gg[i] / 2 - vb[i] for i in range(2)]
     state = quartet_from_arrays(g, u, np.zeros(g.shape), w, np.zeros(g.shape))
-    rep = inequality_chain_audit(state, 0.7, g)
+    rep = inequality_chain_audit(state, 0.7)
     rows = {r.name: r for r in rep.rows}
 
     pi2 = np.pi ** 2
@@ -224,7 +217,7 @@ def test_chain_closed_form_oracle():
 def test_chain_schwarz_margin_randomized():
     for seed in range(10):
         g, q = steady_random(600 + seed)
-        rep = inequality_chain_audit(q, 0.4, g)
+        rep = inequality_chain_audit(q, 0.4)
         row = {r.name: r for r in rep.rows}["schwarz"]
         assert row.margin >= -rep.tolerance
 
@@ -233,4 +226,4 @@ def test_chain_wall_precondition():
     g = Grid((1.0, 1.0), (9, 9), ("wall", "wall"))
     bad = random_quartet(g, 77, wall_safe=False)
     with pytest.raises(ValueError, match="wall"):
-        inequality_chain_audit(bad, 0.4, g)
+        inequality_chain_audit(bad, 0.4)
