@@ -74,11 +74,7 @@ class SurfaceData:
 
 def _zero_padded(vec: VectorField) -> list[np.ndarray]:
     """Components as arrays, padded with zeros up to three entries."""
-    g = vec.grid
-    out = [c.values for c in vec.components]
-    while len(out) < 3:
-        out.append(np.zeros(g.shape))
-    return out
+    return [c.values for c in vec.components] + [np.zeros(vec.grid.shape)] * (3 - vec.grid.dim)
 
 
 def _surface_density_arrays(state: FieldQuartet, surface: SurfaceData, nu: float):
@@ -152,23 +148,15 @@ def extended_functional(state: FieldQuartet, surface: SurfaceData,
 
 
 @dataclass(frozen=True)
-class BoundaryAuditRow:
-    face: str
-    node: tuple
-    check_a: float
-    check_b: float
-    check_c: float
-    check_d: float
-
-
-@dataclass(frozen=True)
 class BoundaryAuditReport:
     max_normal_trace: float      # (a) max |n.(u - u_s)|
     max_stationarity: float      # (b) max |Eq (6.1) left side|
     max_normal_adjoint: float    # (c) max |n.w|
     max_adjoint: float           # (d) max |w|
     scale: float
-    rows: tuple[BoundaryAuditRow, ...]
+    #: one entry per wall node, face by face: ``face`` (e.g. "axis0_low"), ``node``
+    #: (its index tuple on the face, time last) and the checks ``check_a``-``check_d``
+    columns: dict
 
     def tolerance(self) -> float:
         return 1e-8 * self.scale
@@ -203,11 +191,9 @@ def boundary_recovery_audit(state: FieldQuartet, surface: SurfaceData,
     dmag = [Dj[0] for Dj in _gradients(g, mag_u[None])]
     degenerate = mag_u <= 0.0
 
-    face_names = {(0, 0): "axis0_low", (0, -1): "axis0_high",
-                  (1, 0): "axis1_low", (1, -1): "axis1_high",
-                  (2, 0): "axis2_low", (2, -1): "axis2_high"}
-    rows = []
-    max_a = max_b = max_c = max_d = 0.0
+    columns = {name: [] for name in ("face", "node", "check_a", "check_b", "check_c",
+                                     "check_d")}
+    maxima = [0.0] * 4
     for axis, side, sign in wall_faces(g):
         idx = _face_index(axis, side, d + 1)
         take = lambda arr: arr[idx]
@@ -224,18 +210,14 @@ def boundary_recovery_audit(state: FieldQuartet, surface: SurfaceData,
                 comp = comp + nu * sign * lsign * np.where(
                     take(degenerate), 0.0, take(dmag[k]))
             b_sq = b_sq + comp ** 2
-        b_mag = np.sqrt(b_sq)
 
-        face = face_names[(axis, side)]
-        it = np.ndindex(n_dot_du.shape)
-        for node in it:
-            rows.append(BoundaryAuditRow(
-                face, node, float(abs(n_dot_du[node])), float(b_mag[node]),
-                float(abs(n_dot_w[node])), float(w_mag[node])))
-        max_a = max(max_a, float(np.max(np.abs(n_dot_du))))
-        max_b = max(max_b, float(np.max(b_mag)))
-        max_c = max(max_c, float(np.max(np.abs(n_dot_w))))
-        max_d = max(max_d, float(np.max(w_mag)))
+        checks = [np.abs(n_dot_du), np.sqrt(b_sq), np.abs(n_dot_w), w_mag]
+        columns["face"] += [f"axis{axis}_{'low' if side == 0 else 'high'}"] * w_mag.size
+        columns["node"] += np.ndindex(w_mag.shape)
+        for name, check in zip(("check_a", "check_b", "check_c", "check_d"), checks):
+            columns[name] += check.ravel().tolist()
+        # np.max of each face: a Python max over its nodes would treat a NaN otherwise
+        maxima = [max(m, float(np.max(c))) for m, c in zip(maxima, checks)]
 
     scale = max(1.0, field_scale(state.u, state.w, surface.u_s))
-    return BoundaryAuditReport(max_a, max_b, max_c, max_d, scale, tuple(rows))
+    return BoundaryAuditReport(*maxima, scale, columns)

@@ -8,7 +8,8 @@ writes the reports under the output directory (``--out``, then the config,
 then ``$VARNS_OUT``, then ``./varns-out``) and prints the summary to stdout.
 
 Exit codes: 0 success / checks passed, 2 checks failed (resonance, a singular
-discrete oscillator, unmet certificate, non-convergence, order band violation),
+discrete oscillator, unmet certificate, non-convergence, order band violation,
+a NaN or an infinity in the summary or a JSON report, which no JSON holds),
 1 usage or config error (an unknown subcommand, flag or key, a malformed,
 mistyped or non-finite value, an unwritable output path): the parser checks
 every flag, ``_merge`` every config value.
@@ -29,14 +30,7 @@ import numpy as np
 
 from . import reports
 from .boundary import SurfaceData, boundary_recovery_audit, extended_functional
-from .grids import (
-    PERIODIC,
-    FieldQuartet,
-    Grid,
-    ScalarField,
-    VectorField,
-    periodic_square,
-)
+from .grids import PERIODIC, FieldQuartet, Grid, periodic_square
 from .lagrangian import (
     el_residuals,
     energy_series,
@@ -293,14 +287,11 @@ def cmd_variation_check(args, cfg, grid, state):
 
 
 def _shift_state(state: FieldQuartet, direction: FieldQuartet, eps: float) -> FieldQuartet:
-    g = state.grid
-    vec = lambda a, b: VectorField(g, tuple(
-        ScalarField(g, ca.values + eps * cb.values)
-        for ca, cb in zip(a.components, b.components)))
-    return FieldQuartet(vec(state.u, direction.u),
-                        ScalarField(g, state.p.values + eps * direction.p.values),
-                        vec(state.w, direction.w),
-                        ScalarField(g, state.r.values + eps * direction.r.values))
+    shift = lambda a, b: a.values + eps * b.values
+    vec = lambda a, b: map(shift, a.components, b.components)
+    return FieldQuartet.from_arrays(state.grid, vec(state.u, direction.u),
+                                    shift(state.p, direction.p), vec(state.w, direction.w),
+                                    shift(state.r, direction.r))
 
 
 def cmd_energy(args, cfg, grid, state):
@@ -317,10 +308,6 @@ def cmd_energy(args, cfg, grid, state):
     return payload, {"energy_series.csv": table}, audit.pointwise_ok
 
 
-def _rows_table(rows, *names) -> reports.Table:
-    return reports.Table({name: [getattr(r, name) for r in rows] for name in names})
-
-
 def _convergence_table(traj) -> reports.Table:
     return reports.Table(iter=range(len(traj.residuals)), residual=traj.residuals,
                          u_w_gap=traj.u_w_gap, J=traj.J_values)
@@ -334,7 +321,8 @@ def cmd_steady_cert(args, cfg, grid, state):
 
 def cmd_inequality_audit(args, cfg, grid, state):
     audit = inequality_chain_audit(state, cfg["nu"])
-    table = _rows_table(audit.rows, "name", "lhs", "rhs", "margin", "asserted")
+    table = reports.Table({name: [getattr(r, name) for r in audit.rows]
+                           for name in ("name", "lhs", "rhs", "margin", "asserted")})
     return ({"asserted_ok": audit.asserted_ok,
              "margins": {r.name: r.margin for r in audit.rows}},
             {"inequality_audit.csv": table}, audit.asserted_ok)
@@ -351,8 +339,6 @@ def cmd_extended(args, cfg, grid, state):
 def cmd_boundary_audit(args, cfg, grid, state):
     surface = SurfaceData(state.u, state.w)
     audit = boundary_recovery_audit(state, surface, cfg["nu"])
-    table = _rows_table(audit.rows, "face", "node", "check_a", "check_b", "check_c",
-                        "check_d")
     payload = {"max_normal_trace": audit.max_normal_trace,
                "max_stationarity": audit.max_stationarity,
                "max_normal_adjoint": audit.max_normal_adjoint,
@@ -360,7 +346,7 @@ def cmd_boundary_audit(args, cfg, grid, state):
     ok = True
     if args.claimed_stationary:
         ok = payload["stationary_ok"] = audit.passes(cfg["nu"])
-    return payload, {"boundary_audit.csv": table}, ok
+    return payload, {"boundary_audit.csv": reports.Table(audit.columns)}, ok
 
 
 def cmd_solve_unsteady(args, cfg, grid, state):
@@ -397,9 +383,9 @@ def cmd_newton_dual(args, cfg, grid, seed_state):
         amp = args.perturb_w
         x, y = grid.open_meshes()[:2]
         pert = 1 + amp * np.cos(x) * np.cos(y)
-        w = VectorField(grid, tuple(
-            ScalarField(grid, c.values * pert) for c in seed_state.u.components))
-        seed_state = FieldQuartet(seed_state.u, seed_state.p, w, seed_state.r)
+        u = [c.values for c in seed_state.u.components]
+        seed_state = FieldQuartet.from_arrays(grid, u, seed_state.p.values,
+                                              [c * pert for c in u], seed_state.r.values)
     traj = newton_dual(seed_state, seed_state.u, solve_config(cfg), grid)
     rep = traj.report if traj.report is not None else evaluate_lagrangian(traj.state, nu)
     gap = u_w_gap(traj.state)
@@ -540,11 +526,12 @@ def main(argv=None) -> int:
         if command.scenario:
             state = build_scenario(cfg["scenario"], grid, cfg["nu"])
         summary, files, ok = command.handler(args, cfg, grid, state)
+        line = reports.json_line(summary)       # a non-finite summary writes no report
         try:
             reports.write_reports(out, files)
         except OSError as exc:
             raise ValueError(f"cannot write the reports under {out!r}: {exc}") from exc
-        print(reports.json_line(summary))
+        print(line)
         return 0 if ok else 2
     except ConfigError as exc:
         print(reports.json_line({"error": "config", "detail": str(exc)}),
@@ -555,6 +542,9 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         print(reports.json_line({"error": "non-convergence", "detail": str(exc)}))
+        return 2
+    except reports.NonFiniteError as exc:
+        print(reports.json_line({"error": "non-finite", "detail": str(exc)}))
         return 2
     except ValueError as exc:
         print(reports.json_line({"error": "usage", "detail": str(exc)}),

@@ -33,6 +33,7 @@ encodes a steady problem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -122,10 +123,7 @@ class Grid:
 
     def space_weights(self) -> np.ndarray:
         """Tensor-product spatial quadrature weights, shape ``self.nodes``."""
-        w = self.axis_weights(0)
-        for a in range(1, self.dim):
-            w = np.multiply.outer(w, self.axis_weights(a))
-        return w
+        return _tensor_weights(self, range(self.dim))
 
     def time_weights(self) -> np.ndarray:
         if self.steady:
@@ -216,6 +214,13 @@ class FieldQuartet:
     def zeros(cls, grid: Grid) -> "FieldQuartet":
         return cls(VectorField.zeros(grid), ScalarField.zeros(grid),
                    VectorField.zeros(grid), ScalarField.zeros(grid))
+
+    @classmethod
+    def from_arrays(cls, grid: Grid, u, p, w, r) -> "FieldQuartet":
+        """The quartet on ``grid`` of the component arrays ``u`` and ``w`` and the
+        arrays ``p`` and ``r``; the fields hold the arrays themselves, not copies."""
+        vec = lambda arrs: VectorField(grid, tuple(ScalarField(grid, a) for a in arrs))
+        return cls(vec(u), ScalarField(grid, p), vec(w), ScalarField(grid, r))
 
     def swapped(self) -> "FieldQuartet":
         """Interchange (u, p) with (w, r)."""
@@ -378,15 +383,11 @@ def _wall_boundary_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def _face_weights(grid: Grid, axis: int) -> np.ndarray:
-    """Quadrature weights over a boundary face normal to ``axis``."""
-    others = [grid.axis_weights(a) for a in range(grid.dim) if a != axis]
-    if not others:
-        return np.ones(())
-    w = others[0]
-    for nxt in others[1:]:
-        w = np.multiply.outer(w, nxt)
-    return w
+def _tensor_weights(grid: Grid, axes) -> np.ndarray:
+    """The tensor product of the 1D quadrature weights of ``axes``, in order: over
+    every spatial axis the space weights, over all but one a face's (a 0-d 1 for
+    no axis). The product starts from that 1, which multiplies exactly."""
+    return functools.reduce(np.multiply.outer, map(grid.axis_weights, axes), np.ones(()))
 
 
 def boundary_integral(flux: VectorField, time_index: int = 0) -> float:
@@ -399,7 +400,8 @@ def boundary_integral(flux: VectorField, time_index: int = 0) -> float:
     for axis, side, sign in wall_faces(g):
         comp = flux[axis].values[..., time_index]
         face = np.take(comp, side, axis=axis)
-        total += sign * float(np.sum(_face_weights(g, axis) * face))
+        weights = _tensor_weights(g, [a for a in range(g.dim) if a != axis])
+        total += sign * float(np.sum(weights * face))
     return total
 
 

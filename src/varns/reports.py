@@ -37,7 +37,7 @@ import shutil
 import numpy as np
 import orjson
 
-from .grids import FieldQuartet, Grid, ScalarField, VectorField
+from .grids import FieldQuartet, Grid, ScalarField
 
 
 _ONE_DIGIT_NEGATIVE_EXPONENTS = tuple((f"e-{d},".encode(), f"e-0{d},".encode())
@@ -245,14 +245,13 @@ def read_quartet_csv(indir, grid: Grid) -> FieldQuartet:
         path = os.path.join(indir, name)
         for seen, values in parsed:
             if _same_bytes(seen, path):
-                return ScalarField(grid, values.copy())
-        f = read_field_csv(path, grid)
-        parsed.append((path, f.values))
-        return f
+                return values.copy()
+        values = read_field_csv(path, grid).values
+        parsed.append((path, values))
+        return values
 
-    vec = lambda name: VectorField(grid, tuple(read(f"{name}_{i}.csv")
-                                               for i in range(grid.dim)))
-    return FieldQuartet(vec("u"), read("p.csv"), vec("w"), read("r.csv"))
+    vec = lambda name: [read(f"{name}_{i}.csv") for i in range(grid.dim)]
+    return FieldQuartet.from_arrays(grid, vec("u"), read("p.csv"), vec("w"), read("r.csv"))
 
 
 class Table(dict):
@@ -290,14 +289,9 @@ def write_table_csv(path, table: Table):
 
 def quartet_files(quartet: FieldQuartet) -> dict:
     """The snapshot file name of each component of ``quartet``."""
-    files = {}
-    for name in ("u", "w", "p", "r"):
-        fld = getattr(quartet, name)
-        if isinstance(fld, VectorField):
-            files.update((f"{name}_{i}.csv", c) for i, c in enumerate(fld.components))
-        else:
-            files[f"{name}.csv"] = fld
-    return files
+    vec = lambda name: {f"{name}_{i}.csv": c
+                        for i, c in enumerate(getattr(quartet, name).components)}
+    return {**vec("u"), **vec("w"), "p.csv": quartet.p, "r.csv": quartet.r}
 
 
 def write_reports(outdir, files: dict):
@@ -314,8 +308,9 @@ def write_reports(outdir, files: dict):
 
 
 def write_json(path, payload: dict):
+    line = json_line(payload)       # before the file is opened: a non-finite one leaves none
     with open(path, "w") as fh:
-        fh.write(json_line(payload) + "\n")
+        fh.write(line + "\n")
 
 
 def _coerce(obj):
@@ -326,5 +321,13 @@ def _coerce(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+class NonFiniteError(Exception):
+    """A summary or JSON report holds NaN or an infinity, for which JSON has no token."""
+
+
 def json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, default=_coerce)
+    """``payload`` as one line of strict JSON, its keys sorted."""
+    try:
+        return json.dumps(payload, sort_keys=True, default=_coerce, allow_nan=False)
+    except ValueError:      # the encoder's error for NaN and the infinities
+        raise NonFiniteError("a result is NaN or infinite, which JSON cannot hold") from None

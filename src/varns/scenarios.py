@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import PERIODIC, FieldQuartet, Grid, ScalarField, VectorField
+from .grids import PERIODIC, FieldQuartet, Grid
 from .solver import taylor_green
 
 
@@ -37,11 +37,6 @@ def _smooth_scalar(rng: np.random.Generator, grid: Grid,
     return out
 
 
-def _quartet(grid: Grid, u, p, w, r) -> FieldQuartet:
-    vec = lambda arrs: VectorField(grid, tuple(ScalarField(grid, a) for a in arrs))
-    return FieldQuartet(vec(u), ScalarField(grid, p), vec(w), ScalarField(grid, r))
-
-
 def random_quartet(grid: Grid, seed: int) -> FieldQuartet:
     """Smooth random quartet with a wall-vanishing difference field.
 
@@ -55,7 +50,8 @@ def random_quartet(grid: Grid, seed: int) -> FieldQuartet:
     diff = [_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
     u = [base[i] + diff[i] for i in range(grid.dim)]
     w = [base[i] - diff[i] for i in range(grid.dim)]
-    return _quartet(grid, u, _smooth_scalar(rng, grid), w, _smooth_scalar(rng, grid))
+    return FieldQuartet.from_arrays(grid, u, _smooth_scalar(rng, grid), w,
+                                   _smooth_scalar(rng, grid))
 
 
 def admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
@@ -69,7 +65,7 @@ def admissible_direction(grid: Grid, seed: int) -> FieldQuartet:
           for i in range(grid.dim)]
     dp = _smooth_scalar(rng, grid)
     dr = dp + _smooth_scalar(rng, grid, wall_vanishing=True)
-    return _quartet(grid, du, dp, dw, dr)
+    return FieldQuartet.from_arrays(grid, du, dp, dw, dr)
 
 
 def build_scenario(name: str, grid: Grid, nu: float) -> FieldQuartet:

@@ -175,9 +175,7 @@ def taylor_green(nu: float, grid: Grid) -> FieldQuartet:
     u1 = np.sin(X) * np.cos(Y) * decay
     P = -0.25 * (np.cos(2 * X) + np.cos(2 * Y)) * decay ** 2
     q = P - 0.5 * (u0 ** 2 + u1 ** 2)
-    vel = VectorField(grid, (ScalarField(grid, u0), ScalarField(grid, u1)))
-    scal = ScalarField(grid, q)
-    return FieldQuartet(vel, scal, vel, scal)
+    return FieldQuartet.from_arrays(grid, (u0, u1), q, (u0, u1), q)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +283,9 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
         P = spec.poisson_div(*(-a for a in _advect(v, h)))
         Q[..., k] = P - 0.5 * functools.reduce(np.add, (vi ** 2 for vi in v))
 
-    vel = VectorField(grid, tuple(ScalarField(grid, Ui) for Ui in U))
-    scal = ScalarField(grid, Q)
-    state = FieldQuartet(vel, scal, vel, scal)
-    zeros = np.zeros(T)
-    return Trajectory(state, increments, zeros, zeros, True)
+    vel, zeros = list(U), np.zeros(T)      # one list: w holds u's very arrays
+    return Trajectory(FieldQuartet.from_arrays(grid, vel, Q, vel, Q), increments, zeros, zeros,
+                      True)
 
 
 def kinetic_energy_series(traj: Trajectory) -> np.ndarray:
@@ -422,14 +418,9 @@ class _DualNewtonSystem:
         return (*z[:2 * dTS].reshape(2, self.grid.dim, -1),
                 *np.split(z[2 * dTS:].reshape(-1, self.S), [self.T - 1]))
 
-    def _quartet(self, z: np.ndarray, P: np.ndarray, R: np.ndarray) -> FieldQuartet:
-        """Quartet of the velocities of ``z`` and the (T, S) pressure slabs P, R."""
-        g, T = self.grid, self.T
-        u, w, _, _ = self.unpack(z)
-        field = lambda slabs: ScalarField(
-            g, np.moveaxis(slabs.reshape(T, *g.nodes), 0, -1).copy())
-        vec = lambda comps: VectorField(g, tuple(field(c) for c in comps))
-        return FieldQuartet(vec(u), field(P), vec(w), field(R))
+    def _field(self, slabs: np.ndarray) -> np.ndarray:
+        """The field array, time last, of T slabs of S nodes, raveled or not."""
+        return np.moveaxis(slabs.reshape(self.T, *self.grid.nodes), 0, -1).copy()
 
     def _el_residuals(self, z: np.ndarray):
         """:func:`el_residuals` of ``z`` with p_0, r_0 and r_{T-1} zero. The last
@@ -437,9 +428,10 @@ class _DualNewtonSystem:
         of an iterate the Newton loop took does not repeat the residual's work;
         ``z`` is never changed in place."""
         if self._last_residuals[0] is not z:
-            _, _, p, r = self.unpack(z)
-            self._last_residuals = z, el_residuals(self._quartet(
-                z, np.pad(p, ((1, 0), (0, 0))), np.pad(r, ((1, 1), (0, 0)))), self.nu)
+            (u, w, p, r), f = self.unpack(z), self._field
+            state = FieldQuartet.from_arrays(self.grid, map(f, u), f(np.pad(p, ((1, 0), (0, 0)))),
+                                             map(f, w), f(np.pad(r, ((1, 1), (0, 0)))))
+            self._last_residuals = z, el_residuals(state, self.nu)
         return self._last_residuals[1]
 
     # -- residual ----------------------------------------------------------
@@ -586,28 +578,23 @@ class _DualNewtonSystem:
         """Quartet of ``z``; p at slice 0 and r at slices 0 and T-1 solve the
         divergence of their momentum rows, and every pressure slice is centred
         on each pressure component."""
-        _, _, p, r = self.unpack(z)
+        (u, w, p, r), f = self.unpack(z), self._field
         res = self._el_residuals(z)
         fill = lambda vec, k: self.spec.poisson_div(
             *(c.values[..., k] for c in vec.components)).ravel()
         centred = lambda slabs: np.array([self.gauge.centred(s) for s in slabs])
-        return self._quartet(z, centred([fill(res.res_u, 0), *p]),
-                             centred([fill(res.res_w, 0), *r, fill(res.res_w, -1)]))
-
-
-def _space_time_l2(grid: Grid, vec: VectorField) -> float:
-    dens = ScalarField(grid, sum(c.values ** 2 for c in vec.components))
-    return float(np.sqrt(max(integrate_spacetime(dens), 0.0)))
+        P = centred([fill(res.res_u, 0), *p])
+        R = centred([fill(res.res_w, 0), *r, fill(res.res_w, -1)])
+        return FieldQuartet.from_arrays(self.grid, map(f, u), f(P), map(f, w), f(R))
 
 
 def u_w_gap(state: FieldQuartet) -> float:
     """Relative space-time L2 gap between the two velocity families."""
     g = state.grid
-    diff = VectorField(g, tuple(
-        ScalarField(g, cu.values - cw.values)
-        for cu, cw in zip(state.u.components, state.w.components)))
-    nrm = _space_time_l2(g, state.u)
-    gap = _space_time_l2(g, diff)
+    l2 = lambda arrs: float(np.sqrt(max(integrate_spacetime(
+        ScalarField(g, sum(a ** 2 for a in arrs))), 0.0)))
+    nrm = l2(c.values for c in state.u.components)
+    gap = l2(cu.values - cw.values for cu, cw in zip(state.u.components, state.w.components))
     return gap / nrm if nrm > 0 else gap
 
 
@@ -956,9 +943,9 @@ class _SteadyNewtonSystem:
         """Quartet with w = u and r = p = P - |v|^2 / 2, P in the gauge N^T P = 0."""
         g, (v, P, _) = self.grid, self.unpack(z)
         P = self.gauge.centred(P)
-        vel = VectorField(g, tuple(ScalarField(g, c.reshape(*g.nodes, 1)) for c in v))
-        scal = ScalarField(g, (P - 0.5 * (v ** 2).sum(axis=0)).reshape(*g.nodes, 1))
-        return FieldQuartet(vel, scal, vel, scal)
+        vel = [c.reshape(*g.nodes, 1) for c in v]
+        q = (P - 0.5 * (v ** 2).sum(axis=0)).reshape(*g.nodes, 1)
+        return FieldQuartet.from_arrays(g, vel, q, vel, q)
 
 
 def steady_solve(boundary_data: VectorField | None, config: SolveConfig,

@@ -48,6 +48,14 @@ def _pinned_lambda(grid: Grid) -> float:
     return 20.0 / enclosing_radius(grid) ** 2
 
 
+def _quarter_dirichlet(grid: Grid, Dg: list) -> float:
+    """(1/4) int |grad g|^2 of the gradient tensor ``Dg[i][j] = d_j g_i``: the squares
+    of d_i g_j summed with i outer, j inner."""
+    d = grid.dim
+    return 0.25 * integrate_space(
+        ScalarField(grid, sum(Dg[j][i] ** 2 for i in range(d) for j in range(d))), 0)
+
+
 @dataclass(frozen=True)
 class UniquenessCertificate:
     lhs: float
@@ -76,11 +84,7 @@ def uniqueness_certificate(state: FieldQuartet, nu: float) -> UniquenessCertific
     _require_steady(grid)
     R = enclosing_radius(grid)
     lam = _pinned_lambda(grid)
-    G = _difference_and_sum(state)[2]
-    d = grid.dim
-    dir_sum = 0.25 * integrate_space(
-        ScalarField(grid, sum(G[j][i] ** 2 for i in range(d) for j in range(d))), 0)
-    lhs = math.sqrt(R) / nu * math.sqrt(dir_sum)
+    lhs = math.sqrt(R) / nu * math.sqrt(_quarter_dirichlet(grid, _difference_and_sum(state)[2]))
     threshold = math.sqrt(R) * lam ** 0.25 * 3.0 ** 0.75
     return UniquenessCertificate(lhs, threshold, R, lam, nu, lhs <= threshold)
 
@@ -127,7 +131,7 @@ def inequality_chain_audit(state: FieldQuartet, nu: float,
     sq = lambda arr: integrate_space(ScalarField(grid, arr), 0)
 
     Dv2 = sq(sum(Dv[i][j] ** 2 for i in range(d) for j in range(d)))
-    Dg2q = 0.25 * sq(sum(Dg[j][i] ** 2 for i in range(d) for j in range(d)))
+    Dg2q = _quarter_dirichlet(grid, Dg)
     prod = sq(sum(vb[i] * vb[j] * Dg[j][i] for i in range(d) for j in range(d)) / 2)
     T4 = sq(sum((vb[i] * vb[j]) ** 2 for i in range(d) for j in range(d)))
     E2 = sq(sum(c ** 2 for c in vb))

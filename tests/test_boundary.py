@@ -239,10 +239,80 @@ def test_audit_rows_cover_all_faces():
     g = wall_grid(n=6, time_nodes=3, dt=0.1)
     state = FieldQuartet.zeros(g)
     audit = boundary_recovery_audit(state, surface_of(state), 0.1)
-    faces = {r.face for r in audit.rows}
+    faces = set(audit.columns["face"])
     assert faces == {"axis0_low", "axis0_high", "axis1_low", "axis1_high"}
-    # each face carries nodes x time rows
-    assert len(audit.rows) == 4 * 6 * 3
+    # each face carries nodes x time rows, in every column
+    assert [len(c) for c in audit.columns.values()] == [4 * 6 * 3] * 6
+
+
+def _reference_audit(state, surface, nu):
+    """The audit node by node, as a loop over the nodes of each wall face: its rows
+    (face, node, check a, b, c, d) and its four maxima, each face's by np.max and
+    the running maximum over the faces by Python's max."""
+    levi = _levi()
+    g, d = state.grid, state.grid.dim
+    pad = lambda vec: [c.values for c in vec.components] + [np.zeros(g.shape)] * (3 - d)
+    uv, us, wv = pad(state.u), pad(surface.u_s), pad(state.w)
+    mag_u = np.sqrt(sum((uv[i] - us[i]) ** 2 for i in range(3)))
+    dmag = [_wall_deriv(mag_u, a, g.spacing(a)) if g.boundaries[a] == "wall" else
+            (np.roll(mag_u, -1, a) - np.roll(mag_u, 1, a)) / (2 * g.spacing(a))
+            for a in range(d)]
+    degenerate = mag_u <= 0.0
+    rows, maxima = [], [0.0] * 4
+    for axis, side, sign in wall_faces(g):
+        take = lambda arr: np.take(arr, side, axis=axis)
+        n_dot_du = sign * (take(uv[axis]) - take(us[axis]))
+        n_dot_w = sign * take(wv[axis])
+        w_mag = np.sqrt(sum(take(wv[i]) ** 2 for i in range(3)))
+        b_sq = np.zeros(n_dot_du.shape)
+        for j in range(d):
+            comp = n_dot_du * (take(uv[j]) - take(us[j]))
+            for (i, jj, k), lsign in levi.items():
+                if jj == j and i == axis and k < d:
+                    comp = comp + nu * sign * lsign * np.where(
+                        take(degenerate), 0.0, take(dmag[k]))
+            b_sq = b_sq + comp ** 2
+        b_mag = np.sqrt(b_sq)
+        face = {(0, 0): "axis0_low", (0, -1): "axis0_high", (1, 0): "axis1_low",
+                (1, -1): "axis1_high", (2, 0): "axis2_low", (2, -1): "axis2_high"}[axis, side]
+        for node in np.ndindex(n_dot_du.shape):
+            rows.append((face, node, float(abs(n_dot_du[node])), float(b_mag[node]),
+                         float(abs(n_dot_w[node])), float(w_mag[node])))
+        face_max = [np.abs(n_dot_du), b_mag, np.abs(n_dot_w), w_mag]
+        maxima = [max(m, float(np.max(f))) for m, f in zip(maxima, face_max)]
+    return rows, maxima
+
+
+@pytest.mark.parametrize("boundaries", [("wall", "wall"), ("wall", "periodic"),
+                                        ("wall", "wall", "wall"),
+                                        ("wall", "periodic", "wall")])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_audit_columns_match_the_per_node_loop(boundaries, with_nan):
+    """The audit's columns and its maxima equal the node-by-node loop bit for bit,
+    with degenerate nodes (u = u_s) on the walls, and with NaNs on wall nodes, where
+    np.max of each face and the running max over the faces decide the maxima: a
+    Python max over a column, or np.max over it, would give other maxima."""
+    d = len(boundaries)
+    g = Grid((1.0,) * d, (6,) * d, boundaries, time_nodes=3, dt=0.05)
+    state = boundary_rich_quartet(g, 70)
+    rng = np.random.default_rng(71)
+    near = g.meshes()[0] > 0.5           # u = u_s on the other half: degenerate nodes
+    shifted = [c.values + near * smooth_scalar(rng, g) for c in state.u.components]
+    surface = SurfaceData.__new__(SurfaceData)  # skip flux check for test data
+    object.__setattr__(surface, "u_s", mkv(g, shifted))
+    object.__setattr__(surface, "w_s", VectorField.zeros(g))
+    if with_nan:    # the first node of the first face, and one node of the second
+        state.u[0].values[(0,) * (d + 1)] = state.u[0].values[(-1, 2) + (1,) * (d - 1)] = np.nan
+    audit = boundary_recovery_audit(state, surface, 0.7)
+    rows, maxima = _reference_audit(state, surface, 0.7)
+    bits = lambda xs: np.array(xs, dtype=float).view(np.int64).tolist()
+    assert audit.columns["face"] == [r[0] for r in rows]
+    assert audit.columns["node"] == [r[1] for r in rows]
+    for k, name in enumerate(("check_a", "check_b", "check_c", "check_d"), start=2):
+        assert bits(audit.columns[name]) == bits([r[k] for r in rows])
+    assert bits([audit.max_normal_trace, audit.max_stationarity, audit.max_normal_adjoint,
+                 audit.max_adjoint]) == bits(maxima)
+    assert np.isnan(audit.columns["check_a"]).any() == with_nan
 
 
 # ---------------------------------------------------------------------------

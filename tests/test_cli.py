@@ -905,6 +905,39 @@ def fresh_process_env(**overrides):
             "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
+NON_FINITE = [("evaluate", "--nu", "1e308"),
+              ("energy", "--nu", "1e308", "--scenario", "random:1"),
+              ("solve-unsteady", "--n", "8", "--time-nodes", "4", "--dt", "1e300"),
+              ("newton-dual", "--n", "6", "--time-nodes", "4", "--dt", "0.02", "--nu", "1e308"),
+              ("newton-dual", "--n", "6", "--time-nodes", "4", "--dt", "0.02",
+               "--perturb-w", "1e300"),
+              ("steady-cert", "--nu", "1e308"),
+              ("taylor-green-verify", "--nu", "1e308"),
+              # a finite summary, "ok": true, over a report of NaN cases
+              ("variation-check", "--nu", "1e308", "--seeds", "1", "--n", "8",
+               "--time-nodes", "5")]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=lambda argv: " ".join(argv))
+def test_non_finite_results_exit_2_with_strict_json(tmp_path, argv):
+    """Admitted inputs whose results overflow to NaN or an infinity: JSON has no token
+    for either, so the run exits 2 with one strict-JSON line and writes no JSON report
+    that holds one. A fresh process with no -W flag and no PYTHONWARNINGS lets the
+    overflow warnings pass, as for a user's run."""
+    env = {k: v for k, v in fresh_process_env(OPENBLAS_NUM_THREADS="1").items()
+           if k != "PYTHONWARNINGS"}
+    run = subprocess.run([sys.executable, "-m", "varns.cli", *argv, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    assert run.returncode == 2, run.stderr
+    assert len(run.stdout.splitlines()) == 1
+    assert json.loads(run.stdout, parse_constant=reject)["error"] == "non-finite"
+    for report in tmp_path.glob("*.json"):
+        text = report.read_text()
+        assert "NaN" not in text and "Infinity" not in text, report.name
+
+
 # --- report bytes against the BLAS thread count ---------------------------------
 
 def assert_newton_dual_reports_keep_their_bytes_at_two_blas_threads(tmp_path, *argv):
