@@ -216,8 +216,8 @@ def boundary_recovery_audit(state: FieldQuartet, surface: SurfaceData,
         columns["node"] += np.ndindex(w_mag.shape)
         for name, check in zip(("check_a", "check_b", "check_c", "check_d"), checks):
             columns[name] += check.ravel().tolist()
-        # np.max of each face: a Python max over its nodes would treat a NaN otherwise
-        maxima = [max(m, float(np.max(c))) for m, c in zip(maxima, checks)]
+        # np.max of each face, joined by np.maximum: a NaN on any face is the maximum
+        maxima = [float(np.maximum(m, np.max(c))) for m, c in zip(maxima, checks)]
 
     scale = max(1.0, field_scale(state.u, state.w, surface.u_s))
     return BoundaryAuditReport(*maxima, scale, columns)

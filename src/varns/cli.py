@@ -9,7 +9,8 @@ then ``$VARNS_OUT``, then ``./varns-out``) and prints the summary to stdout.
 
 Exit codes: 0 success / checks passed, 2 checks failed (resonance, a singular
 discrete oscillator, unmet certificate, non-convergence, order band violation,
-a NaN or an infinity in the summary or a JSON report, which no JSON holds),
+a NaN or an infinity in the summary or a JSON report, which no JSON holds, or
+a floating-point RuntimeWarning raised as an error by ``-W error::RuntimeWarning``),
 1 usage or config error (an unknown subcommand, flag or key, a malformed,
 mistyped or non-finite value, an unwritable output path): the parser checks
 every flag, ``_merge`` every config value.
@@ -64,9 +65,10 @@ from .steady import (
 ORDER_BAND = (3.3, 4.7)
 
 #: memory per finest-level node of taylor-green-verify: whole-process peak RSS growth
-#: over the imports, single-thread BLAS on a 2-vCPU Xeon, was 130-131 B at 128^2 x 33
-#: and up (n 32 at --refine 3 and 4, n 16 and 24 at --refine 4) and 138 B at 64^2 x 17
-_TG_BYTES_PER_NODE = 140
+#: over the imports, single-thread BLAS on a 2-vCPU Xeon, was 105-116 B at 128^2 x 33
+#: and up (n 32 at --refine 3 and 4, n 16 and 24 at --refine 4); 125 B at 64^2 x 33
+#: and 139 B at 64^2 x 17, levels of 17 and 10 MB that no budget comes near
+_TG_BYTES_PER_NODE = 120
 
 DEFAULT_CONFIG = {
     "grid": {
@@ -280,7 +282,7 @@ def cmd_variation_check(args, cfg, grid, state):
         fd = (evaluate_lagrangian(plus, nu).J - evaluate_lagrangian(minus, nu).J) / (2 * eps)
         rel = abs(dJ - fd) / max(abs(fd), 1e-30)
         rows.append({"seed": seed, "dJ": dJ, "fd": fd, "rel_err": rel})
-        worst = max(worst, rel)
+        worst = float(np.maximum(worst, rel))       # a NaN case is the worst
     ok = worst <= 1e-6
     return ({"max_rel_err": worst, "tolerance": 1e-6, "ok": ok},
             {"variation_check.json": {"cases": rows, "max_rel_err": worst}}, ok)
@@ -543,7 +545,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(reports.json_line({"error": "non-convergence", "detail": str(exc)}))
         return 2
-    except reports.NonFiniteError as exc:
+    except (reports.NonFiniteError, RuntimeWarning) as exc:
+        # a RuntimeWarning raised as an error (-W error::RuntimeWarning) is an
+        # overflow or an invalid operation: a non-finite result, as without the flag
         print(reports.json_line({"error": "non-finite", "detail": str(exc)}))
         return 2
     except ValueError as exc:

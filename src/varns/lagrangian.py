@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class GronwallReport:
 
 
 # ---------------------------------------------------------------------------
-# density terms
+# derivative groups and density terms
 # ---------------------------------------------------------------------------
 
 def _one_family(state: FieldQuartet) -> bool:
@@ -99,134 +98,150 @@ def _one_family(state: FieldQuartet) -> bool:
         same(cw.values, cu.values) for cu, cw in zip(state.u.components, state.w.components))
 
 
-class _Derivatives(NamedTuple):
-    """Component arrays of a quartet and their derivatives, each computed
-    once: velocity gradient tensors, scalar gradients and (None on a steady grid)
-    velocity time derivatives. Both halves of the density read from it. For one
-    family (:func:`_one_family`) the w fields are the u fields, the same lists."""
-
-    u: list
-    w: list
-    Du: list
-    Dw: list
-    Dp: list
-    Dr: list
-    dtu: list | None
-    dtw: list | None
-
-    @property
-    def one_family(self) -> bool:
-        return self.w is self.u
-
-    def swapped(self) -> "_Derivatives":
-        """The same arrays relabelled for the interchanged pairs."""
-        return _Derivatives(self.w, self.u, self.Dw, self.Du, self.Dr, self.Dp,
-                            self.dtw, self.dtu)
+def _families(state: FieldQuartet) -> list:
+    """The velocity component arrays and the scalar array of (u, p) and of (w, r);
+    one family (:func:`_one_family`) lists (u, p) alone. Either way index 0 is
+    (u, p) and index -1 stands for (w, r)."""
+    pairs = [(state.u, state.p)] if _one_family(state) else [(state.u, state.p),
+                                                              (state.w, state.r)]
+    return [([c.values for c in v.components], s.values) for v, s in pairs]
 
 
-def _derivatives(state: FieldQuartet) -> _Derivatives:
-    """The derivatives of the velocities of u and w and of p and r; w and r are
-    skipped for one family. The velocities are stacked, and the scalars, so that
-    the kernels run once per axis on each stack; the second stack is made after
-    the first is freed, which keeps the peak that of the unstacked derivatives."""
-    g, d = state.grid, state.grid.dim
-    families = [(state.u, state.p)] if _one_family(state) else [(state.u, state.p),
-                                                                  (state.w, state.r)]
-    velocities = np.stack([c.values for v, _ in families for c in v.components])
-    Dv = _gradients(g, velocities)
-    dt = None if g.steady else _d1(velocities, d + 1, g.dt, periodic=False)
-    del velocities
-    Ds = _gradients(g, np.stack([s.values for _, s in families]))
-    parts = [([c.values for c in v.components], [[Dj[f * d + i] for Dj in Dv] for i in range(d)],
-              [Dj[f] for Dj in Ds], None if dt is None else list(dt[f * d:(f + 1) * d]))
-             for f, (v, _) in enumerate(families)]
-    (u, Du, Dp, dtu), (w, Dw, Dr, dtw) = parts[0], parts[-1]
-    return _Derivatives(u, w, Du, Dw, Dp, Dr, dtu, dtw)
+# The three derivative groups, listed per family, each one kernel call per axis on
+# the stacked arrays of every family. A caller forms a group just before the terms
+# that read it and drops it after their last use: one group is held at a time.
+
+def _velocity_gradients(g: Grid, fams: list) -> list:
+    """Each family's velocity gradient tensor ``D[i][j] = d_j v_i``."""
+    d = g.dim
+    Dv = _gradients(g, np.stack([c for v, _ in fams for c in v]))
+    return [[[Dj[f * d + i] for Dj in Dv] for i in range(d)] for f in range(len(fams))]
 
 
-def _half_terms(k: _Derivatives, nu: float):
-    """The four positive-half density terms, as node arrays.
-
-    The negative half is this function applied to ``k.swapped()``.
-    """
-    d = len(k.u)
-    uv, wv = k.u, k.w
-    viscous = (nu / 2) * sum(k.Du[i][j] ** 2 for i in range(d) for j in range(d))
-    advective = 0.5 * sum((wv[i] + uv[i]) * uv[j] * k.Dw[i][j]
-                          for i in range(d) for j in range(d))
-    pressure = sum(uv[i] * k.Dp[i] for i in range(d))
-    if k.dtw is None:
-        temporal = np.zeros(uv[0].shape)
-    else:
-        temporal = 0.5 * sum(uv[i] * k.dtw[i] for i in range(d))
-    return viscous, advective, pressure, temporal
+def _scalar_gradients(g: Grid, fams: list) -> list:
+    Ds = _gradients(g, np.stack([s for _, s in fams]))
+    return [[Dj[f] for Dj in Ds] for f in range(len(fams))]
 
 
-def lagrangian_terms(state: FieldQuartet, nu: float):
-    """Net per-term density arrays (positive half minus swapped half)."""
-    k = _derivatives(state)
-    pos = _half_terms(k, nu)
-    neg = pos if k.one_family else _half_terms(k.swapped(), nu)
-    return tuple(a - b for a, b in zip(pos, neg)), pos, neg
+def _time_derivatives(g: Grid, fams: list) -> list:
+    d = g.dim
+    dt = _d1(np.stack([c for v, _ in fams for c in v]), d + 1, g.dt, periodic=False)
+    return [list(dt[f * d:(f + 1) * d]) for f in range(len(fams))]
+
+
+def _sum(terms, factor=None):
+    """``factor * sum(terms)`` to the bit, summed in place in the first term's
+    buffer: 0 + t0 + t1 + ... in order, then scaled. Every term is a fresh array,
+    dropped once it is added."""
+    terms = iter(terms)
+    acc = next(terms)
+    acc += 0.0                      # sum starts from 0, which turns -0.0 into 0.0
+    for t in terms:
+        acc += t
+    if factor is not None:
+        acc *= factor
+    return acc
+
+
+def _subtract(rows: list, terms) -> None:
+    """``rows[f][i] -= terms[f][i]`` in place for every family f; ``terms`` is
+    dropped on return."""
+    for R, Tf in zip(rows, terms):
+        for Ri, Ti in zip(R, Tf):
+            Ri -= Ti
+
+
+def _density_halves(state: FieldQuartet, nu: float):
+    """Yield each density term (viscous, advective, pressure, temporal) as its
+    positive half and its swapped half, the same array for one family. The
+    velocity gradient tensors are formed for the first two terms, then the scalar
+    gradients, then the velocity time derivatives; each is dropped after its terms.
+
+    A half reads its own family ``f`` and the other ``o``: the positive half (u, p)
+    with (w, r), the swapped half the reverse."""
+    g, fams = state.grid, _families(state)
+    d = g.dim
+    v = [vel for vel, _ in fams]
+    ij = [(i, j) for i in range(d) for j in range(d)]
+
+    def halves(term):
+        pos = term(0, -1)
+        return pos, pos if len(fams) == 1 else term(-1, 0)
+
+    D = _velocity_gradients(g, fams)
+    yield halves(lambda f, o: _sum((D[f][i][j] ** 2 for i, j in ij), nu / 2))
+    yield halves(lambda f, o: _sum(((v[o][i] + v[f][i]) * v[f][j] * D[o][i][j]
+                                    for i, j in ij), 0.5))
+    del D
+    S = _scalar_gradients(g, fams)
+    yield halves(lambda f, o: _sum(v[f][i] * S[f][i] for i in range(d)))
+    del S
+    if g.steady:
+        yield halves(lambda f, o: np.zeros(g.shape))
+        return
+    T = _time_derivatives(g, fams)
+    yield halves(lambda f, o: _sum((v[f][i] * T[o][i] for i in range(d)), 0.5))
 
 
 def evaluate_lagrangian(state: FieldQuartet, nu: float) -> LagrangianReport:
     """Evaluate the space-time functional and its term breakdown.
 
     On a steady grid the time terms and the time quadrature drop out: J is the
-    spatial quadrature of the density.
+    spatial quadrature of the density. Each term is integrated as it is formed,
+    and its net (positive minus swapped half) is added to the density in place.
     """
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
-    net, pos, neg = lagrangian_terms(state, nu)
-    density = ScalarField(g, net[0] + net[1] + net[2] + net[3])
-    slices = slice_integrals(density)
+    integral = lambda a: integrate_spacetime(ScalarField(g, a))
+    density, parts, pos_mag, neg_mag = None, [], [], []
+    for pos, neg in _density_halves(state, nu):
+        pos_mag.append(integral(np.abs(pos)))
+        neg_mag.append(pos_mag[-1] if neg is pos else integral(np.abs(neg)))
+        net = np.subtract(pos, neg, out=pos)
+        parts.append(integral(net))
+        if density is None:
+            density = net
+        else:
+            density += net
+        del pos, neg, net           # before the next term is formed
+    slices = slice_integrals(ScalarField(g, density))
     J = float(np.dot(g.time_weights(), slices))
-    parts = [integrate_spacetime(ScalarField(g, t)) for t in net]
-    magnitudes = lambda terms: [integrate_spacetime(ScalarField(g, np.abs(t))) for t in terms]
-    pos_mag = magnitudes(pos)
-    scale = sum(pos_mag + (pos_mag if neg is pos else magnitudes(neg)))
     return LagrangianReport(J, slices, parts[0], parts[1], parts[2], parts[3],
-                            max(scale, 1e-300))
+                            max(sum(pos_mag + neg_mag), 1e-300))
 
 
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------
 
-def _momentum_rows(grid: Grid, k: _Derivatives, nu: float) -> list[np.ndarray]:
-    """nu Lap u_i - grad_i p - dt w_i - sym advection of w by (u + w); the w rows
-    use ``k.swapped()``."""
-    d = len(k.u)
-    rows = []
-    for i in range(d):
-        adv = sum(0.5 * (k.u[j] + k.w[j]) * (k.Dw[i][j] + k.Dw[j][i]) for j in range(d))
-        rows.append(nu * _laplacian(grid, k.u[i]) - k.Dp[i] - k.dtw[i] - adv)
-    return rows
-
-
 def el_residuals(state: FieldQuartet, nu: float) -> ELResiduals:
     """Node-wise residuals of the coupled stationarity system.
 
     Momentum rows use the symmetrized advection form (the one consistent with
-    the functional's own linearization). On a steady grid the time-derivative
-    terms are omitted.
+    the functional's own linearization): nu Lap u_i - grad_i p - dt w_i - sym
+    advection of w by (u + w), and the w rows with the pairs interchanged. On a
+    steady grid the time-derivative terms are omitted. Each row starts from its
+    Laplacian and takes one derivative group after another, in place.
     """
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
-    g = state.grid
-    k = _derivatives(state)
-    if g.steady:
-        zeros = [np.zeros(g.shape)] * g.dim
-        k = k._replace(dtu=zeros, dtw=zeros)
-
-    def rows(k):        # the divergence, summed over the axes in order, and momentum
-        div = functools.reduce(np.add, (k.Du[a][a] for a in range(g.dim)))
-        return ScalarField(g, div), VectorField(g, tuple(
-            ScalarField(g, a) for a in _momentum_rows(g, k, nu)))
-    (div_u, mom_u) = rows(k)
-    (div_w, mom_w) = (div_u, mom_u) if k.one_family else rows(k.swapped())
+    g, fams = state.grid, _families(state)
+    d = g.dim
+    v = [vel for vel, _ in fams]
+    rows = [[np.multiply(lap, nu, out=lap) for lap in (_laplacian(g, c) for c in vel)]
+            for vel in v]
+    _subtract(rows, _scalar_gradients(g, fams))
+    if not g.steady:                # subtracting zeros would leave every bit
+        _subtract(rows, _time_derivatives(g, fams)[::-1])
+    D = _velocity_gradients(g, fams)
+    adv = lambda Do, i: _sum(0.5 * (v[0][j] + v[-1][j]) * (Do[i][j] + Do[j][i])
+                             for j in range(d))
+    _subtract(rows, ((adv(Do, i) for i in range(d)) for Do in D[::-1]))
+    # the divergence, summed over the axes in order
+    out = [(ScalarField(g, functools.reduce(np.add, (Df[a][a] for a in range(d)))),
+            VectorField(g, tuple(ScalarField(g, Ri) for Ri in R))) for Df, R in zip(D, rows)]
+    (div_u, mom_u), (div_w, mom_w) = out[0], out[-1]
     return ELResiduals(div_u, div_w, mom_u, mom_w)
 
 
@@ -265,28 +280,14 @@ def check_admissible_direction(direction: FieldQuartet) -> None:
                     f"(worst violation {gap:.3e})")
 
 
-def _half_linearized(k: _Derivatives, dk: _Derivatives, nu: float):
-    """Exact linearization of the positive-half density in the direction
-    whose derivatives are ``dk``."""
-    d = len(k.u)
-    uv, wv, duv, dwv = k.u, k.w, dk.u, dk.w
-    out = nu * sum(k.Du[i][j] * dk.Du[i][j] for i in range(d) for j in range(d))
-    out = out + 0.5 * sum((dwv[i] + duv[i]) * uv[j] * k.Dw[i][j]
-                          + (wv[i] + uv[i]) * duv[j] * k.Dw[i][j]
-                          + (wv[i] + uv[i]) * uv[j] * dk.Dw[i][j]
-                          for i in range(d) for j in range(d))
-    out = out + sum(duv[i] * k.Dp[i] + uv[i] * dk.Dp[i] for i in range(d))
-    out = out + 0.5 * sum(duv[i] * k.dtw[i] + uv[i] * dk.dtw[i] for i in range(d))
-    return out
-
-
 def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> float:
     """Directional derivative of the functional at ``state`` along ``direction``.
 
     Assembled from the exact term-by-term linearization of the discrete
     density, using the same stencils and quadrature as the evaluation, so the
     value matches [J(s + eps d) - J(s - eps d)] / (2 eps) up to O(eps^2) with
-    no discretization gap. The direction must be admissible.
+    no discretization gap. The direction must be admissible. Each half sums its
+    terms in place, one derivative group of both quartets after another.
     """
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
@@ -296,12 +297,30 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
     if direction.grid != g:
         raise ValueError("state and direction must share the grid")
     check_admissible_direction(direction)
-    k = _derivatives(state)
-    dk = _derivatives(direction)
-    pos = _half_linearized(k, dk, nu)
-    neg = pos if k.one_family and dk.one_family else _half_linearized(
-        k.swapped(), dk.swapped(), nu)
-    return integrate_spacetime(ScalarField(g, pos - neg))
+    fams, dfams = _families(state), _families(direction)
+    d = g.dim
+    v, dv = [vel for vel, _ in fams], [vel for vel, _ in dfams]
+    ij = [(i, j) for i in range(d) for j in range(d)]
+    # the positive half reads its own family f = 0 and the other o = -1; the
+    # swapped half the reverse, and it is the positive one when both are one family
+    sides = [(0, -1)] if len(fams) == len(dfams) == 1 else [(0, -1), (-1, 0)]
+    D, dD = _velocity_gradients(g, fams), _velocity_gradients(g, dfams)
+    halves = [_sum((D[f][i][j] * dD[f][i][j] for i, j in ij), nu) for f, _ in sides]
+    for out, (f, o) in zip(halves, sides):
+        out += _sum(((dv[o][i] + dv[f][i]) * v[f][j] * D[o][i][j]
+                     + (v[o][i] + v[f][i]) * dv[f][j] * D[o][i][j]
+                     + (v[o][i] + v[f][i]) * v[f][j] * dD[o][i][j] for i, j in ij), 0.5)
+    del D, dD
+    S, dS = _scalar_gradients(g, fams), _scalar_gradients(g, dfams)
+    for out, (f, _) in zip(halves, sides):
+        out += _sum(dv[f][i] * S[f][i] + v[f][i] * dS[f][i] for i in range(d))
+    del S, dS
+    T, dT = _time_derivatives(g, fams), _time_derivatives(g, dfams)
+    for out, (f, o) in zip(halves, sides):
+        out += _sum((dv[f][i] * T[o][i] + v[f][i] * dT[o][i] for i in range(d)), 0.5)
+    del T, dT
+    return integrate_spacetime(ScalarField(g, np.subtract(halves[0], halves[-1],
+                                                          out=halves[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +330,14 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
 def _difference_and_sum(state: FieldQuartet):
     """The difference field vbar = (u - w)/2 as component arrays, and the gradient
     tensors Dv[i][j] = d_j vbar_i and Dg[i][j] = d_j g_i of vbar and g = u + w: one
-    kernel call per axis on the stacked components of both."""
+    kernel call per axis on the stacked components of vbar, then on those of g."""
     grid, d = state.grid, state.grid.dim
     pairs = list(zip(state.u.components, state.w.components))
-    fields = np.stack([(cu.values - cw.values) / 2 for cu, cw in pairs]
-                      + [cu.values + cw.values for cu, cw in pairs])
-    D = _gradients(grid, fields)
-    tensor = lambda f: [[Dj[f * d + i] for Dj in D] for i in range(d)]
-    return list(fields[:d]), tensor(0), tensor(1)
+    vb = [(cu.values - cw.values) / 2 for cu, cw in pairs]
+    tensor = lambda D: [[Dj[i] for Dj in D] for i in range(d)]
+    Dv = tensor(_gradients(grid, np.stack(vb)))
+    return vb, Dv, tensor(_gradients(grid, np.stack([cu.values + cw.values
+                                                     for cu, cw in pairs])))
 
 
 def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray]):
@@ -338,7 +357,13 @@ def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray]):
 
 def deformation_eigenvalue(G: list[list[np.ndarray]]) -> float:
     """Largest eigenvalue over all nodes of the symmetric part of the gradient
-    tensor ``G[i][j] = d_j g_i`` of a forcing flow g, in closed form."""
+    tensor ``G[i][j] = d_j g_i`` of a forcing flow g, in closed form, taken one
+    slab of the last axis (the time axis of a field) at a time."""
+    return float(np.max([_slab_eigenvalue([[Gij[..., k] for Gij in row] for row in G])
+                         for k in range(G[0][0].shape[-1])]))
+
+
+def _slab_eigenvalue(G: list[list[np.ndarray]]) -> float:
     dim = len(G)
     D = [[0.5 * (G[i][j] + G[j][i]) for j in range(dim)] for i in range(dim)]
     if dim == 1:
@@ -375,13 +400,13 @@ def energy_series(state: FieldQuartet, nu: float) -> EnergySeries:
     if nu < 0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     g = state.grid
-    d = g.dim
+    ij = [(i, j) for i in range(g.dim) for j in range(g.dim)]
     vb, Dv, Dg = _difference_and_sum(state)
     _require_wall_vanishing(state, vb)
 
-    E = slice_integrals(ScalarField(g, sum(c ** 2 for c in vb)))
-    integrand = nu * sum(Dv[i][j] ** 2 for i in range(d) for j in range(d)) \
-        - 0.5 * sum(vb[i] * vb[j] * Dg[j][i] for i in range(d) for j in range(d))
+    E = slice_integrals(ScalarField(g, _sum(c ** 2 for c in vb)))
+    integrand = _sum((Dv[i][j] ** 2 for i, j in ij), nu)
+    integrand -= _sum((vb[i] * vb[j] * Dg[j][i] for i, j in ij), 0.5)
     rhs = 2 * slice_integrals(ScalarField(g, integrand))
 
     if g.time_nodes >= 3:

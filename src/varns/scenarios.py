@@ -8,6 +8,8 @@ reads a quartet dumped in the snapshot CSV format.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grids import PERIODIC, FieldQuartet, Grid
@@ -17,23 +19,25 @@ from .solver import taylor_green
 def _smooth_scalar(rng: np.random.Generator, grid: Grid,
                    wall_vanishing: bool = False) -> np.ndarray:
     """Random low-mode trigonometric field; optionally zero on wall faces. Each
-    term is a product of one-axis factors on the open mesh, taken in axis order."""
+    term is a product of one-axis factors on the open mesh, taken in axis order;
+    its last factor spreads it over the whole grid, in one buffer for all four."""
     *coords, t = grid.open_meshes()
-    out = np.zeros(grid.shape)
+    out, term = np.zeros(grid.shape), np.empty(grid.shape)
     for _ in range(4):
-        term = rng.normal()
+        factors = [rng.normal()]
         for a, x in enumerate(coords):
             scale = 2 * np.pi / grid.extents[a]
             k = int(rng.integers(0, 3))
             if grid.boundaries[a] == PERIODIC:
-                term = term * np.sin(k * scale * x + rng.normal())
+                factors.append(np.sin(k * scale * x + rng.normal()))
             elif wall_vanishing:
-                term = term * np.sin((k + 1) * np.pi * x / grid.extents[a])
+                factors.append(np.sin((k + 1) * np.pi * x / grid.extents[a]))
             else:
-                term = term * np.cos(k * np.pi * x / grid.extents[a] + rng.normal())
+                factors.append(np.cos(k * np.pi * x / grid.extents[a] + rng.normal()))
         if not grid.steady:
-            term = term * np.cos(0.7 * rng.normal() * t + rng.normal())
-        out += term
+            factors.append(np.cos(0.7 * rng.normal() * t + rng.normal()))
+        *head, last = factors
+        out += np.multiply(functools.reduce(np.multiply, head), last, out=term)
     return out
 
 
@@ -48,9 +52,11 @@ def random_quartet(grid: Grid, seed: int) -> FieldQuartet:
     walls = any(b != PERIODIC for b in grid.boundaries)
     base = [_smooth_scalar(rng, grid, wall_vanishing=walls) for _ in range(grid.dim)]
     diff = [_smooth_scalar(rng, grid, wall_vanishing=True) for _ in range(grid.dim)]
-    u = [base[i] + diff[i] for i in range(grid.dim)]
-    w = [base[i] - diff[i] for i in range(grid.dim)]
-    return FieldQuartet.from_arrays(grid, u, _smooth_scalar(rng, grid), w,
+    for i, b in enumerate(base):
+        d, diff[i] = diff[i], b - diff[i]       # w = base - diff takes diff's place
+        b += d                                  # u = base + diff, in base's buffer
+    del d
+    return FieldQuartet.from_arrays(grid, base, _smooth_scalar(rng, grid), diff,
                                    _smooth_scalar(rng, grid))
 
 

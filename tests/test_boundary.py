@@ -248,7 +248,7 @@ def test_audit_rows_cover_all_faces():
 def _reference_audit(state, surface, nu):
     """The audit node by node, as a loop over the nodes of each wall face: its rows
     (face, node, check a, b, c, d) and its four maxima, each face's by np.max and
-    the running maximum over the faces by Python's max."""
+    the running maximum over the faces by np.maximum, which keeps a NaN."""
     levi = _levi()
     g, d = state.grid, state.grid.dim
     pad = lambda vec: [c.values for c in vec.components] + [np.zeros(g.shape)] * (3 - d)
@@ -279,7 +279,7 @@ def _reference_audit(state, surface, nu):
             rows.append((face, node, float(abs(n_dot_du[node])), float(b_mag[node]),
                          float(abs(n_dot_w[node])), float(w_mag[node])))
         face_max = [np.abs(n_dot_du), b_mag, np.abs(n_dot_w), w_mag]
-        maxima = [max(m, float(np.max(f))) for m, f in zip(maxima, face_max)]
+        maxima = [float(np.maximum(m, np.max(f))) for m, f in zip(maxima, face_max)]
     return rows, maxima
 
 
@@ -290,8 +290,8 @@ def _reference_audit(state, surface, nu):
 def test_audit_columns_match_the_per_node_loop(boundaries, with_nan):
     """The audit's columns and its maxima equal the node-by-node loop bit for bit,
     with degenerate nodes (u = u_s) on the walls, and with NaNs on wall nodes, where
-    np.max of each face and the running max over the faces decide the maxima: a
-    Python max over a column, or np.max over it, would give other maxima."""
+    np.max of each face and the running np.maximum over the faces decide the maxima:
+    a NaN on any face is the maximum."""
     d = len(boundaries)
     g = Grid((1.0,) * d, (6,) * d, boundaries, time_nodes=3, dt=0.05)
     state = boundary_rich_quartet(g, 70)
@@ -313,6 +313,25 @@ def test_audit_columns_match_the_per_node_loop(boundaries, with_nan):
     assert bits([audit.max_normal_trace, audit.max_stationarity, audit.max_normal_adjoint,
                  audit.max_adjoint]) == bits(maxima)
     assert np.isnan(audit.columns["check_a"]).any() == with_nan
+
+
+@pytest.mark.parametrize("boundaries", [("wall", "wall"), ("wall", "wall", "wall")])
+def test_a_nan_wall_node_is_every_maximum_and_fails_the_audit(boundaries):
+    """One wall node whose u and w are NaN: every maximum is NaN, so the audit does
+    not pass. Joined by Python's max, the faces without the NaN set the maxima (all
+    0 here) and the audit passed."""
+    d = len(boundaries)
+    g = Grid((1.0,) * d, (6,) * d, boundaries, time_nodes=3, dt=0.05)
+    state = FieldQuartet.zeros(g)
+    surface = SurfaceData(VectorField.zeros(g), VectorField.zeros(g))
+    node = (0,) + (2,) * (d - 1) + (1,)          # on the low face of axis 0
+    for c in state.u.components + state.w.components:
+        c.values[node] = np.nan
+    audit = boundary_recovery_audit(state, surface, 0.1)
+    maxima = [audit.max_normal_trace, audit.max_stationarity, audit.max_normal_adjoint,
+              audit.max_adjoint]
+    assert np.isnan(maxima).all()
+    assert not audit.passes(0.1) and not audit.passes(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -638,13 +638,15 @@ class _LevelBuilt(Exception):
     pass
 
 
-# finest levels at about 140 B per node: 256^2 x 65 takes about 596 MB, 512^2 x 129
-# about 4.7 GB, 512^2 x 33 about 1.2 GB
+# finest levels at about 120 B per node: 256^2 x 65 takes about 511 MB (458 MB
+# measured), 256^2 x 73 about 574 MB (514 MB measured), 512^2 x 129 about 4.1 GB,
+# 512^2 x 33 about 1.0 GB
 @pytest.mark.parametrize("argv, admitted", [
     (("--refine", "4"), True),
     (("--refine", "5"), False),
     (("--n", "64", "--time-nodes", "5", "--refine", "4"), False),
     (("--refine", "1000000000"), False),
+    (("--time-nodes", "10", "--refine", "4"), True),
 ])
 def test_taylor_green_verify_memory_guard_decides_before_any_level_is_built(
         tmp_path, capsys, monkeypatch, argv, admitted):
@@ -918,15 +920,11 @@ NON_FINITE = [("evaluate", "--nu", "1e308"),
                "--time-nodes", "5")]
 
 
-@pytest.mark.parametrize("argv", NON_FINITE, ids=lambda argv: " ".join(argv))
-def test_non_finite_results_exit_2_with_strict_json(tmp_path, argv):
-    """Admitted inputs whose results overflow to NaN or an infinity: JSON has no token
-    for either, so the run exits 2 with one strict-JSON line and writes no JSON report
-    that holds one. A fresh process with no -W flag and no PYTHONWARNINGS lets the
-    overflow warnings pass, as for a user's run."""
+def assert_non_finite_exit_2_with_strict_json(tmp_path, argv, *python_flags):
     env = {k: v for k, v in fresh_process_env(OPENBLAS_NUM_THREADS="1").items()
            if k != "PYTHONWARNINGS"}
-    run = subprocess.run([sys.executable, "-m", "varns.cli", *argv, "--out", str(tmp_path)],
+    run = subprocess.run([sys.executable, *python_flags, "-m", "varns.cli", *argv,
+                          "--out", str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=300)
     def reject(name):
         raise ValueError(f"{name} is not valid JSON")
@@ -936,6 +934,39 @@ def test_non_finite_results_exit_2_with_strict_json(tmp_path, argv):
     for report in tmp_path.glob("*.json"):
         text = report.read_text()
         assert "NaN" not in text and "Infinity" not in text, report.name
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=lambda argv: " ".join(argv))
+def test_non_finite_results_exit_2_with_strict_json(tmp_path, argv):
+    """Admitted inputs whose results overflow to NaN or an infinity: JSON has no token
+    for either, so the run exits 2 with one strict-JSON line and writes no JSON report
+    that holds one. A fresh process with no -W flag and no PYTHONWARNINGS lets the
+    overflow warnings pass, as for a user's run."""
+    assert_non_finite_exit_2_with_strict_json(tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=lambda argv: " ".join(argv))
+def test_non_finite_results_exit_2_with_strict_json_under_warnings_as_errors(tmp_path, argv):
+    """The same inputs under the CI's -W error::RuntimeWarning: the first overflow
+    warning, raised as an error, ends the run the same way, not in a traceback."""
+    assert_non_finite_exit_2_with_strict_json(tmp_path, argv, "-W", "error::RuntimeWarning")
+
+
+def test_variation_check_keeps_a_nan_case_in_max_rel_err(monkeypatch):
+    """A NaN case is the worst case: max_rel_err is NaN and the check fails. Joined
+    by Python's max, the NaN of the first seed was dropped for the second's error."""
+    first_variation = cli.first_variation
+    calls = []
+    def nan_first(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == 1 else first_variation(*args)
+    monkeypatch.setattr(cli, "first_variation", nan_first)
+    grid = periodic_square(8, time_nodes=5, dt=0.0125)
+    summary, files, ok = cli.cmd_variation_check(None, {"seeds": 2, "nu": 0.1}, grid, None)
+    cases = files["variation_check.json"]["cases"]
+    assert np.isnan(cases[0]["rel_err"]) and np.isfinite(cases[1]["rel_err"])
+    assert np.isnan(summary["max_rel_err"]) and summary["ok"] is False and ok is False
+    assert np.isnan(files["variation_check.json"]["max_rel_err"])
 
 
 # --- report bytes against the BLAS thread count ---------------------------------
