@@ -2,8 +2,9 @@
 
 Configuration comes from an optional JSON document plus flag overrides
 (flags win); unknown keys are rejected. ``DEFAULT_CONFIG`` is the one list of
-options: every key has a flag of its name. A subcommand handler returns its
-one-line JSON summary, its reports and whether its checks passed; ``main``
+options: every key has a flag of its name. A subcommand handler imports the
+modules it calls when it runs, and returns its one-line JSON summary, its
+reports and whether its checks passed; ``main``
 writes the reports under the output directory (``--out``, then the config,
 then ``$VARNS_OUT``, then ``./varns-out``) and prints the summary to stdout.
 
@@ -12,8 +13,9 @@ discrete oscillator, unmet certificate, non-convergence, order band violation,
 a NaN or an infinity in the summary or a JSON report, which no JSON holds, or
 a floating-point RuntimeWarning raised as an error by ``-W error::RuntimeWarning``),
 1 usage or config error (an unknown subcommand, flag or key, a malformed,
-mistyped or non-finite value, an unwritable output path): the parser checks
-every flag, ``_merge`` every config value.
+mistyped or non-finite value, an unwritable output path, a grid over a size
+guard's memory budget or an allocation refused at once): the parser checks every
+flag, ``_merge`` every config value.
 """
 
 from __future__ import annotations
@@ -30,37 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import reports
-from .boundary import SurfaceData, boundary_recovery_audit, extended_functional
-from .grids import PERIODIC, FieldQuartet, Grid, periodic_square
-from .lagrangian import (
-    el_residuals,
-    energy_series,
-    evaluate_lagrangian,
-    first_variation,
-    gronwall_audit,
-)
-from .oscillator import (
-    OscillatorProblem,
-    ResonanceError,
-    galerkin_identity_residual,
-    solve_oscillator_vp,
-)
-from .scenarios import admissible_direction, build_scenario, random_quartet
-from .solver import (
-    _MAX_NEWTON_BYTES,
-    ConvergenceError,
-    SolveConfig,
-    kinetic_energy_series,
-    march_reduced,
-    newton_dual,
-    steady_solve,
-    taylor_green,
-    u_w_gap,
-)
-from .steady import (
-    inequality_chain_audit,
-    uniqueness_certificate,
-)
+from .grids import _MAX_NEWTON_BYTES, PERIODIC, FieldQuartet, Grid, periodic_square
+from .scenarios import admissible_direction, build_scenario, random_quartet, taylor_green
 
 ORDER_BAND = (3.3, 4.7)
 
@@ -69,6 +42,10 @@ ORDER_BAND = (3.3, 4.7)
 #: and up (n 32 at --refine 3 and 4, n 16 and 24 at --refine 4); 125 B at 64^2 x 33
 #: and 139 B at 64^2 x 17, levels of 17 and 10 MB that no budget comes near
 _TG_BYTES_PER_NODE = 120
+
+#: memory per node of the oscillator (Python lists of floats): whole-process peak RSS
+#: growth over the imports, 2-vCPU Xeon, was 874-938 B at 65,537 to 1,048,577 nodes
+_OSC_BYTES_PER_NODE = 1000
 
 DEFAULT_CONFIG = {
     "grid": {
@@ -198,7 +175,8 @@ def grid_from_config(cfg: dict, steady: bool = False) -> Grid:
         raise ConfigError(str(exc)) from exc
 
 
-def solve_config(cfg: dict) -> SolveConfig:
+def solve_config(cfg: dict):
+    from .solver import SolveConfig
     s = cfg["solver"]
     return SolveConfig(nu=float(cfg["nu"]), newton_tol=float(s["newton_tol"]),
                        max_newton=int(s["max_newton"]),
@@ -206,27 +184,34 @@ def solve_config(cfg: dict) -> SolveConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its summary, its reports (file name -> JSON record,
-# reports.Table or ScalarField) and whether its checks passed
+# subcommands: each imports the modules it calls and returns its summary, its
+# reports (file name -> JSON record, reports.Table or ScalarField) and verdict
 # ---------------------------------------------------------------------------
 
 def cmd_oscillator(args, cfg, grid, state):
+    from .oscillator import (OscillatorProblem, ResonanceError, galerkin_identity_residual,
+                             solve_oscillator_vp)
     # the order estimate also solves at (n - 1) / 2^k + 1 nodes for k = 2 and 1,
     # wherever that halves h and leaves at least 4 nodes; n = 7 is the first with one
     if args.osc_n < 7:
         raise ValueError(f"--osc-n must be at least 7 for the order estimate, got {args.osc_n}")
+    if _OSC_BYTES_PER_NODE * args.osc_n > _MAX_NEWTON_BYTES:
+        raise ValueError(f"--osc-n {args.osc_n} is too large: its levels need more than "
+                         f"the {_MAX_NEWTON_BYTES / 1e6:.0f} MB memory budget")
     problem = OscillatorProblem(args.a, args.b, args.alpha, args.beta, args.osc_n)
     x = problem.x()
-    with np.errstate(over="ignore", invalid="ignore"):
-        analytic = problem.analytic_solution(x)
-    if not np.isfinite(analytic).all():
-        raise ValueError(f"--a {args.a!r} and --b {args.b!r} give a closed-form "
-                         "solution that is not finite in floating point")
-    levels = [OscillatorProblem(args.a, args.b, args.alpha, args.beta, n)
-              for n in [(problem.n - 1) // 2 ** k + 1 for k in (2, 1)
-                        if (problem.n - 1) % 2 ** k == 0 and (problem.n - 1) // 2 ** k >= 3]]
     try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            analytic = problem.analytic_solution(x)
+        if not np.isfinite(analytic).all():
+            raise ValueError(f"--a {args.a!r} and --b {args.b!r} give a closed-form "
+                             "solution that is not finite in floating point")
+        levels = [OscillatorProblem(args.a, args.b, args.alpha, args.beta, n)
+                  for n in [(problem.n - 1) // 2 ** k + 1 for k in (2, 1)
+                            if (problem.n - 1) % 2 ** k == 0 and (problem.n - 1) // 2 ** k >= 3]]
         sol, *coarse = map(solve_oscillator_vp, [problem, *levels])
+    except ResonanceError as exc:
+        return {"error": "resonance", "m": exc.m}, {}, False
     except np.linalg.LinAlgError as exc:    # a zero pivot: no unique discrete solution
         return {"error": "singular", "detail": str(exc)}, {}, False
     max_err = float(np.max(np.abs(sol.y_mean - analytic)))
@@ -245,12 +230,14 @@ def cmd_oscillator(args, cfg, grid, state):
 
 
 def cmd_evaluate(args, cfg, grid, state):
+    from .lagrangian import evaluate_lagrangian
     rep = evaluate_lagrangian(state, cfg["nu"])
     payload = {"J": rep.J, **rep.breakdown(), "scale": rep.scale}
     return {"J": rep.J}, {"lagrangian_report.json": payload}, True
 
 
 def cmd_residual(args, cfg, grid, state):
+    from .lagrangian import el_residuals
     res = el_residuals(state, cfg["nu"])
     payload = {
         "div_u_max": float(np.max(np.abs(res.res_div_u.values))),
@@ -266,6 +253,7 @@ def cmd_residual(args, cfg, grid, state):
 
 
 def cmd_variation_check(args, cfg, grid, state):
+    from .lagrangian import evaluate_lagrangian, first_variation
     if cfg["seeds"] < 1:
         raise ValueError(f"--seeds must be at least 1, got {cfg['seeds']}")
     nu = cfg["nu"]
@@ -297,6 +285,7 @@ def _shift_state(state: FieldQuartet, direction: FieldQuartet, eps: float) -> Fi
 
 
 def cmd_energy(args, cfg, grid, state):
+    from .lagrangian import energy_series, gronwall_audit
     series = energy_series(state, cfg["nu"])
     audit = gronwall_audit(series)
     # the mismatch is defined at interior time nodes only
@@ -316,12 +305,14 @@ def _convergence_table(traj) -> reports.Table:
 
 
 def cmd_steady_cert(args, cfg, grid, state):
+    from .steady import uniqueness_certificate
     cert = uniqueness_certificate(state, cfg["nu"])
     record = cert.to_record()
     return record, {"certificate.json": record}, cert.satisfied
 
 
 def cmd_inequality_audit(args, cfg, grid, state):
+    from .steady import inequality_chain_audit
     audit = inequality_chain_audit(state, cfg["nu"])
     table = reports.Table({name: [getattr(r, name) for r in audit.rows]
                            for name in ("name", "lhs", "rhs", "margin", "asserted")})
@@ -331,6 +322,7 @@ def cmd_inequality_audit(args, cfg, grid, state):
 
 
 def cmd_extended(args, cfg, grid, state):
+    from .boundary import SurfaceData, extended_functional
     surface = SurfaceData(state.u, state.w)
     rep = extended_functional(state, surface, cfg["nu"])
     payload = {"J": rep.J, "surface_term": rep.surface_term, "I": rep.I,
@@ -339,6 +331,7 @@ def cmd_extended(args, cfg, grid, state):
 
 
 def cmd_boundary_audit(args, cfg, grid, state):
+    from .boundary import SurfaceData, boundary_recovery_audit
     surface = SurfaceData(state.u, state.w)
     audit = boundary_recovery_audit(state, surface, cfg["nu"])
     payload = {"max_normal_trace": audit.max_normal_trace,
@@ -352,6 +345,7 @@ def cmd_boundary_audit(args, cfg, grid, state):
 
 
 def cmd_solve_unsteady(args, cfg, grid, state):
+    from .solver import ConvergenceError, kinetic_energy_series, march_reduced
     try:
         traj = march_reduced(state.u, solve_config(cfg), grid)
     except ConvergenceError as exc:
@@ -363,6 +357,8 @@ def cmd_solve_unsteady(args, cfg, grid, state):
 
 
 def cmd_solve_steady(args, cfg, grid, state):
+    from .solver import ConvergenceError, steady_solve
+    from .steady import uniqueness_certificate
     # the solver configuration is validated before the scenario is built
     scfg = solve_config(cfg)
     all_periodic = all(b == PERIODIC for b in grid.boundaries)
@@ -380,6 +376,8 @@ def cmd_solve_steady(args, cfg, grid, state):
 
 
 def cmd_newton_dual(args, cfg, grid, seed_state):
+    from .lagrangian import evaluate_lagrangian
+    from .solver import ConvergenceError, newton_dual, u_w_gap
     nu = cfg["nu"]
     if args.perturb_w:
         amp = args.perturb_w
@@ -388,7 +386,10 @@ def cmd_newton_dual(args, cfg, grid, seed_state):
         u = [c.values for c in seed_state.u.components]
         seed_state = FieldQuartet.from_arrays(grid, u, seed_state.p.values,
                                               [c * pert for c in u], seed_state.r.values)
-    traj = newton_dual(seed_state, seed_state.u, solve_config(cfg), grid)
+    try:
+        traj = newton_dual(seed_state, seed_state.u, solve_config(cfg), grid)
+    except ConvergenceError as exc:
+        return {"error": "non-convergence", "detail": str(exc)}, {}, False
     rep = traj.report if traj.report is not None else evaluate_lagrangian(traj.state, nu)
     gap = u_w_gap(traj.state)
     ok = traj.converged and gap <= 1e-8 and abs(rep.J) <= 1e-10 * rep.scale
@@ -399,6 +400,7 @@ def cmd_newton_dual(args, cfg, grid, seed_state):
 
 
 def cmd_taylor_green_verify(args, cfg, base, state):
+    from .lagrangian import el_residuals
     if args.refine < 2:
         raise ValueError(f"--refine must be at least 2 for a ratio of levels, got {args.refine}")
     # one level is held at a time, the finest (n 2^(r-1))^2 x ((T - 1) 2^(r-1) + 1) nodes;
@@ -539,18 +541,13 @@ def main(argv=None) -> int:
         print(reports.json_line({"error": "config", "detail": str(exc)}),
               file=sys.stderr)
         return 1
-    except ResonanceError as exc:
-        print(reports.json_line({"error": "resonance", "m": exc.m}))
-        return 2
-    except ConvergenceError as exc:
-        print(reports.json_line({"error": "non-convergence", "detail": str(exc)}))
-        return 2
     except (reports.NonFiniteError, RuntimeWarning) as exc:
         # a RuntimeWarning raised as an error (-W error::RuntimeWarning) is an
         # overflow or an invalid operation: a non-finite result, as without the flag
         print(reports.json_line({"error": "non-finite", "detail": str(exc)}))
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a MemoryError is an allocation refused at once: nothing was touched
         print(reports.json_line({"error": "usage", "detail": str(exc)}),
               file=sys.stderr)
         return 1

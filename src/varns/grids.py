@@ -45,6 +45,11 @@ if TYPE_CHECKING:       # scipy is imported by the builders of sparse matrices a
 PERIODIC = "periodic"
 WALL = "wall"
 
+#: the memory budget of every size guard (newton-dual's, the oscillator's and
+#: taylor-green-verify's), counted beside the interpreter and its imports (about
+#: 32 MB), so an admitted run can peak a little above 0.6 GB resident
+_MAX_NEWTON_BYTES = 600e6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -80,9 +85,16 @@ class Grid:
         for n in self.nodes:
             if n < 3:
                 raise ValueError(f"need at least 3 nodes per axis, got {n}")
-        for e in self.extents:
+        # the stencils divide by h^2 and the certificate by the sum of e^2 over 4
+        for a, e in enumerate(self.extents):
             if e <= 0:
                 raise ValueError(f"extent must be positive, got {e}")
+            if not 0 < self.spacing(a) * self.spacing(a) < np.inf:
+                raise ValueError(f"extent {e} gives a node spacing whose square is not "
+                                 "a positive finite float")
+        if not sum(e * e for e in self.extents) < np.inf:
+            raise ValueError(f"extents {list(self.extents)} have a sum of squares that "
+                             "is not finite")
         if self.time_nodes != 1 and self.time_nodes < 3:
             raise ValueError("time_nodes must be 1 (steady) or >= 3")
         if self.time_nodes > 1 and self.dt <= 0:

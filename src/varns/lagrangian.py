@@ -327,17 +327,18 @@ def first_variation(state: FieldQuartet, direction: FieldQuartet, nu: float) -> 
 # difference fields and the energy series
 # ---------------------------------------------------------------------------
 
+def _sum_gradient(state: FieldQuartet) -> list:
+    """The gradient tensor Dg[i][j] = d_j g_i of g = u + w."""
+    g = [cu.values + cw.values for cu, cw in zip(state.u.components, state.w.components)]
+    return _velocity_gradients(state.grid, [(g, None)])[0]
+
+
 def _difference_and_sum(state: FieldQuartet):
     """The difference field vbar = (u - w)/2 as component arrays, and the gradient
     tensors Dv[i][j] = d_j vbar_i and Dg[i][j] = d_j g_i of vbar and g = u + w: one
     kernel call per axis on the stacked components of vbar, then on those of g."""
-    grid, d = state.grid, state.grid.dim
-    pairs = list(zip(state.u.components, state.w.components))
-    vb = [(cu.values - cw.values) / 2 for cu, cw in pairs]
-    tensor = lambda D: [[Dj[i] for Dj in D] for i in range(d)]
-    Dv = tensor(_gradients(grid, np.stack(vb)))
-    return vb, Dv, tensor(_gradients(grid, np.stack([cu.values + cw.values
-                                                     for cu, cw in pairs])))
+    vb = [(cu.values - cw.values) / 2 for cu, cw in zip(state.u.components, state.w.components)]
+    return vb, _velocity_gradients(state.grid, [(vb, None)])[0], _sum_gradient(state)
 
 
 def _require_wall_vanishing(state: FieldQuartet, vb: list[np.ndarray]):

@@ -1,9 +1,8 @@
 """Solvers that produce fields at or near the stationary configuration.
 
-Four routes to the stationary point:
+Three routes to the stationary point, beside the exact decaying-vortex oracle
+of ``scenarios.taylor_green``:
 
-* an exact decaying-vortex oracle (closed-form solution of the reduced
-  system, stored with the variational pressure scalar),
 * a Crank-Nicolson / Picard / projection time-marcher for the reduced system
   on periodic grids (the w=u, r=p trajectory),
 * a monolithic Newton solve of the full discrete stationarity system over
@@ -51,6 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import (
+    _MAX_NEWTON_BYTES,
     PERIODIC,
     FieldQuartet,
     Grid,
@@ -72,14 +72,6 @@ def __getattr__(name: str):
         return spla
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-TWO_PI = 2 * np.pi
-
-#: memory budget of one space-time Newton solve, estimated in :func:`newton_dual`,
-#: in line with the steady solve's LU cap. It is counted beside the interpreter and
-#: its imports (about 32 MB: newton-dual imports no scipy), not against the whole
-#: process, so an admitted solve can peak a little above 0.6 GB resident
-_MAX_NEWTON_BYTES = 600e6
 
 #: memory per space-time unknown beside the preconditioner's blocks: the GMRES
 #: basis (61 vectors, 488 B when all are used), the iterates and the temporaries of
@@ -136,10 +128,10 @@ class Trajectory:
     gmres: tuple[tuple[int, bool], ...] = ()
 
 
-def _require_periodic(grid: Grid, unsteady: bool):
+def _require_periodic(grid: Grid):
     if grid.dim not in (2, 3) or any(b != PERIODIC for b in grid.boundaries):
         raise ValueError("this solver needs an all-periodic 2D or 3D grid")
-    if unsteady and grid.steady:
+    if grid.steady:
         raise ValueError("this solver needs an unsteady grid")
 
 
@@ -152,33 +144,6 @@ def _require_divergence_free(v, grid: Grid, what: str):
 
 
 # ---------------------------------------------------------------------------
-# exact decaying-vortex oracle
-# ---------------------------------------------------------------------------
-
-def taylor_green(nu: float, grid: Grid) -> FieldQuartet:
-    """Exact decaying-vortex quartet on the 2-pi periodic square.
-
-    u = w = (-cos x sin y, sin x cos y) e^{-2 nu t}; the stored scalar is the
-    variational pressure q = P - |u|^2 / 2 with P the physical pressure
-    -(cos 2x + cos 2y) e^{-4 nu t} / 4, so the quartet satisfies the
-    stationarity system exactly in the continuum.
-    """
-    if grid.dim != 2:
-        raise ValueError(f"the decaying-vortex oracle is 2D; this grid is {grid.dim}D")
-    _require_periodic(grid, unsteady=False)
-    for e in grid.extents:
-        if abs(e - TWO_PI) > 1e-9:
-            raise ValueError("the decaying-vortex oracle needs extents of 2*pi")
-    X, Y, T = grid.open_meshes()
-    decay = np.exp(-2 * nu * T)
-    u0 = -np.cos(X) * np.sin(Y) * decay
-    u1 = np.sin(X) * np.cos(Y) * decay
-    P = -0.25 * (np.cos(2 * X) + np.cos(2 * Y)) * decay ** 2
-    q = P - 0.5 * (u0 ** 2 + u1 ** 2)
-    return FieldQuartet.from_arrays(grid, (u0, u1), q, (u0, u1), q)
-
-
-# ---------------------------------------------------------------------------
 # periodic stencil solves in Fourier space
 # ---------------------------------------------------------------------------
 
@@ -188,7 +153,7 @@ class _Spectral:
 
     def __init__(self, grid: Grid):
         along = lambda a, x: x.reshape([-1 if b == a else 1 for b in range(grid.dim)])
-        theta = [TWO_PI * np.fft.fftfreq(n) for n in grid.nodes]
+        theta = [2 * np.pi * np.fft.fftfreq(n) for n in grid.nodes]
         self.s = [along(a, np.sin(t) / grid.spacing(a)) for a, t in enumerate(theta)]
         self.lap = sum(along(a, (2 * np.cos(t) - 2) / grid.spacing(a) ** 2)
                        for a, t in enumerate(theta))
@@ -263,7 +228,7 @@ def march_reduced(initial: VectorField, config: SolveConfig, grid: Grid) -> Traj
     full space-time grid; the stored scalar is the variational pressure.
     The initial field must be divergence-free in the discrete sense.
     """
-    _require_periodic(grid, unsteady=True)
+    _require_periodic(grid)
     if initial.grid.nodes != grid.nodes:
         raise ValueError("initial field resolution does not match the grid")
     v = [np.array(c.values[..., 0]) for c in initial.components]
@@ -355,7 +320,7 @@ class _DualNewtonSystem:
 
     def __init__(self, grid: Grid, nu: float, *data):
         """``data``: the initial velocity, one array of the grid's nodes per axis."""
-        _require_periodic(grid, unsteady=True)
+        _require_periodic(grid)
         d, S, T = grid.dim, int(np.prod(grid.nodes)), grid.time_nodes
         self.grid, self.nu, self.S, self.T = grid, nu, S, T
         m = (2 * d + 2) * T - 3
@@ -606,7 +571,7 @@ def newton_dual(seed: FieldQuartet, data: VectorField | None,
     the seed's own u at t=0 is used. With ``continuation_steps`` > 0 the
     solve runs the viscosity ladder of :func:`_viscosity_ladder`.
     """
-    _require_periodic(grid, unsteady=True)
+    _require_periodic(grid)
     if seed.grid != grid:
         raise ValueError("seed quartet grid does not match")
     if (need := _newton_dual_bytes(grid)) > _MAX_NEWTON_BYTES:

@@ -24,7 +24,7 @@ from .grids import (
     ScalarField,
     integrate_space,
 )
-from .lagrangian import _difference_and_sum, _require_wall_vanishing
+from .lagrangian import _difference_and_sum, _require_wall_vanishing, _sum_gradient
 
 #: exact value of the certificate threshold R^{1/2} (20/R^2)^{1/4} 3^{3/4}
 THRESHOLD_CONSTANT = 20.0 ** 0.25 * 3.0 ** 0.75
@@ -84,7 +84,7 @@ def uniqueness_certificate(state: FieldQuartet, nu: float) -> UniquenessCertific
     _require_steady(grid)
     R = enclosing_radius(grid)
     lam = _pinned_lambda(grid)
-    lhs = math.sqrt(R) / nu * math.sqrt(_quarter_dirichlet(grid, _difference_and_sum(state)[2]))
+    lhs = math.sqrt(R) / nu * math.sqrt(_quarter_dirichlet(grid, _sum_gradient(state)))
     threshold = math.sqrt(R) * lam ** 0.25 * 3.0 ** 0.75
     return UniquenessCertificate(lhs, threshold, R, lam, nu, lhs <= threshold)
 

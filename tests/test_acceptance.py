@@ -31,12 +31,12 @@ from varns.oscillator import (
     galerkin_identity_residual,
     solve_oscillator_vp,
 )
+from varns.scenarios import taylor_green
 from varns.solver import (
     SolveConfig,
     kinetic_energy_series,
     march_reduced,
     newton_dual,
-    taylor_green,
     u_w_gap,
 )
 from varns.steady import inequality_chain_audit, uniqueness_certificate

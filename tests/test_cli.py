@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from varns import cli, reports, solver
+from varns import cli, lagrangian, oscillator, reports, solver
 from varns.cli import main
 from varns.grids import FieldQuartet, Grid, ScalarField, VectorField, periodic_square
 from varns.lagrangian import el_residuals, evaluate_lagrangian
@@ -123,7 +123,7 @@ def test_newton_dual_cli_takes_the_functional_from_the_solve(tmp_path, capsys, m
     # viscosity; the handler does not evaluate it again
     def evaluate(*args):
         raise AssertionError("evaluate_lagrangian called again")
-    monkeypatch.setattr(cli, "evaluate_lagrangian", evaluate)
+    monkeypatch.setattr(lagrangian, "evaluate_lagrangian", evaluate)
     code, out, _ = run_cli(capsys, "newton-dual", "--n", "8", "--time-nodes", "6",
                            "--dt", "0.02", "--nu", "0.5", "--out", str(tmp_path))
     assert code == 0 and last_json(out)["ok"]
@@ -763,7 +763,7 @@ def test_solve_unsteady_non_convergence_exits_2_without_reports(tmp_path, capsys
                                                                 monkeypatch):
     def stalled(*args):
         raise solver.ConvergenceError("Picard iteration stalled")
-    monkeypatch.setattr(cli, "march_reduced", stalled)
+    monkeypatch.setattr(solver, "march_reduced", stalled)
     code, out, _ = run_cli(capsys, "solve-unsteady", "--n", "8", "--time-nodes", "3",
                            "--out", str(tmp_path))
     assert code == 2
@@ -840,28 +840,74 @@ def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, comma
     assert reason in json.loads(err)["detail"]
 
 
-# --- cold start: scipy loads only where a sparse matrix is built ---------------
+# --- cold start: each subcommand loads only the modules it runs ------------------
 
-SPARSE_FREE = {"oscillator": (), "evaluate": (), "energy": (), "variation-check": (),
-               "residual": (), "steady-cert": (), "inequality-audit": (), "extended": (),
-               "boundary-audit": (), "solve-unsteady": (),
-               "taylor-green-verify": ("--refine", "2")}
+#: the varns modules that ``import varns.cli`` loads
+CLI_MODULES = {"varns", "varns.cli", "varns.grids", "varns.reports", "varns.scenarios"}
+
+#: per subcommand: its flags, the varns modules it adds to CLI_MODULES, and
+#: whether it loads scipy (only solve-steady builds a sparse matrix)
+SUBCOMMAND_MODULES = {
+    "oscillator": ((), {"oscillator"}, False),
+    "evaluate": ((), {"lagrangian"}, False),
+    "residual": ((), {"lagrangian"}, False),
+    "variation-check": ((), {"lagrangian"}, False),
+    "energy": ((), {"lagrangian"}, False),
+    "taylor-green-verify": (("--refine", "2"), {"lagrangian"}, False),
+    "steady-cert": ((), {"lagrangian", "steady"}, False),
+    "inequality-audit": ((), {"lagrangian", "steady"}, False),
+    "extended": ((), {"lagrangian", "boundary"}, False),
+    "boundary-audit": ((), {"lagrangian", "boundary"}, False),
+    "solve-unsteady": ((), {"lagrangian", "solver"}, False),
+    "newton-dual": ((), {"lagrangian", "solver"}, False),
+    "solve-steady": ((), {"lagrangian", "solver", "steady"}, True),
+}
 
 
-def test_sparse_free_subcommands_never_import_scipy(tmp_path):
-    """Eleven subcommands build no sparse matrix, so none of them may import
-    scipy, whose import is most of a cold start. One fresh process runs them all
-    through ``cli.main``; ``solver.spla``, the name through which tests and the
-    tracer patch ``splu``, still resolves to scipy.sparse.linalg."""
+def loaded_modules(tmp_path, subcommand=None, *flags):
+    """The exit code, the varns modules and whether scipy is loaded in a fresh
+    process that imports ``varns.cli`` and runs ``subcommand`` (None: none)."""
     script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 from varns import cli
-for name, flags in {SPARSE_FREE!r}.items():
+code = None
+if {subcommand!r} is not None:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main([name, "--n", "8", "--time-nodes", "5", *flags,
+        code = cli.main([{subcommand!r}, "--n", "8", "--time-nodes", "5", *{flags!r},
                          "--out", {str(tmp_path)!r}])
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert code in (0, 2) and not loaded, (name, code, loaded[:3])
+top = {{m.split(".")[0] for m in sys.modules}}
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "varns"),
+                  "scipy" in top]))
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_importing_the_cli_loads_only_its_preamble_modules(tmp_path):
+    """``import varns.cli`` loads the modules of the preamble that every subcommand
+    shares (grid, scenario, reports) and no other, and no scipy."""
+    assert loaded_modules(tmp_path) == [None, sorted(CLI_MODULES), False]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand):
+    """A subcommand adds to the modules of ``import varns.cli`` only those it calls;
+    scipy, whose import is most of a cold start, loads only where a sparse matrix
+    is built. The table is the set, not a bound: a module that stops loading is a
+    change to record here too."""
+    flags, modules, scipy = SUBCOMMAND_MODULES[subcommand]
+    code, loaded, loaded_scipy = loaded_modules(tmp_path, subcommand, *flags)
+    assert code in (0, 2)
+    assert (loaded, loaded_scipy) == \
+        (sorted(CLI_MODULES | {f"varns.{m}" for m in modules}), scipy)
+
+
+def test_solver_spla_resolves_to_the_sparse_linear_algebra_module():
+    """``solver.spla``, the name through which tests and the tracer patch ``splu``,
+    resolves to scipy.sparse.linalg on first use."""
+    script = """
 import scipy.sparse.linalg
 from varns import solver
 assert solver.spla is scipy.sparse.linalg
@@ -955,18 +1001,93 @@ def test_non_finite_results_exit_2_with_strict_json_under_warnings_as_errors(tmp
 def test_variation_check_keeps_a_nan_case_in_max_rel_err(monkeypatch):
     """A NaN case is the worst case: max_rel_err is NaN and the check fails. Joined
     by Python's max, the NaN of the first seed was dropped for the second's error."""
-    first_variation = cli.first_variation
+    first_variation = lagrangian.first_variation
     calls = []
     def nan_first(*args):
         calls.append(args)
         return float("nan") if len(calls) == 1 else first_variation(*args)
-    monkeypatch.setattr(cli, "first_variation", nan_first)
+    monkeypatch.setattr(lagrangian, "first_variation", nan_first)
     grid = periodic_square(8, time_nodes=5, dt=0.0125)
     summary, files, ok = cli.cmd_variation_check(None, {"seeds": 2, "nu": 0.1}, grid, None)
     cases = files["variation_check.json"]["cases"]
     assert np.isnan(cases[0]["rel_err"]) and np.isfinite(cases[1]["rel_err"])
     assert np.isnan(summary["max_rel_err"]) and summary["ok"] is False and ok is False
     assert np.isnan(files["variation_check.json"]["max_rel_err"])
+
+
+#: extents whose node spacing squared or squared enclosing radius overflows or
+#: underflows to zero, which ended in an OverflowError or a ZeroDivisionError, and
+#: grids so large that their first allocation is refused at once
+OUT_OF_RANGE = [
+    *[(cmd, "--extent", "1e300", "--scenario", "random:2")
+      for cmd in ("residual", "solve-unsteady", "solve-steady", "newton-dual",
+                  "inequality-audit")],
+    *[(cmd, "--extent", "1e200", "--boundary", "wall", "--scenario", "random:3")
+      for cmd in ("residual", "solve-steady", "inequality-audit")],
+    *[(cmd, "--extent", extent, *flags) for cmd in ("steady-cert", "inequality-audit")
+      for extent, flags in (("1e-300", ("--scenario", "random:2")),
+                            ("1e-200", ("--boundary", "wall", "--scenario", "random:3")))],
+]
+TOO_LARGE = [("evaluate", "--n", "100000", "--time-nodes", "100000", "--scenario", "random:1"),
+             ("oscillator", "--osc-n", "1000000000000000")]
+
+
+def assert_exit_1_with_strict_json(tmp_path, argv, error, *python_flags):
+    env = {k: v for k, v in fresh_process_env(OPENBLAS_NUM_THREADS="1").items()
+           if k != "PYTHONWARNINGS"}
+    run = subprocess.run([sys.executable, *python_flags, "-m", "varns.cli", *argv,
+                          "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    assert (run.returncode, run.stdout) == (1, ""), run.stderr
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert json.loads(run.stderr, parse_constant=reject)["error"] == error
+
+
+@pytest.mark.parametrize("warnings_flags", [(), ("-W", "error::RuntimeWarning")],
+                         ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv))
+def test_out_of_range_extent_is_a_config_error(tmp_path, argv, warnings_flags):
+    """An extent whose node spacing squared or summed squared extents is not a
+    positive finite float is refused by the grid, naming the extent: exit 1 with one
+    strict-JSON line, with or without warnings raised as errors."""
+    assert_exit_1_with_strict_json(tmp_path, (*argv, "--n", "6", "--time-nodes", "4"),
+                                   "config", *warnings_flags)
+
+
+@pytest.mark.parametrize("warnings_flags", [(), ("-W", "error::RuntimeWarning")],
+                         ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda argv: " ".join(argv[:3]))
+def test_refused_allocation_is_a_usage_error(tmp_path, argv, warnings_flags):
+    """A request of petabytes is refused at once, by the oscillator's guard or by the
+    allocator: exit 1 with one strict-JSON line, not a MemoryError traceback."""
+    assert_exit_1_with_strict_json(tmp_path, argv, "usage", *warnings_flags)
+
+
+def test_out_of_range_extent_is_named(capsys):
+    code, out, err = run_cli(capsys, "steady-cert", "--extent", "1e-300", "--n", "6")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "config", "detail": "extent 1e-300 gives a node "
+                               "spacing whose square is not a positive finite float"}
+
+
+# 600,000 nodes at 1000 B each fill the 600 MB budget; the CI solves 65,537
+@pytest.mark.parametrize("osc_n, admitted", [("600000", True), ("600001", False)])
+def test_oscillator_memory_guard_decides_before_any_level_is_built(
+        tmp_path, capsys, monkeypatch, osc_n, admitted):
+    def build_level(*args, **kwargs):
+        raise _LevelBuilt
+    monkeypatch.setattr(oscillator, "OscillatorProblem", build_level)
+    argv = ("oscillator", "--osc-n", osc_n, "--out", str(tmp_path))
+    if admitted:
+        with pytest.raises(_LevelBuilt):
+            main(list(argv))
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    detail = json.loads(err)["detail"]
+    assert "--osc-n" in detail and "600 MB" in detail
 
 
 # --- report bytes against the BLAS thread count ---------------------------------

@@ -25,7 +25,8 @@ from varns import cli, lagrangian, reports, scenarios, solver
 from varns.grids import (PERIODIC, WALL, FieldQuartet, Grid, ScalarField, VectorField,
                          _d1, _d2, _stencil_matrices, _stencil_matrix, _wall_boundary_mask)
 from varns.lagrangian import el_residuals, evaluate_lagrangian, first_variation
-from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem, taylor_green
+from varns.scenarios import taylor_green
+from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem
 
 from conftest import (complex_block_preconditioner, full_time_matrices, operator_matrix,
                       periodic_box, roll_d1, roll_d2, steady_jacobian)
@@ -486,7 +487,7 @@ def _newton_seed_state(seed_state, *args):
 @given(grid=field_grids(), seed=seeds, amp=st.sampled_from((0.1, -0.37, 2.0)))
 def test_perturb_w_factor_matches_the_dense_builder_to_the_bit(grid, seed, amp):
     state = scenarios.random_quartet(grid, seed)
-    with mock.patch.object(cli, "newton_dual", _newton_seed_state), \
+    with mock.patch.object(solver, "newton_dual", _newton_seed_state), \
             pytest.raises(_Seeded) as seeded:
         cli.cmd_newton_dual(SimpleNamespace(perturb_w=amp), cli.DEFAULT_CONFIG, grid, state)
     meshes = grid.meshes()

@@ -10,7 +10,7 @@ from varns.grids import (
     periodic_square,
 )
 from varns.lagrangian import el_residuals, evaluate_lagrangian
-from varns.scenarios import random_quartet
+from varns.scenarios import random_quartet, taylor_green
 from varns import solver
 from varns.solver import (
     ConvergenceError,
@@ -20,7 +20,6 @@ from varns.solver import (
     march_reduced,
     newton_dual,
     steady_solve,
-    taylor_green,
     u_w_gap,
 )
 from varns.steady import uniqueness_certificate
