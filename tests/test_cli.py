@@ -420,7 +420,7 @@ def test_residual_formats_each_distinct_field_once(tmp_path, capsys, monkeypatch
     three of the six files are copies, with the bytes of independent writes."""
     calls, real = [], reports.write_field_csv
     monkeypatch.setattr(reports, "write_field_csv",
-                        lambda path, f: calls.append(path) or real(path, f))
+                        lambda path, f, *a: calls.append(path) or real(path, f, *a))
     code, _, _ = run_cli(capsys, "residual", "--scenario", "taylor-green", "--n", "8",
                          "--time-nodes", "3", "--dt", "0.02", "--nu", "0.2",
                          "--out", str(tmp_path / "cli"))

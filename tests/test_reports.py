@@ -165,6 +165,13 @@ def test_malformed_row_names_file_and_line(tmp_path, row, line):
     assert str(path) in str(err.value)
 
 
+def _counting(monkeypatch, name):
+    """Replace ``reports.<name>`` by a wrapper that records each path it gets."""
+    calls, real = [], getattr(reports, name)
+    monkeypatch.setattr(reports, name, lambda path, *a: calls.append(path) or real(path, *a))
+    return calls
+
+
 def test_quartet_copy_path_matches_fresh_writes(tmp_path, monkeypatch):
     """A quartet whose w is u and r is p (as the solvers return it) writes the
     same six files as one with four distinct but bit-equal field arrays, and
@@ -175,10 +182,7 @@ def test_quartet_copy_path_matches_fresh_writes(tmp_path, monkeypatch):
     distinct = FieldQuartet(copy.deepcopy(q.u), copy.deepcopy(q.p),
                             copy.deepcopy(q.u), copy.deepcopy(q.p))
     assert distinct.w[0].values is not distinct.u[0].values
-    calls = []
-    real = reports.write_field_csv
-    monkeypatch.setattr(reports, "write_field_csv",
-                        lambda path, f: calls.append(path) or real(path, f))
+    calls = _counting(monkeypatch, "write_field_csv")
     write_quartet_csv(tmp_path / "aliased", aliased)
     assert len(calls) == 3
     write_quartet_csv(tmp_path / "distinct", distinct)
@@ -188,13 +192,6 @@ def test_quartet_copy_path_matches_fresh_writes(tmp_path, monkeypatch):
                 == (tmp_path / "distinct" / name).read_bytes())
     assert (tmp_path / "aliased" / "w_1.csv").read_bytes() == \
         (tmp_path / "aliased" / "u_1.csv").read_bytes()
-
-
-def _counting(monkeypatch, name):
-    """Replace ``reports.<name>`` by a wrapper that records each path it gets."""
-    calls, real = [], getattr(reports, name)
-    monkeypatch.setattr(reports, name, lambda path, *a: calls.append(path) or real(path, *a))
-    return calls
 
 
 def test_quartet_reader_parses_each_distinct_file_once(tmp_path, monkeypatch):
@@ -234,6 +231,22 @@ def test_quartet_reader_parses_a_file_one_byte_off(tmp_path, monkeypatch):
                 read_quartet_csv(tmp_path, g)
             assert str(tmp_path / "w_0.csv") in str(err.value)
         assert os.path.basename(calls[-1]) == "w_0.csv"
+
+
+def test_quartet_writer_and_reader_build_the_coordinates_once(tmp_path, monkeypatch):
+    """Six distinct fields on one grid: one coordinate text for the writer and
+    one set of coordinate lists for the reader."""
+    g = periodic_square(5, time_nodes=3, dt=0.2)
+    built = []
+    for name in ("_coord_prefixes", "_coord_columns"):
+        real = getattr(reports, name)
+        monkeypatch.setattr(reports, name,
+                            lambda grid, name=name, real=real: built.append(name) or real(grid))
+    written, read = _counting(monkeypatch, "write_field_csv"), _counting(monkeypatch, "read_field_csv")
+    write_quartet_csv(tmp_path, random_quartet(g, 4))
+    read_quartet_csv(tmp_path, g)
+    assert len(written) == len(read) == 6
+    assert built == ["_coord_prefixes", "_coord_columns"]
 
 
 def _write_in_axis_order(path, f, order):
@@ -338,6 +351,35 @@ def test_writer_bytes_match_reference(tmp_path, f):
     write_field_csv(tmp_path / "new.csv", f)
     _reference_write_field_csv(tmp_path / "ref.csv", f)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _log_uniform(rng, lo, hi, size):
+    """Values with lo <= |x| < hi, log-uniform, of either sign."""
+    x = np.clip(10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size), lo, np.nextafter(hi, 0))
+    return np.where(rng.uniform(size=size) < 0.5, -x, x)
+
+
+# each band of orjson's notation that the writer rewrites, dense in every slab
+NOTATION_BANDS = {
+    "positive exponent": lambda rng, size: _log_uniform(rng, 1e16, 1e308, size),
+    "one-digit negative exponent": lambda rng, size: _log_uniform(rng, 1e-9, 1e-5, size),
+    "positional": lambda rng, size: _log_uniform(rng, 1e-5, 1e-4, size),
+    "non-finite": lambda rng, size: rng.choice([np.nan, np.inf, -np.inf], size),
+}
+
+
+@pytest.mark.parametrize("negative_zeros", [False, True])
+@pytest.mark.parametrize("band", NOTATION_BANDS)
+def test_writer_bytes_match_reference_in_each_notation_band(tmp_path, band, negative_zeros):
+    g = Grid((1.0, 2.5), (16, 16), (WALL, PERIODIC), time_nodes=3, dt=0.1)
+    rng = np.random.default_rng(7)
+    values = NOTATION_BANDS[band](rng, g.shape)
+    if negative_zeros:
+        values[rng.uniform(size=g.shape) < 0.25] = -0.0
+    write_field_csv(tmp_path / "new.csv", ScalarField(g, values))
+    _reference_write_field_csv(tmp_path / "ref.csv", ScalarField(g, values))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert reports._float_texts(values[:0]) == []
 
 
 @IO_SETTINGS
@@ -460,7 +502,7 @@ def test_set_writer_copies_only_bit_equal_fields(tmp_path, monkeypatch, f, kind,
     fields = [("a.csv", ScalarField(f.grid, a)), ("b.csv", ScalarField(f.grid, b))]
     calls, real = [], write_field_csv
     monkeypatch.setattr(reports, "write_field_csv",
-                        lambda path, fld: calls.append(path) or real(path, fld))
+                        lambda path, fld, *a: calls.append(path) or real(path, fld, *a))
     write_fields_csv(tmp_path / "set", fields)
     assert len(calls) == (1 if kind == "same bits" else 2)
     for name, fld in fields:
@@ -558,3 +600,58 @@ def test_row_short_of_a_field_cannot_borrow_its_neighbours(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 8 is not at grid node"):
         read_field_csv(path, g)
+
+
+def _assert_read_ends_as_by_float(path, g, monkeypatch):
+    """Reading ``path`` gives the values and bits, or the error text, of the
+    reader with every field parsed by ``float()``."""
+    def outcome():
+        try:
+            return read_field_csv(path, g).values.view(np.int64).tolist()
+        except ValueError as exc:
+            return str(exc)
+    got = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(reports, "_parsed_rows", lambda rows, width: None)
+        assert got == outcome()
+
+
+# a wall axis of extent 1 and dt 0.5 put 0.0 and 1.0 in each of the three columns
+LITERAL_GRID = Grid((1.0, 2.0), (3, 4), (WALL, PERIODIC), time_nodes=3, dt=0.5)
+
+
+@pytest.mark.parametrize("literal, node", [
+    ("true", 1.0), ("false", 0.0), ("null", 0.0), ('"0.0"', 0.0), ("[0.0]", 0.0),
+    ("1", 1.0), ("0", 0.0), ("-0", 0.0)])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_json_literal_coordinate_reads_as_by_float(tmp_path, monkeypatch, literal, node, column):
+    """A JSON literal in place of a coordinate that equals ``node``: true == 1.0
+    and false == 0.0 in Python, yet float() refuses both."""
+    f = ScalarField(LITERAL_GRID, np.random.default_rng(6).normal(size=LITERAL_GRID.shape))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, f)
+    lines = path.read_text().splitlines()
+    n = next(n for n in range(1, len(lines)) if float(lines[n].split(",")[column]) == node)
+    fields = lines[n].split(",")
+    fields[column] = literal
+    lines[n] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    _assert_read_ends_as_by_float(path, LITERAL_GRID, monkeypatch)
+
+
+@pytest.mark.parametrize("moved", ["trailing", "leading"])
+def test_row_pair_realigned_by_a_literal_null_reads_as_by_float(tmp_path, monkeypatch, moved):
+    """One row gains a literal null and its neighbour loses a field, so the number
+    of JSON values per slab is that of a good one."""
+    f = ScalarField(LITERAL_GRID, np.random.default_rng(6).normal(size=LITERAL_GRID.shape))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, f)
+    lines = path.read_text().splitlines()
+    if moved == "trailing":
+        lines[5] += ",null"
+        lines[6] = lines[6].split(",", 1)[1]
+    else:
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        lines[6] = "null," + lines[6]
+    path.write_text("\n".join(lines) + "\n")
+    _assert_read_ends_as_by_float(path, LITERAL_GRID, monkeypatch)
