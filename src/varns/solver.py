@@ -15,20 +15,25 @@ of ``scenarios.taylor_green``:
   central-gradient graph, and a reported pressure of zero mean on each. Their
   linear systems are solved by GMRES (:func:`_gmres`, restarted and
   right-preconditioned, in numpy) with a Jacobian that is never assembled. In
-  space-time it is an operator applied from its Kronecker factors with numpy
-  alone: the 1D stencil matrices (the kernels ``_d1``/``_d2`` of an identity),
-  one matrix product per axis, and the nonzero blocks of the time matrices; in
-  the steady case from the sparse stencil matrices that
-  ``grids._stencil_matrices`` builds and advection coefficients computed once
-  per Newton step. GMRES is preconditioned by the Fourier inverse of the linear
-  part (in space-time, two real blocks per spatial mode of the rfft half,
-  inverted once per distinct symbol); steady systems on grids with a wall axis
-  take instead one sparse LU of their linear part per solve. Newton is inexact:
-  each step asks GMRES only for the linear residual that would take the Newton
-  residual to half the stop (:func:`_newton_loop`), so the last steps take a few
-  iterations where a fixed relative target of 1e-12 ran GMRES to its iteration
-  limit. Only the steady solve imports scipy (``scipy.sparse``, and
-  ``scipy.sparse.linalg`` on a wall grid), on first use.
+  space-time and in the steady case on all-periodic grids it is an operator
+  applied with numpy alone: the 1D stencil matrices (the kernels ``_d1``/``_d2``
+  of an identity, :func:`_stencil_1d`), one matrix product per axis
+  (:func:`_along`; the steady operator calls the kernels instead along an axis
+  longer than ``_DENSE_STENCIL_NODES``), in space-time with the nonzero blocks of
+  the time matrices. On steady grids with a wall axis the linear part is the CSR
+  matrix built from the sparse stencil matrices of ``grids._stencil_matrices``.
+  Both steady operators take advection coefficients computed once per Newton
+  step. GMRES is preconditioned by the Fourier inverse of the linear part on the
+  rfft half (in space-time, two real blocks per spatial mode, inverted once per
+  distinct symbol; steady, one ``rfftn`` and one ``irfftn`` of the stacked fields
+  per application, with the factors of each pseudo-time shift formed once per
+  Newton step); steady systems on grids with a wall axis take instead one sparse
+  LU of their linear part per solve. Newton is inexact: each step asks GMRES only
+  for the linear residual that would take the Newton residual to half the stop
+  (:func:`_newton_loop`), so the last steps take a few iterations where a fixed
+  relative target of 1e-12 ran GMRES to its iteration limit. Only a steady solve
+  on a grid with a wall axis imports scipy (``scipy.sparse`` and
+  ``scipy.sparse.linalg``), on first use.
 
 The marcher and the space-time Newton solve run on all-periodic 2D and 3D
 boxes, over a list of ``grid.dim`` velocity components; the steady solve also
@@ -44,6 +49,7 @@ checkerboard modes of the collocated layout).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -181,16 +187,23 @@ class _Spectral:
         return np.real(np.fft.ifftn(self._potential(*(np.fft.fftn(c) for c in r))))
 
 
+def _stencil_1d(op: Callable, grid: Grid, axis: int) -> np.ndarray:
+    """The periodic kernel ``op`` (``_d1``/``_d2``) along ``axis`` of ``grid`` as a
+    dense 1D matrix: the kernel applied to an identity."""
+    return op(np.eye(grid.nodes[axis]), 0, grid.spacing(axis), periodic=True)
+
+
 def _along(M: np.ndarray, X: np.ndarray, axis: int, out: np.ndarray | None = None):
-    """The 1D matrix M applied along ``axis`` of X (into ``out``, contiguous, when
-    given): one matrix product, batched over the axes before ``axis`` unless it is
-    the last."""
-    n = X.shape[axis]
-    shape = (-1, n) if axis == X.ndim - 1 else (-1, n, int(np.prod(X.shape[axis + 1:])))
-    into = None if out is None else out.reshape(shape)
+    """The 1D matrix M applied along ``axis`` of X, whose length there becomes M's
+    row count (into ``out``, contiguous, when given): one matrix product, batched
+    over the axes before ``axis`` unless it is the last."""
+    shape = (*X.shape[:axis], len(M), *X.shape[axis + 1:])
     if axis == X.ndim - 1:
-        return np.matmul(X.reshape(shape), M.T, out=into).reshape(X.shape)
-    return np.matmul(M, X.reshape(shape), out=into).reshape(X.shape)
+        into = None if out is None else out.reshape(-1, len(M))
+        return np.matmul(X.reshape(-1, X.shape[axis]), M.T, out=into).reshape(shape)
+    inner = math.prod(X.shape[axis + 1:])
+    into = None if out is None else out.reshape(-1, len(M), inner)
+    return np.matmul(M, X.reshape(-1, X.shape[axis], inner), out=into).reshape(shape)
 
 
 def _advect(v, h):
@@ -324,9 +337,7 @@ class _DualNewtonSystem:
         d, S, T = grid.dim, int(np.prod(grid.nodes)), grid.time_nodes
         self.grid, self.nu, self.S, self.T = grid, nu, S, T
         m = (2 * d + 2) * T - 3
-        # the 1D stencil matrices: the kernels applied to an identity
-        one_d = lambda op, a: op(np.eye(grid.nodes[a]), 0, grid.spacing(a), periodic=True)
-        self.d1, self.d2 = ([one_d(op, a) for a in range(d)] for op in (_d1, _d2))
+        self.d1, self.d2 = ([_stencil_1d(op, grid, a) for a in range(d)] for op in (_d1, _d2))
         DT = _d1(np.eye(T), 0, grid.dt, periodic=False)
         self.g = np.array(data, dtype=float).reshape(d, S)
         self.gauge = _Components(grid.nodes, np.ones(S, dtype=bool))
@@ -764,6 +775,22 @@ _MAX_STEADY_LU_UNKNOWNS = (80_000, 14_000)
 #: take up to three times as many steps.
 _DTAU0 = 1.0
 
+#: longest periodic axis along which the steady operator applies its stencils as
+#: dense 1D matrices; longer axes call the kernels ``_d1``/``_d2``. A dense product
+#: costs O(n) per node, a kernel O(1) but more calls. One Jacobian application,
+#: all axes dense against all by kernel, median of 21 interleaved rounds, one BLAS
+#: thread on a 2-vCPU Xeon:
+#:
+#:   grid     dense      kernel
+#:   48^2     0.14 ms    0.21 ms
+#:   64^2     0.27-0.39  0.29-0.30
+#:   128^2    1.46       0.81
+#:   256^2    10.3       3.8
+#:   512^2    70.7       19.3
+#:   32^3     3.4        4.2
+#:   64^3     45         42
+_DENSE_STENCIL_NODES = 64
+
 
 class _SteadyNewtonSystem:
     """Steady discrete Navier-Stokes system; its residual is L z - b less advection.
@@ -774,27 +801,58 @@ class _SteadyNewtonSystem:
     Rows: interior momentum nu Lap v - (v . grad) v - grad P (- force), v = data
     on walls, div v - N c at every node, P = 0 at one node per component and,
     all-periodic, the initial mean velocity.
+
+    On a grid with a wall axis L is assembled by index as a CSR matrix (scipy),
+    whose LU preconditions every step. On an all-periodic grid L is never
+    assembled and scipy is not imported: the residual and the Jacobian apply its
+    stencils from the 1D matrices of ``_d1``/``_d2`` (:func:`_stencil_1d`), D_a
+    and the second difference stacked, with one product per axis over the stacked
+    (v, P) fields (:func:`_along`), or call the kernels themselves along an axis
+    longer than ``_DENSE_STENCIL_NODES``; the pins, the multipliers, the forces and
+    the mean rows are indexing and sums. Its steps are preconditioned by the
+    exact inverse of L - shift V on the rfft half (:meth:`_solve_linear_part`).
     """
 
     def __init__(self, grid: Grid, nu: float, data: np.ndarray, start: np.ndarray):
-        import scipy.sparse as sp
         d, S = grid.dim, int(np.prod(grid.nodes))
         self.grid, self.nu, self.d, self.S = grid, nu, d, S
-        DX, LAP = _stencil_matrices(grid)
-        self.DX_stacked = sp.vstack(DX, format="csr")     # row j S + x: D_j at x
         self.interior = m = ~_wall_boundary_mask(grid)[..., 0].ravel()
         self.periodic = m.all()
         self.gauge = gauge = _Components(grid.nodes, m)
-        K, labels, nodes = len(gauge.first), gauge.labels, np.arange(S)
+        K = len(gauge.first)
         # a multiplier on a component with an interior node is a mass defect
-        self.watched = np.bincount(labels, m) > 0
+        self.watched = np.bincount(gauge.labels, m) > 0
         forces = d if self.periodic else 0     # all-periodic: a force and a mean row per axis
-        P, C, R = d * S, (d + 1) * S, (d + 1) * S + K    # first P, c and force index
-        n, E, comp = R + forces, np.arange(forces * S), S * np.arange(d)[:, None]
-        lap, grad = LAP.tocoo(), self.DX_stacked.tocoo()
+        n = (d + 1) * S + K + forces
+        if self.periodic:
+            # per axis, the 1D matrices of D_a and of its second difference stacked,
+            # (2 n_a) x n_a, or None where the kernels are applied instead
+            self.stencils = [np.vstack([_stencil_1d(op, grid, a) for op in (_d1, _d2)])
+                             if grid.nodes[a] <= _DENSE_STENCIL_NODES else None
+                             for a in range(d)]
+            self._factors = None, None         # (shift, its Fourier factors)
+        else:
+            self.DX_stacked, self.L = self._assemble(n)
+        v0 = np.where(m, start, data)
+        self.b = np.concatenate([np.where(m, 0.0, data).ravel(), np.zeros(S + K),
+                                 v0.mean(axis=1)[:forces]])
+        self.z0 = np.concatenate([v0.ravel(), np.zeros(n - v0.size)])
+        self.norm0 = None                   # residual of the first step
+
+    def _assemble(self, n: int):
+        """The stacked first-derivative matrices (row j S + x: D_j at x) and L of a
+        grid with a wall axis, n x n, as CSR matrices built by index."""
+        import scipy.sparse as sp
+        d, S, m, gauge = self.d, self.S, self.interior, self.gauge
+        DX, LAP = _stencil_matrices(self.grid)
+        DX_stacked = sp.vstack(DX, format="csr")
+        K, labels, nodes = len(gauge.first), gauge.labels, np.arange(S)
+        P, C, comp = d * S, (d + 1) * S, S * np.arange(d)[:, None]   # first P and c index
+        lap, grad = LAP.tocoo(), DX_stacked.tocoo()
         inner, gi, walls = m[lap.row], m[grad.row % S], nodes[~m]
         # interior rows nu Lap, to the bit as M nu Lap + I - M summed them
-        lap_vals = np.where(lap.row == lap.col, (nu * lap.data + 1.0) - 1.0, nu * lap.data)
+        lap_vals = np.where(lap.row == lap.col, (self.nu * lap.data + 1.0) - 1.0,
+                            self.nu * lap.data)
         # a dense N^T P = 0 row would multiply the LU fill: pin P, shift it afterwards
         blocks = [  # (rows, columns, values) of each block of L; comp + x: v_i at x
             (comp + lap.row[inner], comp + lap.col[inner], lap_vals[inner]),
@@ -802,24 +860,57 @@ class _SteadyNewtonSystem:
             (grad.row[gi], P + grad.col[gi], -grad.data[gi]),             # -M D_i
             (P + grad.row % S, grad.row // S * S + grad.col, grad.data),  # divergence
             (P + nodes, C + labels, -1.0),                                # -N
-            (C + np.arange(K), P + gauge.first, 1.0),                     # pins
-            (E, R + E // S, -1.0), (R + E // S, E, 1.0 / S)]              # force, means
+            (C + np.arange(K), P + gauge.first, 1.0)]                     # pins
         rows, cols, vals = (np.concatenate([np.broadcast_to(b[k], np.shape(b[0])).ravel()
                                             for b in blocks]) for k in range(3))
-        self.L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        v0 = np.where(m, start, data)
-        self.b = np.concatenate([np.where(m, 0.0, data).ravel(), np.zeros(S + K),
-                                 v0.mean(axis=1)[:forces]])
-        self.z0 = np.concatenate([v0.ravel(), np.zeros(n - v0.size)])
-        self.norm0 = None                   # residual of the first step
+        return DX_stacked, sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def unpack(self, z: np.ndarray):
         """Views (v, P, c) of shapes (d, S), (S,), (K,)."""
-        v, P, c, _ = np.split(z, np.cumsum([self.d * self.S, self.S, len(self.watched)]))
-        return v.reshape(self.d, self.S), P, c
+        dS, S = self.d * self.S, self.S
+        return z[:dS].reshape(self.d, S), z[dS:dS + S], z[dS + S:dS + S + len(self.watched)]
+
+    # -- all-periodic: L applied from the 1D stencils -----------------------
+    def _derivatives(self, x: np.ndarray):
+        """D_a of the stacked (v, P) of ``x``, (d, d + 1, S) with D[a, i] = D_a of
+        field i, and Lap v, (d, S), on an all-periodic grid: per axis one product
+        with its stacked 1D matrices, which gives both stencils, or the kernels."""
+        g, d, n = self.grid, self.d, self.grid.nodes
+        X = x[:(d + 1) * self.S].reshape(d + 1, *n)
+        D = np.empty((d, *X.shape))
+        for a, M in enumerate(self.stencils):
+            if M is None:
+                D[a] = _d1(X, 1 + a, g.spacing(a), periodic=True)
+                second = _d2(X[:d], 1 + a, g.spacing(a), periodic=True)
+            else:
+                Y = _along(M, X, 1 + a)      # D_a X, then the second difference
+                lead = (slice(None),) * a
+                D[a] = Y[(slice(None), *lead, slice(n[a]))]
+                second = Y[(slice(d), *lead, slice(n[a], None))]
+            lap = second if a == 0 else lap + second
+        return D.reshape(d, d + 1, self.S), lap.reshape(d, self.S)
+
+    def _apply(self, x: np.ndarray, G: np.ndarray | None, W: np.ndarray) -> np.ndarray:
+        """(L - A) x on an all-periodic grid, (A x)_i = sum_j G_ij x_j + W_j D_j x_i
+        on the velocity rows (G None: zero)."""
+        d, S, gauge = self.d, self.S, self.gauge
+        D, lap = self._derivatives(x)
+        (xv, xP, xc), xf = self.unpack(x), x[-d:]
+        out = np.empty_like(x)
+        mom = out[:d * S].reshape(d, S)
+        np.multiply(lap, self.nu, out=mom)
+        mom -= D[:, d] + xf[:, None] + np.einsum("js,jis->is", W, D[:, :d])
+        if G is not None:
+            mom -= np.einsum("ijs,js->is", G, xv)
+        np.subtract(np.einsum("iis->s", D[:, :d]), xc[gauge.labels], out=out[d * S:(d + 1) * S])
+        out[(d + 1) * S:-d] = xP[gauge.first]
+        out[-d:] = xv.sum(axis=1) / S
+        return out
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         v = self.unpack(z)[0]
+        if self.periodic:
+            return self._apply(z, None, v) - self.b
         grads = (self.DX_stacked @ v.T).reshape(self.d, self.S, self.d)   # [j, :, i]: D_j v_i
         adv = [sum(v[j] * grads[j, :, i] for j in range(self.d)) for i in range(self.d)]
         F = self.L @ z - self.b
@@ -831,8 +922,13 @@ class _SteadyNewtonSystem:
         interior momentum rows. The advection linearization A(z), (A x)_i = sum_j
         G_ij x_j + W_j D_j x_i on the velocity rows, has G_ij = m D_j v_i and W_j = m
         v_j (m the interior mask), computed once; shift V joins G_ii as shift m."""
-        d, S, m, DX = self.d, self.S, self.interior, self.DX_stacked
+        d, S, m = self.d, self.S, self.interior
         v = self.unpack(z)[0]
+        if self.periodic:
+            G = self._derivatives(z)[0][:, :d].swapaxes(0, 1).copy()   # (d, d, S)
+            G[range(d), range(d)] += shift
+            return lambda x: self._apply(x, G, v)
+        DX = self.DX_stacked
         G = m * (DX @ v.T).reshape(d, S, d).transpose(2, 0, 1)     # (d, d, S)
         W = m * v                                                   # (d, S)
         G[range(d), range(d)] += shift * m
@@ -878,31 +974,52 @@ class _SteadyNewtonSystem:
             raise np.linalg.LinAlgError(str(exc)) from exc
 
     @functools.cached_property
-    def _spectral(self) -> _Spectral:
-        return _Spectral(self.grid)
+    def _symbols(self):
+        """On the rfft half of an all-periodic grid: i s_a stacked (d, *half), nu
+        lap, 1 / DivGrad and the weights -i s_a / DivGrad of the momentum right-hand
+        sides in P, these two zero on the null modes of the central gradient."""
+        spec, half = _Spectral(self.grid), (..., slice(self.grid.nodes[-1] // 2 + 1))
+        s = np.stack(np.broadcast_arrays(*(s[half] for s in spec.s)))
+        null = spec.null[half]
+        inverse = np.where(null, 0.0, 1.0 / np.where(null, 1.0, spec.div_grad[half]))
+        return 1j * s, self.nu * spec.lap[half], inverse, -1j * s * inverse
+
+    def _shift_factors(self, shift: float):
+        """1 / (nu lap - shift), its constant mode's replaced by 1 (the mean rows set
+        it), and the weight (nu lap - shift) / DivGrad of the divergence rows in P:
+        formed once per shift, that is once per Newton step."""
+        if self._factors[0] != shift:
+            _, nu_lap, inverse, _ = self._symbols
+            lap = nu_lap - shift
+            lap.flat[0] = 1.0
+            self._factors = shift, (1.0 / lap, lap * inverse)
+        return self._factors[1]
 
     def _solve_linear_part(self, r: np.ndarray, shift: float) -> np.ndarray:
-        """(L - shift V)^{-1} r on an all-periodic grid, mode by mode in Fourier
-        space: every stencil is circulant; the null modes of the central gradient
-        (the span of N) carry c and the pins, the constant mode the mean rows and
-        the force."""
-        g, d, S, spec, gauge = self.grid, self.d, self.S, self._spectral, self.gauge
-        rv, rc, rp, rm = np.split(r, np.cumsum([d * S, S, len(gauge.first)]))
-        lap = self.nu * spec.lap - shift
-        lap.flat[0] = 1.0                                    # the constant mode
-        c = -np.bincount(gauge.labels, rc) / gauge.counts    # divergence rows: rc + N c
-        div = np.fft.fftn((rc + c[gauge.labels]).reshape(g.nodes))
-        R = [np.fft.fftn(ri.reshape(g.nodes)) for ri in rv.reshape(d, S)]
-        P = np.where(spec.null, 0.0, (lap * div - 1j * sum(s * Ri for s, Ri in zip(spec.s, R)))
-                     / np.where(spec.null, 1.0, spec.div_grad))
-        V = [(Ri + 1j * s * P) / lap for s, Ri in zip(spec.s, R)]
-        for Vi, mean in zip(V, rm):
-            Vi.flat[0] = mean * S
-        v = np.array([np.fft.ifftn(Vi).real.ravel() for Vi in V])
-        P = np.fft.ifftn(P).real.ravel()
-        P += (rp - P[gauge.first])[gauge.labels]             # pins, through N
-        force = -rv.reshape(d, S).mean(axis=1) - shift * rm
-        return np.concatenate([v.ravel(), P, c, force])
+        """(L - shift V)^{-1} r on an all-periodic grid, mode by mode on the rfft
+        half: every stencil is circulant. One ``rfftn`` of the stacked (r_v, r_c + N
+        c), one ``irfftn`` of the stacked (v, P); the null modes of the central
+        gradient (the span of N) carry c and the pins, the constant mode the mean
+        rows and the force."""
+        d, S, nodes, gauge = self.d, self.S, self.grid.nodes, self.gauge
+        grad, _, _, weights = self._symbols
+        inv_lap, div_weight = self._shift_factors(shift)
+        rp, rm = r[(d + 1) * S:-d], r[-d:]
+        B = r[:(d + 1) * S].copy()
+        c = -np.bincount(gauge.labels, B[d * S:]) / gauge.counts    # divergence rows: rc + N c
+        B[d * S:] += c[gauge.labels]
+        axes = range(1, d + 1)
+        M = np.fft.rfftn(B.reshape(d + 1, *nodes), axes=axes)
+        R, P = M[:d], div_weight * M[d] + (weights * M[:d]).sum(0)
+        R0 = R.reshape(d, -1)[:, 0]
+        force = -R0.real / S - shift * rm
+        R += grad * P
+        R *= inv_lap
+        R0[:] = rm * S
+        M[d] = P
+        X = np.fft.irfftn(M, s=nodes, axes=axes).reshape(d + 1, S)
+        X[d] += (rp - X[d, gauge.first])[gauge.labels]              # pins, through N
+        return np.concatenate([X.ravel(), c, force])
 
     def to_quartet(self, z: np.ndarray) -> FieldQuartet:
         """Quartet with w = u and r = p = P - |v|^2 / 2, P in the gauge N^T P = 0."""

@@ -2,8 +2,9 @@
 
 The random-field helpers here generate inputs; independent oracles live in
 the test modules that use them, except the 3D flow that the solver and the
-command-line tests share, the direct Newton steps (the assembled steady
-Jacobian and a sparse LU solve) that the solver and property tests share, the
+command-line tests share, the direct Newton steps (the block assembly of the
+steady linear part, the assembled steady Jacobian and a sparse LU solve) that
+the solver and property tests share, the
 space-time Newton system's time matrices on every field, and
 the stencil kernels built from ``np.roll`` that ``grids._d1``/``_d2`` must
 match to the bit. The field builders, the gradient and divergence of a field
@@ -189,11 +190,31 @@ def lu_step(J, F):
     return spla.splu(sp.csc_matrix(J)).solve(-F)
 
 
+def block_linear_part(system):
+    """L of a steady Newton system assembled block by block: momentum rows nu Lap
+    on the interior (as M nu Lap + I - M, M the interior mask) and unit rows on
+    walls, -M D_i, the divergence rows and -N, the pins and, all-periodic, the
+    force columns and mean rows."""
+    d, S, m, gauge = system.d, system.S, system.interior, system.gauge
+    DX, LAP = _stencil_matrices(system.grid)
+    K = len(gauge.first)
+    N = sp.csr_matrix((np.ones(S), (np.arange(S), gauge.labels)), shape=(S, K))
+    pin = sp.identity(S, format="csr")[gauge.first]
+    E = sp.kron(sp.identity(d), np.ones((S, 1)), format="csr")[:, :d if system.periodic else 0]
+    M = sp.diags(m * 1.0)
+    return sp.bmat([[sp.kron(sp.identity(d), M @ (system.nu * LAP) + sp.identity(S) - M),
+                     -sp.vstack([M @ D for D in DX]), None, -E],
+                    [sp.hstack(DX), None, -N, None],
+                    [None, pin, None, None],
+                    [E.T / S, None, None, None]], format="csr")
+
+
 def steady_jacobian(system, z, shift=0.0):
-    """J(z) - shift V = L - A(z) - shift V of a steady Newton system, assembled from
-    the advection coefficients (A x)_i = sum_j G_ij x_j + W_j D_j x_i of its velocity
-    rows, G_ij = m D_j v_i and W_j = m v_j with the interior mask m, and V the
-    identity on the interior momentum rows."""
+    """J(z) - shift V = L - A(z) - shift V of a steady Newton system, L from
+    :func:`block_linear_part` and A assembled from the advection coefficients (A
+    x)_i = sum_j G_ij x_j + W_j D_j x_i of its velocity rows, G_ij = m D_j v_i and
+    W_j = m v_j with the interior mask m, and V the identity on the interior
+    momentum rows."""
     DX, m = _stencil_matrices(system.grid)[0], system.interior
     v = system.unpack(z)[0]
     conv = sum(sp.diags(m * vj) @ D for vj, D in zip(v, DX))
@@ -201,9 +222,10 @@ def steady_jacobian(system, z, shift=0.0):
             for i, vi in enumerate(v)]
     for i in range(system.d):
         rows[i][i] = rows[i][i] + conv
+    L = block_linear_part(system)
     A = sp.bmat(rows, format="csr")
-    A.resize(system.L.shape)
-    return system.L - A
+    A.resize(L.shape)
+    return L - A
 
 
 def full_time_matrices(system):

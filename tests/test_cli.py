@@ -845,27 +845,33 @@ def test_3d_grid_a_solver_cannot_take_exits_1_naming_why(tmp_path, capsys, comma
 #: the varns modules that ``import varns.cli`` loads
 CLI_MODULES = {"varns", "varns.cli", "varns.grids", "varns.reports", "varns.scenarios"}
 
-#: per subcommand: its flags, the varns modules it adds to CLI_MODULES, and
-#: whether it loads scipy (only solve-steady builds a sparse matrix)
+#: the scipy modules whose loading the cold-start tests watch
+SCIPY_MODULES = ("scipy", "scipy.sparse", "scipy.sparse.linalg")
+
+#: per case, whose first word is the subcommand: its flags, the varns modules it
+#: adds to CLI_MODULES and the scipy modules it loads (only a wall-grid
+#: solve-steady assembles and factors a sparse matrix)
 SUBCOMMAND_MODULES = {
-    "oscillator": ((), {"oscillator"}, False),
-    "evaluate": ((), {"lagrangian"}, False),
-    "residual": ((), {"lagrangian"}, False),
-    "variation-check": ((), {"lagrangian"}, False),
-    "energy": ((), {"lagrangian"}, False),
-    "taylor-green-verify": (("--refine", "2"), {"lagrangian"}, False),
-    "steady-cert": ((), {"lagrangian", "steady"}, False),
-    "inequality-audit": ((), {"lagrangian", "steady"}, False),
-    "extended": ((), {"lagrangian", "boundary"}, False),
-    "boundary-audit": ((), {"lagrangian", "boundary"}, False),
-    "solve-unsteady": ((), {"lagrangian", "solver"}, False),
-    "newton-dual": ((), {"lagrangian", "solver"}, False),
-    "solve-steady": ((), {"lagrangian", "solver", "steady"}, True),
+    "oscillator": ((), {"oscillator"}, []),
+    "evaluate": ((), {"lagrangian"}, []),
+    "residual": ((), {"lagrangian"}, []),
+    "variation-check": ((), {"lagrangian"}, []),
+    "energy": ((), {"lagrangian"}, []),
+    "taylor-green-verify": (("--refine", "2"), {"lagrangian"}, []),
+    "steady-cert": ((), {"lagrangian", "steady"}, []),
+    "inequality-audit": ((), {"lagrangian", "steady"}, []),
+    "extended": ((), {"lagrangian", "boundary"}, []),
+    "boundary-audit": ((), {"lagrangian", "boundary"}, []),
+    "solve-unsteady": ((), {"lagrangian", "solver"}, []),
+    "newton-dual": ((), {"lagrangian", "solver"}, []),
+    "solve-steady": ((), {"lagrangian", "solver", "steady"}, []),
+    "solve-steady wall": (("--boundary", "wall", "--extent", "1", "--scenario", "random:1"),
+                          {"lagrangian", "solver", "steady"}, list(SCIPY_MODULES)),
 }
 
 
 def loaded_modules(tmp_path, subcommand=None, *flags):
-    """The exit code, the varns modules and whether scipy is loaded in a fresh
+    """The exit code, the varns modules and the ``SCIPY_MODULES`` loaded in a fresh
     process that imports ``varns.cli`` and runs ``subcommand`` (None: none)."""
     script = f"""
 import contextlib, io, json, sys
@@ -875,9 +881,8 @@ if {subcommand!r} is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([{subcommand!r}, "--n", "8", "--time-nodes", "5", *{flags!r},
                          "--out", {str(tmp_path)!r}])
-top = {{m.split(".")[0] for m in sys.modules}}
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "varns"),
-                  "scipy" in top]))
+                  [m for m in {SCIPY_MODULES!r} if m in sys.modules]]))
 """
     run = subprocess.run([sys.executable, "-c", script], env=fresh_process_env(),
                          capture_output=True, text=True, timeout=120)
@@ -888,17 +893,17 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "var
 def test_importing_the_cli_loads_only_its_preamble_modules(tmp_path):
     """``import varns.cli`` loads the modules of the preamble that every subcommand
     shares (grid, scenario, reports) and no other, and no scipy."""
-    assert loaded_modules(tmp_path) == [None, sorted(CLI_MODULES), False]
+    assert loaded_modules(tmp_path) == [None, sorted(CLI_MODULES), []]
 
 
-@pytest.mark.parametrize("subcommand", SUBCOMMAND_MODULES)
-def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand):
+@pytest.mark.parametrize("case", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, case):
     """A subcommand adds to the modules of ``import varns.cli`` only those it calls;
     scipy, whose import is most of a cold start, loads only where a sparse matrix
     is built. The table is the set, not a bound: a module that stops loading is a
     change to record here too."""
-    flags, modules, scipy = SUBCOMMAND_MODULES[subcommand]
-    code, loaded, loaded_scipy = loaded_modules(tmp_path, subcommand, *flags)
+    flags, modules, scipy = SUBCOMMAND_MODULES[case]
+    code, loaded, loaded_scipy = loaded_modules(tmp_path, case.split()[0], *flags)
     assert code in (0, 2)
     assert (loaded, loaded_scipy) == \
         (sorted(CLI_MODULES | {f"varns.{m}" for m in modules}), scipy)

@@ -160,15 +160,15 @@ GOLDEN = {
     },
     "solve-steady-periodic": {
         "exit": 0,
-        "stdout": "8f7ebb623ffb14cba244da78d16091c8e41a0dfdd36904e0af88fd9c3607e661",
+        "stdout": "da1acce298f6c41aee60d986dacae4a0d1ebf7e0992b532b24cc854b8cbc7877",
         "files": {
-            "certificate.json": "cc6e6e96a252e052c75cac5b2d9c8a9df60b160fb6757b13338369ea710ed4c8",
-            "p.csv": "c24a85a1f05f4433796c09a51772d78a76faede516a9e3b13eac7a47783f9d03",
-            "r.csv": "c24a85a1f05f4433796c09a51772d78a76faede516a9e3b13eac7a47783f9d03",
-            "u_0.csv": "db63e3039ef12455f2a58475b6ace432f7e80a1e3b135557fb7ffe72a9315064",
-            "u_1.csv": "cdebbee1f6cee3197358bd9cd5c6bb6224aacd36b0359eb1e5378a550e528547",
-            "w_0.csv": "db63e3039ef12455f2a58475b6ace432f7e80a1e3b135557fb7ffe72a9315064",
-            "w_1.csv": "cdebbee1f6cee3197358bd9cd5c6bb6224aacd36b0359eb1e5378a550e528547",
+            "certificate.json": "913cafeed7801974fc470590947d136d161a5e27cebd22f53adc1fe598f3981d",
+            "p.csv": "fb136e12d94786fe17472e53cc9290191f6e6650d33cd9f0817223842a34fb64",
+            "r.csv": "fb136e12d94786fe17472e53cc9290191f6e6650d33cd9f0817223842a34fb64",
+            "u_0.csv": "92c67412ab75b8a3080f88965f0b83157600d6f61305ed5ee0b188086a0c2dc0",
+            "u_1.csv": "7b86ac9ec8379f5181f7c0049f7e999ccdb411da6ef36dc8657e2e3d2c431479",
+            "w_0.csv": "92c67412ab75b8a3080f88965f0b83157600d6f61305ed5ee0b188086a0c2dc0",
+            "w_1.csv": "7b86ac9ec8379f5181f7c0049f7e999ccdb411da6ef36dc8657e2e3d2c431479",
         },
     },
     "solve-steady-wall": {

@@ -28,8 +28,8 @@ from varns.lagrangian import el_residuals, evaluate_lagrangian, first_variation
 from varns.scenarios import taylor_green
 from varns.solver import _DualNewtonSystem, _SteadyNewtonSystem
 
-from conftest import (complex_block_preconditioner, full_time_matrices, operator_matrix,
-                      periodic_box, roll_d1, roll_d2, steady_jacobian)
+from conftest import (block_linear_part, complex_block_preconditioner, full_time_matrices,
+                      operator_matrix, periodic_box, roll_d1, roll_d2, steady_jacobian)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -290,8 +290,9 @@ def test_newton_preconditioner_matches_the_complex_block_inverse(nodes, time_nod
 
 
 # ---------------------------------------------------------------------------
-# the steady Newton system: its linear part, built by index, and its Jacobian,
-# applied as an operator
+# the steady Newton system: its linear part, built by index on grids with a
+# wall axis, its Jacobian, applied as an operator, and its Fourier inverse on
+# all-periodic grids
 # ---------------------------------------------------------------------------
 
 def _steady_system(grid, seed, nu=0.3):
@@ -300,11 +301,18 @@ def _steady_system(grid, seed, nu=0.3):
     data, start = rng.normal(size=(2, grid.dim, int(np.prod(grid.nodes))))
     walls = _wall_boundary_mask(grid)[..., 0].ravel()
     system = _SteadyNewtonSystem(grid, nu, np.where(walls, data, 0.0), start)
-    return system, *rng.normal(size=(2, system.L.shape[0]))
+    return system, *rng.normal(size=(2, len(system.z0)))
+
+
+#: an all-periodic grid with one axis whose stencils the steady operator applies
+#: by the kernels and one by its dense 1D matrices
+KERNEL_AND_DENSE = Grid((2 * np.pi, 2.5), (solver._DENSE_STENCIL_NODES + 1, 4),
+                        (PERIODIC, PERIODIC))
 
 
 @PROPERTY_SETTINGS
 @given(grid=grids(steady=True), seed=seeds)
+@example(grid=KERNEL_AND_DENSE, seed=0).via("a kernel axis and a dense axis")
 def test_steady_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
     """The steady residual is quadratic in the unknowns, so the central
     difference has no truncation error and equals J(z) v up to roundoff."""
@@ -317,42 +325,41 @@ def test_steady_jacobian_is_the_exact_derivative_of_the_residual(grid, seed):
 
 @PROPERTY_SETTINGS
 @given(grid=grids(steady=True), seed=seeds, shift=st.sampled_from((0.0, 0.37, 1.0)))
+@example(grid=KERNEL_AND_DENSE, seed=0, shift=0.37).via("a kernel axis and a dense axis")
 def test_steady_operator_matches_the_assembled_jacobian(grid, seed, shift):
     """x -> L x - shift V x - A(z) x from the per-step coefficients equals the
-    assembled J(z) - shift V up to the order of the sums."""
+    assembled J(z) - shift V up to the order of the sums: L by CSR on grids with a
+    wall axis, from the 1D stencils on all-periodic ones."""
     system, z, x = _steady_system(grid, seed)
     got = system.jacobian_operator(z, shift)(x)
     want = steady_jacobian(system, z, shift) @ x
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def _block_linear_part(system):
-    """L of the steady system assembled block by block: momentum rows nu Lap on
-    the interior (as M nu Lap + I - M, M the interior mask) and unit rows on
-    walls, -M D_i, the divergence rows and -N, the pins and, all-periodic, the
-    force columns and mean rows."""
-    d, S, m, gauge = system.d, system.S, system.interior, system.gauge
-    DX, LAP = _stencil_matrices(system.grid)
-    K = len(gauge.first)
-    N = sp.csr_matrix((np.ones(S), (np.arange(S), gauge.labels)), shape=(S, K))
-    pin = sp.identity(S, format="csr")[gauge.first]
-    E = sp.kron(sp.identity(d), np.ones((S, 1)), format="csr")[:, :d if system.periodic else 0]
-    M = sp.diags(m * 1.0)
-    return sp.bmat([[sp.kron(sp.identity(d), M @ (system.nu * LAP) + sp.identity(S) - M),
-                     -sp.vstack([M @ D for D in DX]), None, -E],
-                    [sp.hstack(DX), None, -N, None],
-                    [None, pin, None, None],
-                    [E.T / S, None, None, None]], format="csr")
+@pytest.mark.parametrize("nodes", [(5,), (8,), (5, 7), (6, 8), (7, 4, 5), (4, 6, 4)],
+                         ids=lambda nodes: "-".join(map(str, nodes)))
+def test_steady_preconditioner_inverts_the_linear_part(nodes):
+    """On all-periodic grids the Fourier solve on the rfft half is the exact
+    inverse of L - shift V at each shift in turn, pins, multipliers, forces and
+    mean rows included: odd and even axes give 1, 2, 4 and 8 pressure components."""
+    system, _, x = _steady_system(periodic_box(nodes), int("".join(map(str, nodes))))
+    V = np.zeros(len(x))
+    V[:system.d * system.S] = 1.0
+    for shift in (0.0, 0.37, 1.0):
+        A = block_linear_part(system) - shift * sp.diags(V)
+        y = system._solve_linear_part(A @ x, shift)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @PROPERTY_SETTINGS
-@given(grid=grids(steady=True), seed=seeds)
+@given(grid=grids(steady=True).filter(lambda grid: WALL in grid.boundaries), seed=seeds)
 def test_steady_linear_part_matches_the_block_assembly(grid, seed):
-    """L built by index is the block assembly's CSR matrix to the bit. Where the
-    momentum block is at least half full (1D, 3 x 3), ``sp.kron`` stores it
-    dense, zeros included; those entries add nothing and are dropped first."""
+    """On a grid with a wall axis, L built by index is the block assembly's CSR
+    matrix to the bit. Where the momentum block is at least half full (1D, 3 x 3),
+    ``sp.kron`` stores it dense, zeros included; those entries add nothing and are
+    dropped first."""
     system = _steady_system(grid, seed, nu=np.random.default_rng(seed).uniform(0.01, 2))[0]
-    want = _block_linear_part(system)
+    want = block_linear_part(system)
     want.eliminate_zeros()
     got = system.L
     assert np.array_equal(got.indptr, want.indptr)

@@ -524,6 +524,27 @@ def test_steady_krylov_step_matches_the_direct_solve(grid):
         z = z + step
 
 
+@pytest.mark.parametrize("nodes", [(9,), (8, 7), (solver._DENSE_STENCIL_NODES + 1, 4), (4, 5, 4)],
+                         ids=lambda nodes: "x".join(map(str, nodes)))
+def test_steady_periodic_krylov_step_matches_the_direct_solve(nodes):
+    # on all-periodic grids GMRES on the stencil operator, preconditioned in
+    # Fourier space at each step's shift, against sparse LU of the assembled
+    # J - shift V; one grid has an axis whose stencils the operator applies by kernel
+    grid = Grid((2 * np.pi,) * len(nodes), nodes, ("periodic",) * len(nodes))
+    start = np.array([c.values[..., 0].ravel() for c in random_quartet(grid, 2).u.components])
+    system = solver._SteadyNewtonSystem(grid, 0.5, 0 * start, start)
+    z, norm0 = system.z0, None
+    for _ in range(2):
+        F = system.residual(z)
+        norm0 = norm0 or np.abs(F).max()
+        shift = np.abs(F).max() / (solver._DTAU0 * norm0)
+        direct = lu_step(steady_jacobian(system, z, shift), F)
+        step, _, met = system.newton_step(z, F, 1e-12)
+        assert met
+        assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
+        z = z + step
+
+
 @LID_GRIDS
 def test_steady_solution_satisfies_the_discrete_system(grid):
     meshes, data = grid.meshes(), lid_data(grid)
